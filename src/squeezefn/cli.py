@@ -132,44 +132,54 @@ class GridJob:
 
 
 def _grid_cell(domain, invariant: str, z: complex) -> str:
-    re, im = z.real, z.imag
+    """The value,truncation_index,certified fields of one grid cell."""
     try:
         if isinstance(domain, Annulus):
             if invariant != "squeezing":
                 raise DomainError(f"grid invariant {invariant!r} does not apply to an annulus")
             value = inv.annulus_squeezing(domain, z)
-            return f"{re!r},{im!r},{value!r},0,true"
+            return f"{value!r},0,true"
         if invariant == "squeezing":
             res = inv.squeezing_punctured_disk(domain, z)
         elif invariant == "fridman-c":
             res = inv.fridman_caratheodory_punctured_disk(domain, z)
         else:
             raise DomainError(f"grid invariant {invariant!r} does not apply to planar domains")
-        return f"{re!r},{im!r},{res.value!r},{res.truncation_index},true"
+        return f"{res.value!r},{res.truncation_index},true"
     except PointError:
-        return f"{re!r},{im!r},,,false"
+        return ",,false"
     except inv.CertificationError:
-        # uncovered tail: report the uncertified prefix minimum
+        # uncovered tail: report the uncertified minimum over the examined
+        # punctures, which for a generated family is the whole capped prefix
         count = domain.known_count()
+        if count is None:
+            count = inv._SEQUENCE_CAP
         value = min(rho(z, domain.puncture(k)) for k in range(1, count + 1))
-        return f"{re!r},{im!r},{value!r},{count},false"
+        return f"{value!r},{count},false"
 
 
 def run_grid(job: GridJob, jobs: int = 1) -> str:
     """Render the grid CSV; rows in row-major order (im outer, re inner),
-    byte-identical across runs and across serial/parallel execution."""
-    if not isinstance(job.domain, (FinitePunctures, SequencePunctures, Annulus)):
-        raise DomainError(f"grid supports planar domains, not {type(job.domain).__name__}")
+    byte-identical across runs and across serial/parallel execution.
+
+    A generated family's punctures are computed once per sweep, into a
+    SequencePrefix shared by all cells, and each coordinate is rendered once
+    per row or column."""
+    domain = job.domain
+    if not isinstance(domain, (FinitePunctures, SequencePunctures, Annulus)):
+        raise DomainError(f"grid supports planar domains, not {type(domain).__name__}")
+    if isinstance(domain, SequencePunctures) and domain.known_count() is None:
+        domain = inv.SequencePrefix(domain)
     re_min, re_max, im_min, im_max = job.rect
     nx, ny = job.resolution
+    reals = [re_min + (re_max - re_min) * ix / (nx - 1) for ix in range(nx)]
+    re_texts = [repr(re) for re in reals]
 
     def row(iy: int) -> str:
         im = im_min + (im_max - im_min) * iy / (ny - 1)
-        cells = []
-        for ix in range(nx):
-            re = re_min + (re_max - re_min) * ix / (nx - 1)
-            cells.append(_grid_cell(job.domain, job.invariant, complex(re, im)))
-        return "\n".join(cells)
+        im_text = repr(im)
+        return "\n".join(f"{re_text},{im_text},{_grid_cell(domain, job.invariant, complex(re, im))}"
+                         for re, re_text in zip(reals, re_texts))
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:

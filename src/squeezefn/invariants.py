@@ -15,6 +15,7 @@ from __future__ import annotations
 import cmath
 import heapq
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,9 +119,60 @@ def squeezing_punctured_disk(domain, z: complex) -> InvariantValue:
     if isinstance(domain, FinitePunctures):
         best, best_idx = _finite_min(rho(z, a) for a in domain.punctures)
         return InvariantValue(best, truncation_index=0, attained_index=best_idx)
-    if not isinstance(domain, SequencePunctures):
+    if not isinstance(domain, (SequencePunctures, SequencePrefix)):
         raise DomainError(f"squeezing_punctured_disk does not apply to {type(domain).__name__}")
     return _sequence_min(domain, z, abs(z), rho)
+
+
+class SequencePrefix:
+    """Shared prefix of a generated puncture family, for evaluating many points.
+
+    Has the puncture / tail_lower_bound / known_count interface of the wrapped
+    SequencePunctures and fills its lists by calling it, so every value is
+    bitwise identical.  The lists grow by doubling from 64 entries and stop at
+    _SEQUENCE_CAP; indices beyond that are passed through to the domain.
+    Growth holds a lock, so threads may share one view.
+    """
+
+    def __init__(self, domain: SequencePunctures):
+        if domain.known_count() is not None:
+            raise DomainError("a sequence prefix view needs a generated family")
+        self.domain = domain
+        self._points = []  # _points[k - 1] == domain.puncture(k)
+        self._tails = []   # _tails[n] == domain.tail_lower_bound(n)
+        self._size = 0     # published after both lists hold this many entries
+        self._lock = threading.Lock()
+
+    def known_count(self) -> None:
+        return None
+
+    def puncture(self, k: int) -> complex:
+        if 0 < k <= self._size or self._grow(k):
+            return self._points[k - 1]
+        return self.domain.puncture(k)
+
+    def tail_lower_bound(self, examined: int) -> float:
+        if 0 <= examined < self._size or self._grow(examined + 1):
+            return self._tails[examined]
+        return self.domain.tail_lower_bound(examined)
+
+    def _grow(self, needed: int) -> bool:
+        """Hold at least ``needed`` entries; False if that is out of range."""
+        if not 0 < needed <= _SEQUENCE_CAP:
+            return False
+        with self._lock:
+            size = self._size
+            if size < needed:
+                target = max(size, 64)
+                while target < needed:
+                    target *= 2
+                target = min(target, _SEQUENCE_CAP)
+                points = [self.domain.puncture(k) for k in range(size + 1, target + 1)]
+                tails = [self.domain.tail_lower_bound(n) for n in range(size, target)]
+                self._points += points
+                self._tails += tails
+                self._size = target
+        return True
 
 
 def _sequence_min(domain, z, anchor: float, dist) -> InvariantValue:

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from squeezefn.cli import GridJob, main
-from squeezefn.domains import DomainError, FinitePunctures
+from squeezefn.domains import DomainError, FinitePunctures, parse_domain_spec
 from squeezefn.hyperbolic import rho
 
 
@@ -202,6 +202,24 @@ def test_grid_uncertified_cells_report_prefix_minimum(tmp_path, domain_file):
         if row[4] == "false":
             z = complex(float(row[0]), float(row[1]))
             assert float(row[2]) == rho(z, complex(0.5))
+
+
+def test_grid_family_cap_hit_reports_capped_prefix_minimum(tmp_path, domain_file):
+    # cells at |z| = 0.999999 need more than the 200000-puncture cap on the
+    # p = 1 orbit: they report the minimum over the capped prefix, uncertified
+    doc = {"kind": "sequence", "family": "boundary_orbit", "c": 0.5, "p": 1.0, "theta": 2.3}
+    path = domain_file("orbit.json", doc)
+    out = tmp_path / "grid.csv"
+    assert main(["grid", "--domain", path, "--rect=-0.999999,-0.99,-0.001,0.001",
+                 "--res", "2,2", "--output", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [row[4] for row in rows] == ["false", "true", "false", "true"]
+    domain = parse_domain_spec(doc)
+    for row in rows:
+        if row[4] == "false":
+            z = complex(float(row[0]), float(row[1]))
+            brute = min(rho(z, domain.puncture(k)) for k in range(1, 200_001))
+            assert row[2:4] == [repr(brute), "200000"]
 
 
 # --- verify -----------------------------------------------------------------
