@@ -2,13 +2,15 @@
 for level-set plotting, and run verification suites.
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage or
-parse/validation failure, 3 point outside the domain, 4 output I/O failure.
+parse/validation failure, 3 point outside the domain, 4 output I/O failure,
+5 the value could not be certified.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -26,7 +28,7 @@ from .domains import (
     SequencePunctures,
     parse_domain_spec,
 )
-from .hyperbolic import PointError, rho
+from .hyperbolic import PointError
 
 INVARIANT_NAMES = ("squeezing", "fridman-c", "polydisk-squeezing", "t-lower-bound")
 
@@ -124,6 +126,9 @@ class GridJob:
 
     def __post_init__(self):
         re_min, re_max, im_min, im_max = self.rect
+        if not (math.isfinite(re_max - re_min) and math.isfinite(im_max - im_min)):
+            # infinite extents would put NaN coordinates into the grid
+            raise DomainError(f"grid rectangle {self.rect!r} does not have a finite extent")
         if not (re_min < re_max and im_min < im_max):
             raise DomainError(f"degenerate grid rectangle {self.rect!r}")
         nx, ny = self.resolution
@@ -131,62 +136,53 @@ class GridJob:
             raise DomainError(f"grid resolution must be >= 2 in each direction, got {self.resolution!r}")
 
 
-def _grid_cell(domain, invariant: str, z: complex) -> str:
-    """The value,truncation_index,certified fields of one grid cell."""
-    try:
-        if isinstance(domain, Annulus):
-            if invariant != "squeezing":
-                raise DomainError(f"grid invariant {invariant!r} does not apply to an annulus")
-            value = inv.annulus_squeezing(domain, z)
-            return f"{value!r},0,true"
-        if invariant == "squeezing":
-            res = inv.squeezing_punctured_disk(domain, z)
-        elif invariant == "fridman-c":
-            res = inv.fridman_caratheodory_punctured_disk(domain, z)
-        else:
-            raise DomainError(f"grid invariant {invariant!r} does not apply to planar domains")
-        return f"{res.value!r},{res.truncation_index},true"
-    except PointError:
-        return ",,false"
-    except inv.CertificationError:
-        # uncovered tail: report the uncertified minimum over the examined
-        # punctures, which for a generated family is the whole capped prefix
-        count = domain.known_count()
-        if count is None:
-            count = inv._SEQUENCE_CAP
-        value = min(rho(z, domain.puncture(k)) for k in range(1, count + 1))
-        return f"{value!r},{count},false"
-
-
 def run_grid(job: GridJob, jobs: int = 1) -> str:
     """Render the grid CSV; rows in row-major order (im outer, re inner),
     byte-identical across runs and across serial/parallel execution.
 
-    A generated family's punctures are computed once per sweep, into a
-    SequencePrefix shared by all cells, and each coordinate is rendered once
-    per row or column."""
+    Blocks of whole rows, at most invariants.GRID_BLOCK cells each, go
+    through the batched kernel invariants.grid_cells; ``jobs`` threads map
+    over the blocks.  A generated family's punctures are computed once per
+    sweep, into a SequencePrefix shared by all blocks."""
     domain = job.domain
-    if not isinstance(domain, (FinitePunctures, SequencePunctures, Annulus)):
+    if isinstance(domain, Annulus):
+        if job.invariant != "squeezing":
+            raise DomainError(f"grid invariant {job.invariant!r} does not apply to an annulus")
+    elif isinstance(domain, (FinitePunctures, SequencePunctures)):
+        if job.invariant not in ("squeezing", "fridman-c"):
+            raise DomainError(f"grid invariant {job.invariant!r} does not apply to planar domains")
+        if isinstance(domain, SequencePunctures) and domain.known_count() is None:
+            domain = inv.SequencePrefix(domain)
+    else:
         raise DomainError(f"grid supports planar domains, not {type(domain).__name__}")
-    if isinstance(domain, SequencePunctures) and domain.known_count() is None:
-        domain = inv.SequencePrefix(domain)
     re_min, re_max, im_min, im_max = job.rect
     nx, ny = job.resolution
     reals = [re_min + (re_max - re_min) * ix / (nx - 1) for ix in range(nx)]
     re_texts = [repr(re) for re in reals]
+    rows_per_block = max(1, min(inv.GRID_BLOCK // nx, math.ceil(ny / max(jobs, 1))))
 
-    def row(iy: int) -> str:
-        im = im_min + (im_max - im_min) * iy / (ny - 1)
-        im_text = repr(im)
-        return "\n".join(f"{re_text},{im_text},{_grid_cell(domain, job.invariant, complex(re, im))}"
-                         for re, re_text in zip(reals, re_texts))
+    def rows(iy0: int) -> str:
+        imags = [im_min + (im_max - im_min) * iy / (ny - 1)
+                 for iy in range(iy0, min(iy0 + rows_per_block, ny))]
+        values, indices, flags = inv.grid_cells(domain, reals, imags)
+        lines = []
+        for iy, im in enumerate(imags):
+            im_text = repr(im)
+            row = slice(iy * nx, (iy + 1) * nx)
+            cells = zip(re_texts, values[row].tolist(), indices[row].tolist(), flags[row].tolist())
+            lines.append("\n".join(
+                f"{re_text},{im_text},,,false" if value != value  # NaN: outside or on a puncture
+                else f"{re_text},{im_text},{value!r},{index},{'true' if certified else 'false'}"
+                for re_text, value, index, certified in cells))
+        return "\n".join(lines)
 
+    starts = range(0, ny, rows_per_block)
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(row, range(ny)))
+            blocks = list(pool.map(rows, starts))
     else:
-        rows = [row(iy) for iy in range(ny)]
-    return "re,im,value,truncation_index,certified\n" + "\n".join(rows) + "\n"
+        blocks = [rows(iy0) for iy0 in starts]
+    return "re,im,value,truncation_index,certified\n" + "\n".join(blocks) + "\n"
 
 
 def cmd_grid(args) -> int:
@@ -269,7 +265,7 @@ def main(argv=None) -> int:
         return 2
     except inv.CertificationError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
+        return 5
     except PointError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

@@ -18,8 +18,6 @@ import math
 import threading
 from dataclasses import dataclass
 
-import numpy as np
-
 from .domains import (
     Annulus,
     Block,
@@ -32,6 +30,7 @@ from .domains import (
     SequencePunctures,
 )
 from .hyperbolic import (
+    INTERIOR_MARGIN,
     PointError,
     radial_separation_bound,
     require_interior_point,
@@ -119,7 +118,7 @@ def squeezing_punctured_disk(domain, z: complex) -> InvariantValue:
     if isinstance(domain, FinitePunctures):
         best, best_idx = _finite_min(rho(z, a) for a in domain.punctures)
         return InvariantValue(best, truncation_index=0, attained_index=best_idx)
-    if not isinstance(domain, (SequencePunctures, SequencePrefix)):
+    if not isinstance(domain, SequencePunctures):
         raise DomainError(f"squeezing_punctured_disk does not apply to {type(domain).__name__}")
     return _sequence_min(domain, z, abs(z), rho)
 
@@ -128,19 +127,21 @@ class SequencePrefix:
     """Shared prefix of a generated puncture family, for evaluating many points.
 
     Has the puncture / tail_lower_bound / known_count interface of the wrapped
-    SequencePunctures and fills its lists by calling it, so every value is
-    bitwise identical.  The lists grow by doubling from 64 entries and stop at
-    _SEQUENCE_CAP; indices beyond that are passed through to the domain.
+    SequencePunctures and fills its numpy arrays by calling it, so every value
+    is bitwise identical.  The arrays grow by doubling from 64 entries and stop
+    at _SEQUENCE_CAP; indices beyond that are passed through to the domain.
     Growth holds a lock, so threads may share one view.
     """
 
     def __init__(self, domain: SequencePunctures):
+        import numpy as np
+
         if domain.known_count() is not None:
             raise DomainError("a sequence prefix view needs a generated family")
         self.domain = domain
-        self._points = []  # _points[k - 1] == domain.puncture(k)
-        self._tails = []   # _tails[n] == domain.tail_lower_bound(n)
-        self._size = 0     # published after both lists hold this many entries
+        self._points = np.empty(0, dtype=complex)  # _points[k - 1] == domain.puncture(k)
+        self._tails = np.empty(0)                  # _tails[n] == domain.tail_lower_bound(n)
+        self._size = 0     # published after both arrays hold this many entries
         self._lock = threading.Lock()
 
     def known_count(self) -> None:
@@ -148,16 +149,31 @@ class SequencePrefix:
 
     def puncture(self, k: int) -> complex:
         if 0 < k <= self._size or self._grow(k):
-            return self._points[k - 1]
+            return complex(self._points[k - 1])
         return self.domain.puncture(k)
 
     def tail_lower_bound(self, examined: int) -> float:
         if 0 <= examined < self._size or self._grow(examined + 1):
-            return self._tails[examined]
+            return float(self._tails[examined])
         return self.domain.tail_lower_bound(examined)
+
+    def chunk(self, start: int, stop: int):
+        """Real and imaginary parts of a_(start+1) .. a_stop, and the tail
+        bounds m(start+1) .. m(stop) checked after examining each of them;
+        stop is at most _SEQUENCE_CAP."""
+        import numpy as np
+
+        self._grow(min(stop + 1, _SEQUENCE_CAP))
+        points = self._points[start:stop]
+        tails = self._tails[start + 1:stop + 1]
+        if stop == _SEQUENCE_CAP:
+            tails = np.append(tails, self.domain.tail_lower_bound(stop))
+        return points.real, points.imag, tails
 
     def _grow(self, needed: int) -> bool:
         """Hold at least ``needed`` entries; False if that is out of range."""
+        import numpy as np
+
         if not 0 < needed <= _SEQUENCE_CAP:
             return False
         with self._lock:
@@ -169,8 +185,8 @@ class SequencePrefix:
                 target = min(target, _SEQUENCE_CAP)
                 points = [self.domain.puncture(k) for k in range(size + 1, target + 1)]
                 tails = [self.domain.tail_lower_bound(n) for n in range(size, target)]
-                self._points += points
-                self._tails += tails
+                self._points = np.concatenate((self._points, np.array(points, dtype=complex)))
+                self._tails = np.concatenate((self._tails, np.array(tails, dtype=float)))
                 self._size = target
         return True
 
@@ -211,6 +227,124 @@ def _sequence_min(domain, z, anchor: float, dist) -> InvariantValue:
                              f"(distance {d:.3e} < {COLLISION_EPS:g})")
         if d < best:
             best, best_idx = d, examined
+
+
+# Most elements in one array of the grid kernel (cells x punctures), and the
+# first prefix chunk; chunks double up to that size.
+GRID_BLOCK = 8192
+_GRID_FIRST_CHUNK = 8
+
+
+def grid_cells(domain, reals, imags):
+    """Squeezing function at every cell complex(re, im), im outer and re inner:
+    the batched form of squeezing_punctured_disk and annulus_squeezing.
+
+    ``domain`` is a FinitePunctures, a listed SequencePunctures, a
+    SequencePrefix over a generated family, or an Annulus.  Returns the
+    values, truncation indices and certified flags as numpy arrays in
+    row-major order.  A cell outside the domain or on a puncture has value
+    NaN.  A cell whose tail is not certified, within _SEQUENCE_CAP punctures
+    or by the tail constant of a listing, gets the minimum over the punctures
+    it examined, their count and False.  Every value is bitwise equal to the
+    scalar result (see _rho_block).
+
+    Prefix chunks double in size; a cell stops at the first index where the
+    tail bound exceeds its running minimum, and only open cells go on to the
+    next chunk.  No array holds more than about GRID_BLOCK elements.
+    """
+    import numpy as np
+
+    zr = np.tile(np.array(reals, dtype=float), len(imags))
+    zi = np.repeat(np.array(imags, dtype=float), len(reals))
+    anchor = np.hypot(zr, zi)  # abs(complex(re, im))
+    value = np.full(zr.shape, np.nan)
+    index = np.zeros(zr.shape, dtype=np.int64)
+    certified = np.ones(zr.shape, dtype=bool)
+    inside = anchor < 1.0 - INTERIOR_MARGIN  # as require_interior_point
+    if isinstance(domain, Annulus):
+        r = domain.inner_radius
+        cells = inside & (anchor > r)
+        value[cells] = np.maximum(anchor[cells], r / anchor[cells])
+        return value, index, certified
+
+    finite = isinstance(domain, FinitePunctures)
+    if isinstance(domain, SequencePrefix):
+        listed, limit = None, _SEQUENCE_CAP
+    else:
+        listed = np.array(domain.punctures if finite else domain.prefix, dtype=complex)
+        limit = len(listed)
+    best = np.full(zr.shape, np.inf)
+    cells = np.flatnonzero(inside)
+    examined, width = 0, _GRID_FIRST_CHUNK
+    while cells.size and examined < limit:
+        stop = min(examined + width, limit)
+        if listed is None:
+            ar, ai, tails = domain.chunk(examined, stop)
+        else:
+            ar, ai, tails = listed[examined:stop].real, listed[examined:stop].imag, None
+        size = stop - examined
+        group = max(1, GRID_BLOCK // size)
+        still_open = []
+        for first in range(0, cells.size, group):
+            g = cells[first:first + group]
+            dist = _rho_block(zr[g, None], zi[g, None], ar, ai)
+            run = np.minimum.accumulate(dist, axis=1)
+            np.minimum(run, best[g, None], out=run)
+            last = np.full(g.size, size - 1)  # the last position each cell examines
+            stopped = np.zeros(g.size, dtype=bool)
+            if tails is not None:
+                a = anchor[g, None]
+                stops = (tails > a) & (radial_separation_bound(tails, a) > run)
+                stopped = stops.any(axis=1)
+                last[stopped] = stops.argmax(axis=1)[stopped]
+            best[g] = run[np.arange(g.size), last]
+            hits = dist < COLLISION_EPS
+            collided = hits.any(axis=1) & (hits.argmax(axis=1) <= last)
+            done = stopped & ~collided
+            value[g[done]] = best[g[done]]
+            index[g[done]] = examined + 1 + last[done]
+            still_open.append(g[~(stopped | collided)])
+        cells = np.concatenate(still_open)
+        examined, width = stop, min(2 * width, GRID_BLOCK)
+
+    # cells left open examined the whole listing or the capped prefix
+    value[cells] = best[cells]
+    if listed is None:
+        index[cells] = _SEQUENCE_CAP
+        certified[cells] = False
+    else:
+        m = None if finite else domain.tail_lower_bound(limit)
+        if m is not None:
+            a = anchor[cells]
+            index[cells] = limit
+            certified[cells] = (m > a) & ~(radial_separation_bound(m, a) < best[cells])
+    return value, index, certified
+
+
+def _rho_block(zr, zi, ar, ai):
+    """rho(z, a) for a column of cells z against a row of punctures a.
+
+    Redoes CPython's complex arithmetic operation by operation, so that every
+    value is bitwise equal to hyperbolic.rho: the product and the difference
+    as _Py_c_prod and _Py_c_diff (1.0 - w is (1.0 - w.real, 0.0 - w.imag)),
+    the quotient as _Py_c_quot with Smith's two branches, abs as hypot.  The
+    second branch's imaginary part comes out negated, which abs ignores.
+    """
+    import numpy as np
+
+    mzi = -zi  # conj(z).imag
+    nr = ar - zr
+    ni = ai - zi
+    dr = 1.0 - (zr * ar - mzi * ai)
+    di = 0.0 - (zr * ai + mzi * ar)
+    by_real = np.abs(dr) >= np.abs(di)
+    big = np.where(by_real, dr, di)
+    small = np.where(by_real, di, dr)
+    top = np.where(by_real, nr, ni)
+    other = np.where(by_real, ni, nr)
+    ratio = small / big
+    denom = big + small * ratio
+    return np.hypot((top + other * ratio) / denom, (other - top * ratio) / denom)
 
 
 def fridman_caratheodory_punctured_disk(domain, z: complex) -> InvariantValue:
@@ -638,6 +772,8 @@ def annulus_compact_removal_gap(samples: int = 1_000_000) -> VerificationOutcome
 
 def _closed_disk_min_oracle(z: complex, radius: float, samples: int) -> float:
     """Deterministic dense polar sample of the closed disk |w| <= radius."""
+    import numpy as np
+
     m = max(2, 1 << math.ceil(math.log2(math.sqrt(max(samples, 4)))))
     t = np.arange(m + 1) / m
     phi = 2.0 * np.pi * np.arange(m) / m

@@ -92,6 +92,16 @@ def test_eval_annulus(domain_file, capsys):
     assert main(["eval", "--domain", path, "--point", "0.1,0"]) == 3
 
 
+def test_eval_uncertified_point_exits_5(domain_file, capsys):
+    # |z| = 0.999999 on the p = 1 orbit needs more than the 200000-puncture cap
+    path = domain_file("orbit.json", {"kind": "sequence", "family": "boundary_orbit",
+                                      "c": 0.5, "p": 1.0, "theta": 2.3})
+    assert main(["eval", "--domain", path, "--point=-0.999999,0"]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["eval", "--point", "0,0"])  # missing --domain
@@ -185,6 +195,14 @@ def test_grid_job_validation():
         GridJob(domain, (0.5, -0.5, -0.5, 0.5), (4, 4), "squeezing")
     with pytest.raises(DomainError, match="resolution"):
         GridJob(domain, (-0.5, 0.5, -0.5, 0.5), (1, 4), "squeezing")
+
+
+@pytest.mark.parametrize("rect", ["-inf,0,-0.5,0.5", "-1e308,1e308,-0.5,0.5"])
+def test_grid_rejects_rectangle_without_finite_extent(domain_file, tmp_path, rect, capsys):
+    path = domain_file("radial.json", RADIAL)
+    assert main(["grid", "--domain", path, f"--rect={rect}", "--res", "3,3",
+                 "--output", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_grid_uncertified_cells_report_prefix_minimum(tmp_path, domain_file):

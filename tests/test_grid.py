@@ -1,20 +1,27 @@
-"""Grid sweeps against a cell-by-cell reference, and the shared sequence prefix."""
+"""Grid sweeps against a cell-by-cell reference, pinned digests, the batched
+kernel against scalar rho, and the shared sequence prefix."""
 
+import cmath
+import hashlib
 import json
+import math
 import random
 import sys
 import threading
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from squeezefn.cli import GridJob, main, run_grid
-from squeezefn.domains import Annulus, DomainError, parse_domain_spec
-from squeezefn.hyperbolic import PointError
+from squeezefn.domains import Annulus, DomainError, RadialFamily, parse_domain_spec
+from squeezefn.hyperbolic import INTERIOR_MARGIN, PointError, rho
 from squeezefn.invariants import (
     _SEQUENCE_CAP,
+    CertificationError,
     SequencePrefix,
+    _rho_block,
     annulus_squeezing,
     fridman_caratheodory_punctured_disk,
     squeezing_punctured_disk,
@@ -93,6 +100,140 @@ def test_grid_matches_reference_on_random_rectangles(name, re, im, res):
     assert run_grid(job) == reference_csv(domain, "squeezing", rect, res)
 
 
+def scalar_csv(domain, rect, res) -> str:
+    """The squeezing grid CSV built one cell at a time from the scalar
+    evaluators, uncertified cells included: where a listing's tail constant
+    cannot certify a cell, it reports the minimum over the listed points,
+    their count and false."""
+    re_min, re_max, im_min, im_max = rect
+    nx, ny = res
+    lines = ["re,im,value,truncation_index,certified"]
+    for iy in range(ny):
+        im = im_min + (im_max - im_min) * iy / (ny - 1)
+        for ix in range(nx):
+            re = re_min + (re_max - re_min) * ix / (nx - 1)
+            z = complex(re, im)
+            try:
+                if isinstance(domain, Annulus):
+                    fields = f"{annulus_squeezing(domain, z)!r},0,true"
+                else:
+                    out = squeezing_punctured_disk(domain, z)
+                    fields = f"{out.value!r},{out.truncation_index},true"
+            except PointError:
+                fields = ",,false"
+            except CertificationError:
+                count = domain.known_count()
+                value = min(rho(z, domain.puncture(k)) for k in range(1, count + 1))
+                fields = f"{value!r},{count},false"
+            lines.append(f"{re!r},{im!r},{fields}")
+    return "\n".join(lines) + "\n"
+
+
+# name: (domain document, rect, resolution, rows or row endings the CSV must hold)
+EDGE_CASES = {
+    "listed_certified": (
+        {"kind": "sequence", "points": [[0.5, 0.0], [0.0, 0.5], [-0.6, 0.2]],
+         "tail_modulus_constant": 0.99},
+        (-0.3, 0.3, -0.3, 0.3), (7, 7), (",3,true\n",)),
+    "listed_tail_fails": (
+        {"kind": "sequence", "points": [[0.5, 0.0], [0.0, 0.5]], "tail_modulus_constant": 0.7},
+        (-0.9, 0.9, -0.9, 0.9), (13, 13), (",2,true\n", ",2,false\n")),
+    "listed_tail_ties": (  # at the origin the tail bound equals the minimum: certified
+        {"kind": "sequence", "points": [[0.5, 0.0]], "tail_modulus_constant": 0.5},
+        (-0.5, 0.5, -0.5, 0.5), (5, 5), ("\n0.0,0.0,0.5,1,true\n",)),
+    "listed_exhausted": (
+        {"kind": "sequence", "points": [[0.5, 0.0], [0.0, 0.5]]},
+        (-0.9, 0.9, -0.9, 0.9), (13, 13), (",0,true\n",)),
+    "finite_puncture_on_node": (
+        {"kind": "finite_punctures", "points": [[0.25, 0.0], [0.0, -0.5]]},
+        (-0.5, 0.5, -0.5, 0.5), (5, 5), ("\n0.25,0.0,,,false\n", "\n0.0,-0.5,,,false\n")),
+    "annulus_nodes_on_rim": (
+        {"kind": "annulus", "r": 0.5},
+        (-0.5, 0.5, -0.5, 0.5), (5, 5), ("\n0.5,0.0,,,false\n", "\n0.0,-0.5,,,false\n")),
+}
+
+
+@pytest.mark.parametrize("jobs", [1, 4])
+@pytest.mark.parametrize("name", sorted(EDGE_CASES))
+def test_grid_edge_cases_match_scalar_cells(name, jobs, tmp_path):
+    doc, rect, res, rows = EDGE_CASES[name]
+    path = tmp_path / "domain.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "grid.csv"
+    assert main(["grid", "--domain", str(path), "--rect=" + ",".join(map(repr, rect)),
+                 "--res", f"{res[0]},{res[1]}", "--output", str(out),
+                 "--jobs", str(jobs)]) == 0
+    expected = scalar_csv(parse_domain_spec(doc), rect, res)
+    assert all(row in expected for row in rows)
+    assert out.read_text(encoding="utf-8") == expected
+
+
+# --- pinned digests ----------------------------------------------------------
+
+# SHA-256 of run_grid over RECT for the scripts/levelset_sweep.py domains at
+# its default 200x200, and for the p = 1 orbit at 100x100, computed from the
+# one-cell-at-a-time sweep before the batched kernel replaced it
+DIGESTS = {
+    ("finite_pair", 200): "5e8e7ed4b2733bfb5b80174b3aa541dfbc08f51ecf384bc4639b59ce574a0111",
+    ("radial_q05", 200): "6d8641e072d51dd34f84c2b5302455908e3a6349a9369bb4be559f0bd19f1b91",
+    ("orbit_c05_p2", 200): "32c0437d0fb7aec14fee985cedd5edf8c070712bdb8fd4890c4f983e2aeb4228",
+    ("annulus_quarter", 200): "ae3d1ff52d31db72216db05e5a49998ecc419663a1e101716c3ee9c91bdb8219",
+    ("orbit_c05_p1", 100): "460ad170f40d62cf882f552bf0333da2ede0c1d505f6d4030e8ce848e96830ed",
+}
+
+
+@pytest.mark.parametrize("name,res", sorted(DIGESTS))
+def test_grid_digest_is_pinned(name, res):
+    job = GridJob(domain=parse_domain_spec(DOMAINS[name]), rect=RECT,
+                  resolution=(res, res), invariant="squeezing")
+    assert hashlib.sha256(run_grid(job).encode()).hexdigest() == DIGESTS[(name, res)]
+
+
+# --- the batched kernel against scalar rho -----------------------------------
+
+def kernel_rho(zs, ws) -> list:
+    """The grid kernel's rho(z, w) for every z (rows) and w (columns)."""
+    z = np.array(zs, dtype=complex)
+    w = np.array(ws, dtype=complex)
+    return _rho_block(z.real[:, None], z.imag[:, None], w.real, w.imag).tolist()
+
+
+# moduli of 1 - 2^-k round to 1.0 from k = 54 on
+RIM = [RadialFamily(q=0.5, theta=1.0).point(k) for k in (54, 60, 100)]
+SIGNED_ZEROS = [complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+BY_REAL = (0.5 + 0j, 0.3 + 0j)                  # |Re b| >= |Im b| for b = 1 - conj(z) w
+BY_IMAG = (0.9 + 0j, cmath.rect(0.95, -1.2))    # |Re b| < |Im b|
+
+unit = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+interior = st.builds(complex, unit, unit).filter(lambda z: abs(z) < 1.0 - INTERIOR_MARGIN)
+closed = st.builds(complex, unit, unit).filter(lambda w: abs(w) <= 1.0)
+on_rim = st.builds(lambda k, theta: RadialFamily(q=0.5, theta=theta).point(k),
+                   st.integers(54, 200), st.floats(0.0, 2.0 * math.pi))
+
+
+@pytest.mark.parametrize("z,w,by_real", [BY_REAL + (True,), BY_IMAG + (False,)])
+def test_kernel_covers_both_smith_branches(z, w, by_real):
+    b = 1.0 - z.conjugate() * w
+    assert (abs(b.real) >= abs(b.imag)) == by_real
+    assert repr(kernel_rho([z], [w])[0][0]) == repr(rho(z, w))
+
+
+def test_rim_punctures_have_modulus_rounding_to_one():
+    assert all(1.0 - 0.5**k == 1.0 for k in (54, 60, 100))
+
+
+@settings(max_examples=300, deadline=None)
+@given(zs=st.lists(st.one_of(interior, st.sampled_from(SIGNED_ZEROS)), min_size=1, max_size=6),
+       ws=st.lists(st.one_of(closed, on_rim, st.sampled_from(SIGNED_ZEROS)), min_size=1, max_size=6))
+@example(zs=[BY_REAL[0], BY_IMAG[0]], ws=[BY_REAL[1], BY_IMAG[1]])
+@example(zs=[0j, -0j, complex(-0.0, 0.5), complex(0.5, -0.0)], ws=SIGNED_ZEROS + RIM)
+@example(zs=[complex(-0.0, -0.7), complex(0.7, 0.0), 0.999 + 0j], ws=RIM + [complex(0.0, -0.3)])
+def test_kernel_matches_scalar_rho_bitwise(zs, ws):
+    got = kernel_rho(zs, ws)
+    for z, row in zip(zs, got):
+        assert [repr(v) for v in row] == [repr(rho(z, w)) for w in ws]
+
+
 # --- the shared prefix view --------------------------------------------------
 
 ORBIT = parse_domain_spec(DOMAINS["orbit_c05_p1"])
@@ -155,3 +296,45 @@ def test_prefix_view_shared_by_threads():
         for k, point, tail in rows:
             assert point == repr(ORBIT.puncture(k))
             assert tail == repr(ORBIT.tail_lower_bound(k))
+
+
+def test_prefix_chunks_shared_by_threads():
+    # concurrent chunk reads grow the arrays under the lock; each must see
+    # exactly the punctures and tail bounds the domain generates
+    view = SequencePrefix(ORBIT)
+    ranges = [(start, start + width) for width in (8, 100, 1000) for start in range(0, 6000, 700)]
+    random.Random(11).shuffle(ranges)
+    start = threading.Barrier(4)
+    failures = []
+
+    def read(t: int) -> None:
+        start.wait()
+        for lo, hi in ranges[t::4]:
+            re, im, tails = view.chunk(lo, hi)
+            points = [complex(x, y) for x, y in zip(re.tolist(), im.tolist())]
+            if (points != [ORBIT.puncture(k) for k in range(lo + 1, hi + 1)]
+                    or tails.tolist() != [ORBIT.tail_lower_bound(k) for k in range(lo + 1, hi + 1)]):
+                failures.append((lo, hi))
+
+    threads = [threading.Thread(target=read, args=(t,)) for t in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    assert len(view._points) == len(view._tails) == view._size == 8192
+
+
+def test_prefix_chunk_ends_at_the_sequence_cap():
+    view = SequencePrefix(ORBIT)
+    re, im, tails = view.chunk(_SEQUENCE_CAP - 3, _SEQUENCE_CAP)
+    assert [complex(x, y) for x, y in zip(re.tolist(), im.tolist())] == [
+        ORBIT.puncture(k) for k in range(_SEQUENCE_CAP - 2, _SEQUENCE_CAP + 1)]
+    assert tails.tolist() == [ORBIT.tail_lower_bound(k)
+                              for k in range(_SEQUENCE_CAP - 2, _SEQUENCE_CAP + 1)]
