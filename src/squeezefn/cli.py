@@ -12,7 +12,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import invariants as inv
@@ -138,12 +137,16 @@ class GridJob:
 
 def run_grid(job: GridJob, jobs: int = 1) -> str:
     """Render the grid CSV; rows in row-major order (im outer, re inner),
-    byte-identical across runs and across serial/parallel execution.
+    byte-identical across runs and across ``jobs`` settings.
 
-    Blocks of whole rows, at most invariants.GRID_BLOCK cells each, go
-    through the batched kernel invariants.grid_cells; ``jobs`` threads map
-    over the blocks.  A generated family's punctures are computed once per
-    sweep, into a SequencePrefix shared by all blocks."""
+    Blocks of whole rows, at most invariants.GRID_BLOCK cells each, go one
+    after another through the batched kernel invariants.grid_cells.  A
+    generated family's punctures are computed once per sweep, into a
+    SequencePrefix shared by all blocks.  ``jobs`` (at least 1) is accepted
+    and ignored: the kernel's numpy steps and the row formatting hold the
+    GIL, so worker threads gave no speed-up."""
+    if jobs < 1:
+        raise DomainError(f"--jobs must be at least 1, got {jobs!r}")
     domain = job.domain
     if isinstance(domain, Annulus):
         if job.invariant != "squeezing":
@@ -159,13 +162,12 @@ def run_grid(job: GridJob, jobs: int = 1) -> str:
     nx, ny = job.resolution
     reals = [re_min + (re_max - re_min) * ix / (nx - 1) for ix in range(nx)]
     re_texts = [repr(re) for re in reals]
-    rows_per_block = max(1, min(inv.GRID_BLOCK // nx, math.ceil(ny / max(jobs, 1))))
-
-    def rows(iy0: int) -> str:
+    rows_per_block = max(1, inv.GRID_BLOCK // nx)
+    lines = ["re,im,value,truncation_index,certified"]
+    for iy0 in range(0, ny, rows_per_block):
         imags = [im_min + (im_max - im_min) * iy / (ny - 1)
                  for iy in range(iy0, min(iy0 + rows_per_block, ny))]
         values, indices, flags = inv.grid_cells(domain, reals, imags)
-        lines = []
         for iy, im in enumerate(imags):
             im_text = repr(im)
             row = slice(iy * nx, (iy + 1) * nx)
@@ -174,15 +176,7 @@ def run_grid(job: GridJob, jobs: int = 1) -> str:
                 f"{re_text},{im_text},,,false" if value != value  # NaN: outside or on a puncture
                 else f"{re_text},{im_text},{value!r},{index},{'true' if certified else 'false'}"
                 for re_text, value, index, certified in cells))
-        return "\n".join(lines)
-
-    starts = range(0, ny, rows_per_block)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            blocks = list(pool.map(rows, starts))
-    else:
-        blocks = [rows(iy0) for iy0 in starts]
-    return "re,im,value,truncation_index,certified\n" + "\n".join(blocks) + "\n"
+    return "\n".join(lines) + "\n"
 
 
 def cmd_grid(args) -> int:
@@ -242,7 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--res", required=True, help="nx,ny")
     p.add_argument("--invariant", default="squeezing", choices=("squeezing", "fridman-c"))
     p.add_argument("--output", required=True)
-    p.add_argument("--jobs", type=int, default=1, help="concurrent row workers")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility (>= 1); rows run in one thread")
     p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("verify", help="run a verification suite")

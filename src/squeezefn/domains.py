@@ -16,6 +16,7 @@ round to 1.0 in double precision beyond index ~54 for geometric families.
 from __future__ import annotations
 
 import cmath
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -66,6 +67,52 @@ def _check_point_list(points, what: str) -> tuple[complex, ...]:
 # ---------------------------------------------------------------------------
 
 
+def _require_finite(what: str, **params) -> None:
+    for name, value in params.items():
+        if not cmath.isfinite(value):
+            raise DomainError(f"{what}: {name} must be finite, got {value!r}")
+
+
+# Chunks of a generated family: the real and imaginary parts of a_(start+1) ..
+# a_stop and the tail bounds m(start+1) .. m(stop), as numpy arrays, bitwise
+# equal to point(k) and tail_modulus(n).  m(n) is the modulus factor of
+# a_(n+1), so one power per index serves both.  numpy does only + - * /, in
+# the order CPython 3.10-3.13 does them; the transcendentals are the libm
+# calls of math.pow, math.cos and math.sin, the ones k**p, q**k and cmath.exp
+# make.  (numpy's own power, cos and sin may differ in the last ulp.)
+
+
+def _polar_chunk(moduli, theta: float, start: int):
+    """moduli[i] * cmath.exp(1j * theta * k) for k = start+1+i, step by step:
+    1j * theta is _Py_c_prod((0, 1), (theta, 0)), times k is _Py_c_prod with
+    (k, 0), cmath.exp(x + iy) is (exp(x) cos y, exp(x) sin y), and the float
+    modulus times e is _Py_c_prod((modulus, 0), e).  For finite theta, x is
+    +-0, so exp(x) is exactly 1.0 and its products are the identity."""
+    import numpy as np
+
+    size = len(moduli)
+    k = np.arange(start + 1, start + 1 + size, dtype=float)
+    wr = 0.0 * theta - 1.0 * 0.0
+    wi = 0.0 * 0.0 + 1.0 * theta
+    y = (wr * 0.0 + wi * k).tolist()
+    er = np.fromiter(map(math.cos, y), float, size)
+    ei = np.fromiter(map(math.sin, y), float, size)
+    return moduli * er - 0.0 * ei, moduli * ei + 0.0 * er
+
+
+def _radial_chunk(q: float, theta: float, start: int, stop: int):
+    import numpy as np
+
+    powers = map(math.pow, itertools.repeat(q), range(start + 1, stop + 2))  # q**k
+    moduli = 1.0 - np.fromiter(powers, float, stop - start + 1)
+    return (*_polar_chunk(moduli[:-1], theta, start), moduli[1:])
+
+
+def _radial_tail_index(q: float, level: float) -> int:
+    # 1 - q^(n+1) > level  iff  n + 1 > log(1 - level) / log(q)
+    return int(math.log1p(-level) / math.log(q)) + 1
+
+
 @dataclass(frozen=True)
 class RadialFamily:
     """a_k = (1 - q^k) e^{i k theta} with 0 < q < 1; tail bound m(N) = 1 - q^(N+1)."""
@@ -78,12 +125,20 @@ class RadialFamily:
     def __post_init__(self):
         if not 0.0 < self.q < 1.0:
             raise DomainError(f"radial family: q must be in (0, 1), got {self.q!r}")
+        _require_finite("radial family", theta=self.theta)
 
     def point(self, k: int) -> complex:
         return (1.0 - self.q**k) * cmath.exp(1j * self.theta * k)
 
     def tail_modulus(self, examined: int) -> float:
         return 1.0 - self.q ** (examined + 1)
+
+    def chunk(self, start: int, stop: int):
+        return _radial_chunk(self.q, self.theta, start, stop)
+
+    def tail_index(self, level: float) -> int:
+        """About the smallest n with tail_modulus(n) > level, for level < 1."""
+        return _radial_tail_index(self.q, level)
 
     def params(self) -> dict:
         return {"q": self.q, "theta": self.theta}
@@ -104,12 +159,25 @@ class BoundaryOrbitFamily:
             raise DomainError(f"boundary_orbit family: c must be in (0, 1), got {self.c!r}")
         if self.p <= 0.0:
             raise DomainError(f"boundary_orbit family: p must be positive, got {self.p!r}")
+        _require_finite("boundary_orbit family", p=self.p, theta=self.theta)
 
     def point(self, k: int) -> complex:
         return (1.0 - self.c / k**self.p) * cmath.exp(1j * self.theta * k)
 
     def tail_modulus(self, examined: int) -> float:
         return 1.0 - self.c / (examined + 1) ** self.p
+
+    def chunk(self, start: int, stop: int):
+        import numpy as np
+
+        powers = map(math.pow, range(start + 1, stop + 2), itertools.repeat(self.p))  # k**p
+        moduli = 1.0 - self.c / np.fromiter(powers, float, stop - start + 1)
+        return (*_polar_chunk(moduli[:-1], self.theta, start), moduli[1:])
+
+    def tail_index(self, level: float) -> int:
+        """About the smallest n with tail_modulus(n) > level, for level < 1."""
+        # 1 - c/(n+1)^p > level  iff  n + 1 > (c / (1 - level))^(1/p)
+        return int(math.exp(min((math.log(self.c) - math.log1p(-level)) / self.p, 700.0))) + 1
 
     def params(self) -> dict:
         return {"c": self.c, "p": self.p, "theta": self.theta}
@@ -130,6 +198,7 @@ class PolyRadialFamily:
             raise DomainError(f"radial family: q must be in (0, 1), got {self.q!r}")
         if self.n < 1:
             raise DomainError(f"radial family: dimension must be >= 1, got {self.n!r}")
+        _require_finite("radial family", theta=self.theta)
 
     def point(self, k: int) -> tuple[complex, ...]:
         lead = (1.0 - self.q**k) * cmath.exp(1j * self.theta * k)
@@ -137,6 +206,19 @@ class PolyRadialFamily:
 
     def tail_modulus(self, examined: int) -> float:
         return 1.0 - self.q ** (examined + 1)
+
+    def chunk(self, start: int, stop: int):
+        """As RadialFamily.chunk, with points as (n, stop - start) arrays."""
+        import numpy as np
+
+        re, im, tails = _radial_chunk(self.q, self.theta, start, stop)
+        coords_re = np.zeros((self.n, stop - start))
+        coords_im = np.zeros((self.n, stop - start))
+        coords_re[0], coords_im[0] = re, im
+        return coords_re, coords_im, tails
+
+    def tail_index(self, level: float) -> int:
+        return _radial_tail_index(self.q, level)
 
     def params(self) -> dict:
         return {"q": self.q, "theta": self.theta}
@@ -247,6 +329,27 @@ class SequencePunctures:
             return 0.0
         return self.tail_constant  # None = exhausted: infimum is over the prefix
 
+    def chunk(self, start: int, stop: int):
+        """Real and imaginary parts of a_(start+1) .. a_stop and the tail bounds
+        m(start+1) .. m(stop), as numpy arrays bitwise equal to puncture(k)
+        and tail_lower_bound(n).  A listing needs stop <= its length; an
+        exhausted listing's last bound is NaN.  Polydisk points come as
+        (n, stop - start) arrays."""
+        import numpy as np
+
+        if self.family is not None:
+            return self.family.chunk(start, stop)
+        points = np.array(self.prefix[start:stop], dtype=complex).T
+        tails = np.zeros(stop - start)
+        if stop == len(self.prefix):
+            tails[-1] = math.nan if self.tail_constant is None else self.tail_constant
+        return points.real, points.imag, tails
+
+    def tail_index(self, level: float) -> int:
+        """About the smallest n with tail_lower_bound(n) > level, for level < 1;
+        the length of a listing."""
+        return len(self.prefix) if self.family is None else self.family.tail_index(level)
+
 
 @dataclass(frozen=True)
 class PolySequencePunctures:
@@ -312,6 +415,9 @@ class PolySequencePunctures:
             return 0.0
         return self.tail_constant
 
+    chunk = SequencePunctures.chunk
+    tail_index = SequencePunctures.tail_index
+
 
 # ---------------------------------------------------------------------------
 # removed blocks
@@ -327,6 +433,8 @@ class Block:
 
     def __post_init__(self):
         object.__setattr__(self, "center", tuple(complex(c) for c in self.center))
+        _require_finite("block", radius=self.radius,
+                        **{f"center[{j}]": c for j, c in enumerate(self.center)})
         if self.radius <= 0.0:
             raise DomainError(f"block radius must be positive, got {self.radius!r}")
 
@@ -354,6 +462,7 @@ class RadialBlockFamily:
             raise DomainError(f"block family: q must be in (0, 1), got {self.q!r}")
         if not 0.0 < self.r0 < 1.0:
             raise DomainError(f"block family: r0 must be in (0, 1), got {self.r0!r}")
+        _require_finite("block family", theta=self.theta)
 
     def block(self, k: int) -> Block:
         lead = (1.0 - self.q**k) * cmath.exp(1j * self.theta * k)

@@ -25,6 +25,9 @@ class PointError(ValueError):
 
 def require_disk_point(z: complex, what: str = "point") -> complex:
     z = complex(z)
+    if not cmath.isfinite(z):
+        # abs(nan) >= 1.0 is False: a NaN would pass the modulus test below
+        raise PointError(f"{what} {z!r} is not a finite complex number")
     if abs(z) >= 1.0:
         raise PointError(f"{what} {z!r} is not strictly inside the unit disk")
     return z

@@ -4,10 +4,11 @@ Infima over infinite puncture sequences are evaluated exactly: examination
 stops at the first index N where the tail bound
 (m(N) - |z|)/(1 - |z| m(N)) strictly exceeds the running minimum, so the
 returned value equals the minimum over the examined prefix and is independent
-of any larger truncation.  Minima over removed-block boundaries are computed
-by coarse boundary sampling plus bracket refinement, per coordinate, and carry
-a Lipschitz mesh error such that the true minimum lies in
-[value - mesh_error, value].
+of any larger truncation.  Punctures are examined in numpy chunks (_scan for
+one point, grid_cells for a grid), bitwise equal to a per-puncture loop.
+Minima over removed-block boundaries are computed by coarse boundary sampling
+plus bracket refinement, per coordinate, and carry a Lipschitz mesh error
+such that the true minimum lies in [value - mesh_error, value].
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import heapq
 import math
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .domains import (
     Annulus,
@@ -36,7 +38,6 @@ from .hyperbolic import (
     require_interior_point,
     require_interior_polydisk_point,
     rho,
-    rho_max,
 )
 
 # Evaluation aborts if an examined puncture is this close to the query point:
@@ -47,6 +48,12 @@ COLLISION_EPS = 1e-14
 # Certification must fire long before this many punctures for any family whose
 # tail bound approaches 1; the cap only guards float-degenerate inputs.
 _SEQUENCE_CAP = 200_000
+
+# Most elements in one array of the batched kernels (cells x punctures), and
+# the first chunk of punctures.  Grid chunks double up to GRID_BLOCK; the
+# chunks of a single point are sized by the family's tail estimate.
+GRID_BLOCK = 8192
+_GRID_FIRST_CHUNK = 8
 
 _DEFAULT_MESH_TOL = 1e-6
 _MESH_FLOOR = 1e-14
@@ -120,17 +127,18 @@ def squeezing_punctured_disk(domain, z: complex) -> InvariantValue:
         return InvariantValue(best, truncation_index=0, attained_index=best_idx)
     if not isinstance(domain, SequencePunctures):
         raise DomainError(f"squeezing_punctured_disk does not apply to {type(domain).__name__}")
-    return _sequence_min(domain, z, abs(z), rho)
+    return _sequence_min(domain, z, abs(z))
 
 
 class SequencePrefix:
     """Shared prefix of a generated puncture family, for evaluating many points.
 
-    Has the puncture / tail_lower_bound / known_count interface of the wrapped
-    SequencePunctures and fills its numpy arrays by calling it, so every value
-    is bitwise identical.  The arrays grow by doubling from 64 entries and stop
-    at _SEQUENCE_CAP; indices beyond that are passed through to the domain.
-    Growth holds a lock, so threads may share one view.
+    Has the puncture / tail_lower_bound / known_count / chunk interface of
+    the wrapped SequencePunctures and fills its numpy arrays from the
+    domain's chunks, so every value is bitwise identical.  The arrays grow by
+    doubling from 64 entries and stop at _SEQUENCE_CAP; indices beyond that
+    are passed through to the domain.  Growth holds a lock, so threads may
+    share one view.
     """
 
     def __init__(self, domain: SequencePunctures):
@@ -140,7 +148,7 @@ class SequencePrefix:
             raise DomainError("a sequence prefix view needs a generated family")
         self.domain = domain
         self._points = np.empty(0, dtype=complex)  # _points[k - 1] == domain.puncture(k)
-        self._tails = np.empty(0)                  # _tails[n] == domain.tail_lower_bound(n)
+        self._tails = np.empty(0)                  # _tails[n - 1] == domain.tail_lower_bound(n)
         self._size = 0     # published after both arrays hold this many entries
         self._lock = threading.Lock()
 
@@ -153,22 +161,15 @@ class SequencePrefix:
         return self.domain.puncture(k)
 
     def tail_lower_bound(self, examined: int) -> float:
-        if 0 <= examined < self._size or self._grow(examined + 1):
-            return float(self._tails[examined])
+        if 0 < examined <= self._size or self._grow(examined):
+            return float(self._tails[examined - 1])
         return self.domain.tail_lower_bound(examined)
 
     def chunk(self, start: int, stop: int):
-        """Real and imaginary parts of a_(start+1) .. a_stop, and the tail
-        bounds m(start+1) .. m(stop) checked after examining each of them;
-        stop is at most _SEQUENCE_CAP."""
-        import numpy as np
-
-        self._grow(min(stop + 1, _SEQUENCE_CAP))
+        """As SequencePunctures.chunk; stop is at most _SEQUENCE_CAP."""
+        self._grow(stop)
         points = self._points[start:stop]
-        tails = self._tails[start + 1:stop + 1]
-        if stop == _SEQUENCE_CAP:
-            tails = np.append(tails, self.domain.tail_lower_bound(stop))
-        return points.real, points.imag, tails
+        return points.real, points.imag, self._tails[start:stop]
 
     def _grow(self, needed: int) -> bool:
         """Hold at least ``needed`` entries; False if that is out of range."""
@@ -183,56 +184,123 @@ class SequencePrefix:
                 while target < needed:
                     target *= 2
                 target = min(target, _SEQUENCE_CAP)
-                points = [self.domain.puncture(k) for k in range(size + 1, target + 1)]
-                tails = [self.domain.tail_lower_bound(n) for n in range(size, target)]
-                self._points = np.concatenate((self._points, np.array(points, dtype=complex)))
-                self._tails = np.concatenate((self._tails, np.array(tails, dtype=float)))
+                re, im, tails = self.domain.chunk(size, target)
+                points = np.empty(target - size, dtype=complex)
+                points.real, points.imag = re, im
+                self._points = np.concatenate((self._points, points))
+                self._tails = np.concatenate((self._tails, tails))
                 self._size = target
         return True
 
 
-def _sequence_min(domain, z, anchor: float, dist) -> InvariantValue:
-    """Shared certified-truncation loop for disk and polydisk sequences."""
-    count = domain.known_count()
-    if count is not None:
-        best, best_idx = _finite_min(dist(z, domain.puncture(k)) for k in range(1, count + 1))
-        m = domain.tail_lower_bound(count)
-        if m is None:
-            # exhausted: the listing is exact and the infimum runs over it
-            return InvariantValue(best, truncation_index=0, attained_index=best_idx)
-        if m <= anchor or radial_separation_bound(m, anchor) < best:
-            raise CertificationError(
-                f"sequence exhausted without certification: tail constant {m!r} "
-                f"gives bound below the prefix minimum {best!r} at this point"
-            )
-        return InvariantValue(best, truncation_index=count, tail_bound_used=m,
-                              attained_index=best_idx)
-    best = math.inf
-    best_idx = 0
-    examined = 0
+class _Scan(NamedTuple):
+    examined: int              # punctures examined; the offending index if ``bad`` is set
+    tail: float | None         # m(examined), if it covers the bound there
+    best: float                # minimum distance over the examined punctures
+    best_index: int            # smallest index attaining it
+    bad: float | None = None   # distance of the first puncture below the floor
+
+
+def _tail_stops(tails, anchor, bound):
+    """The stop rule: every puncture beyond n is at distance > bound from a
+    point of modulus at most anchor once m(n) > anchor and the separation
+    bound of m(n) exceeds ``bound``.  Works on scalars and numpy arrays."""
+    return (tails > anchor) & (radial_separation_bound(tails, anchor) > bound)
+
+
+def _next_stop(domain, examined: int, limit: int, anchor: float, bound: float) -> int:
+    """End of the next chunk: the domain's estimate of the first index whose
+    tail bound covers ``bound``, at least _GRID_FIRST_CHUNK and at most
+    GRID_BLOCK punctures on, and at most ``limit``.  It only sizes the chunk;
+    the exact stop rule decides."""
+    level = (bound + anchor) / (1.0 + bound * anchor)  # m > level iff the bound is covered
+    reach = domain.tail_index(level) if level < 1.0 else limit
+    return min(limit, examined + GRID_BLOCK, max(reach, examined + _GRID_FIRST_CHUNK))
+
+
+def _distances(z, re, im):
+    """rho (or rho_max for a polydisk point) from z to each chunk puncture."""
+    import numpy as np
+
+    if not isinstance(z, tuple):
+        return _rho_block(z.real, z.imag, re, im)
+    return np.max([_rho_block(c.real, c.imag, re[j], im[j]) for j, c in enumerate(z)], axis=0)
+
+
+def _scan(domain, z, anchor: float, floor: float, cover: float | None = None,
+          limit: int | None = None) -> _Scan:
+    """The certified-truncation loop of a sequence domain at one point.
+
+    Examines punctures in chunks and stops at the first index whose tail
+    bound covers the running minimum of the distances, or the fixed level
+    ``cover`` when given, by the stop rule _tail_stops.  A distance below
+    ``floor`` at or before that index ends the scan there.  A scan that
+    reaches ``limit`` (by default the end of a listing, or _SEQUENCE_CAP)
+    returns with tail None.
+    The first chunk holds _GRID_FIRST_CHUNK punctures, or is sized by the
+    fixed level; later ones by the running minimum (see _next_stop).
+    """
+    import numpy as np
+
+    if limit is None:
+        limit = domain.known_count() or _SEQUENCE_CAP
+    best, best_index, examined = math.inf, 0, 0
+    if cover is None:
+        stop = min(_GRID_FIRST_CHUNK, limit)
+    else:
+        stop = _next_stop(domain, 0, limit, anchor, cover)
     while True:
-        if best_idx:
-            m = domain.tail_lower_bound(examined)
-            if m > anchor and radial_separation_bound(m, anchor) > best:
-                return InvariantValue(best, truncation_index=examined,
-                                      tail_bound_used=m, attained_index=best_idx)
-        if examined >= _SEQUENCE_CAP:
-            raise CertificationError(
-                f"tail bound failed to certify within {_SEQUENCE_CAP} punctures"
-            )
-        examined += 1
-        d = dist(z, domain.puncture(examined))
-        if d < COLLISION_EPS:
-            raise PointError(f"query point coincides with puncture {examined} "
-                             f"(distance {d:.3e} < {COLLISION_EPS:g})")
-        if d < best:
-            best, best_idx = d, examined
+        re, im, tails = domain.chunk(examined, stop)
+        dist = _distances(z, re, im)
+        if cover is None:
+            bound = np.minimum.accumulate(dist)
+            np.minimum(bound, best, out=bound)
+        else:
+            bound = cover
+        stops = _tail_stops(tails, anchor, bound)
+        stopped = bool(stops.any())
+        seen = dist[:int(stops.argmax()) + 1] if stopped else dist
+        low = seen < floor
+        if low.any():
+            j = int(low.argmax())
+            return _Scan(examined + 1 + j, None, best, best_index, float(dist[j]))
+        j = int(seen.argmin())
+        if seen[j] < best:
+            best, best_index = float(seen[j]), examined + 1 + j
+        if stopped:
+            return _Scan(examined + seen.size, float(tails[seen.size - 1]), best, best_index)
+        examined = stop
+        if examined >= limit:
+            return _Scan(examined, None, best, best_index)
+        stop = _next_stop(domain, examined, limit, anchor, best if cover is None else cover)
 
 
-# Most elements in one array of the grid kernel (cells x punctures), and the
-# first prefix chunk; chunks double up to that size.
-GRID_BLOCK = 8192
-_GRID_FIRST_CHUNK = 8
+def _sequence_min(domain, z, anchor: float) -> InvariantValue:
+    """Certified infimum over a disk or polydisk sequence at z."""
+    scan = _scan(domain, z, anchor, COLLISION_EPS)
+    if scan.bad is not None:
+        raise PointError(f"query point coincides with puncture {scan.examined} "
+                         f"(distance {scan.bad:.3e} < {COLLISION_EPS:g})")
+    best, best_idx = scan.best, scan.best_index
+    if scan.tail is not None:
+        return InvariantValue(best, truncation_index=scan.examined,
+                              tail_bound_used=scan.tail, attained_index=best_idx)
+    count = domain.known_count()
+    if count is None:
+        raise CertificationError(
+            f"tail bound failed to certify within {_SEQUENCE_CAP} punctures"
+        )
+    m = domain.tail_lower_bound(count)
+    if m is None:
+        # exhausted: the listing is exact and the infimum runs over it
+        return InvariantValue(best, truncation_index=0, attained_index=best_idx)
+    if m <= anchor or radial_separation_bound(m, anchor) < best:
+        raise CertificationError(
+            f"sequence exhausted without certification: tail constant {m!r} "
+            f"gives bound below the prefix minimum {best!r} at this point"
+        )
+    return InvariantValue(best, truncation_index=count, tail_bound_used=m,
+                          attained_index=best_idx)
 
 
 def grid_cells(domain, reals, imags):
@@ -248,9 +316,10 @@ def grid_cells(domain, reals, imags):
     it examined, their count and False.  Every value is bitwise equal to the
     scalar result (see _rho_block).
 
-    Prefix chunks double in size; a cell stops at the first index where the
-    tail bound exceeds its running minimum, and only open cells go on to the
-    next chunk.  No array holds more than about GRID_BLOCK elements.
+    Prefix chunks double in size, so that cells which stop early do not pay
+    for large chunks; a cell stops at the first index where the tail bound
+    exceeds its running minimum, and only open cells go on to the next
+    chunk.  No array holds more than about GRID_BLOCK elements.
     """
     import numpy as np
 
@@ -268,20 +337,21 @@ def grid_cells(domain, reals, imags):
         return value, index, certified
 
     finite = isinstance(domain, FinitePunctures)
-    if isinstance(domain, SequencePrefix):
-        listed, limit = None, _SEQUENCE_CAP
-    else:
-        listed = np.array(domain.punctures if finite else domain.prefix, dtype=complex)
+    if finite:
+        listed = np.array(domain.punctures, dtype=complex)
         limit = len(listed)
+
+        def chunk(start, stop):
+            return listed[start:stop].real, listed[start:stop].imag, None
+    else:
+        limit = domain.known_count() or _SEQUENCE_CAP
+        chunk = domain.chunk
     best = np.full(zr.shape, np.inf)
     cells = np.flatnonzero(inside)
     examined, width = 0, _GRID_FIRST_CHUNK
     while cells.size and examined < limit:
         stop = min(examined + width, limit)
-        if listed is None:
-            ar, ai, tails = domain.chunk(examined, stop)
-        else:
-            ar, ai, tails = listed[examined:stop].real, listed[examined:stop].imag, None
+        ar, ai, tails = chunk(examined, stop)
         size = stop - examined
         group = max(1, GRID_BLOCK // size)
         still_open = []
@@ -293,8 +363,7 @@ def grid_cells(domain, reals, imags):
             last = np.full(g.size, size - 1)  # the last position each cell examines
             stopped = np.zeros(g.size, dtype=bool)
             if tails is not None:
-                a = anchor[g, None]
-                stops = (tails > a) & (radial_separation_bound(tails, a) > run)
+                stops = _tail_stops(tails, anchor[g, None], run)
                 stopped = stops.any(axis=1)
                 last[stopped] = stops.argmax(axis=1)[stopped]
             best[g] = run[np.arange(g.size), last]
@@ -309,11 +378,13 @@ def grid_cells(domain, reals, imags):
 
     # cells left open examined the whole listing or the capped prefix
     value[cells] = best[cells]
-    if listed is None:
+    if finite:
+        return value, index, certified
+    if domain.known_count() is None:
         index[cells] = _SEQUENCE_CAP
         certified[cells] = False
     else:
-        m = None if finite else domain.tail_lower_bound(limit)
+        m = domain.tail_lower_bound(limit)
         if m is not None:
             a = anchor[cells]
             index[cells] = limit
@@ -367,17 +438,14 @@ def lower_bound_certificate(domain, z: complex, claimed: float) -> VerificationO
     z = require_interior_point(z)
     if not 0.0 < claimed < 1.0:
         raise DomainError(f"claimed bound must be in (0, 1), got {claimed!r}")
-    slack = 1e-12
+    floor = claimed - 1e-12  # slack
     anchor = abs(z)
-
-    def image_modulus(a: complex) -> float:
-        return abs((a - z) / (1.0 - z.conjugate() * a))
 
     if isinstance(domain, FinitePunctures):
         punctures = domain.punctures
         for k, a in enumerate(punctures, 1):
-            fa = image_modulus(a)
-            if fa < claimed - slack:
+            fa = rho(z, a)
+            if fa < floor:
                 return VerificationOutcome(False, observed=(fa,), violating_index=k,
                                            details=f"puncture {k} image modulus {fa!r} < {claimed!r}")
         return VerificationOutcome(True, observed=(claimed,),
@@ -385,29 +453,31 @@ def lower_bound_certificate(domain, z: complex, claimed: float) -> VerificationO
     if not isinstance(domain, SequencePunctures):
         raise DomainError(f"lower_bound_certificate does not apply to {type(domain).__name__}")
 
+    # the tail covers the claim when its separation bound is >= floor, which
+    # for floats is > the next float below floor: the stop rule's strict test
+    cover = math.nextafter(floor, -math.inf)
     count = domain.known_count()
-    examined = 0
-    while True:
-        m = domain.tail_lower_bound(examined)
-        if m is None:
-            # exact listing fully examined
-            return VerificationOutcome(True, observed=(claimed,),
-                                       details=f"all {examined} punctures covered, no tail")
-        if m > anchor and radial_separation_bound(m, anchor) >= claimed - slack:
-            return VerificationOutcome(True, observed=(m,),
-                                       details=f"examined {examined} punctures; tail bound m = {m!r} "
-                                               f"covers the rest")
-        if count is not None and examined >= count:
-            return VerificationOutcome(False, observed=(m,), violating_index=None,
-                                       details=f"tail constant {m!r} cannot cover the claim")
-        if examined >= _SEQUENCE_CAP:
-            return VerificationOutcome(False, observed=(claimed,), violating_index=None,
-                                       details=f"tail failed to cover within {_SEQUENCE_CAP} punctures")
-        examined += 1
-        fa = image_modulus(domain.puncture(examined))
-        if fa < claimed - slack:
-            return VerificationOutcome(False, observed=(fa,), violating_index=examined,
-                                       details=f"puncture {examined} image modulus {fa!r} < {claimed!r}")
+    m = domain.tail_lower_bound(0)
+    scan = (_Scan(0, m, math.inf, 0) if _tail_stops(m, anchor, cover)
+            else _scan(domain, z, anchor, floor, cover, min(count or _SEQUENCE_CAP, _SEQUENCE_CAP)))
+    if scan.bad is not None:
+        return VerificationOutcome(False, observed=(scan.bad,), violating_index=scan.examined,
+                                   details=f"puncture {scan.examined} image modulus "
+                                           f"{scan.bad!r} < {claimed!r}")
+    if scan.tail is not None:
+        return VerificationOutcome(True, observed=(scan.tail,),
+                                   details=f"examined {scan.examined} punctures; tail bound "
+                                           f"m = {scan.tail!r} covers the rest")
+    if count is None or scan.examined < count:
+        return VerificationOutcome(False, observed=(claimed,), violating_index=None,
+                                   details=f"tail failed to cover within {_SEQUENCE_CAP} punctures")
+    m = domain.tail_lower_bound(count)
+    if m is None:
+        # exact listing fully examined
+        return VerificationOutcome(True, observed=(claimed,),
+                                   details=f"all {count} punctures covered, no tail")
+    return VerificationOutcome(False, observed=(m,), violating_index=None,
+                               details=f"tail constant {m!r} cannot cover the claim")
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +494,7 @@ def polydisk_squeezing_punctured(domain: PolySequencePunctures, z) -> InvariantV
     if not isinstance(domain, PolySequencePunctures):
         raise DomainError(f"polydisk_squeezing_punctured does not apply to {type(domain).__name__}")
     z = require_interior_polydisk_point(z, domain.n)
-    return _sequence_min(domain, z, max(abs(c) for c in z), rho_max)
+    return _sequence_min(domain, z, max(abs(c) for c in z))
 
 
 # ---------------------------------------------------------------------------
@@ -609,6 +679,8 @@ def polydisk_squeezing_removed_blocks(domain, z, mesh_tol: float = _DEFAULT_MESH
     if not isinstance(domain, (RemovedPolydisks, RemovedBalls)):
         raise DomainError(
             f"polydisk_squeezing_removed_blocks does not apply to {type(domain).__name__}")
+    if not mesh_tol > 0.0:  # also NaN, which would never be reached
+        raise DomainError(f"mesh tolerance must be positive, got {mesh_tol!r}")
     z = require_interior_polydisk_point(z, domain.n)
     anchor = max(abs(c) for c in z)
     block_min = _polydisk_block_min if domain.geometry == "polydisk" else _ball_block_min
@@ -716,7 +788,7 @@ def _require_product_point(domain: ProductOfBalls, z) -> None:
         raise PointError(f"product point must have {n} factors of {n} coordinates")
     for i, f in enumerate(factors):
         norm = math.sqrt(sum(abs(c) ** 2 for c in f))
-        if norm >= 1.0 - 1e-12:
+        if not norm < 1.0 - 1e-12:  # also NaN
             raise PointError(f"factor {i} has norm {norm!r}, not strictly inside the ball")
 
 

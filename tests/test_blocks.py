@@ -55,6 +55,13 @@ def test_mesh_tolerance_is_configurable():
     assert tight.value <= loose.value + loose.mesh_error
 
 
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-6])
+def test_mesh_tolerance_must_be_positive(tol):
+    d = RemovedBalls(n=2, blocks=(ORIGIN_BLOCK,))
+    with pytest.raises(DomainError, match="mesh tolerance must be positive"):
+        polydisk_squeezing_removed_blocks(d, Z_HALF, mesh_tol=tol)
+
+
 def test_ball_refinement_cap_raises():
     from squeezefn.invariants import _ball_block_min
 

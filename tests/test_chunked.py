@@ -1,0 +1,280 @@
+"""Batched family generation and the chunked truncation loop, against point(k)
+and against a per-puncture reference loop kept here."""
+
+import cmath
+import math
+
+import pytest
+from hypothesis import HealthCheck, example, given, reject, settings
+from hypothesis import strategies as st
+
+from squeezefn.domains import (
+    BoundaryOrbitFamily,
+    DomainError,
+    PolyRadialFamily,
+    PolySequencePunctures,
+    RadialFamily,
+    SequencePunctures,
+    parse_domain_spec,
+)
+from squeezefn.hyperbolic import (
+    PointError,
+    radial_separation_bound,
+    require_interior_point,
+    require_interior_polydisk_point,
+    rho,
+    rho_max,
+)
+from squeezefn.invariants import (
+    _SEQUENCE_CAP,
+    COLLISION_EPS,
+    CertificationError,
+    InvariantValue,
+    lower_bound_certificate,
+    polydisk_squeezing_punctured,
+    squeezing_punctured_disk,
+)
+
+
+def bits(x: float):
+    return repr(x), math.copysign(1.0, x)
+
+
+# --- family chunks against point(k) and tail_modulus(n) -----------------------
+
+thetas = st.one_of(st.sampled_from([0.0, -0.0, -1.0, 2.3, -2.3]),
+                   st.floats(-50.0, 50.0, allow_nan=False))
+families = st.one_of(
+    st.builds(RadialFamily, q=st.floats(1e-3, 1.0, exclude_max=True), theta=thetas),
+    st.builds(BoundaryOrbitFamily, c=st.floats(1e-3, 1.0, exclude_max=True),
+              p=st.floats(0.05, 6.0), theta=thetas),
+    st.builds(PolyRadialFamily, n=st.integers(1, 3),
+              q=st.floats(1e-3, 1.0, exclude_max=True), theta=thetas),
+)
+windows = st.tuples(st.one_of(st.integers(0, 40), st.integers(_SEQUENCE_CAP - 40, _SEQUENCE_CAP)),
+                    st.integers(1, 40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(families, windows)
+@example(RadialFamily(q=0.99, theta=-0.0), (0, 8))
+@example(BoundaryOrbitFamily(c=0.5, p=1.0, theta=0.0), (_SEQUENCE_CAP - 8, 8))
+@example(PolyRadialFamily(n=2, q=0.5, theta=-0.0), (0, 3))
+def test_family_chunk_is_bitwise_point_and_tail(family, window):
+    start, width = window
+    stop = start + width
+    re, im, tails = family.chunk(start, stop)
+    assert len(tails) == width
+    for i, k in enumerate(range(start + 1, stop + 1)):
+        point = family.point(k)
+        if isinstance(point, tuple):
+            coords = [(float(re[j, i]), float(im[j, i])) for j in range(len(point))]
+        else:
+            coords, point = [(float(re[i]), float(im[i]))], (point,)
+        for (x, y), expect in zip(coords, point):
+            assert (bits(x), bits(y)) == (bits(expect.real), bits(expect.imag)), (k, expect)
+        assert bits(float(tails[i])) == bits(family.tail_modulus(k)), k
+
+
+# --- the chunked evaluators against the per-puncture loop ---------------------
+
+
+def reference_min(domain, z, anchor, dist):
+    """The per-puncture certified-truncation loop, one puncture at a time."""
+    count = domain.known_count()
+    best, best_idx, examined = math.inf, 0, 0
+    while True:
+        if best_idx and count is None:
+            m = domain.tail_lower_bound(examined)
+            if m > anchor and radial_separation_bound(m, anchor) > best:
+                return InvariantValue(best, truncation_index=examined,
+                                      tail_bound_used=m, attained_index=best_idx)
+        if examined == count:
+            break
+        if examined >= _SEQUENCE_CAP:
+            raise CertificationError(
+                f"tail bound failed to certify within {_SEQUENCE_CAP} punctures")
+        examined += 1
+        d = dist(z, domain.puncture(examined))
+        if d < COLLISION_EPS:
+            raise PointError(f"query point coincides with puncture {examined} "
+                             f"(distance {d:.3e} < {COLLISION_EPS:g})")
+        if d < best:
+            best, best_idx = d, examined
+    m = domain.tail_lower_bound(count)
+    if m is None:
+        return InvariantValue(best, truncation_index=0, attained_index=best_idx)
+    if m <= anchor or radial_separation_bound(m, anchor) < best:
+        raise CertificationError(
+            f"sequence exhausted without certification: tail constant {m!r} "
+            f"gives bound below the prefix minimum {best!r} at this point")
+    return InvariantValue(best, truncation_index=count, tail_bound_used=m,
+                          attained_index=best_idx)
+
+
+def reference_squeezing(domain, z):
+    if isinstance(domain, PolySequencePunctures):
+        z = require_interior_polydisk_point(z, domain.n)
+        return reference_min(domain, z, max(abs(c) for c in z), rho_max)
+    z = require_interior_point(z)
+    return reference_min(domain, z, abs(z), rho)
+
+
+def reference_certificate(domain, z, claimed):
+    """(passed, observed, violating_index, details) of the per-puncture loop."""
+    z = require_interior_point(z)
+    floor, anchor = claimed - 1e-12, abs(z)
+    count = domain.known_count()
+    examined = 0
+    while True:
+        m = domain.tail_lower_bound(examined)
+        if m is None:
+            return True, (claimed,), None, f"all {examined} punctures covered, no tail"
+        if m > anchor and radial_separation_bound(m, anchor) >= floor:
+            return (True, (m,), None,
+                    f"examined {examined} punctures; tail bound m = {m!r} covers the rest")
+        if count is not None and examined >= count:
+            return False, (m,), None, f"tail constant {m!r} cannot cover the claim"
+        if examined >= _SEQUENCE_CAP:
+            return (False, (claimed,), None,
+                    f"tail failed to cover within {_SEQUENCE_CAP} punctures")
+        examined += 1
+        fa = rho(z, domain.puncture(examined))
+        if fa < floor:
+            return (False, (fa,), examined,
+                    f"puncture {examined} image modulus {fa!r} < {claimed!r}")
+
+
+def outcome(f):
+    try:
+        return repr(f())
+    except (PointError, CertificationError) as e:
+        return f"{type(e).__name__}: {e}"
+
+
+def certificate(domain, z, claimed):
+    out = lower_bound_certificate(domain, z, claimed)
+    return out.passed, out.observed, out.violating_index, out.details
+
+
+def claims_around(value: float):
+    below = [value * 0.5, value - 2e-12, math.nextafter(value - 1e-12, 0.0), value - 1e-12]
+    above = [value + 1e-13, min(value * 1.5, 0.999)]
+    return [c for c in below + [value] + above if 0.0 < c < 1.0]
+
+
+def check_against_reference(domain, z):
+    evaluate = (polydisk_squeezing_punctured if isinstance(domain, PolySequencePunctures)
+                else squeezing_punctured_disk)
+    got = outcome(lambda: evaluate(domain, z))
+    assert got == outcome(lambda: reference_squeezing(domain, z))
+    if isinstance(domain, PolySequencePunctures):
+        return
+    try:
+        value = squeezing_punctured_disk(domain, z).value
+    except (PointError, CertificationError):
+        value = 0.01
+    for claimed in claims_around(value):
+        assert (outcome(lambda: certificate(domain, z, claimed))
+                == outcome(lambda: reference_certificate(domain, z, claimed))), claimed
+
+
+P1 = {"kind": "sequence", "family": "boundary_orbit", "c": 0.5, "p": 1.0, "theta": 2.3}
+DEEP = [  # the reference points of the deep benchmark workload
+    (P1, -0.99), (P1, -0.999), (P1, -0.9999), (P1, -0.99999),
+    ({"kind": "sequence", "family": "boundary_orbit", "c": 0.5, "p": 2.0, "theta": 2.3}, -0.99999),
+    ({"kind": "sequence", "family": "radial", "q": 0.99, "theta": 1.0}, -0.99),
+    ({"kind": "sequence", "points": [[0.5, 0.0], [0.0, 0.5], [-0.6, 0.2]],
+      "tail_modulus_constant": 0.99}, 0.1 + 0.1j),
+    ({"kind": "poly_sequence", "n": 2, "family": "radial", "q": 0.5, "theta": 1.0},
+     (0.3 + 0.2j, -0.1j)),
+    ({"kind": "poly_sequence", "n": 3, "family": "radial", "q": 0.5, "theta": 1.0},
+     (0.3 + 0.2j, -0.1j, 0.25 + 0j)),
+]
+
+
+@pytest.mark.parametrize("doc, z", DEEP, ids=[f"{d.get('family', 'listed')}-{z}" for d, z in DEEP])
+def test_deep_reference_points_match_the_per_puncture_loop(doc, z):
+    check_against_reference(parse_domain_spec(doc), complex(z) if not isinstance(z, tuple) else z)
+
+
+def test_sequence_cap_matches_the_per_puncture_loop():
+    domain = parse_domain_spec(P1)
+    z = complex(-0.999999, 0.0)
+    with pytest.raises(CertificationError, match=f"within {_SEQUENCE_CAP} punctures"):
+        squeezing_punctured_disk(domain, z)
+    check_against_reference(domain, z)
+
+
+points = st.builds(cmath.rect, st.floats(0.0, 0.999), st.floats(0.0, 2.0 * math.pi))
+listed = st.lists(points.filter(lambda p: abs(p) < 0.98), min_size=1, max_size=12)
+sequence_domains = st.one_of(
+    st.builds(lambda q, theta: SequencePunctures(family=RadialFamily(q, theta)),
+              st.floats(0.3, 0.995), thetas),
+    st.builds(lambda c, p, theta: SequencePunctures(family=BoundaryOrbitFamily(c, p, theta)),
+              st.floats(0.1, 0.9), st.floats(1.0, 3.0), thetas),
+    st.builds(lambda pts, tail: SequencePunctures(prefix=tuple(pts), tail_constant=tail),
+              listed, st.one_of(st.none(), st.floats(0.05, 0.999))),
+)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data(), st.integers(0, 4))
+def test_chunked_evaluators_match_the_per_puncture_loop(data, on_puncture):
+    try:
+        domain = data.draw(sequence_domains)
+    except DomainError:
+        reject()
+    if on_puncture:  # a query point on or within an ulp of a puncture
+        count = domain.known_count() or 30
+        a = domain.puncture(min(on_puncture * 7, count))
+        z = a * data.draw(st.sampled_from([1.0, 1.0 + 1e-16, 1.0 - 1e-15]))
+    else:
+        z = data.draw(points)
+    check_against_reference(domain, z)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.integers(1, 3))
+def test_chunked_polydisk_matches_the_per_puncture_loop(data, n):
+    coords = st.lists(points.filter(lambda p: abs(p) < 0.98), min_size=n, max_size=n)
+    try:
+        if data.draw(st.booleans()):
+            domain = PolySequencePunctures(n=n, family=PolyRadialFamily(
+                n, data.draw(st.floats(0.3, 0.99)), data.draw(thetas)))
+        else:
+            domain = PolySequencePunctures(
+                n=n, prefix=tuple(tuple(c) for c in data.draw(st.lists(coords, min_size=1, max_size=8))),
+                tail_constant=data.draw(st.one_of(st.none(), st.floats(0.05, 0.999))))
+    except DomainError:
+        reject()
+    z = tuple(data.draw(points) for _ in range(n))
+    if data.draw(st.booleans()) and all(abs(c) < 0.99 for c in domain.puncture(1)):
+        z = domain.puncture(1)
+    check_against_reference(domain, z)
+
+
+def claim_with_floor(floor: float) -> float:
+    """A claim whose certificate floor, claim - 1e-12, is exactly ``floor``."""
+    claimed = floor + 1e-12
+    while claimed - 1e-12 < floor:
+        claimed = math.nextafter(claimed, 1.0)
+    while claimed - 1e-12 > floor:
+        claimed = math.nextafter(claimed, 0.0)
+    assert claimed - 1e-12 == floor
+    return claimed
+
+
+@pytest.mark.parametrize("step", [-1, 0, 1])
+@pytest.mark.parametrize("domain, m", [
+    # at the origin: m(0) = 1 - 0.3 of the radial family, checked before any puncture
+    (SequencePunctures(family=RadialFamily(q=0.3, theta=1.0)), 0.7),
+    # the tail constant 0.4, checked after the listed puncture at distance 0.5
+    (SequencePunctures(prefix=(0.5 + 0j,), tail_constant=0.4), 0.4),
+], ids=["family-m0", "listed-tail"])
+def test_certificate_tail_covers_exactly_at_the_floor(domain, m, step):
+    floor = {-1: math.nextafter(m, 0.0), 0: m, 1: math.nextafter(m, 1.0)}[step]
+    claimed = claim_with_floor(floor)
+    got = certificate(domain, 0j, claimed)
+    assert got == reference_certificate(domain, 0j, claimed)
+    assert got[0] is (m >= floor)

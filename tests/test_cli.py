@@ -111,6 +111,47 @@ def test_usage_error_exits_2():
     assert exc.value.code == 2
 
 
+NAN_POINT_DOMAINS = [
+    ("finite", FINITE2, "nan,0", "squeezing"),
+    ("sequence", {"kind": "sequence", "family": "boundary_orbit",
+                  "c": 0.5, "p": 1.0, "theta": 2.3}, "nan,0", "squeezing"),
+    ("annulus", {"kind": "annulus", "r": 0.25}, "0.5,nan", "squeezing"),
+    ("removed_block", {"kind": "removed_balls", "n": 2,
+                       "blocks": [{"center": [[0.0, 0.0], [0.0, 0.0]], "radius": 0.25}]},
+     "nan,0;0,0", "polydisk-squeezing"),
+    ("poly_sequence", {"kind": "poly_sequence", "n": 2, "family": "radial", "q": 0.5,
+                       "theta": 1.0}, "0,0;nan,nan", "polydisk-squeezing"),
+    ("product_of_balls", {"kind": "product_of_balls", "n": 2}, "nan,0;0,0;0,0;0,0",
+     "squeezing"),
+]
+
+
+@pytest.mark.parametrize("name, doc, point, invariant", NAN_POINT_DOMAINS,
+                         ids=[case[0] for case in NAN_POINT_DOMAINS])
+def test_eval_nan_point_exits_3(domain_file, capsys, name, doc, point, invariant):
+    path = domain_file(f"{name}.json", doc)
+    assert main(["eval", "--domain", path, f"--point={point}", "--invariant", invariant]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_eval_domain_with_nan_puncture_exits_2(tmp_path, capsys):
+    # json accepts the NaN literal; the puncture must not be silently ignored
+    path = tmp_path / "nan.json"
+    path.write_text('{"kind": "finite_punctures", "points": [[NaN, 0.0], [0.5, 0.0]]}')
+    assert main(["eval", "--domain", str(path), "--point", "0,0"]) == 2
+    assert "not a finite complex number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "0", "-1e-6"])
+def test_eval_rejects_nonpositive_mesh_tol(domain_file, capsys, tol):
+    path = domain_file("ball.json", {"kind": "removed_balls", "n": 2, "blocks": [
+        {"center": [[0.0, 0.0], [0.0, 0.0]], "radius": 0.25}]})
+    assert main(["eval", "--domain", path, "--point=0.5,0;0,0",
+                 "--invariant", "polydisk-squeezing", f"--mesh-tol={tol}"]) == 2
+    assert "mesh tolerance must be positive" in capsys.readouterr().err
+
+
 # --- compare ----------------------------------------------------------------
 
 def test_compare_prints_identical_values(domain_file, capsys):
@@ -173,6 +214,14 @@ def test_grid_parallel_matches_serial(domain_file, tmp_path):
     assert main(base + ["--output", str(serial)]) == 0
     assert main(base + ["--output", str(parallel), "--jobs", "4"]) == 0
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_grid_rejects_jobs_below_one(domain_file, tmp_path, capsys, jobs):
+    path = domain_file("radial.json", RADIAL)
+    assert main(["grid", "--domain", path, "--rect=-0.5,0.5,-0.5,0.5", "--res", "2,2",
+                 "--output", str(tmp_path / "x.csv"), f"--jobs={jobs}"]) == 2
+    assert "--jobs must be at least 1" in capsys.readouterr().err
 
 
 def test_grid_unwritable_output_exits_4(domain_file, tmp_path):

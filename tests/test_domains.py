@@ -87,6 +87,21 @@ def test_parse_rejections_have_distinct_diagnostics(doc, fragment):
         parse_domain_spec(doc)
 
 
+@pytest.mark.parametrize("doc", [
+    '{"kind":"finite_punctures","points":[[NaN,0.0],[0.5,0.0]]}',
+    '{"kind":"sequence","points":[[0.5,0.0],[0.0,Infinity]],"tail_modulus_constant":0.9}',
+    '{"kind":"poly_sequence","n":2,"points":[[[0.5,0.0],[NaN,0.0]]]}',
+    '{"kind":"sequence","family":"radial","q":0.5,"theta":NaN}',
+    '{"kind":"sequence","family":"boundary_orbit","c":0.5,"p":Infinity,"theta":1.0}',
+    '{"kind":"removed_polydisks","n":2,"blocks":[{"center":[[NaN,0],[0,0]],"radius":0.1}]}',
+    '{"kind":"removed_balls","n":2,"blocks":[{"center":[[0,0],[0,0]],"radius":NaN}]}',
+    '{"kind":"removed_balls","n":2,"family":"radial","q":0.5,"theta":NaN,"r0":0.25}',
+])
+def test_non_finite_numbers_rejected(doc):
+    with pytest.raises(DomainError, match="finite"):
+        parse_domain_spec(doc)
+
+
 def test_nearly_coincident_punctures_rejected():
     with pytest.raises(DomainError, match="closer than"):
         FinitePunctures((complex(0.5), complex(0.5 + 1e-13)))
