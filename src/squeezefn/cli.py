@@ -55,6 +55,15 @@ def _parse_poly_point(text: str) -> tuple[complex, ...]:
     return tuple(_parse_planar_point(p) for p in text.split(";"))
 
 
+def _parse_product_point(domain: ProductOfBalls, text: str):
+    flat = _parse_poly_point(text)
+    if len(flat) != domain.n * domain.n:
+        raise DomainError(
+            f"product_of_balls point needs {domain.n * domain.n} coordinates "
+            f"('re,im;re,im;...'), got {len(flat)}")
+    return tuple(flat[i * domain.n:(i + 1) * domain.n] for i in range(domain.n))
+
+
 def _evaluate(domain, invariant: str, point_text: str, mesh_tol: float) -> inv.InvariantValue:
     if invariant == "squeezing":
         if isinstance(domain, (FinitePunctures, SequencePunctures)):
@@ -63,12 +72,7 @@ def _evaluate(domain, invariant: str, point_text: str, mesh_tol: float) -> inv.I
             value = inv.annulus_squeezing(domain, _parse_planar_point(point_text))
             return inv.InvariantValue(value)
         if isinstance(domain, ProductOfBalls):
-            flat = _parse_poly_point(point_text)
-            if len(flat) != domain.n * domain.n:
-                raise DomainError(
-                    f"product_of_balls point needs {domain.n * domain.n} coordinates "
-                    f"('re,im;re,im;...'), got {len(flat)}")
-            factors = tuple(flat[i * domain.n:(i + 1) * domain.n] for i in range(domain.n))
+            factors = _parse_product_point(domain, point_text)
             return inv.InvariantValue(inv.product_of_balls_squeezing(domain, factors))
         raise DomainError(f"invariant 'squeezing' does not apply to {type(domain).__name__}")
     if invariant == "fridman-c":
@@ -85,7 +89,8 @@ def _evaluate(domain, invariant: str, point_text: str, mesh_tol: float) -> inv.I
             f"invariant 'polydisk-squeezing' does not apply to {type(domain).__name__}")
     if invariant == "t-lower-bound":
         if isinstance(domain, ProductOfBalls):
-            return inv.InvariantValue(inv.product_of_balls_T_lower_bound(domain))
+            factors = _parse_product_point(domain, point_text)
+            return inv.InvariantValue(inv.product_of_balls_T_lower_bound(domain, factors))
         raise DomainError(f"invariant 't-lower-bound' does not apply to {type(domain).__name__}")
     raise DomainError(f"unknown invariant {invariant!r} (known: {INVARIANT_NAMES})")
 

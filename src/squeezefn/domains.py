@@ -73,6 +73,16 @@ def _require_finite(what: str, **params) -> None:
             raise DomainError(f"{what}: {name} must be finite, got {value!r}")
 
 
+def _require_angle(what: str, theta: float) -> None:
+    """theta * k must be finite for every generated index k <= _TAIL_LIMIT_INDEX
+    (the engine stops far below it): cmath.exp and math.cos raise ValueError
+    on an infinite angle."""
+    _require_finite(what, theta=theta)
+    if not math.isfinite(theta * _TAIL_LIMIT_INDEX):
+        raise DomainError(f"{what}: theta * k overflows for indices up to "
+                          f"{_TAIL_LIMIT_INDEX}, got theta={theta!r}")
+
+
 # Chunks of a generated family: the real and imaginary parts of a_(start+1) ..
 # a_stop and the tail bounds m(start+1) .. m(stop), as numpy arrays, bitwise
 # equal to point(k) and tail_modulus(n).  m(n) is the modulus factor of
@@ -125,7 +135,7 @@ class RadialFamily:
     def __post_init__(self):
         if not 0.0 < self.q < 1.0:
             raise DomainError(f"radial family: q must be in (0, 1), got {self.q!r}")
-        _require_finite("radial family", theta=self.theta)
+        _require_angle("radial family", self.theta)
 
     def point(self, k: int) -> complex:
         return (1.0 - self.q**k) * cmath.exp(1j * self.theta * k)
@@ -159,7 +169,8 @@ class BoundaryOrbitFamily:
             raise DomainError(f"boundary_orbit family: c must be in (0, 1), got {self.c!r}")
         if self.p <= 0.0:
             raise DomainError(f"boundary_orbit family: p must be positive, got {self.p!r}")
-        _require_finite("boundary_orbit family", p=self.p, theta=self.theta)
+        _require_finite("boundary_orbit family", p=self.p)
+        _require_angle("boundary_orbit family", self.theta)
 
     def point(self, k: int) -> complex:
         return (1.0 - self.c / k**self.p) * cmath.exp(1j * self.theta * k)
@@ -198,7 +209,7 @@ class PolyRadialFamily:
             raise DomainError(f"radial family: q must be in (0, 1), got {self.q!r}")
         if self.n < 1:
             raise DomainError(f"radial family: dimension must be >= 1, got {self.n!r}")
-        _require_finite("radial family", theta=self.theta)
+        _require_angle("radial family", self.theta)
 
     def point(self, k: int) -> tuple[complex, ...]:
         lead = (1.0 - self.q**k) * cmath.exp(1j * self.theta * k)
@@ -462,7 +473,7 @@ class RadialBlockFamily:
             raise DomainError(f"block family: q must be in (0, 1), got {self.q!r}")
         if not 0.0 < self.r0 < 1.0:
             raise DomainError(f"block family: r0 must be in (0, 1), got {self.r0!r}")
-        _require_finite("block family", theta=self.theta)
+        _require_angle("block family", self.theta)
 
     def block(self, k: int) -> Block:
         lead = (1.0 - self.q**k) * cmath.exp(1j * self.theta * k)
@@ -630,7 +641,10 @@ DomainSpec = (
 def _as_number(x, what: str) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise DomainError(f"{what}: expected a number, got {x!r}")
-    return float(x)
+    try:
+        return float(x)
+    except OverflowError as e:  # a JSON integer beyond the float range
+        raise DomainError(f"{what}: {e}") from e
 
 
 def _as_int(x, what: str) -> int:

@@ -773,11 +773,14 @@ def product_of_balls_squeezing(domain: ProductOfBalls, z=None) -> float:
     return 1.0 / math.sqrt(domain.n)
 
 
-def product_of_balls_T_lower_bound(domain: ProductOfBalls) -> float:
+def product_of_balls_T_lower_bound(domain: ProductOfBalls, z=None) -> float:
     """Lower bound 1/sqrt(n) on the polydisk squeezing function of the product
-    of balls (the min over factors of the factor value); not the value itself."""
+    of balls (the min over factors of the factor value); not the value itself.
+    A point ``z``, if given, is checked as in product_of_balls_squeezing."""
     if not isinstance(domain, ProductOfBalls):
         raise DomainError(f"product_of_balls_T_lower_bound does not apply to {type(domain).__name__}")
+    if z is not None:
+        _require_product_point(domain, z)
     return 1.0 / math.sqrt(domain.n)
 
 

@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .domains import (
     Block,
     BoundaryOrbitFamily,
@@ -142,6 +140,8 @@ def _pow2_axis(budget: int, axes: int) -> int:
 
 
 def _rho_np(z: complex, w: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     return np.abs((w - z) / (1.0 - np.conj(z) * w))
 
 
@@ -152,6 +152,8 @@ def boundary_min_oracle(block: Block, z, samples: int, geometry: str = "polydisk
     Grids are anchored at angle 0 and nest under doubling sample budgets, so
     the value is nonincreasing along a doubling schedule.
     """
+    import numpy as np
+
     if samples < 1_000:
         raise DomainError(f"boundary oracle needs samples >= 1000, got {samples!r}")
     n = len(block.center)

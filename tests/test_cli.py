@@ -80,8 +80,8 @@ def test_eval_poly_and_product_domains(domain_file, capsys):
     assert main(["eval", "--domain", prod, "--point",
                  ";".join(["0,0"] * 16), "--invariant", "squeezing"]) == 0
     assert "value 0.5\n" in capsys.readouterr().out
-    assert main(["eval", "--domain", prod, "--point", "0,0",
-                 "--invariant", "t-lower-bound"]) == 0
+    assert main(["eval", "--domain", prod, "--point",
+                 ";".join(["0,0"] * 16), "--invariant", "t-lower-bound"]) == 0
     assert "value 0.5\n" in capsys.readouterr().out
 
 
@@ -150,6 +150,67 @@ def test_eval_rejects_nonpositive_mesh_tol(domain_file, capsys, tol):
     assert main(["eval", "--domain", path, "--point=0.5,0;0,0",
                  "--invariant", "polydisk-squeezing", f"--mesh-tol={tol}"]) == 2
     assert "mesh tolerance must be positive" in capsys.readouterr().err
+
+
+HUGE_THETA_DOMAINS = [
+    ("radial", {"kind": "sequence", "family": "radial", "q": 0.5}, "0,0", "squeezing"),
+    ("orbit", {"kind": "sequence", "family": "boundary_orbit", "c": 0.5, "p": 1.0},
+     "0.999,0", "squeezing"),
+    ("poly_radial", {"kind": "poly_sequence", "n": 2, "family": "radial", "q": 0.5},
+     "0,0;0,0", "polydisk-squeezing"),
+    ("block_family", {"kind": "removed_polydisks", "n": 2, "family": "radial",
+                      "q": 0.5, "r0": 0.25}, "0,0;0,0", "polydisk-squeezing"),
+]
+
+
+@pytest.mark.parametrize("theta", [1e308, -1e303])
+@pytest.mark.parametrize("name, doc, point, invariant", HUGE_THETA_DOMAINS,
+                         ids=[case[0] for case in HUGE_THETA_DOMAINS])
+def test_eval_family_theta_overflowing_at_large_index_exits_2(
+        domain_file, capsys, name, doc, point, invariant, theta):
+    # theta * k is not finite at k = 10**6: cmath.exp and math.cos would raise
+    # ValueError at parse (1e308) or deep in the evaluation (1e303, p = 1)
+    path = domain_file(f"{name}.json", {**doc, "theta": theta})
+    assert main(["eval", "--domain", path, f"--point={point}", "--invariant", invariant]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "theta * k overflows" in err
+
+
+def test_eval_family_theta_with_finite_products_evaluates(domain_file, capsys):
+    # the largest accepted angles still evaluate far into the orbit
+    doc = {"kind": "sequence", "family": "boundary_orbit", "c": 0.5, "p": 1.0, "theta": 1e302}
+    path = domain_file("orbit.json", doc)
+    assert main(["eval", "--domain", path, "--point=0.999,0"]) == 0
+    assert "truncation_index " in capsys.readouterr().out
+
+
+def test_eval_domain_with_integer_beyond_float_range_exits_2(tmp_path, capsys):
+    path = tmp_path / "annulus.json"
+    path.write_text('{"kind": "annulus", "r": 1' + "0" * 400 + "}")
+    assert main(["eval", "--domain", str(path), "--point", "0.5,0"]) == 2
+    assert "too large to convert to float" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("point, code", [
+    ("garbage", 2),
+    ("0.1,0;0,0;0,0", 2),            # three coordinates, the product needs four
+    ("0.9,0;0.9,0;0,0;0,0", 3),      # first factor outside its ball
+    ("nan,0;0,0;0,0;0,0", 3),
+    ("0.1,0;0,0.2;0.3,0;0,0", 0),
+])
+def test_eval_t_lower_bound_checks_point_like_squeezing(domain_file, capsys, point, code):
+    path = domain_file("balls.json", {"kind": "product_of_balls", "n": 2})
+    outputs = []
+    for invariant in ("squeezing", "t-lower-bound"):
+        assert main(["eval", "--domain", path, f"--point={point}",
+                     "--invariant", invariant]) == code
+        outputs.append(capsys.readouterr())
+    assert outputs[0].err == outputs[1].err
+    if code == 0:
+        assert outputs[0].out == outputs[1].out
+        assert "value 0.7071067811865475\n" in outputs[1].out
+    else:
+        assert outputs[1].err.startswith("error: ") and "Traceback" not in outputs[1].err
 
 
 # --- compare ----------------------------------------------------------------

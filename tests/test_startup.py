@@ -1,0 +1,114 @@
+"""Start-up imports: numpy loads only where a batched kernel or an oracle runs.
+
+pytest itself imports numpy, so every check runs in a fresh interpreter.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+from squeezefn.cli import main
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+DOCS = {
+    "finite": {"kind": "finite_punctures", "points": [[0.5, 0.0], [0.0, 0.5]]},
+    "sequence_points": {"kind": "sequence", "points": [[0.5, 0.0]], "tail_modulus_constant": 0.9},
+    "sequence_radial": {"kind": "sequence", "family": "radial", "q": 0.5, "theta": 1.0},
+    "sequence_orbit": {"kind": "sequence", "family": "boundary_orbit", "c": 0.5, "p": 2.0, "theta": 2.3},
+    "poly_points": {"kind": "poly_sequence", "n": 2, "points": [[[0.5, 0.0], [0.0, 0.0]]]},
+    "poly_radial": {"kind": "poly_sequence", "n": 2, "family": "radial", "q": 0.5, "theta": 1.0},
+    "polydisks": {"kind": "removed_polydisks", "n": 2,
+                  "blocks": [{"center": [[0.0, 0.0], [0.0, 0.0]], "radius": 0.25}]},
+    "polydisk_family": {"kind": "removed_polydisks", "n": 2, "family": "radial",
+                        "q": 0.5, "theta": 1.0, "r0": 0.25},
+    "balls": {"kind": "removed_balls", "n": 2,
+              "blocks": [{"center": [[0.0, 0.0], [0.0, 0.0]], "radius": 0.25}]},
+    "annulus": {"kind": "annulus", "r": 0.25},
+    "product_of_balls": {"kind": "product_of_balls", "n": 2},
+}
+
+# (document, point, invariant, extra arguments) of every eval that needs no numpy
+NUMPY_FREE_EVALS = [
+    ("finite", "0.1,0.2", "squeezing", []),
+    ("finite", "0.1,0.2", "fridman-c", []),
+    ("annulus", "0.5,0.1", "squeezing", []),
+    ("product_of_balls", "0.1,0;0,0.2;0.3,0;0,0", "squeezing", []),
+    ("product_of_balls", "0.1,0;0,0.2;0.3,0;0,0", "t-lower-bound", []),
+    ("polydisks", "0.5,0;0.1,0.1", "polydisk-squeezing", []),
+    ("balls", "0.5,0;0.1,0.1", "polydisk-squeezing", ["--mesh-tol", "1e-4"]),
+]
+
+
+def run_python(code: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def eval_argv(docs_dir: Path, name, point, invariant, extra):
+    return ["eval", "--domain", str(docs_dir / f"{name}.json"), f"--point={point}",
+            "--invariant", invariant, *extra]
+
+
+@pytest.fixture
+def docs_dir(tmp_path):
+    for name, doc in DOCS.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
+    return tmp_path
+
+
+def test_import_and_parse_load_no_numpy():
+    proc = run_python(f"""
+        import sys
+        import squeezefn, squeezefn.cli
+        from squeezefn import parse_domain_spec
+        for doc in {list(DOCS.values())!r}:
+            parse_domain_spec(doc)
+        assert "numpy" not in sys.modules, "numpy was imported"
+    """)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_evals_without_numpy_print_the_same(docs_dir, capsys):
+    argvs = [eval_argv(docs_dir, *case) for case in NUMPY_FREE_EVALS]
+    expected = []
+    for argv in argvs:
+        assert main(argv) == 0
+        expected.append(capsys.readouterr().out)
+    proc = run_python(f"""
+        import sys
+        sys.modules["numpy"] = None  # any import of numpy raises ImportError
+        from squeezefn.cli import main
+        for argv in {argvs!r}:
+            assert main(argv) == 0, argv
+            print("--")
+    """)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "".join(out + "--\n" for out in expected)
+
+
+def test_sequence_eval_loads_numpy(docs_dir):
+    # the blocker above is not vacuous: sequence evaluation needs numpy
+    argv = eval_argv(docs_dir, "sequence_radial", "0,0", "squeezing", [])
+    proc = run_python(f"""
+        import sys
+        from squeezefn.cli import main
+        assert "numpy" not in sys.modules
+        assert main({argv!r}) == 0
+        assert "numpy" in sys.modules
+        sys.modules.pop("numpy")
+        sys.modules["numpy"] = None
+        try:
+            main({argv!r})
+        except ImportError:
+            print("blocked")
+    """)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("value 0.5\ntruncation_index 1\ntail_bound_used 0.75\n"
+                                "mesh_error 0.0\nattained_index 1\nblocked\n")
