@@ -36,7 +36,7 @@ def _load_domain(path: str):
     try:
         with open(path, "r", encoding="utf-8") as f:
             text = f.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise DomainError(f"cannot read domain file {path!r}: {e}") from e
     return parse_domain_spec(text)
 

@@ -27,6 +27,11 @@ from .hyperbolic import PointError, require_interior_point
 # with a pair closer than this are rejected rather than silently accepted.
 PAIR_SEPARATION = 1e-12
 
+# Largest dimension ``n`` a domain document may declare.  Parsing builds
+# points of n coordinates and a ball search grows with n, so an unbounded n
+# would let a document ask for any amount of memory or time.
+MAX_DIMENSION = 64
+
 # Grid of indices on which family tail bounds are checked at construction.
 _TAIL_CHECK_GRID = (0, 1, 10, 100, 1_000, 10_000, 100_000, 1_000_000)
 _TAIL_LIMIT_INDEX = 1_000_000
@@ -647,9 +652,11 @@ def _as_number(x, what: str) -> float:
         raise DomainError(f"{what}: {e}") from e
 
 
-def _as_int(x, what: str) -> int:
+def _as_dimension(x, what: str) -> int:
     if isinstance(x, bool) or not isinstance(x, int):
         raise DomainError(f"{what}: expected an integer, got {x!r}")
+    if x > MAX_DIMENSION:  # not printed: it may have more digits than str() allows
+        raise DomainError(f"{what}: dimension above the limit {MAX_DIMENSION}")
     return x
 
 
@@ -694,7 +701,7 @@ def parse_domain_spec(document) -> DomainSpec:
     if isinstance(document, (str, bytes)):
         try:
             doc = json.loads(document)
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:  # also huge int literals, deep nesting
             raise DomainError(f"domain document is not valid JSON: {e}") from e
     else:
         doc = document
@@ -728,7 +735,7 @@ def parse_domain_spec(document) -> DomainSpec:
     if kind == "poly_sequence":
         if "n" not in doc:
             raise DomainError("poly_sequence: missing 'n'")
-        n = _as_int(doc["n"], "poly_sequence.n")
+        n = _as_dimension(doc["n"], "poly_sequence.n")
         if "family" in doc:
             name = doc["family"]
             if name != "radial":
@@ -759,7 +766,7 @@ def parse_domain_spec(document) -> DomainSpec:
         cls = RemovedPolydisks if kind == "removed_polydisks" else RemovedBalls
         if "n" not in doc:
             raise DomainError(f"{kind}: missing 'n'")
-        n = _as_int(doc["n"], f"{kind}.n")
+        n = _as_dimension(doc["n"], f"{kind}.n")
         if "family" in doc:
             name = doc["family"]
             if name != "radial":
@@ -798,7 +805,7 @@ def parse_domain_spec(document) -> DomainSpec:
         _reject_unknown(doc, {"n"}, kind)
         if "n" not in doc:
             raise DomainError("product_of_balls: missing 'n'")
-        return ProductOfBalls(_as_int(doc["n"], "product_of_balls.n"))
+        return ProductOfBalls(_as_dimension(doc["n"], "product_of_balls.n"))
 
     raise DomainError(f"unknown domain kind {kind!r}")
 

@@ -6,16 +6,17 @@ stops at the first index N where the tail bound
 returned value equals the minimum over the examined prefix and is independent
 of any larger truncation.  Punctures are examined in numpy chunks (_scan for
 one point, grid_cells for a grid), bitwise equal to a per-puncture loop.
-Minima over removed-block boundaries are computed by coarse boundary sampling
-plus bracket refinement, per coordinate, and carry a Lipschitz mesh error
-such that the true minimum lies in [value - mesh_error, value].
+Minima over removed-block boundaries reduce to circle minima, which are closed
+forms with a rounding floor; ball blocks add a branch-and-bound over radius
+profiles.  They carry a mesh error such that the true minimum lies in
+[value - mesh_error, value].
 """
 
 from __future__ import annotations
 
-import cmath
 import heapq
 import math
+import sys
 import threading
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -57,10 +58,12 @@ _GRID_FIRST_CHUNK = 8
 
 _DEFAULT_MESH_TOL = 1e-6
 _MESH_FLOOR = 1e-14
+# rounding floor of a closed-form circle minimum, times kappa (see _min_on_circle)
+_CIRCLE_FLOOR = 64.0 * sys.float_info.epsilon
 
 
 class CertificationError(RuntimeError):
-    """An infimum could not be certified (uncovered tail or refinement cap)."""
+    """An infimum could not be certified (uncovered tail or search cap)."""
 
 
 @dataclass(frozen=True)
@@ -518,46 +521,35 @@ def _block_grad_bounds(z, block: Block) -> list[float]:
     return out
 
 
-def _min_on_circle(zc: complex, c: complex, s: float, tol: float, grad: float,
-                   rounds_cap: int = 80) -> tuple[float, float]:
-    """Certified minimum of rho(zc, .) over the circle |w - c| = s.
+def _min_on_circle(zc: complex, c: complex, s: float) -> tuple[float, float]:
+    """Certified minimum of rho(zc, .) over the circle |w - c| = s, in closed form.
 
-    A Mobius map sends the circle to a circle and the modulus along a circle
-    has a single local minimum, so the objective is cyclically unimodal in the
-    angle: the best coarse sample brackets the minimizer within one grid step
-    and the bracket shrinks geometrically under midpoint-preserving
-    refinement.  The returned error is the Lipschitz bound times the final
-    bracket arc length; ``grad`` bounds the kernel gradient on the circle.
+    T(w) = (w - zc)/(1 - conj(zc) w) maps the circle to a circle.  Mobius maps
+    keep symmetric points symmetric (Ahlfors, Complex Analysis, 3.3), so the
+    reflection q = c + s^2 zc/(1 - conj(c) zc) of the pole 1/conj(zc) in the
+    circle goes to the image's centre C = T(q); zc = 0 gives q = c.  With
+    R = |T(c + s) - C| the minimum of |T| on the circle is m = ||C| - R|.
+
+    Rounding (Higham, Accuracy and Stability, ch. 2-3; u = eps/2): every point
+    w used has |w| <= |c| + s, so |1 - conj(zc) w| >= kappa = 1 - |zc|(|c| + s),
+    T is computed within 10u/kappa and amplifies an input error by at most
+    |T'| <= (1 - |zc|^2)/kappa^2 <= 2/kappa.  q is within 11u (|q - c| <= s),
+    so C is within 32u/kappa, T(c + s) within 12u/kappa, R within 48u/kappa
+    and m within 86u/kappa = 43 eps/kappa to first order.  The floor f is
+    _CIRCLE_FLOOR/kappa = 64 eps/kappa, at least _MESH_FLOOR, and the result
+    (m + f, 2 f): the exact minimum, below 1, lies in [value - error, value].
     """
-    if s <= 0.0:
-        return rho(zc, c), 0.0
-    lip = grad * s  # per radian
-    base = cmath.phase(zc - c) if zc != c else 0.0
-
-    coarse = 64
-    step = 2.0 * math.pi / coarse
-    best_v = math.inf
-    best_i = 0
-    for i in range(coarse):
-        v = rho(zc, c + s * cmath.exp(1j * (base + i * step)))
-        if v < best_v:
-            best_v, best_i = v, i
-    lo = base + (best_i - 1) * step
-    hi = base + (best_i + 1) * step
-
-    for _ in range(rounds_cap):
-        if lip * (hi - lo) <= tol or (hi - lo) <= 1e-15:
-            break
-        pts = [lo + (hi - lo) * i / 8.0 for i in range(9)]
-        vals = [rho(zc, c + s * cmath.exp(1j * p)) for p in pts]
-        j = min(range(9), key=vals.__getitem__)
-        if vals[j] < best_v:
-            best_v = vals[j]
-        lo, hi = pts[max(j - 1, 0)], pts[min(j + 1, 8)]
-    return best_v, max(lip * (hi - lo), _MESH_FLOOR)
+    zb = zc.conjugate()
+    q = c + s * s * zc / (1.0 - c.conjugate() * zc)
+    centre = (q - zc) / (1.0 - zb * q)
+    rim = c + s
+    radius = abs((rim - zc) / (1.0 - zb * rim) - centre)
+    kappa = 1.0 - abs(zc) * (abs(c) + s)
+    floor = max(_CIRCLE_FLOOR / kappa, _MESH_FLOOR)
+    return min(abs(abs(centre) - radius) + floor, 1.0), 2.0 * floor
 
 
-def _polydisk_block_min(z, block: Block, tol: float) -> tuple[float, float]:
+def _polydisk_block_min(z, block: Block) -> tuple[float, float]:
     """Min of the coordinate-max kernel over the sup-norm block boundary.
 
     The boundary is the union of faces {|w_i - c_i| = r, |w_j - c_j| <= r};
@@ -568,10 +560,7 @@ def _polydisk_block_min(z, block: Block, tol: float) -> tuple[float, float]:
     """
     n = len(z)
     r = block.radius
-    inner_tol = tol * 0.5
-    grads = _block_grad_bounds(z, block)
-    circle = [_min_on_circle(z[j], block.center[j], r, inner_tol, grads[j])
-              for j in range(n)]
+    circle = [_min_on_circle(z[j], block.center[j], r) for j in range(n)]
     disk = [
         (0.0, 0.0) if abs(z[j] - block.center[j]) <= r else circle[j]
         for j in range(n)
@@ -604,36 +593,30 @@ def _ball_block_min(z, block: Block, tol: float,
 
     For a fixed per-coordinate radius profile (s_1..s_n) with sum s_j^2 = r^2
     the coordinates range over independent circles, so the minimum is the max
-    of per-coordinate circle minima; the profile itself is searched by
-    best-first branch-and-bound over hyperspherical angles with the Lipschitz
-    bound |dG| <= grad_bound * r * sum |dt_i|.  The inner circle tolerance
-    shrinks with the box width so box bounds keep improving; cost grows
+    of per-coordinate circle minima (closed forms); the profile itself is
+    searched by best-first branch-and-bound over hyperspherical angles with
+    the Lipschitz bound |dG| <= grad_bound * r * sum |dt_i|.  Cost grows
     roughly like tol^(-1/2) around a smooth interior minimum.
     """
     n = len(z)
     r = block.radius
-    grads = _block_grad_bounds(z, block)
-    lip_t = max(grads) * r
+    lip_t = max(_block_grad_bounds(z, block)) * r
 
-    def profile_min(t, inner_tol) -> tuple[float, float]:
+    def profile_min(t) -> tuple[float, float]:
         s = _sphere_profiles(t, r)
-        vals = [_min_on_circle(z[j], block.center[j], s[j], inner_tol, grads[j])
-                for j in range(n)]
+        vals = [_min_on_circle(z[j], block.center[j], s[j]) for j in range(n)]
         return max(v for v, _ in vals), max(v - e for v, e in vals)
-
-    def inner_tol_for(half: float) -> float:
-        return min(tol * 0.25, max(lip_t * half * 0.5, 1e-15))
 
     lo = (0.0,) * (n - 1)
     hi = (math.pi / 2.0,) * (n - 1)
     center = tuple((a + b) / 2.0 for a, b in zip(lo, hi))
     half_sum = sum((b - a) / 2.0 for a, b in zip(lo, hi))
-    v, low = profile_min(center, inner_tol_for(half_sum))
+    v, low = profile_min(center)
     best = v
     # corner profiles are frequent minimizers (extreme radius splits); probing
     # them only sharpens the upper value
     for corner in (lo, hi):
-        best = min(best, profile_min(corner, tol * 0.25)[0])
+        best = min(best, profile_min(corner)[0])
     heap = [(low - lip_t * half_sum, 0, lo, hi)]
     counter = 1
     evals = 1
@@ -655,7 +638,7 @@ def _ball_block_min(z, block: Block, tol: float,
         ):
             c = tuple((a + b) / 2.0 for a, b in zip(child_lo, child_hi))
             half = sum((b - a) / 2.0 for a, b in zip(child_lo, child_hi))
-            v, low = profile_min(c, inner_tol_for(half))
+            v, low = profile_min(c)
             evals += 1
             best = min(best, v)
             heapq.heappush(heap, (low - lip_t * half, counter, child_lo, child_hi))
@@ -673,8 +656,10 @@ def polydisk_squeezing_removed_blocks(domain, z, mesh_tol: float = _DEFAULT_MESH
     inf over blocks of the boundary minimum of the coordinate-max kernel.
 
     Results carry mesh_error such that the true infimum lies within
-    [value - mesh_error, value]; block sequences are truncated under the same
-    tail certificate as punctures, applied to the innermost block modulus.
+    [value - mesh_error, value]; ``mesh_tol`` bounds it for ball blocks, while
+    polydisk blocks are closed forms whose error is their rounding floor.
+    Block sequences are truncated under the same tail certificate as
+    punctures, applied to the innermost block modulus.
     """
     if not isinstance(domain, (RemovedPolydisks, RemovedBalls)):
         raise DomainError(
@@ -683,7 +668,8 @@ def polydisk_squeezing_removed_blocks(domain, z, mesh_tol: float = _DEFAULT_MESH
         raise DomainError(f"mesh tolerance must be positive, got {mesh_tol!r}")
     z = require_interior_polydisk_point(z, domain.n)
     anchor = max(abs(c) for c in z)
-    block_min = _polydisk_block_min if domain.geometry == "polydisk" else _ball_block_min
+    block_min = (_polydisk_block_min if domain.geometry == "polydisk"
+                 else lambda z, block: _ball_block_min(z, block, mesh_tol))
 
     count = domain.known_count()
     if count is not None:
@@ -693,7 +679,7 @@ def polydisk_squeezing_removed_blocks(domain, z, mesh_tol: float = _DEFAULT_MESH
         best_low = math.inf
         best_k = 0
         for k in range(1, count + 1):
-            v, e = block_min(z, domain.block(k), mesh_tol)
+            v, e = block_min(z, domain.block(k))
             if v < best_v:
                 best_v, best_k = v, k
             best_low = min(best_low, v - e)
@@ -718,7 +704,7 @@ def polydisk_squeezing_removed_blocks(domain, z, mesh_tol: float = _DEFAULT_MESH
         examined += 1
         block = domain.block(examined)
         _require_outside_block(domain, z, block, examined)
-        v, e = block_min(z, block, mesh_tol)
+        v, e = block_min(z, block)
         if v < best_v:
             best_v, best_k = v, examined
         best_low = min(best_low, v - e)

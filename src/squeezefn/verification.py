@@ -274,7 +274,7 @@ _BOUNDARY_CONFIGS = (
 
 
 def boundary_oracle_suite(samples: int = 250_000) -> list[VerificationReport]:
-    """Refined boundary minima agree with the plain sampling oracle: the oracle
+    """Certified boundary minima agree with the plain sampling oracle: the oracle
     value lies inside [value - mesh_error, value] on reference configurations
     whose minimizers sit on the anchored grid, and sampling minima are
     nonincreasing along a doubling schedule."""

@@ -45,6 +45,15 @@ def test_origin_ball_block_value():
     assert 0.0 <= res.value - 2.0 / 7.0 <= res.mesh_error
 
 
+def test_ball_n3_off_axis_brackets_two_sevenths():
+    # the minimum sits on the corner profile (1/4, 0, 0), where the far
+    # coordinates give rho(0.1i, 0) = 0.1 and 0
+    d = RemovedBalls(n=3, blocks=(Block((0j, 0j, 0j), 0.25),))
+    res = polydisk_squeezing_removed_blocks(d, (complex(0.5), 0.1j, 0j), mesh_tol=1e-3)
+    assert res.mesh_error <= 1e-3
+    assert res.value - res.mesh_error <= 2.0 / 7.0 <= res.value
+
+
 def test_mesh_tolerance_is_configurable():
     d = RemovedPolydisks(n=2, blocks=(ORIGIN_BLOCK,))
     loose = polydisk_squeezing_removed_blocks(d, Z_HALF, mesh_tol=1e-3)

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from squeezefn.cli import GridJob, main
-from squeezefn.domains import DomainError, FinitePunctures, parse_domain_spec
+from squeezefn.domains import MAX_DIMENSION, DomainError, FinitePunctures, parse_domain_spec
 from squeezefn.hyperbolic import rho
 
 
@@ -190,6 +190,48 @@ def test_eval_domain_with_integer_beyond_float_range_exits_2(tmp_path, capsys):
     path.write_text('{"kind": "annulus", "r": 1' + "0" * 400 + "}")
     assert main(["eval", "--domain", str(path), "--point", "0.5,0"]) == 2
     assert "too large to convert to float" in capsys.readouterr().err
+
+
+DIMENSION_DOMAINS = [
+    ("poly_sequence", {"kind": "poly_sequence", "family": "radial", "q": 0.5, "theta": 1.0}),
+    ("removed_polydisks", {"kind": "removed_polydisks", "family": "radial",
+                           "q": 0.5, "theta": 1.0, "r0": 0.25}),
+    ("removed_balls", {"kind": "removed_balls", "family": "radial",
+                       "q": 0.5, "theta": 1.0, "r0": 0.25}),
+    ("product_of_balls", {"kind": "product_of_balls"}),
+]
+
+
+@pytest.mark.parametrize("n", [10**400, 10**8, MAX_DIMENSION + 1], ids=["401-digits", "1e8", "limit+1"])
+@pytest.mark.parametrize("name, doc", DIMENSION_DOMAINS, ids=[case[0] for case in DIMENSION_DOMAINS])
+def test_eval_dimension_above_limit_exits_2(domain_file, capsys, name, doc, n):
+    path = domain_file(f"{name}.json", {**doc, "n": n})
+    assert main(["eval", "--domain", path, "--point=0,0"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {name}.n: dimension above the limit {MAX_DIMENSION}\n"
+
+
+def test_parse_accepts_dimension_at_limit():
+    doc = {"kind": "poly_sequence", "family": "radial", "q": 0.5, "theta": 1.0, "n": MAX_DIMENSION}
+    assert parse_domain_spec(doc).n == MAX_DIMENSION
+
+
+@pytest.mark.parametrize("text", [
+    '{"kind": "annulus", "r": ' + "1" * 5000 + "}",   # beyond int_max_str_digits
+    "[" * 100_000 + "]" * 100_000,                      # beyond the recursion limit
+])
+def test_eval_unreadable_json_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    assert main(["eval", "--domain", str(path), "--point", "0.5,0"]) == 2
+    assert capsys.readouterr().err.startswith("error: domain document is not valid JSON: ")
+
+
+def test_eval_domain_file_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert main(["eval", "--domain", str(path), "--point", "0.5,0"]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read domain file ")
 
 
 @pytest.mark.parametrize("point, code", [
