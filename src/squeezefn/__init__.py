@@ -34,7 +34,6 @@ from .invariants import (
     CertificationError,
     InvariantValue,
     VerificationOutcome,
-    annulus_compact_removal_gap,
     annulus_squeezing,
     fridman_caratheodory_punctured_disk,
     lower_bound_certificate,
@@ -49,6 +48,7 @@ from .invariants import (
 from .verification import (
     Lcg,
     VerificationReport,
+    annulus_compact_removal_gap,
     boundary_min_oracle,
     brute_force_infimum,
     run_suite,

@@ -64,35 +64,43 @@ def _parse_product_point(domain: ProductOfBalls, text: str):
     return tuple(flat[i * domain.n:(i + 1) * domain.n] for i in range(domain.n))
 
 
+def _planar(evaluate):
+    return lambda domain, text, mesh_tol: evaluate(domain, _parse_planar_point(text))
+
+
+def _product(evaluate):
+    return lambda domain, text, mesh_tol: inv.InvariantValue(
+        evaluate(domain, _parse_product_point(domain, text)))
+
+
+def _removed_blocks(domain, text, mesh_tol):
+    return inv.polydisk_squeezing_removed_blocks(domain, _parse_poly_point(text), mesh_tol=mesh_tol)
+
+
+# (invariant, domain type) -> evaluator(domain, point text, mesh tolerance)
+_EVALUATORS = {
+    ("squeezing", FinitePunctures): _planar(inv.squeezing_punctured_disk),
+    ("squeezing", SequencePunctures): _planar(inv.squeezing_punctured_disk),
+    ("squeezing", Annulus): _planar(
+        lambda domain, z: inv.InvariantValue(inv.annulus_squeezing(domain, z))),
+    ("squeezing", ProductOfBalls): _product(inv.product_of_balls_squeezing),
+    ("fridman-c", FinitePunctures): _planar(inv.fridman_caratheodory_punctured_disk),
+    ("fridman-c", SequencePunctures): _planar(inv.fridman_caratheodory_punctured_disk),
+    ("polydisk-squeezing", PolySequencePunctures):
+        lambda domain, text, mesh_tol: inv.polydisk_squeezing_punctured(domain, _parse_poly_point(text)),
+    ("polydisk-squeezing", RemovedPolydisks): _removed_blocks,
+    ("polydisk-squeezing", RemovedBalls): _removed_blocks,
+    ("t-lower-bound", ProductOfBalls): _product(inv.product_of_balls_T_lower_bound),
+}
+
+
 def _evaluate(domain, invariant: str, point_text: str, mesh_tol: float) -> inv.InvariantValue:
-    if invariant == "squeezing":
-        if isinstance(domain, (FinitePunctures, SequencePunctures)):
-            return inv.squeezing_punctured_disk(domain, _parse_planar_point(point_text))
-        if isinstance(domain, Annulus):
-            value = inv.annulus_squeezing(domain, _parse_planar_point(point_text))
-            return inv.InvariantValue(value)
-        if isinstance(domain, ProductOfBalls):
-            factors = _parse_product_point(domain, point_text)
-            return inv.InvariantValue(inv.product_of_balls_squeezing(domain, factors))
-        raise DomainError(f"invariant 'squeezing' does not apply to {type(domain).__name__}")
-    if invariant == "fridman-c":
-        if isinstance(domain, (FinitePunctures, SequencePunctures)):
-            return inv.fridman_caratheodory_punctured_disk(domain, _parse_planar_point(point_text))
-        raise DomainError(f"invariant 'fridman-c' does not apply to {type(domain).__name__}")
-    if invariant == "polydisk-squeezing":
-        if isinstance(domain, PolySequencePunctures):
-            return inv.polydisk_squeezing_punctured(domain, _parse_poly_point(point_text))
-        if isinstance(domain, (RemovedPolydisks, RemovedBalls)):
-            return inv.polydisk_squeezing_removed_blocks(
-                domain, _parse_poly_point(point_text), mesh_tol=mesh_tol)
-        raise DomainError(
-            f"invariant 'polydisk-squeezing' does not apply to {type(domain).__name__}")
-    if invariant == "t-lower-bound":
-        if isinstance(domain, ProductOfBalls):
-            factors = _parse_product_point(domain, point_text)
-            return inv.InvariantValue(inv.product_of_balls_T_lower_bound(domain, factors))
-        raise DomainError(f"invariant 't-lower-bound' does not apply to {type(domain).__name__}")
-    raise DomainError(f"unknown invariant {invariant!r} (known: {INVARIANT_NAMES})")
+    if invariant not in INVARIANT_NAMES:
+        raise DomainError(f"unknown invariant {invariant!r} (known: {INVARIANT_NAMES})")
+    evaluate = _EVALUATORS.get((invariant, type(domain)))
+    if evaluate is None:
+        raise DomainError(f"invariant {invariant!r} does not apply to {type(domain).__name__}")
+    return evaluate(domain, point_text, mesh_tol)
 
 
 def cmd_eval(args) -> int:
@@ -144,12 +152,13 @@ def run_grid(job: GridJob, jobs: int = 1) -> str:
     """Render the grid CSV; rows in row-major order (im outer, re inner),
     byte-identical across runs and across ``jobs`` settings.
 
-    Blocks of whole rows, at most invariants.GRID_BLOCK cells each, go one
-    after another through the batched kernel invariants.grid_cells.  A
-    generated family's punctures are computed once per sweep, into a
-    SequencePrefix shared by all blocks.  ``jobs`` (at least 1) is accepted
-    and ignored: the kernel's numpy steps and the row formatting hold the
-    GIL, so worker threads gave no speed-up."""
+    The whole rectangle goes through one call of the batched kernel
+    invariants.grid_cells, which generates each chunk of punctures once per
+    sweep.  Its kernel temporaries hold at most about invariants.GRID_BLOCK
+    elements; its per-cell state scales with the number of cells, as the CSV
+    text does.  ``jobs`` (at least 1) is accepted and ignored: the kernel's
+    numpy steps and the row formatting hold the GIL, so worker threads gave
+    no speed-up."""
     if jobs < 1:
         raise DomainError(f"--jobs must be at least 1, got {jobs!r}")
     domain = job.domain
@@ -159,28 +168,23 @@ def run_grid(job: GridJob, jobs: int = 1) -> str:
     elif isinstance(domain, (FinitePunctures, SequencePunctures)):
         if job.invariant not in ("squeezing", "fridman-c"):
             raise DomainError(f"grid invariant {job.invariant!r} does not apply to planar domains")
-        if isinstance(domain, SequencePunctures) and domain.known_count() is None:
-            domain = inv.SequencePrefix(domain)
     else:
         raise DomainError(f"grid supports planar domains, not {type(domain).__name__}")
     re_min, re_max, im_min, im_max = job.rect
     nx, ny = job.resolution
     reals = [re_min + (re_max - re_min) * ix / (nx - 1) for ix in range(nx)]
+    imags = [im_min + (im_max - im_min) * iy / (ny - 1) for iy in range(ny)]
     re_texts = [repr(re) for re in reals]
-    rows_per_block = max(1, inv.GRID_BLOCK // nx)
+    values, indices, flags = inv.grid_cells(domain, reals, imags)
     lines = ["re,im,value,truncation_index,certified"]
-    for iy0 in range(0, ny, rows_per_block):
-        imags = [im_min + (im_max - im_min) * iy / (ny - 1)
-                 for iy in range(iy0, min(iy0 + rows_per_block, ny))]
-        values, indices, flags = inv.grid_cells(domain, reals, imags)
-        for iy, im in enumerate(imags):
-            im_text = repr(im)
-            row = slice(iy * nx, (iy + 1) * nx)
-            cells = zip(re_texts, values[row].tolist(), indices[row].tolist(), flags[row].tolist())
-            lines.append("\n".join(
-                f"{re_text},{im_text},,,false" if value != value  # NaN: outside or on a puncture
-                else f"{re_text},{im_text},{value!r},{index},{'true' if certified else 'false'}"
-                for re_text, value, index, certified in cells))
+    for iy, im in enumerate(imags):
+        im_text = repr(im)
+        row = slice(iy * nx, (iy + 1) * nx)
+        cells = zip(re_texts, values[row].tolist(), indices[row].tolist(), flags[row].tolist())
+        lines.append("\n".join(
+            f"{re_text},{im_text},,,false" if value != value  # NaN: outside or on a puncture
+            else f"{re_text},{im_text},{value!r},{index},{'true' if certified else 'false'}"
+            for re_text, value, index, certified in cells))
     return "\n".join(lines) + "\n"
 
 

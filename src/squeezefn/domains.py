@@ -136,6 +136,7 @@ class RadialFamily:
     theta: float
 
     kind = "radial"
+    n = 1
 
     def __post_init__(self):
         if not 0.0 < self.q < 1.0:
@@ -168,6 +169,7 @@ class BoundaryOrbitFamily:
     theta: float
 
     kind = "boundary_orbit"
+    n = 1
 
     def __post_init__(self):
         if not 0.0 < self.c < 1.0:
@@ -284,9 +286,10 @@ class FinitePunctures:
         object.__setattr__(self, "punctures", _check_point_list(self.punctures, "punctures"))
 
 
-@dataclass(frozen=True)
-class SequencePunctures:
-    """Unit disk minus a puncture sequence converging to the boundary.
+class _Sequence:
+    """What the disk and polydisk sequence domains share: a subclass declares
+    the fields prefix, family and tail_constant, a dimension ``n``, its
+    document ``kind``, and how it reads its listed points (_read_points).
 
     Exactly one of the two descriptions is used:
 
@@ -297,26 +300,25 @@ class SequencePunctures:
       without it the listing is exact and the infimum runs over the prefix.
     """
 
-    prefix: tuple[complex, ...] = ()
-    family: RadialFamily | BoundaryOrbitFamily | None = None
-    tail_constant: float | None = None
-
     def __post_init__(self):
+        kind = self.kind
         if self.family is not None:
             if self.prefix:
-                raise DomainError("sequence: give either points or a family, not both")
+                raise DomainError(f"{kind}: give either points or a family, not both")
             if self.tail_constant is not None:
-                raise DomainError("sequence: a family carries its own tail bound; "
+                raise DomainError(f"{kind}: a family carries its own tail bound; "
                                   "tail_modulus_constant is not allowed")
+            if self.family.n != self.n:
+                raise DomainError(f"{kind}: family dimension {self.family.n} != n = {self.n}")
             _validate_family(self.family)
             return
-        object.__setattr__(self, "prefix", _check_point_list(self.prefix, "sequence points"))
+        object.__setattr__(self, "prefix", self._read_points())
         if self.tail_constant is not None and not 0.0 < self.tail_constant < 1.0:
             raise DomainError(
-                f"sequence: tail_modulus_constant must be in (0, 1), got {self.tail_constant!r}"
+                f"{kind}: tail_modulus_constant must be in (0, 1), got {self.tail_constant!r}"
             )
 
-    def puncture(self, k: int) -> complex:
+    def puncture(self, k: int):
         """k-th puncture (1-based); deterministic and bitwise reproducible."""
         if k < 1:
             raise DomainError(f"puncture index must be >= 1, got {k!r}")
@@ -368,7 +370,22 @@ class SequencePunctures:
 
 
 @dataclass(frozen=True)
-class PolySequencePunctures:
+class SequencePunctures(_Sequence):
+    """Unit disk minus a puncture sequence converging to the boundary."""
+
+    prefix: tuple[complex, ...] = ()
+    family: RadialFamily | BoundaryOrbitFamily | None = None
+    tail_constant: float | None = None
+
+    n = 1
+    kind = "sequence"
+
+    def _read_points(self) -> tuple[complex, ...]:
+        return _check_point_list(self.prefix, "sequence points")
+
+
+@dataclass(frozen=True)
+class PolySequencePunctures(_Sequence):
     """Unit polydisk minus a puncture sequence; moduli are coordinate maxima."""
 
     n: int
@@ -376,19 +393,14 @@ class PolySequencePunctures:
     family: PolyRadialFamily | None = None
     tail_constant: float | None = None
 
+    kind = "poly_sequence"
+
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 1:
             raise DomainError(f"poly_sequence: dimension must be an integer >= 1, got {self.n!r}")
-        if self.family is not None:
-            if self.prefix:
-                raise DomainError("poly_sequence: give either points or a family, not both")
-            if self.tail_constant is not None:
-                raise DomainError("poly_sequence: a family carries its own tail bound; "
-                                  "tail_modulus_constant is not allowed")
-            if self.family.n != self.n:
-                raise DomainError(f"poly_sequence: family dimension {self.family.n} != n = {self.n}")
-            _validate_family(self.family)
-            return
+        super().__post_init__()
+
+    def _read_points(self) -> tuple[tuple[complex, ...], ...]:
         pts = []
         for i, p in enumerate(self.prefix):
             p = tuple(_ingest_point(c, f"poly point {i} coordinate") for c in p)
@@ -403,36 +415,7 @@ class PolySequencePunctures:
                     raise DomainError(
                         f"poly points {i} and {j} are closer than {PAIR_SEPARATION:g}"
                     )
-        object.__setattr__(self, "prefix", tuple(pts))
-        if self.tail_constant is not None and not 0.0 < self.tail_constant < 1.0:
-            raise DomainError(
-                f"poly_sequence: tail_modulus_constant must be in (0, 1), got {self.tail_constant!r}"
-            )
-
-    def puncture(self, k: int) -> tuple[complex, ...]:
-        if k < 1:
-            raise DomainError(f"puncture index must be >= 1, got {k!r}")
-        if self.family is not None:
-            return self.family.point(k)
-        if k <= len(self.prefix):
-            return self.prefix[k - 1]
-        raise DomainError(f"no generator attached: puncture {k} is beyond the "
-                          f"{len(self.prefix)}-point prefix")
-
-    def known_count(self) -> int | None:
-        return None if self.family is not None else len(self.prefix)
-
-    def tail_lower_bound(self, examined: int) -> float | None:
-        if examined < 0:
-            raise DomainError(f"tail bound index must be >= 0, got {examined!r}")
-        if self.family is not None:
-            return self.family.tail_modulus(examined)
-        if examined < len(self.prefix):
-            return 0.0
-        return self.tail_constant
-
-    chunk = SequencePunctures.chunk
-    tail_index = SequencePunctures.tail_index
+        return tuple(pts)
 
 
 # ---------------------------------------------------------------------------
@@ -543,13 +526,15 @@ class RemovedPolydisks:
     family: RadialBlockFamily | None = None
 
     geometry = "polydisk"
+    kind = "removed_polydisks"
+    metric = staticmethod(sup_distance)
 
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 2:
-            raise DomainError(f"removed_polydisks: dimension must be an integer >= 2, got {self.n!r}")
+            raise DomainError(f"{self.kind}: dimension must be an integer >= 2, got {self.n!r}")
         object.__setattr__(
             self, "blocks",
-            _validate_blocks(self.n, self.blocks, self.family, sup_distance, "removed_polydisks"),
+            _validate_blocks(self.n, self.blocks, self.family, self.metric, self.kind),
         )
 
     def block(self, k: int) -> Block:
@@ -569,7 +554,7 @@ class RemovedPolydisks:
         return None if examined >= len(self.blocks) else 0.0
 
     def block_distance(self, z, block: Block) -> float:
-        return sup_distance(z, block.center)
+        return self.metric(z, block.center)
 
 
 @dataclass(frozen=True)
@@ -581,21 +566,14 @@ class RemovedBalls:
     family: RadialBlockFamily | None = None
 
     geometry = "ball"
+    kind = "removed_balls"
+    metric = staticmethod(euclid_distance)
 
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 2:
-            raise DomainError(f"removed_balls: dimension must be an integer >= 2, got {self.n!r}")
-        object.__setattr__(
-            self, "blocks",
-            _validate_blocks(self.n, self.blocks, self.family, euclid_distance, "removed_balls"),
-        )
-
+    __post_init__ = RemovedPolydisks.__post_init__
     block = RemovedPolydisks.block
     known_count = RemovedPolydisks.known_count
     tail_inner_bound = RemovedPolydisks.tail_inner_bound
-
-    def block_distance(self, z, block: Block) -> float:
-        return euclid_distance(z, block.center)
+    block_distance = RemovedPolydisks.block_distance
 
 
 # ---------------------------------------------------------------------------
@@ -678,22 +656,49 @@ def _reject_unknown(doc: dict, allowed: set[str], kind: str) -> None:
         raise DomainError(f"{kind}: unexpected fields {sorted(extra)!r}")
 
 
-_SEQUENCE_FAMILIES = {
-    "radial": (RadialFamily, ("q", "theta")),
-    "boundary_orbit": (BoundaryOrbitFamily, ("c", "p", "theta")),
+# (kind, family) -> (family class, its document parameters); a dimensioned
+# kind also passes its n to the family
+_FAMILIES = {
+    ("sequence", "radial"): (RadialFamily, ("q", "theta")),
+    ("sequence", "boundary_orbit"): (BoundaryOrbitFamily, ("c", "p", "theta")),
+    ("poly_sequence", "radial"): (PolyRadialFamily, ("q", "theta")),
+    ("removed_polydisks", "radial"): (RadialBlockFamily, ("q", "theta", "r0")),
+    ("removed_balls", "radial"): (RadialBlockFamily, ("q", "theta", "r0")),
 }
+_FAMILY_DOMAINS = {cls.kind: cls for cls in (SequencePunctures, PolySequencePunctures,
+                                             RemovedPolydisks, RemovedBalls)}
 
 
-def _parse_family(doc: dict, kind: str):
+def _parse_family(doc: dict, kind: str, dims: dict):
     name = doc["family"]
-    if name not in _SEQUENCE_FAMILIES:
-        raise DomainError(f"{kind}: unknown family {name!r} "
-                          f"(known: {sorted(_SEQUENCE_FAMILIES)})")
-    cls, params = _SEQUENCE_FAMILIES[name]
+    entry = _FAMILIES.get((kind, name)) if isinstance(name, str) else None
+    if entry is None:
+        known = sorted(family for k, family in _FAMILIES if k == kind)
+        raise DomainError(f"{kind}: unknown family {name!r} (known: {known})")
+    cls, params = entry
     missing = [p for p in params if p not in doc]
     if missing:
         raise DomainError(f"{kind}: family {name!r} needs parameters {missing!r}")
-    return cls(**{p: _as_number(doc[p], f"{kind}.{p}") for p in params}), set(params)
+    _reject_unknown(doc, {"family", *dims, *params}, kind)
+    return cls(**dims, **{p: _as_number(doc[p], f"{kind}.{p}") for p in params})
+
+
+def _parse_blocks(doc: dict, kind: str) -> tuple[Block, ...]:
+    _reject_unknown(doc, {"n", "blocks"}, kind)
+    if "blocks" not in doc or not isinstance(doc["blocks"], list) or not doc["blocks"]:
+        raise DomainError(f"{kind}: missing or empty 'blocks'")
+    blocks = []
+    for i, b in enumerate(doc["blocks"]):
+        if not isinstance(b, dict) or "center" not in b or "radius" not in b:
+            raise DomainError(f"{kind}.blocks[{i}]: expected {{center, radius}}")
+        extra = set(b) - {"center", "radius"}
+        if extra:
+            raise DomainError(f"{kind}.blocks[{i}]: unexpected fields {sorted(extra)!r}")
+        blocks.append(Block(
+            tuple(_as_pair_list(b["center"], f"blocks[{i}].center")),
+            _as_number(b["radius"], f"blocks[{i}].radius"),
+        ))
+    return tuple(blocks)
 
 
 def parse_domain_spec(document) -> DomainSpec:
@@ -710,6 +715,8 @@ def parse_domain_spec(document) -> DomainSpec:
     if "kind" not in doc:
         raise DomainError("domain document is missing the 'kind' field")
     kind = doc["kind"]
+    if not isinstance(kind, str):
+        raise DomainError(f"unknown domain kind {kind!r}")
 
     if kind == "finite_punctures":
         _reject_unknown(doc, {"points"}, kind)
@@ -717,83 +724,31 @@ def parse_domain_spec(document) -> DomainSpec:
             raise DomainError("finite_punctures: missing 'points'")
         return FinitePunctures(tuple(_as_pair_list(doc["points"], "points")))
 
-    if kind == "sequence":
+    if kind in _FAMILY_DOMAINS:
+        cls = _FAMILY_DOMAINS[kind]
+        dims = {}
+        if cls is not SequencePunctures:
+            if "n" not in doc:
+                raise DomainError(f"{kind}: missing 'n'")
+            dims["n"] = _as_dimension(doc["n"], f"{kind}.n")
         if "family" in doc:
-            family, params = _parse_family(doc, kind)
-            _reject_unknown(doc, {"family"} | params, kind)
-            return SequencePunctures(family=family)
-        _reject_unknown(doc, {"points", "tail_modulus_constant"}, kind)
+            return cls(**dims, family=_parse_family(doc, kind, dims))
+        if cls in (RemovedPolydisks, RemovedBalls):
+            return cls(**dims, blocks=_parse_blocks(doc, kind))
+        _reject_unknown(doc, {"points", "tail_modulus_constant", *dims}, kind)
         if "points" not in doc:
-            raise DomainError("sequence: need either 'points' or 'family'")
-        tail = doc.get("tail_modulus_constant")
-        if tail is not None:
-            tail = _as_number(tail, "sequence.tail_modulus_constant")
-        return SequencePunctures(
-            prefix=tuple(_as_pair_list(doc["points"], "points")), tail_constant=tail
-        )
-
-    if kind == "poly_sequence":
-        if "n" not in doc:
-            raise DomainError("poly_sequence: missing 'n'")
-        n = _as_dimension(doc["n"], "poly_sequence.n")
-        if "family" in doc:
-            name = doc["family"]
-            if name != "radial":
-                raise DomainError(f"poly_sequence: unknown family {name!r} (known: ['radial'])")
-            for p in ("q", "theta"):
-                if p not in doc:
-                    raise DomainError(f"poly_sequence: family 'radial' needs parameter {p!r}")
-            _reject_unknown(doc, {"n", "family", "q", "theta"}, kind)
-            return PolySequencePunctures(
-                n=n,
-                family=PolyRadialFamily(n, _as_number(doc["q"], "q"), _as_number(doc["theta"], "theta")),
-            )
-        _reject_unknown(doc, {"n", "points", "tail_modulus_constant"}, kind)
-        if "points" not in doc:
-            raise DomainError("poly_sequence: need either 'points' or 'family'")
+            raise DomainError(f"{kind}: need either 'points' or 'family'")
         pts = doc["points"]
-        if not isinstance(pts, list) or not pts:
-            raise DomainError("poly_sequence.points: expected a nonempty list")
-        prefix = tuple(
-            tuple(_as_pair_list(p, f"points[{i}]")) for i, p in enumerate(pts)
-        )
+        if not dims:
+            prefix = tuple(_as_pair_list(pts, "points"))
+        elif isinstance(pts, list) and pts:
+            prefix = tuple(tuple(_as_pair_list(p, f"points[{i}]")) for i, p in enumerate(pts))
+        else:
+            raise DomainError(f"{kind}.points: expected a nonempty list")
         tail = doc.get("tail_modulus_constant")
         if tail is not None:
-            tail = _as_number(tail, "poly_sequence.tail_modulus_constant")
-        return PolySequencePunctures(n=n, prefix=prefix, tail_constant=tail)
-
-    if kind in ("removed_polydisks", "removed_balls"):
-        cls = RemovedPolydisks if kind == "removed_polydisks" else RemovedBalls
-        if "n" not in doc:
-            raise DomainError(f"{kind}: missing 'n'")
-        n = _as_dimension(doc["n"], f"{kind}.n")
-        if "family" in doc:
-            name = doc["family"]
-            if name != "radial":
-                raise DomainError(f"{kind}: unknown family {name!r} (known: ['radial'])")
-            for p in ("q", "theta", "r0"):
-                if p not in doc:
-                    raise DomainError(f"{kind}: family 'radial' needs parameter {p!r}")
-            _reject_unknown(doc, {"n", "family", "q", "theta", "r0"}, kind)
-            return cls(n=n, family=RadialBlockFamily(
-                n, _as_number(doc["q"], "q"), _as_number(doc["theta"], "theta"),
-                _as_number(doc["r0"], "r0"),
-            ))
-        _reject_unknown(doc, {"n", "blocks"}, kind)
-        if "blocks" not in doc or not isinstance(doc["blocks"], list) or not doc["blocks"]:
-            raise DomainError(f"{kind}: missing or empty 'blocks'")
-        blocks = []
-        for i, b in enumerate(doc["blocks"]):
-            if not isinstance(b, dict) or "center" not in b or "radius" not in b:
-                raise DomainError(f"{kind}.blocks[{i}]: expected {{center, radius}}")
-            extra = set(b) - {"center", "radius"}
-            if extra:
-                raise DomainError(f"{kind}.blocks[{i}]: unexpected fields {sorted(extra)!r}")
-            blocks.append(Block(
-                tuple(_as_pair_list(b["center"], f"blocks[{i}].center")),
-                _as_number(b["radius"], f"blocks[{i}].radius"),
-            ))
-        return cls(n=n, blocks=tuple(blocks))
+            tail = _as_number(tail, f"{kind}.tail_modulus_constant")
+        return cls(**dims, prefix=prefix, tail_constant=tail)
 
     if kind == "annulus":
         _reject_unknown(doc, {"r"}, kind)
@@ -818,32 +773,24 @@ def serialize_domain_spec(domain: DomainSpec) -> dict:
     """Inverse of parse_domain_spec: parse(serialize(d)) == d for valid domains."""
     if isinstance(domain, FinitePunctures):
         return {"kind": "finite_punctures", "points": [_pair(p) for p in domain.punctures]}
-    if isinstance(domain, SequencePunctures):
-        if domain.family is not None:
-            return {"kind": "sequence", "family": domain.family.kind, **domain.family.params()}
-        out = {"kind": "sequence", "points": [_pair(p) for p in domain.prefix]}
-        if domain.tail_constant is not None:
-            out["tail_modulus_constant"] = domain.tail_constant
-        return out
-    if isinstance(domain, PolySequencePunctures):
-        if domain.family is not None:
-            return {"kind": "poly_sequence", "n": domain.n,
-                    "family": domain.family.kind, **domain.family.params()}
-        out = {"kind": "poly_sequence", "n": domain.n,
-               "points": [[_pair(c) for c in p] for p in domain.prefix]}
-        if domain.tail_constant is not None:
-            out["tail_modulus_constant"] = domain.tail_constant
-        return out
-    if isinstance(domain, (RemovedPolydisks, RemovedBalls)):
-        kind = "removed_polydisks" if isinstance(domain, RemovedPolydisks) else "removed_balls"
-        if domain.family is not None:
-            return {"kind": kind, "n": domain.n,
-                    "family": domain.family.kind, **domain.family.params()}
-        return {"kind": kind, "n": domain.n,
-                "blocks": [{"center": [_pair(c) for c in b.center], "radius": b.radius}
-                           for b in domain.blocks]}
     if isinstance(domain, Annulus):
         return {"kind": "annulus", "r": domain.inner_radius}
     if isinstance(domain, ProductOfBalls):
         return {"kind": "product_of_balls", "n": domain.n}
-    raise DomainError(f"cannot serialize {type(domain).__name__}")
+    if not isinstance(domain, tuple(_FAMILY_DOMAINS.values())):
+        raise DomainError(f"cannot serialize {type(domain).__name__}")
+    out = {"kind": domain.kind}
+    if not isinstance(domain, SequencePunctures):
+        out["n"] = domain.n
+    if domain.family is not None:
+        return {**out, "family": domain.family.kind, **domain.family.params()}
+    if isinstance(domain, (RemovedPolydisks, RemovedBalls)):
+        return {**out, "blocks": [{"center": [_pair(c) for c in b.center], "radius": b.radius}
+                                  for b in domain.blocks]}
+    if isinstance(domain, SequencePunctures):
+        out["points"] = [_pair(p) for p in domain.prefix]
+    else:
+        out["points"] = [[_pair(c) for c in p] for p in domain.prefix]
+    if domain.tail_constant is not None:
+        out["tail_modulus_constant"] = domain.tail_constant
+    return out

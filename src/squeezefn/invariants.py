@@ -17,7 +17,6 @@ from __future__ import annotations
 import heapq
 import math
 import sys
-import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -131,69 +130,6 @@ def squeezing_punctured_disk(domain, z: complex) -> InvariantValue:
     if not isinstance(domain, SequencePunctures):
         raise DomainError(f"squeezing_punctured_disk does not apply to {type(domain).__name__}")
     return _sequence_min(domain, z, abs(z))
-
-
-class SequencePrefix:
-    """Shared prefix of a generated puncture family, for evaluating many points.
-
-    Has the puncture / tail_lower_bound / known_count / chunk interface of
-    the wrapped SequencePunctures and fills its numpy arrays from the
-    domain's chunks, so every value is bitwise identical.  The arrays grow by
-    doubling from 64 entries and stop at _SEQUENCE_CAP; indices beyond that
-    are passed through to the domain.  Growth holds a lock, so threads may
-    share one view.
-    """
-
-    def __init__(self, domain: SequencePunctures):
-        import numpy as np
-
-        if domain.known_count() is not None:
-            raise DomainError("a sequence prefix view needs a generated family")
-        self.domain = domain
-        self._points = np.empty(0, dtype=complex)  # _points[k - 1] == domain.puncture(k)
-        self._tails = np.empty(0)                  # _tails[n - 1] == domain.tail_lower_bound(n)
-        self._size = 0     # published after both arrays hold this many entries
-        self._lock = threading.Lock()
-
-    def known_count(self) -> None:
-        return None
-
-    def puncture(self, k: int) -> complex:
-        if 0 < k <= self._size or self._grow(k):
-            return complex(self._points[k - 1])
-        return self.domain.puncture(k)
-
-    def tail_lower_bound(self, examined: int) -> float:
-        if 0 < examined <= self._size or self._grow(examined):
-            return float(self._tails[examined - 1])
-        return self.domain.tail_lower_bound(examined)
-
-    def chunk(self, start: int, stop: int):
-        """As SequencePunctures.chunk; stop is at most _SEQUENCE_CAP."""
-        self._grow(stop)
-        points = self._points[start:stop]
-        return points.real, points.imag, self._tails[start:stop]
-
-    def _grow(self, needed: int) -> bool:
-        """Hold at least ``needed`` entries; False if that is out of range."""
-        import numpy as np
-
-        if not 0 < needed <= _SEQUENCE_CAP:
-            return False
-        with self._lock:
-            size = self._size
-            if size < needed:
-                target = max(size, 64)
-                while target < needed:
-                    target *= 2
-                target = min(target, _SEQUENCE_CAP)
-                re, im, tails = self.domain.chunk(size, target)
-                points = np.empty(target - size, dtype=complex)
-                points.real, points.imag = re, im
-                self._points = np.concatenate((self._points, points))
-                self._tails = np.concatenate((self._tails, tails))
-                self._size = target
-        return True
 
 
 class _Scan(NamedTuple):
@@ -310,19 +246,22 @@ def grid_cells(domain, reals, imags):
     """Squeezing function at every cell complex(re, im), im outer and re inner:
     the batched form of squeezing_punctured_disk and annulus_squeezing.
 
-    ``domain`` is a FinitePunctures, a listed SequencePunctures, a
-    SequencePrefix over a generated family, or an Annulus.  Returns the
-    values, truncation indices and certified flags as numpy arrays in
-    row-major order.  A cell outside the domain or on a puncture has value
-    NaN.  A cell whose tail is not certified, within _SEQUENCE_CAP punctures
-    or by the tail constant of a listing, gets the minimum over the punctures
-    it examined, their count and False.  Every value is bitwise equal to the
-    scalar result (see _rho_block).
+    ``domain`` is a FinitePunctures, a SequencePunctures or an Annulus.
+    Returns the values, truncation indices and certified flags as numpy
+    arrays in row-major order.  A cell outside the domain or on a puncture
+    has value NaN.  A cell whose tail is not certified, within _SEQUENCE_CAP
+    punctures or by the tail constant of a listing, gets the minimum over the
+    punctures it examined, their count and False.  Every value is bitwise
+    equal to the scalar result (see _rho_block).
 
     Prefix chunks double in size, so that cells which stop early do not pay
     for large chunks; a cell stops at the first index where the tail bound
     exceeds its running minimum, and only open cells go on to the next
-    chunk.  No array holds more than about GRID_BLOCK elements.
+    chunk.  Chunks are the outer loop and groups of open cells the inner
+    one, so a call generates each chunk once, however many cells it has.
+    Kernel temporaries hold at most about GRID_BLOCK elements; the per-cell
+    state (coordinates, running minima, results) scales with the number of
+    cells.
     """
     import numpy as np
 
@@ -656,10 +595,11 @@ def polydisk_squeezing_removed_blocks(domain, z, mesh_tol: float = _DEFAULT_MESH
     inf over blocks of the boundary minimum of the coordinate-max kernel.
 
     Results carry mesh_error such that the true infimum lies within
-    [value - mesh_error, value]; ``mesh_tol`` bounds it for ball blocks, while
-    polydisk blocks are closed forms whose error is their rounding floor.
-    Block sequences are truncated under the same tail certificate as
-    punctures, applied to the innermost block modulus.
+    [value - mesh_error, value], and mesh_error is at most ``mesh_tol``:
+    ball blocks refine until it holds, polydisk blocks are closed forms whose
+    error is their rounding floor, and an error above the tolerance raises
+    CertificationError.  Block sequences are truncated under the same tail
+    certificate as punctures, applied to the innermost block modulus.
     """
     if not isinstance(domain, (RemovedPolydisks, RemovedBalls)):
         raise DomainError(
@@ -675,39 +615,35 @@ def polydisk_squeezing_removed_blocks(domain, z, mesh_tol: float = _DEFAULT_MESH
     if count is not None:
         for k in range(1, count + 1):
             _require_outside_block(domain, z, domain.block(k), k)
-        best_v = math.inf
-        best_low = math.inf
-        best_k = 0
-        for k in range(1, count + 1):
-            v, e = block_min(z, domain.block(k))
-            if v < best_v:
-                best_v, best_k = v, k
-            best_low = min(best_low, v - e)
-        return InvariantValue(best_v, truncation_index=0,
-                              mesh_error=max(best_v - best_low, _MESH_FLOOR),
-                              attained_index=best_k)
-
     best_v = math.inf
     best_low = math.inf
     best_k = 0
     examined = 0
-    while True:
-        if best_k:
+    tail = 0.0
+    while examined != count:
+        if count is None and best_k:
             t = domain.tail_inner_bound(examined)
             if t > anchor and radial_separation_bound(t, anchor) > best_v:
-                return InvariantValue(best_v, truncation_index=examined, tail_bound_used=t,
-                                      mesh_error=max(best_v - best_low, _MESH_FLOOR),
-                                      attained_index=best_k)
+                tail = t
+                break
         if examined >= _SEQUENCE_CAP:
             raise CertificationError(
                 f"block tail bound failed to certify within {_SEQUENCE_CAP} blocks")
         examined += 1
         block = domain.block(examined)
-        _require_outside_block(domain, z, block, examined)
+        if count is None:
+            _require_outside_block(domain, z, block, examined)
         v, e = block_min(z, block)
         if v < best_v:
             best_v, best_k = v, examined
         best_low = min(best_low, v - e)
+    mesh_error = max(best_v - best_low, _MESH_FLOOR)
+    if mesh_error > mesh_tol:
+        raise CertificationError(
+            f"boundary minimization reached mesh error {mesh_error!r}, above the "
+            f"mesh tolerance {mesh_tol:g}")
+    return InvariantValue(best_v, truncation_index=0 if count is not None else examined,
+                          tail_bound_used=tail, mesh_error=mesh_error, attained_index=best_k)
 
 
 def removed_block_display_formula(domain, z) -> float:
@@ -802,42 +738,3 @@ def product_of_balls_ratio_contradiction(n: int) -> VerificationOutcome:
         details=(f"hypothetical values {forced_high!r} (> 1 required impossible) and "
                  f"{forced_low!r} (< lower bound {s!r})"),
     )
-
-
-def annulus_compact_removal_gap(samples: int = 1_000_000) -> VerificationOutcome:
-    """Compare the compact-removal formula with the annulus squeezing function
-    at the reference configuration (removed closed disk of radius 1/4, point 1/2).
-
-    The minimum of rho(1/2, .) over the closed disk |w| <= 1/4 is 2/7
-    (attained at w = 1/4); the annulus value at 1/2 is 1/2.  The positive gap
-    3/14 shows the compact-removal formula does not extend to this planar
-    domain.  The disk minimum is confirmed by a dense polar sample.
-    """
-    analytic = rho(complex(0.5), complex(0.25))
-    sampled = _closed_disk_min_oracle(complex(0.5), 0.25, samples)
-    annulus_val = annulus_squeezing(Annulus(0.25), complex(0.5))
-    gap = annulus_val - analytic
-    passed = (
-        sampled <= analytic + 1e-9
-        and abs(sampled - analytic) <= 1e-4
-        and annulus_val == 0.5
-        and gap > 0.0
-    )
-    return VerificationOutcome(
-        passed,
-        observed=(analytic, sampled, annulus_val, gap),
-        details=(f"disk minimum {analytic!r} (sampled {sampled!r}) vs annulus value "
-                 f"{annulus_val!r}; gap {gap!r}"),
-    )
-
-
-def _closed_disk_min_oracle(z: complex, radius: float, samples: int) -> float:
-    """Deterministic dense polar sample of the closed disk |w| <= radius."""
-    import numpy as np
-
-    m = max(2, 1 << math.ceil(math.log2(math.sqrt(max(samples, 4)))))
-    t = np.arange(m + 1) / m
-    phi = 2.0 * np.pi * np.arange(m) / m
-    w = radius * t[:, None] * np.exp(1j * phi[None, :])
-    vals = np.abs((w - z) / (1.0 - np.conj(z) * w))
-    return float(vals.min())

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .domains import (
+    Annulus,
     Block,
     BoundaryOrbitFamily,
     DomainError,
@@ -199,6 +200,45 @@ def boundary_min_oracle(block: Block, z, samples: int, geometry: str = "polydisk
     raise DomainError(f"unknown block geometry {geometry!r}")
 
 
+def _closed_disk_min_oracle(z: complex, radius: float, samples: int) -> float:
+    """Deterministic dense polar sample of the closed disk |w| <= radius."""
+    import numpy as np
+
+    m = max(2, 1 << math.ceil(math.log2(math.sqrt(max(samples, 4)))))
+    t = np.arange(m + 1) / m
+    phi = 2.0 * np.pi * np.arange(m) / m
+    w = radius * t[:, None] * np.exp(1j * phi[None, :])
+    vals = np.abs((w - z) / (1.0 - np.conj(z) * w))
+    return float(vals.min())
+
+
+def annulus_compact_removal_gap(samples: int = 1_000_000) -> inv.VerificationOutcome:
+    """Compare the compact-removal formula with the annulus squeezing function
+    at the reference configuration (removed closed disk of radius 1/4, point 1/2).
+
+    The minimum of rho(1/2, .) over the closed disk |w| <= 1/4 is 2/7
+    (attained at w = 1/4); the annulus value at 1/2 is 1/2.  The positive gap
+    3/14 shows the compact-removal formula does not extend to this planar
+    domain.  The disk minimum is confirmed by a dense polar sample.
+    """
+    analytic = rho(complex(0.5), complex(0.25))
+    sampled = _closed_disk_min_oracle(complex(0.5), 0.25, samples)
+    annulus_val = inv.annulus_squeezing(Annulus(0.25), complex(0.5))
+    gap = annulus_val - analytic
+    passed = (
+        sampled <= analytic + 1e-9
+        and abs(sampled - analytic) <= 1e-4
+        and annulus_val == 0.5
+        and gap > 0.0
+    )
+    return inv.VerificationOutcome(
+        passed,
+        observed=(analytic, sampled, annulus_val, gap),
+        details=(f"disk minimum {analytic!r} (sampled {sampled!r}) vs annulus value "
+                 f"{annulus_val!r}; gap {gap!r}"),
+    )
+
+
 # ---------------------------------------------------------------------------
 # suites
 # ---------------------------------------------------------------------------
@@ -320,7 +360,7 @@ def claims_suite(seed: int = 42) -> list[VerificationReport]:
             ok = abs(observed - expected) <= tolerance
         reports.append(VerificationReport(name, ok, observed, expected, tolerance, details))
 
-    gap = inv.annulus_compact_removal_gap()
+    gap = annulus_compact_removal_gap()
     analytic, sampled, annulus_val, gap_val = gap.observed
     add("claims/removed-disk-min-analytic", analytic, 2.0 / 7.0, 0.0,
         "min of rho(1/2, .) over the closed disk of radius 1/4, at w = 1/4")

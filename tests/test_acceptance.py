@@ -23,7 +23,6 @@ from squeezefn.domains import (
 )
 from squeezefn.hyperbolic import radial_separation_bound, rho
 from squeezefn.invariants import (
-    annulus_compact_removal_gap,
     fridman_caratheodory_punctured_disk,
     polydisk_squeezing_removed_blocks,
     product_of_balls_T_lower_bound,
@@ -34,6 +33,7 @@ from squeezefn.invariants import (
 )
 from squeezefn.verification import (
     Lcg,
+    annulus_compact_removal_gap,
     brute_force_infimum,
     invariance_suite,
     random_finite_domain,

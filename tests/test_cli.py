@@ -152,6 +152,29 @@ def test_eval_rejects_nonpositive_mesh_tol(domain_file, capsys, tol):
     assert "mesh tolerance must be positive" in capsys.readouterr().err
 
 
+REMOVED_POLYDISKS = [
+    ("listed", {"kind": "removed_polydisks", "n": 2, "blocks": [
+        {"center": [[0.0, 0.0], [0.0, 0.0]], "radius": 0.25}]}, "0.5,0;0,0"),
+    ("family", {"kind": "removed_polydisks", "n": 2, "family": "radial",
+                "q": 0.5, "theta": 1.0, "r0": 0.25}, "0.1,0;0,0.2"),
+]
+
+
+@pytest.mark.parametrize("name, doc, point", REMOVED_POLYDISKS,
+                         ids=[case[0] for case in REMOVED_POLYDISKS])
+def test_eval_polydisk_mesh_tol_below_rounding_floor_exits_5(domain_file, capsys, name, doc, point):
+    # closed-form polydisk minima carry a rounding floor of about 3e-14: a
+    # tighter tolerance cannot be met and must not pass silently
+    path = domain_file(f"{name}.json", doc)
+    argv = ["eval", "--domain", path, f"--point={point}", "--invariant", "polydisk-squeezing"]
+    assert main(argv + ["--mesh-tol=1e-13"]) == 0
+    out = capsys.readouterr().out
+    assert float(out.split("mesh_error ")[1].split()[0]) <= 1e-13
+    assert main(argv + ["--mesh-tol=1e-15"]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "above the mesh tolerance 1e-15" in err
+
+
 HUGE_THETA_DOMAINS = [
     ("radial", {"kind": "sequence", "family": "radial", "q": 0.5}, "0,0", "squeezing"),
     ("orbit", {"kind": "sequence", "family": "boundary_orbit", "c": 0.5, "p": 1.0},

@@ -64,6 +64,10 @@ def test_parse_removed_polydisk_and_overlap_error():
     ('{"kind":"sequence"}', "either 'points' or 'family'"),
     ('{"kind":"sequence","family":"nosuch","q":0.5}', "unknown family"),
     ('{"kind":"sequence","family":"radial","q":0.5}', "needs parameters"),
+    ('{"kind":"sequence","family":["radial"],"q":0.5,"theta":0}', "unknown family"),
+    ('{"kind":"poly_sequence","n":2,"family":"radial","q":0.5}', r"needs parameters \['theta'\]"),
+    ('{"kind":"removed_balls","n":2,"family":"radial","q":0.5,"theta":0,"r0":"x"}',
+     "removed_balls.r0: expected a number"),
     ('{"kind":"sequence","family":"radial","q":1.5,"theta":0}', "q must be in"),
     ('{"kind":"sequence","points":[[0.5,0]],"family":"radial","q":0.5,"theta":0}',
      "unexpected fields"),
@@ -124,8 +128,21 @@ def test_roundtrip_parse_serialize_parse():
     ]
     for doc in docs:
         first = parse_domain_spec(doc)
+        assert serialize_domain_spec(first) == doc
         again = parse_domain_spec(json.loads(json.dumps(serialize_domain_spec(first))))
         assert first == again, doc
+
+
+def test_sequence_kinds_stay_distinct_types():
+    # evaluators route on isinstance: neither sequence type may pass for the other
+    disk = parse_domain_spec({"kind": "sequence", "family": "radial", "q": 0.5, "theta": 1.0})
+    poly = parse_domain_spec({"kind": "poly_sequence", "n": 1, "family": "radial",
+                              "q": 0.5, "theta": 1.0})
+    assert isinstance(disk, SequencePunctures) and not isinstance(disk, PolySequencePunctures)
+    assert isinstance(poly, PolySequencePunctures) and not isinstance(poly, SequencePunctures)
+    assert disk != poly
+    with pytest.raises(DomainError, match="sequence: family dimension 2 != n = 1"):
+        SequencePunctures(family=PolyRadialFamily(2, 0.5, 1.0))
 
 
 @settings(max_examples=100)
@@ -154,6 +171,8 @@ def test_prefix_puncture_access():
     assert d.puncture(2) == complex(0.2)
     with pytest.raises(DomainError, match="no generator"):
         d.puncture(3)
+    with pytest.raises(DomainError, match="must be >= 1"):
+        d.puncture(0)
 
 
 def test_tail_lower_bound_prefix_semantics():

@@ -1,13 +1,11 @@
 """Grid sweeps against a cell-by-cell reference, pinned digests, the batched
-kernel against scalar rho, and the shared sequence prefix."""
+kernel against scalar rho, sequence chunks against scalar punctures, and the
+one-call sweep that generates each chunk of a family once."""
 
 import cmath
 import hashlib
 import json
 import math
-import random
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -15,12 +13,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from squeezefn.cli import GridJob, main, run_grid
-from squeezefn.domains import Annulus, DomainError, RadialFamily, parse_domain_spec
+from squeezefn.domains import Annulus, RadialFamily, SequencePunctures, parse_domain_spec
 from squeezefn.hyperbolic import INTERIOR_MARGIN, PointError, rho
 from squeezefn.invariants import (
     _SEQUENCE_CAP,
     CertificationError,
-    SequencePrefix,
     _rho_block,
     annulus_squeezing,
     fridman_caratheodory_punctured_disk,
@@ -234,107 +231,66 @@ def test_kernel_matches_scalar_rho_bitwise(zs, ws):
         assert [repr(v) for v in row] == [repr(rho(z, w)) for w in ws]
 
 
-# --- the shared prefix view --------------------------------------------------
+# --- sequence chunks and the one-call sweep ----------------------------------
 
 ORBIT = parse_domain_spec(DOMAINS["orbit_c05_p1"])
 
 
-@pytest.mark.parametrize("k", [0, 1, 63, 64, 65, 128, 129, 4097])
-def test_prefix_view_is_bitwise_identical(k):
-    view = SequencePrefix(ORBIT)
-    assert repr(view.tail_lower_bound(k)) == repr(ORBIT.tail_lower_bound(k))
-    if k == 0:
-        with pytest.raises(DomainError):
-            view.puncture(k)
-    else:
-        assert repr(view.puncture(k)) == repr(ORBIT.puncture(k))
-    assert view.known_count() is ORBIT.known_count() is None
+def chunk_rows(domain, start, stop) -> list:
+    """(puncture, tail bound) reprs of indices start+1 .. stop, read from domain.chunk."""
+    re, im, tails = domain.chunk(start, stop)
+    return [(repr(complex(x, y)), repr(t))
+            for x, y, t in zip(re.tolist(), im.tolist(), tails.tolist())]
 
 
-def test_prefix_view_rejects_listed_sequences():
-    listed = parse_domain_spec({"kind": "sequence", "points": [[0.5, 0.0]]})
-    with pytest.raises(DomainError):
-        SequencePrefix(listed)
+def scalar_rows(domain, start, stop) -> list:
+    return [(repr(domain.puncture(k)), repr(domain.tail_lower_bound(k)))
+            for k in range(start + 1, stop + 1)]
 
 
-def test_prefix_view_stops_at_the_sequence_cap():
-    view = SequencePrefix(ORBIT)
-    for k in (_SEQUENCE_CAP - 1, _SEQUENCE_CAP, _SEQUENCE_CAP + 1, 3 * _SEQUENCE_CAP):
-        assert repr(view.puncture(k)) == repr(ORBIT.puncture(k))
-        assert repr(view.tail_lower_bound(k)) == repr(ORBIT.tail_lower_bound(k))
-    assert len(view._points) == len(view._tails) == _SEQUENCE_CAP
+@pytest.mark.parametrize("k", [1, 63, 64, 65, 128, 129, 4097])
+def test_sequence_chunk_is_bitwise_identical(k):
+    # alone, and inside the chunk of a doubling schedule from 64 that holds k
+    assert chunk_rows(ORBIT, k - 1, k) == scalar_rows(ORBIT, k - 1, k)
+    start = 0 if k <= 64 else 1 << ((k - 1).bit_length() - 1)
+    stop = max(64, 2 * start)
+    assert chunk_rows(ORBIT, start, stop)[k - 1 - start] == scalar_rows(ORBIT, k - 1, k)[0]
 
 
-def test_prefix_view_shared_by_threads():
-    # more threads than cores and a short switch interval, so that unlocked
-    # growth would interleave and leave duplicated or misplaced entries
-    view = SequencePrefix(ORBIT)
-    indices = list(range(1, 5001))
-    random.Random(7).shuffle(indices)
-    start = threading.Barrier(4)
-    seen = [None] * 4
-
-    def read(t: int) -> None:
-        start.wait()
-        seen[t] = [(k, repr(view.puncture(k)), repr(view.tail_lower_bound(k)))
-                   for k in indices[t::4]]
-
-    threads = [threading.Thread(target=read, args=(t,)) for t in range(4)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert len(view._points) == len(view._tails) == view._size == 8192
-    for rows in seen:
-        assert len(rows) == 1250
-        for k, point, tail in rows:
-            assert point == repr(ORBIT.puncture(k))
-            assert tail == repr(ORBIT.tail_lower_bound(k))
+def test_sequence_chunk_ends_at_the_sequence_cap():
+    assert chunk_rows(ORBIT, _SEQUENCE_CAP - 3, _SEQUENCE_CAP) == scalar_rows(
+        ORBIT, _SEQUENCE_CAP - 3, _SEQUENCE_CAP)
 
 
-def test_prefix_chunks_shared_by_threads():
-    # concurrent chunk reads grow the arrays under the lock; each must see
-    # exactly the punctures and tail bounds the domain generates
-    view = SequencePrefix(ORBIT)
-    ranges = [(start, start + width) for width in (8, 100, 1000) for start in range(0, 6000, 700)]
-    random.Random(11).shuffle(ranges)
-    start = threading.Barrier(4)
-    failures = []
-
-    def read(t: int) -> None:
-        start.wait()
-        for lo, hi in ranges[t::4]:
-            re, im, tails = view.chunk(lo, hi)
-            points = [complex(x, y) for x, y in zip(re.tolist(), im.tolist())]
-            if (points != [ORBIT.puncture(k) for k in range(lo + 1, hi + 1)]
-                    or tails.tolist() != [ORBIT.tail_lower_bound(k) for k in range(lo + 1, hi + 1)]):
-                failures.append((lo, hi))
-
-    threads = [threading.Thread(target=read, args=(t,)) for t in range(4)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert failures == []
-    assert len(view._points) == len(view._tails) == view._size == 8192
+def test_sequence_chunk_runs_past_the_sequence_cap():
+    # the cap bounds an evaluation, not the family
+    for k in (_SEQUENCE_CAP + 1, 3 * _SEQUENCE_CAP):
+        assert chunk_rows(ORBIT, k - 1, k) == scalar_rows(ORBIT, k - 1, k)
 
 
-def test_prefix_chunk_ends_at_the_sequence_cap():
-    view = SequencePrefix(ORBIT)
-    re, im, tails = view.chunk(_SEQUENCE_CAP - 3, _SEQUENCE_CAP)
-    assert [complex(x, y) for x, y in zip(re.tolist(), im.tolist())] == [
-        ORBIT.puncture(k) for k in range(_SEQUENCE_CAP - 2, _SEQUENCE_CAP + 1)]
-    assert tails.tolist() == [ORBIT.tail_lower_bound(k)
-                              for k in range(_SEQUENCE_CAP - 2, _SEQUENCE_CAP + 1)]
+def test_listed_chunk_ends_with_its_tail_constant():
+    exact = parse_domain_spec({"kind": "sequence", "points": [[0.5, 0.0], [0.0, 0.5]]})
+    bounded = parse_domain_spec({"kind": "sequence", "points": [[0.5, 0.0], [0.0, 0.5]],
+                                 "tail_modulus_constant": 0.9})
+    assert chunk_rows(bounded, 0, 2) == scalar_rows(bounded, 0, 2)
+    # an exhausted listing's last bound is NaN where tail_lower_bound gives None
+    assert chunk_rows(exact, 0, 2) == [("(0.5+0j)", "0.0"), ("0.5j", "nan")]
+
+
+def test_grid_sweep_generates_each_chunk_once(monkeypatch):
+    # one kernel call per sweep: the chunks requested from the family tile
+    # its prefix, so no puncture is generated twice
+    domain = parse_domain_spec(DOMAINS["orbit_c05_p1"])
+    requested = []
+    chunk = SequencePunctures.chunk
+
+    def recording_chunk(self, start, stop):
+        if self is domain:
+            requested.append((start, stop))
+        return chunk(self, start, stop)
+
+    monkeypatch.setattr(SequencePunctures, "chunk", recording_chunk)
+    job = GridJob(domain=domain, rect=RECT, resolution=(100, 100), invariant="squeezing")
+    assert hashlib.sha256(run_grid(job).encode()).hexdigest() == DIGESTS[("orbit_c05_p1", 100)]
+    assert len(requested) > 1
+    assert [start for start, _ in requested] == [0] + [stop for _, stop in requested[:-1]]
