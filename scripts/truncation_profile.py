@@ -1,8 +1,12 @@
 #!/usr/bin/env python3
 """Profile how deep the certified truncation has to look as the query point
-approaches the boundary, for the built-in sequence families."""
+approaches the boundary, for the built-in sequence families, and what each
+evaluation costs: its wall time (best of --repeat runs, after one run that
+loads numpy) and that time per examined puncture."""
 
 import argparse
+import math
+import time
 
 from squeezefn.domains import BoundaryOrbitFamily, RadialFamily, SequencePunctures
 from squeezefn.hyperbolic import radial_separation_bound
@@ -19,17 +23,27 @@ FAMILIES = {
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--steps", type=int, default=12)
+    parser.add_argument("--repeat", type=int, default=3)
     args = parser.parse_args()
+    if args.repeat < 1:
+        parser.error("--repeat must be at least 1")
 
-    print(f"{'family':>16}  {'|z|':>8}  {'value':>12}  {'stop N':>6}  {'tail bound':>10}")
+    print(f"{'family':>16}  {'|z|':>8}  {'value':>12}  {'stop N':>6}  {'tail bound':>10}  "
+          f"{'ms':>8}  {'ns/punct':>8}")
     for name, domain in FAMILIES.items():
         for i in range(args.steps):
             mod = 1.0 - 0.5 ** (i + 1)
             z = complex(-mod, 0.0)  # opposite side of the first punctures
             res = squeezing_punctured_disk(domain, z)
+            ns = math.inf
+            for _ in range(args.repeat):
+                t0 = time.perf_counter_ns()
+                squeezing_punctured_disk(domain, z)
+                ns = min(ns, time.perf_counter_ns() - t0)
             tail = radial_separation_bound(res.tail_bound_used, mod)
             print(f"{name:>16}  {mod:8.5f}  {res.value:12.8f}  "
-                  f"{res.truncation_index:6d}  {tail:10.6f}")
+                  f"{res.truncation_index:6d}  {tail:10.6f}  "
+                  f"{ns / 1e6:8.3f}  {ns / res.truncation_index:8.0f}")
     return 0
 
 

@@ -80,8 +80,8 @@ def _require_finite(what: str, **params) -> None:
 
 def _require_angle(what: str, theta: float) -> None:
     """theta * k must be finite for every generated index k <= _TAIL_LIMIT_INDEX
-    (the engine stops far below it): cmath.exp and math.cos raise ValueError
-    on an infinite angle."""
+    (the engine stops far below it): cmath.exp raises ValueError on an
+    infinite angle."""
     _require_finite(what, theta=theta)
     if not math.isfinite(theta * _TAIL_LIMIT_INDEX):
         raise DomainError(f"{what}: theta * k overflows for indices up to "
@@ -92,35 +92,34 @@ def _require_angle(what: str, theta: float) -> None:
 # a_stop and the tail bounds m(start+1) .. m(stop), as numpy arrays, bitwise
 # equal to point(k) and tail_modulus(n).  m(n) is the modulus factor of
 # a_(n+1), so one power per index serves both.  numpy does only + - * /, in
-# the order CPython 3.10-3.13 does them; the transcendentals are the libm
-# calls of math.pow, math.cos and math.sin, the ones k**p, q**k and cmath.exp
-# make.  (numpy's own power, cos and sin may differ in the last ulp.)
+# the order CPython 3.10-3.13 does them; the transcendentals are math.pow, the
+# libm call of k**p and q**k, and cmath.exp itself.  (numpy's own power and
+# exp may differ in the last ulp.)
 
 
-def _polar_chunk(moduli, theta: float, start: int):
-    """moduli[i] * cmath.exp(1j * theta * k) for k = start+1+i, step by step:
-    1j * theta is _Py_c_prod((0, 1), (theta, 0)), times k is _Py_c_prod with
-    (k, 0), cmath.exp(x + iy) is (exp(x) cos y, exp(x) sin y), and the float
-    modulus times e is _Py_c_prod((modulus, 0), e).  For finite theta, x is
-    +-0, so exp(x) is exactly 1.0 and its products are the identity."""
+def _polar_chunk(moduli, theta: float, k):
+    """moduli[i] * cmath.exp(1j * theta * k[i]) for float indices k, step by
+    step: 1j * theta is _Py_c_prod((0, 1), (theta, 0)), times k is _Py_c_prod
+    with (k, 0), and the float modulus times e is _Py_c_prod((modulus, 0), e)."""
     import numpy as np
 
     size = len(moduli)
-    k = np.arange(start + 1, start + 1 + size, dtype=float)
     wr = 0.0 * theta - 1.0 * 0.0
     wi = 0.0 * 0.0 + 1.0 * theta
-    y = (wr * 0.0 + wi * k).tolist()
-    er = np.fromiter(map(math.cos, y), float, size)
-    ei = np.fromiter(map(math.sin, y), float, size)
-    return moduli * er - 0.0 * ei, moduli * ei + 0.0 * er
+    angles = np.empty(size, dtype=complex)
+    angles.real = wr * k - wi * 0.0
+    angles.imag = wr * 0.0 + wi * k
+    e = np.fromiter(map(cmath.exp, angles.tolist()), complex, size)
+    return moduli * e.real - 0.0 * e.imag, moduli * e.imag + 0.0 * e.real
 
 
 def _radial_chunk(q: float, theta: float, start: int, stop: int):
     import numpy as np
 
-    powers = map(math.pow, itertools.repeat(q), range(start + 1, stop + 2))  # q**k
-    moduli = 1.0 - np.fromiter(powers, float, stop - start + 1)
-    return (*_polar_chunk(moduli[:-1], theta, start), moduli[1:])
+    k = np.arange(start + 1, stop + 2, dtype=float)
+    powers = map(math.pow, itertools.repeat(q), k.tolist())  # q**k
+    moduli = 1.0 - np.fromiter(powers, float, k.size)
+    return (*_polar_chunk(moduli[:-1], theta, k[:-1]), moduli[1:])
 
 
 def _radial_tail_index(q: float, level: float) -> int:
@@ -188,9 +187,10 @@ class BoundaryOrbitFamily:
     def chunk(self, start: int, stop: int):
         import numpy as np
 
-        powers = map(math.pow, range(start + 1, stop + 2), itertools.repeat(self.p))  # k**p
-        moduli = 1.0 - self.c / np.fromiter(powers, float, stop - start + 1)
-        return (*_polar_chunk(moduli[:-1], self.theta, start), moduli[1:])
+        k = np.arange(start + 1, stop + 2, dtype=float)
+        powers = map(math.pow, k.tolist(), itertools.repeat(self.p))  # k**p
+        moduli = 1.0 - self.c / np.fromiter(powers, float, k.size)
+        return (*_polar_chunk(moduli[:-1], self.theta, k[:-1]), moduli[1:])
 
     def tail_index(self, level: float) -> int:
         """About the smallest n with tail_modulus(n) > level, for level < 1."""
@@ -240,6 +240,15 @@ class PolyRadialFamily:
 
     def params(self) -> dict:
         return {"q": self.q, "theta": self.theta}
+
+
+def _require_family(kind: str, family, n: int) -> None:
+    """``family`` must be of dimension n and of a class the parser pairs with
+    ``kind`` (_FAMILIES)."""
+    if family.n != n:
+        raise DomainError(f"{kind}: family dimension {family.n} != n = {n}")
+    if not isinstance(family, tuple(cls for (k, _), (cls, _) in _FAMILIES.items() if k == kind)):
+        raise DomainError(f"{kind}: {type(family).__name__} is not a {kind} family")
 
 
 def _validate_family(family) -> None:
@@ -308,8 +317,7 @@ class _Sequence:
             if self.tail_constant is not None:
                 raise DomainError(f"{kind}: a family carries its own tail bound; "
                                   "tail_modulus_constant is not allowed")
-            if self.family.n != self.n:
-                raise DomainError(f"{kind}: family dimension {self.family.n} != n = {self.n}")
+            _require_family(kind, self.family, self.n)
             _validate_family(self.family)
             return
         object.__setattr__(self, "prefix", self._read_points())
@@ -488,8 +496,7 @@ def _validate_blocks(n: int, blocks, family, metric, what: str) -> tuple[Block, 
     if family is None and not blocks:
         raise DomainError(f"{what}: empty block list")
     if family is not None:
-        if family.n != n:
-            raise DomainError(f"{what}: family dimension {family.n} != n = {n}")
+        _require_family(what, family, n)
         check = [family.block(k) for k in range(1, _BLOCK_FAMILY_CHECK + 1)]
         last = 0.0
         for idx in _TAIL_CHECK_GRID:

@@ -380,14 +380,13 @@ def lower_bound_certificate(domain, z: complex, claimed: float) -> VerificationO
     z = require_interior_point(z)
     if not 0.0 < claimed < 1.0:
         raise DomainError(f"claimed bound must be in (0, 1), got {claimed!r}")
-    floor = claimed - 1e-12  # slack
     anchor = abs(z)
 
     if isinstance(domain, FinitePunctures):
         punctures = domain.punctures
         for k, a in enumerate(punctures, 1):
             fa = rho(z, a)
-            if fa < floor:
+            if fa < claimed:
                 return VerificationOutcome(False, observed=(fa,), violating_index=k,
                                            details=f"puncture {k} image modulus {fa!r} < {claimed!r}")
         return VerificationOutcome(True, observed=(claimed,),
@@ -395,13 +394,13 @@ def lower_bound_certificate(domain, z: complex, claimed: float) -> VerificationO
     if not isinstance(domain, SequencePunctures):
         raise DomainError(f"lower_bound_certificate does not apply to {type(domain).__name__}")
 
-    # the tail covers the claim when its separation bound is >= floor, which
-    # for floats is > the next float below floor: the stop rule's strict test
-    cover = math.nextafter(floor, -math.inf)
+    # the tail covers the claim when its separation bound is >= claimed, which
+    # for floats is > the next float below it: the stop rule's strict test
+    cover = math.nextafter(claimed, -math.inf)
     count = domain.known_count()
     m = domain.tail_lower_bound(0)
     scan = (_Scan(0, m, math.inf, 0) if _tail_stops(m, anchor, cover)
-            else _scan(domain, z, anchor, floor, cover, min(count or _SEQUENCE_CAP, _SEQUENCE_CAP)))
+            else _scan(domain, z, anchor, claimed, cover, min(count or _SEQUENCE_CAP, _SEQUENCE_CAP)))
     if scan.bad is not None:
         return VerificationOutcome(False, observed=(scan.bad,), violating_index=scan.examined,
                                    details=f"puncture {scan.examined} image modulus "

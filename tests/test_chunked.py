@@ -3,12 +3,14 @@ and against a per-puncture reference loop kept here."""
 
 import cmath
 import math
+import sys
 
 import pytest
 from hypothesis import HealthCheck, example, given, reject, settings
 from hypothesis import strategies as st
 
 from squeezefn.domains import (
+    _TAIL_LIMIT_INDEX,
     BoundaryOrbitFamily,
     DomainError,
     PolyRadialFamily,
@@ -76,6 +78,46 @@ def test_family_chunk_is_bitwise_point_and_tail(family, window):
         assert bits(float(tails[i])) == bits(family.tail_modulus(k)), k
 
 
+# cmath.exp at huge arguments: any theta the parser accepts (theta * k finite
+# for every k <= _TAIL_LIMIT_INDEX), at indices up to _TAIL_LIMIT_INDEX
+HUGE_THETA = sys.float_info.max / _TAIL_LIMIT_INDEX
+while not math.isfinite(HUGE_THETA * _TAIL_LIMIT_INDEX):
+    HUGE_THETA = math.nextafter(HUGE_THETA, 0.0)
+
+
+def or_reject(cls):
+    def build(*args):
+        try:
+            return cls(*args)
+        except DomainError:  # e.g. two of the first 64 points closer than the floor
+            reject()
+    return build
+
+
+huge_thetas = st.one_of(st.sampled_from([1e302, -1e302, HUGE_THETA, -HUGE_THETA, -0.0, 1e15]),
+                        st.floats(-HUGE_THETA, HUGE_THETA))
+unit_params = st.floats(1e-3, 1.0, exclude_max=True)
+huge_families = st.one_of(
+    st.builds(or_reject(RadialFamily), unit_params, huge_thetas),
+    st.builds(or_reject(BoundaryOrbitFamily), unit_params, st.floats(0.05, 6.0), huge_thetas),
+    st.builds(or_reject(PolyRadialFamily), st.integers(1, 3), unit_params, huge_thetas),
+)
+far_windows = st.tuples(st.one_of(st.integers(0, _TAIL_LIMIT_INDEX),
+                                  st.integers(_TAIL_LIMIT_INDEX - 40, _TAIL_LIMIT_INDEX)),
+                        st.integers(1, 40)).map(
+    lambda w: (min(w[0], _TAIL_LIMIT_INDEX - w[1]), w[1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(huge_families, far_windows)
+@example(RadialFamily(q=0.5, theta=1e302), (_TAIL_LIMIT_INDEX - 40, 40))
+@example(BoundaryOrbitFamily(c=0.5, p=1.0, theta=-HUGE_THETA), (_TAIL_LIMIT_INDEX - 8, 8))
+@example(PolyRadialFamily(n=2, q=0.5, theta=-0.0), (_TAIL_LIMIT_INDEX - 3, 3))
+def test_family_chunk_is_bitwise_point_and_tail_at_huge_angles(family, window):
+    # the same comparison as above, over windows ending at most at _TAIL_LIMIT_INDEX
+    test_family_chunk_is_bitwise_point_and_tail.hypothesis.inner_test(family, window)
+
+
 # --- the chunked evaluators against the per-puncture loop ---------------------
 
 
@@ -123,7 +165,7 @@ def reference_squeezing(domain, z):
 def reference_certificate(domain, z, claimed):
     """(passed, observed, violating_index, details) of the per-puncture loop."""
     z = require_interior_point(z)
-    floor, anchor = claimed - 1e-12, abs(z)
+    floor, anchor = claimed, abs(z)
     count = domain.known_count()
     examined = 0
     while True:
@@ -198,6 +240,25 @@ def test_deep_reference_points_match_the_per_puncture_loop(doc, z):
     check_against_reference(parse_domain_spec(doc), complex(z) if not isinstance(z, tuple) else z)
 
 
+P2 = {"kind": "sequence", "family": "boundary_orbit", "c": 0.5, "p": 2.0, "theta": 2.3}
+DEEP_PINS = [  # (doc, z, value, truncation_index, tail_bound_used, attained_index)
+    (P1, -0.99, 0.27391460456383976, 87, 0.9943181818181818, 56),
+    (P1, -0.999, 0.7861437720583139, 4174, 0.9998802395209581, 4151),
+    (P1, -0.9999, 0.33109768016428426, 9949, 0.9999497487437186, 4151),
+    (P1, -0.99999, 0.4369645238913424, 127608, 0.9999960817810656, 126878),
+    (P2, -0.99999, 0.9998865282136178, 29685, 0.9999999994326296, 56),
+]
+
+
+@pytest.mark.parametrize("doc, z, value, index, tail, attained", DEEP_PINS,
+                         ids=[f"p{d['p']:g}-{z}" for d, z, *_ in DEEP_PINS])
+def test_deep_reference_points_are_pinned(doc, z, value, index, tail, attained):
+    # pinned values catch drift that point(k) and the chunks would share
+    got = squeezing_punctured_disk(parse_domain_spec(doc), complex(z))
+    assert (repr(got.value), got.truncation_index, repr(got.tail_bound_used),
+            got.mesh_error, got.attained_index) == (repr(value), index, repr(tail), 0.0, attained)
+
+
 def test_sequence_cap_matches_the_per_puncture_loop():
     domain = parse_domain_spec(P1)
     z = complex(-0.999999, 0.0)
@@ -255,14 +316,8 @@ def test_chunked_polydisk_matches_the_per_puncture_loop(data, n):
 
 
 def claim_with_floor(floor: float) -> float:
-    """A claim whose certificate floor, claim - 1e-12, is exactly ``floor``."""
-    claimed = floor + 1e-12
-    while claimed - 1e-12 < floor:
-        claimed = math.nextafter(claimed, 1.0)
-    while claimed - 1e-12 > floor:
-        claimed = math.nextafter(claimed, 0.0)
-    assert claimed - 1e-12 == floor
-    return claimed
+    """A claim whose certificate floor is exactly ``floor``: the claim itself."""
+    return floor
 
 
 @pytest.mark.parametrize("step", [-1, 0, 1])

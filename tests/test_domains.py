@@ -270,3 +270,19 @@ def test_annulus_and_product_validation():
         Annulus(0.0)
     with pytest.raises(DomainError):
         ProductOfBalls(0)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: SequencePunctures(family=PolyRadialFamily(1, 0.5, 1.0)),
+     "sequence: PolyRadialFamily is not a sequence family"),
+    (lambda: PolySequencePunctures(n=1, family=RadialFamily(0.5, 1.0)),
+     "poly_sequence: RadialFamily is not a poly_sequence family"),
+    (lambda: PolySequencePunctures(n=1, family=BoundaryOrbitFamily(0.5, 1.0, 1.0)),
+     "poly_sequence: BoundaryOrbitFamily is not a poly_sequence family"),
+    (lambda: RemovedPolydisks(n=2, family=PolyRadialFamily(2, 0.5, 1.0)),
+     "removed_polydisks: PolyRadialFamily is not a removed_polydisks family"),
+], ids=["disk-poly-family", "poly-disk-family", "poly-orbit-family", "blocks-poly-family"])
+def test_domain_rejects_a_family_of_another_kind(build, message):
+    # the dimensions agree; only the parser's (kind, family) table tells them apart
+    with pytest.raises(DomainError, match=message):
+        build()

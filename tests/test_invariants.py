@@ -311,3 +311,14 @@ def test_ratio_contradictions():
         assert forced_low == pytest.approx(n**-1.5, abs=1e-15)
     with pytest.raises(DomainError):
         product_of_balls_ratio_contradiction(1)
+
+
+@pytest.mark.parametrize("domain", [FinitePunctures((complex(0.5),)), SequencePunctures(
+    family=RadialFamily(q=0.5, theta=1.0))], ids=["finite", "radial-q05"])
+def test_certificate_rejects_a_claim_just_above_the_value(domain):
+    # the infimum at 0 is 0.5 on both; a claim 5e-13 above it is false
+    assert squeezing_punctured_disk(domain, 0j).value == 0.5
+    out = lower_bound_certificate(domain, 0j, 0.5 + 5e-13)
+    assert not out.passed
+    assert out.violating_index == 1
+    assert lower_bound_certificate(domain, 0j, 0.5).passed
