@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Profile how deep the certified truncation has to look as the query point
 approaches the boundary, for the built-in sequence families, and what each
-evaluation costs: its wall time (best of --repeat runs, after one run that
+evaluation costs: its wall time (best of REPEAT runs, after one run that
 loads numpy) and that time per examined puncture."""
 
 import argparse
@@ -18,15 +18,13 @@ FAMILIES = {
     "orbit c=0.5 p=2": SequencePunctures(family=BoundaryOrbitFamily(c=0.5, p=2.0, theta=2.3)),
     "orbit c=0.5 p=1": SequencePunctures(family=BoundaryOrbitFamily(c=0.5, p=1.0, theta=2.3)),
 }
+REPEAT = 3
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--steps", type=int, default=12)
-    parser.add_argument("--repeat", type=int, default=3)
     args = parser.parse_args()
-    if args.repeat < 1:
-        parser.error("--repeat must be at least 1")
 
     print(f"{'family':>16}  {'|z|':>8}  {'value':>12}  {'stop N':>6}  {'tail bound':>10}  "
           f"{'ms':>8}  {'ns/punct':>8}")
@@ -36,7 +34,7 @@ def main() -> int:
             z = complex(-mod, 0.0)  # opposite side of the first punctures
             res = squeezing_punctured_disk(domain, z)
             ns = math.inf
-            for _ in range(args.repeat):
+            for _ in range(REPEAT):
                 t0 = time.perf_counter_ns()
                 squeezing_punctured_disk(domain, z)
                 ns = min(ns, time.perf_counter_ns() - t0)

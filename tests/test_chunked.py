@@ -165,14 +165,14 @@ def reference_squeezing(domain, z):
 def reference_certificate(domain, z, claimed):
     """(passed, observed, violating_index, details) of the per-puncture loop."""
     z = require_interior_point(z)
-    floor, anchor = claimed, abs(z)
+    anchor = abs(z)
     count = domain.known_count()
     examined = 0
     while True:
         m = domain.tail_lower_bound(examined)
         if m is None:
             return True, (claimed,), None, f"all {examined} punctures covered, no tail"
-        if m > anchor and radial_separation_bound(m, anchor) >= floor:
+        if m > anchor and radial_separation_bound(m, anchor) >= claimed:
             return (True, (m,), None,
                     f"examined {examined} punctures; tail bound m = {m!r} covers the rest")
         if count is not None and examined >= count:
@@ -182,7 +182,7 @@ def reference_certificate(domain, z, claimed):
                     f"tail failed to cover within {_SEQUENCE_CAP} punctures")
         examined += 1
         fa = rho(z, domain.puncture(examined))
-        if fa < floor:
+        if fa < claimed:
             return (False, (fa,), examined,
                     f"puncture {examined} image modulus {fa!r} < {claimed!r}")
 
@@ -315,11 +315,6 @@ def test_chunked_polydisk_matches_the_per_puncture_loop(data, n):
     check_against_reference(domain, z)
 
 
-def claim_with_floor(floor: float) -> float:
-    """A claim whose certificate floor is exactly ``floor``: the claim itself."""
-    return floor
-
-
 @pytest.mark.parametrize("step", [-1, 0, 1])
 @pytest.mark.parametrize("domain, m", [
     # at the origin: m(0) = 1 - 0.3 of the radial family, checked before any puncture
@@ -329,7 +324,6 @@ def claim_with_floor(floor: float) -> float:
 ], ids=["family-m0", "listed-tail"])
 def test_certificate_tail_covers_exactly_at_the_floor(domain, m, step):
     floor = {-1: math.nextafter(m, 0.0), 0: m, 1: math.nextafter(m, 1.0)}[step]
-    claimed = claim_with_floor(floor)
-    got = certificate(domain, 0j, claimed)
-    assert got == reference_certificate(domain, 0j, claimed)
+    got = certificate(domain, 0j, floor)
+    assert got == reference_certificate(domain, 0j, floor)
     assert got[0] is (m >= floor)
