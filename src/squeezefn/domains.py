@@ -55,16 +55,36 @@ def _check_point_list(points, what: str) -> tuple[complex, ...]:
     pts = tuple(_ingest_point(p, f"{what} entry") for p in points)
     if not pts:
         raise DomainError(f"{what}: empty point list")
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            d = abs(pts[i] - pts[j])
-            if d == 0.0:
-                raise DomainError(f"{what}: entries {i} and {j} are identical")
-            if d < PAIR_SEPARATION:
-                raise DomainError(
-                    f"{what}: entries {i} and {j} are closer than {PAIR_SEPARATION:g}"
-                )
+    _require_separated(pts, f"{what}: entries")
     return pts
+
+
+def _require_separated(points, what: str, first: int = 0) -> None:
+    """No two points closer than PAIR_SEPARATION: planar points by modulus,
+    n-tuples in the sup norm.  The pair reported is the first (i, j), i < j,
+    in double-loop order, numbered from ``first``.
+
+    A pair closer than PAIR_SEPARATION differs by under 2n * PAIR_SEPARATION
+    in the sum of all real and imaginary parts, so after sorting by that sum
+    only neighbours within the window are compared."""
+    planar = not isinstance(points[0], tuple)
+    window = 2 * (1 if planar else len(points[0])) * PAIR_SEPARATION
+    keyed = sorted((p.real + p.imag if planar else sum(c.real + c.imag for c in p), i)
+                   for i, p in enumerate(points))
+    worst = None  # (i, j, gap) of the first close pair in double-loop order
+    for a, (key, i) in enumerate(keyed):
+        b = a + 1
+        while b < len(keyed) and keyed[b][0] - key < window:
+            pair = tuple(sorted((i, keyed[b][1])))
+            b += 1
+            p, q = points[pair[0]], points[pair[1]]
+            gap = abs(p - q) if planar else max(abs(x - y) for x, y in zip(p, q))
+            if gap < PAIR_SEPARATION and (worst is None or pair < worst[:2]):
+                worst = (*pair, gap)
+    if worst is not None:
+        i, j, gap = worst
+        close = "identical" if gap == 0.0 else f"closer than {PAIR_SEPARATION:g}"
+        raise DomainError(f"{what} {i + first} and {j + first} are {close}")
 
 
 # ---------------------------------------------------------------------------
@@ -113,50 +133,49 @@ def _polar_chunk(moduli, theta: float, k):
     return moduli * e.real - 0.0 * e.imag, moduli * e.imag + 0.0 * e.real
 
 
-def _radial_chunk(q: float, theta: float, start: int, stop: int):
-    import numpy as np
+class _RadialLaw:
+    """The radial law a_k = (1 - q^k) e^{i k theta}, 0 < q < 1, with tail bound
+    m(N) = 1 - q^(N+1), shared by the radial puncture and block families; a
+    subclass declares the fields q and theta and names itself in errors as
+    ``_what``."""
 
-    k = np.arange(start + 1, stop + 2, dtype=float)
-    powers = map(math.pow, itertools.repeat(q), k.tolist())  # q**k
-    moduli = 1.0 - np.fromiter(powers, float, k.size)
-    return (*_polar_chunk(moduli[:-1], theta, k[:-1]), moduli[1:])
+    _what = "radial family"
 
+    def __post_init__(self):
+        if not 0.0 < self.q < 1.0:
+            raise DomainError(f"{self._what}: q must be in (0, 1), got {self.q!r}")
+        _require_angle(self._what, self.theta)
 
-def _radial_tail_index(q: float, level: float) -> int:
-    # 1 - q^(n+1) > level  iff  n + 1 > log(1 - level) / log(q)
-    return int(math.log1p(-level) / math.log(q)) + 1
+    def _lead(self, k: int) -> complex:
+        return (1.0 - self.q**k) * cmath.exp(1j * self.theta * k)
+
+    def _lead_chunk(self, start: int, stop: int):
+        import numpy as np
+
+        k = np.arange(start + 1, stop + 2, dtype=float)
+        powers = map(math.pow, itertools.repeat(self.q), k.tolist())  # q**k
+        moduli = 1.0 - np.fromiter(powers, float, k.size)
+        return (*_polar_chunk(moduli[:-1], self.theta, k[:-1]), moduli[1:])
+
+    def tail_modulus(self, examined: int) -> float:
+        return 1.0 - self.q ** (examined + 1)
+
+    def tail_index(self, level: float) -> int:
+        """About the smallest n with tail_modulus(n) > level, for level < 1."""
+        # 1 - q^(n+1) > level  iff  n + 1 > log(1 - level) / log(q)
+        return int(math.log1p(-level) / math.log(self.q)) + 1
 
 
 @dataclass(frozen=True)
-class RadialFamily:
+class RadialFamily(_RadialLaw):
     """a_k = (1 - q^k) e^{i k theta} with 0 < q < 1; tail bound m(N) = 1 - q^(N+1)."""
 
     q: float
     theta: float
 
-    kind = "radial"
     n = 1
-
-    def __post_init__(self):
-        if not 0.0 < self.q < 1.0:
-            raise DomainError(f"radial family: q must be in (0, 1), got {self.q!r}")
-        _require_angle("radial family", self.theta)
-
-    def point(self, k: int) -> complex:
-        return (1.0 - self.q**k) * cmath.exp(1j * self.theta * k)
-
-    def tail_modulus(self, examined: int) -> float:
-        return 1.0 - self.q ** (examined + 1)
-
-    def chunk(self, start: int, stop: int):
-        return _radial_chunk(self.q, self.theta, start, stop)
-
-    def tail_index(self, level: float) -> int:
-        """About the smallest n with tail_modulus(n) > level, for level < 1."""
-        return _radial_tail_index(self.q, level)
-
-    def params(self) -> dict:
-        return {"q": self.q, "theta": self.theta}
+    point = _RadialLaw._lead
+    chunk = _RadialLaw._lead_chunk
 
 
 @dataclass(frozen=True)
@@ -167,7 +186,6 @@ class BoundaryOrbitFamily:
     p: float
     theta: float
 
-    kind = "boundary_orbit"
     n = 1
 
     def __post_init__(self):
@@ -197,49 +215,32 @@ class BoundaryOrbitFamily:
         # 1 - c/(n+1)^p > level  iff  n + 1 > (c / (1 - level))^(1/p)
         return int(math.exp(min((math.log(self.c) - math.log1p(-level)) / self.p, 700.0))) + 1
 
-    def params(self) -> dict:
-        return {"c": self.c, "p": self.p, "theta": self.theta}
-
 
 @dataclass(frozen=True)
-class PolyRadialFamily:
+class PolyRadialFamily(_RadialLaw):
     """First coordinate follows the radial family, remaining coordinates are 0."""
 
     n: int
     q: float
     theta: float
 
-    kind = "radial"
-
     def __post_init__(self):
-        if not 0.0 < self.q < 1.0:
-            raise DomainError(f"radial family: q must be in (0, 1), got {self.q!r}")
         if self.n < 1:
             raise DomainError(f"radial family: dimension must be >= 1, got {self.n!r}")
-        _require_angle("radial family", self.theta)
+        super().__post_init__()
 
     def point(self, k: int) -> tuple[complex, ...]:
-        lead = (1.0 - self.q**k) * cmath.exp(1j * self.theta * k)
-        return (lead,) + (0j,) * (self.n - 1)
-
-    def tail_modulus(self, examined: int) -> float:
-        return 1.0 - self.q ** (examined + 1)
+        return (self._lead(k),) + (0j,) * (self.n - 1)
 
     def chunk(self, start: int, stop: int):
         """As RadialFamily.chunk, with points as (n, stop - start) arrays."""
         import numpy as np
 
-        re, im, tails = _radial_chunk(self.q, self.theta, start, stop)
+        re, im, tails = self._lead_chunk(start, stop)
         coords_re = np.zeros((self.n, stop - start))
         coords_im = np.zeros((self.n, stop - start))
         coords_re[0], coords_im[0] = re, im
         return coords_re, coords_im, tails
-
-    def tail_index(self, level: float) -> int:
-        return _radial_tail_index(self.q, level)
-
-    def params(self) -> dict:
-        return {"q": self.q, "theta": self.theta}
 
 
 def _require_family(kind: str, family, n: int) -> None:
@@ -251,33 +252,20 @@ def _require_family(kind: str, family, n: int) -> None:
         raise DomainError(f"{kind}: {type(family).__name__} is not a {kind} family")
 
 
-def _validate_family(family) -> None:
+def _check_tail(bound, what: str) -> None:
+    """A family's tail bound (tail_modulus or tail_inner_modulus) must be
+    nondecreasing in [0, 1] on _TAIL_CHECK_GRID and exceed _TAIL_LIMIT_FLOOR
+    at _TAIL_LIMIT_INDEX."""
     last = 0.0
     for n in _TAIL_CHECK_GRID:
-        m = family.tail_modulus(n)
-        if not 0.0 < m <= 1.0:
-            raise DomainError(f"tail bound m({n}) = {m!r} outside (0, 1]")
-        if m < last:
-            raise DomainError(f"tail bound decreases between indices (m({n}) = {m!r})")
+        m = bound(n)
+        if not last <= m <= 1.0:
+            raise DomainError(f"{what} must be nondecreasing in [0, 1], got m({n}) = {m!r}")
         last = m
-    if family.tail_modulus(_TAIL_LIMIT_INDEX) <= _TAIL_LIMIT_FLOOR:
-        raise DomainError(
-            "tail bound does not converge to 1: "
-            f"m({_TAIL_LIMIT_INDEX}) = {family.tail_modulus(_TAIL_LIMIT_INDEX)!r} <= {_TAIL_LIMIT_FLOOR}"
-        )
-    pts = [family.point(k) for k in range(1, _FAMILY_DISTINCT_PREFIX + 1)]
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if _point_gap(pts[i], pts[j]) < PAIR_SEPARATION:
-                raise DomainError(
-                    f"family points {i + 1} and {j + 1} are closer than {PAIR_SEPARATION:g}"
-                )
-
-
-def _point_gap(a, b) -> float:
-    if isinstance(a, tuple):
-        return max(abs(x - y) for x, y in zip(a, b))
-    return abs(a - b)
+    m = bound(_TAIL_LIMIT_INDEX)
+    if m <= _TAIL_LIMIT_FLOOR:
+        raise DomainError(f"{what} does not converge to 1: "
+                          f"m({_TAIL_LIMIT_INDEX}) = {m!r} <= {_TAIL_LIMIT_FLOOR}")
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +306,9 @@ class _Sequence:
                 raise DomainError(f"{kind}: a family carries its own tail bound; "
                                   "tail_modulus_constant is not allowed")
             _require_family(kind, self.family, self.n)
-            _validate_family(self.family)
+            _check_tail(self.family.tail_modulus, "tail bound")
+            _require_separated([self.family.point(k) for k in range(1, _FAMILY_DISTINCT_PREFIX + 1)],
+                               "family points", first=1)
             return
         object.__setattr__(self, "prefix", self._read_points())
         if self.tail_constant is not None and not 0.0 < self.tail_constant < 1.0:
@@ -417,12 +407,7 @@ class PolySequencePunctures(_Sequence):
             pts.append(p)
         if not pts:
             raise DomainError("poly_sequence: empty point list")
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                if _point_gap(pts[i], pts[j]) < PAIR_SEPARATION:
-                    raise DomainError(
-                        f"poly points {i} and {j} are closer than {PAIR_SEPARATION:g}"
-                    )
+        _require_separated(pts, "poly points")
         return tuple(pts)
 
 
@@ -447,7 +432,7 @@ class Block:
 
 
 @dataclass(frozen=True)
-class RadialBlockFamily:
+class RadialBlockFamily(_RadialLaw):
     """Blocks centered at ((1 - q^k) e^{i k theta}, 0, ..., 0) with radii r0 q^k.
 
     tail_inner_modulus(N) bounds max_j |center_j| - radius from below over all
@@ -460,26 +445,20 @@ class RadialBlockFamily:
     theta: float
     r0: float
 
-    kind = "radial"
+    _what = "block family"
 
     def __post_init__(self):
         if self.n < 2:
             raise DomainError(f"block family: dimension must be >= 2, got {self.n!r}")
-        if not 0.0 < self.q < 1.0:
-            raise DomainError(f"block family: q must be in (0, 1), got {self.q!r}")
+        super().__post_init__()
         if not 0.0 < self.r0 < 1.0:
             raise DomainError(f"block family: r0 must be in (0, 1), got {self.r0!r}")
-        _require_angle("block family", self.theta)
 
     def block(self, k: int) -> Block:
-        lead = (1.0 - self.q**k) * cmath.exp(1j * self.theta * k)
-        return Block((lead,) + (0j,) * (self.n - 1), self.r0 * self.q**k)
+        return Block((self._lead(k),) + (0j,) * (self.n - 1), self.r0 * self.q**k)
 
     def tail_inner_modulus(self, examined: int) -> float:
         return max(0.0, 1.0 - (1.0 + self.r0) * self.q ** (examined + 1))
-
-    def params(self) -> dict:
-        return {"q": self.q, "theta": self.theta, "r0": self.r0}
 
 
 def sup_distance(a, b) -> float:
@@ -498,14 +477,7 @@ def _validate_blocks(n: int, blocks, family, metric, what: str) -> tuple[Block, 
     if family is not None:
         _require_family(what, family, n)
         check = [family.block(k) for k in range(1, _BLOCK_FAMILY_CHECK + 1)]
-        last = 0.0
-        for idx in _TAIL_CHECK_GRID:
-            m = family.tail_inner_modulus(idx)
-            if m < last:
-                raise DomainError(f"{what}: block tail bound decreases at index {idx}")
-            last = m
-        if family.tail_inner_modulus(_TAIL_LIMIT_INDEX) <= _TAIL_LIMIT_FLOOR:
-            raise DomainError(f"{what}: block tail bound does not converge to 1")
+        _check_tail(family.tail_inner_modulus, f"{what}: block tail bound")
     else:
         check = list(blocks)
     for i, b in enumerate(check):
@@ -790,7 +762,9 @@ def serialize_domain_spec(domain: DomainSpec) -> dict:
     if not isinstance(domain, SequencePunctures):
         out["n"] = domain.n
     if domain.family is not None:
-        return {**out, "family": domain.family.kind, **domain.family.params()}
+        name, params = next((name, params) for (kind, name), (cls, params) in _FAMILIES.items()
+                            if kind == domain.kind and cls is type(domain.family))
+        return {**out, "family": name, **{p: getattr(domain.family, p) for p in params}}
     if isinstance(domain, (RemovedPolydisks, RemovedBalls)):
         return {**out, "blocks": [{"center": [_pair(c) for c in b.center], "radius": b.radius}
                                   for b in domain.blocks]}

@@ -166,23 +166,20 @@ def _distances(z, re, im):
     return np.max([_rho_block(c.real, c.imag, re[j], im[j]) for j, c in enumerate(z)], axis=0)
 
 
-def _scan(domain, z, anchor: float, floor: float, cover: float | None = None,
-          limit: int | None = None) -> _Scan:
+def _scan(domain, z, anchor: float, floor: float, cover: float | None = None) -> _Scan:
     """The certified-truncation loop of a sequence domain at one point.
 
     Examines punctures in chunks and stops at the first index whose tail
     bound covers the running minimum of the distances, or the fixed level
     ``cover`` when given, by the stop rule _tail_stops.  A distance below
     ``floor`` at or before that index ends the scan there.  A scan that
-    reaches ``limit`` (by default the end of a listing, or _SEQUENCE_CAP)
-    returns with tail None.
+    reaches the end of a listing, or _SEQUENCE_CAP, returns with tail None.
     The first chunk holds _GRID_FIRST_CHUNK punctures, or is sized by the
     fixed level; later ones by the running minimum (see _next_stop).
     """
     import numpy as np
 
-    if limit is None:
-        limit = domain.known_count() or _SEQUENCE_CAP
+    limit = domain.known_count() or _SEQUENCE_CAP
     best, best_index, examined = math.inf, 0, 0
     if cover is None:
         stop = min(_GRID_FIRST_CHUNK, limit)
@@ -400,7 +397,7 @@ def lower_bound_certificate(domain, z: complex, claimed: float) -> VerificationO
     count = domain.known_count()
     m = domain.tail_lower_bound(0)
     scan = (_Scan(0, m, math.inf, 0) if _tail_stops(m, anchor, cover)
-            else _scan(domain, z, anchor, claimed, cover, min(count or _SEQUENCE_CAP, _SEQUENCE_CAP)))
+            else _scan(domain, z, anchor, claimed, cover))
     if scan.bad is not None:
         return VerificationOutcome(False, observed=(scan.bad,), violating_index=scan.examined,
                                    details=f"puncture {scan.examined} image modulus "
@@ -409,7 +406,7 @@ def lower_bound_certificate(domain, z: complex, claimed: float) -> VerificationO
         return VerificationOutcome(True, observed=(scan.tail,),
                                    details=f"examined {scan.examined} punctures; tail bound "
                                            f"m = {scan.tail!r} covers the rest")
-    if count is None or scan.examined < count:
+    if count is None:
         return VerificationOutcome(False, observed=(claimed,), violating_index=None,
                                    details=f"tail failed to cover within {_SEQUENCE_CAP} punctures")
     m = domain.tail_lower_bound(count)

@@ -2,9 +2,10 @@ import json
 
 import pytest
 
-from squeezefn.cli import GridJob, main
+from squeezefn.cli import MAX_GRID_CELLS, GridJob, main
 from squeezefn.domains import MAX_DIMENSION, DomainError, FinitePunctures, parse_domain_spec
 from squeezefn.hyperbolic import rho
+from squeezefn.verification import MAX_ORACLE_SAMPLES
 
 
 @pytest.fixture
@@ -371,6 +372,18 @@ def test_grid_job_validation():
         GridJob(domain, (0.5, -0.5, -0.5, 0.5), (4, 4), "squeezing")
     with pytest.raises(DomainError, match="resolution"):
         GridJob(domain, (-0.5, 0.5, -0.5, 0.5), (1, 4), "squeezing")
+    GridJob(domain, (-0.5, 0.5, -0.5, 0.5), (1000, 1000), "squeezing")  # at the limit
+
+
+def test_grid_rejects_more_cells_than_the_limit(domain_file, tmp_path, capsys):
+    assert 101 * 9901 == MAX_GRID_CELLS + 1
+    path = domain_file("radial.json", RADIAL)
+    out = tmp_path / "x.csv"
+    assert main(["grid", "--domain", path, "--rect=-0.5,0.5,-0.5,0.5", "--res", "101,9901",
+                 "--output", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: grid resolution 101x9901 has more than {MAX_GRID_CELLS} cells\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("rect", ["-inf,0,-0.5,0.5", "-1e308,1e308,-0.5,0.5"])
@@ -437,3 +450,18 @@ def test_verify_json_format(capsys):
                  "--format", "json"]) == 0
     reports = json.loads(capsys.readouterr().out)
     assert all(r["passed"] for r in reports)
+
+
+@pytest.mark.parametrize("suite", ["invariance", "truncation", "all"])
+def test_verify_rejects_zero_trials(capsys, suite):
+    assert main(["verify", "--suite", suite, "--trials", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "trials >= 1, got 0" in captured.err
+
+
+def test_verify_rejects_samples_above_the_limit(capsys):
+    assert main(["verify", "--suite", "all", "--samples", str(MAX_ORACLE_SAMPLES + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: boundary oracle samples above the limit {MAX_ORACLE_SAMPLES}\n"

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from squeezefn.domains import (
+    PAIR_SEPARATION,
     Annulus,
     Block,
     BoundaryOrbitFamily,
@@ -20,6 +21,7 @@ from squeezefn.domains import (
     RemovedBalls,
     RemovedPolydisks,
     SequencePunctures,
+    _require_separated,
     parse_domain_spec,
     serialize_domain_spec,
 )
@@ -121,6 +123,8 @@ def test_roundtrip_parse_serialize_parse():
         {"kind": "poly_sequence", "n": 2, "family": "radial", "q": 0.5, "theta": 1.0},
         {"kind": "removed_polydisks", "n": 2,
          "blocks": [{"center": [[0.0, 0.0], [0.0, 0.0]], "radius": 0.25}]},
+        {"kind": "removed_polydisks", "n": 2, "family": "radial",
+         "q": 0.5, "theta": 2.0, "r0": 0.25},
         {"kind": "removed_balls", "n": 3, "family": "radial",
          "q": 0.5, "theta": 1.0, "r0": 0.1},
         {"kind": "annulus", "r": 0.25},
@@ -156,6 +160,57 @@ def test_roundtrip_finite_punctures_random(polar_pts):
         return
     d = FinitePunctures(tuple(pts))
     assert parse_domain_spec(serialize_domain_spec(d)) == d
+
+
+def reference_separation(points, what, first):
+    """The message of the pairwise double loop that _require_separated
+    replaces, or None when every pair is separated."""
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            p, q = points[i], points[j]
+            gap = max(abs(x - y) for x, y in zip(p, q)) if isinstance(p, tuple) else abs(p - q)
+            if gap < PAIR_SEPARATION:
+                close = "identical" if gap == 0.0 else f"closer than {PAIR_SEPARATION:g}"
+                return f"{what} {i + first} and {j + first} are {close}"
+    return None
+
+
+# gaps around the floor, along directions that move the sort key (the sum of
+# the real and imaginary parts) by anything from 0 to sqrt(2) times the gap
+_GAPS = (0.0, 0.5e-12, math.nextafter(1e-12, 0.0), 1e-12, math.nextafter(1e-12, 1.0),
+         1.5e-12, 3e-12)
+_DIRECTIONS = (1, 1j, -1, (1 + 1j) / math.sqrt(2), (1 - 1j) / math.sqrt(2),
+               -(1 + 1j) / math.sqrt(2))
+
+
+@st.composite
+def near_point_lists(draw):
+    dim = draw(st.integers(0, 3))  # 0: planar points, else n-tuples
+    part = st.floats(-0.6, 0.6)
+    coordinate = st.builds(complex, part, part)
+    point = coordinate if dim == 0 else st.tuples(*[coordinate] * dim)
+    points = draw(st.lists(point, min_size=1, max_size=6))
+    for _ in range(draw(st.integers(0, 8))):
+        source = draw(st.sampled_from(points))
+        if dim == 0:
+            near = source + draw(st.sampled_from(_GAPS)) * draw(st.sampled_from(_DIRECTIONS))
+        else:
+            near = tuple(c + draw(st.sampled_from(_GAPS)) * draw(st.sampled_from(_DIRECTIONS))
+                         for c in source)
+        points.insert(draw(st.integers(0, len(points))), near)
+    return points
+
+
+@settings(max_examples=400, deadline=None)
+@given(near_point_lists(), st.integers(0, 1))
+def test_require_separated_matches_the_double_loop(points, first):
+    expected = reference_separation(points, "points", first)
+    if expected is None:
+        _require_separated(points, "points", first)
+    else:
+        with pytest.raises(DomainError) as err:
+            _require_separated(points, "points", first)
+        assert str(err.value) == expected
 
 
 # --- sequence access and tail bounds -----------------------------------------

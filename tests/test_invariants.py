@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import pytest
@@ -209,6 +210,18 @@ def test_certificate_fail_when_constant_cannot_cover():
     out = lower_bound_certificate(d, 0j, 0.5)
     assert not out.passed
     assert out.violating_index is None
+
+
+def test_certificate_scans_a_listing_beyond_the_family_cap():
+    # a listing longer than the 200000-puncture cap for generated families:
+    # the tail constant covers only at its last entry, as in the evaluation
+    ring = (0.6 * cmath.exp(2j * math.pi * k / 200_000) for k in range(200_000))
+    d = SequencePunctures(prefix=(complex(0.5), *ring), tail_constant=0.99)
+    res = squeezing_punctured_disk(d, 0j)
+    assert (res.value, res.truncation_index, res.tail_bound_used) == (0.5, 200_001, 0.99)
+    out = lower_bound_certificate(d, 0j, res.value)
+    assert out.passed, out.details
+    assert out.details == "examined 200001 punctures; tail bound m = 0.99 covers the rest"
 
 
 # --- punctured polydisk -------------------------------------------------------------
