@@ -64,13 +64,19 @@ def _require_separated(points, what: str, first: int = 0) -> None:
     n-tuples in the sup norm.  The pair reported is the first (i, j), i < j,
     in double-loop order, numbered from ``first``.
 
-    A pair closer than PAIR_SEPARATION differs by under 2n * PAIR_SEPARATION
-    in the sum of all real and imaginary parts, so after sorting by that sum
-    only neighbours within the window are compared."""
+    The points are sorted by a weighted sum of their real and imaginary parts,
+    with weights w_m = 2 + sin(m).  A pair closer than PAIR_SEPARATION differs
+    there by under sum(w) * PAIR_SEPARATION, so only neighbours within twice
+    that are compared.  The weights are linearly independent over the
+    rationals, so points strung along a line of rational direction (a ray of
+    punctures toward a boundary point, a diagonal of the polydisk) still
+    spread out in the sort."""
     planar = not isinstance(points[0], tuple)
-    window = 2 * (1 if planar else len(points[0])) * PAIR_SEPARATION
-    keyed = sorted((p.real + p.imag if planar else sum(c.real + c.imag for c in p), i)
-                   for i, p in enumerate(points))
+    parts = [(p.real, p.imag) if planar else [y for c in p for y in (c.real, c.imag)]
+             for p in points]
+    weights = [2.0 + math.sin(m) for m in range(1, len(parts[0]) + 1)]
+    window = 2.0 * sum(weights) * PAIR_SEPARATION
+    keyed = sorted((sum(w * y for w, y in zip(weights, ys)), i) for i, ys in enumerate(parts))
     worst = None  # (i, j, gap) of the first close pair in double-loop order
     for a, (key, i) in enumerate(keyed):
         b = a + 1
