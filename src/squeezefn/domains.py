@@ -60,17 +60,15 @@ def _check_point_list(points, what: str) -> tuple[complex, ...]:
 
 
 def _require_separated(points, what: str, first: int = 0) -> None:
-    """No two points closer than PAIR_SEPARATION: planar points by modulus,
-    n-tuples in the sup norm.  The pair reported is the first (i, j), i < j,
-    in double-loop order, numbered from ``first``.
+    """No two points closer than PAIR_SEPARATION (planar points by modulus,
+    n-tuples in the sup norm); reports the first close pair (i, j) in
+    double-loop order, numbered from ``first``.
 
-    The points are sorted by a weighted sum of their real and imaginary parts,
-    with weights w_m = 2 + sin(m).  A pair closer than PAIR_SEPARATION differs
-    there by under sum(w) * PAIR_SEPARATION, so only neighbours within twice
-    that are compared.  The weights are linearly independent over the
-    rationals, so points strung along a line of rational direction (a ray of
-    punctures toward a boundary point, a diagonal of the polydisk) still
-    spread out in the sort."""
+    Sorted by sum w_m y_m over their real and imaginary parts y_m, with
+    w_m = 2 + sin(m), a close pair differs by under sum(w) * PAIR_SEPARATION,
+    so only neighbours within twice that are compared.  The w_m are linearly
+    independent over the rationals: no line of rational direction (a ray of
+    punctures toward a boundary point) collapses into one window."""
     planar = not isinstance(points[0], tuple)
     parts = [(p.real, p.imag) if planar else [y for c in p for y in (c.real, c.imag)]
              for p in points]
@@ -84,7 +82,7 @@ def _require_separated(points, what: str, first: int = 0) -> None:
             pair = tuple(sorted((i, keyed[b][1])))
             b += 1
             p, q = points[pair[0]], points[pair[1]]
-            gap = abs(p - q) if planar else max(abs(x - y) for x, y in zip(p, q))
+            gap = abs(p - q) if planar else sup_distance(p, q)
             if gap < PAIR_SEPARATION and (worst is None or pair < worst[:2]):
                 worst = (*pair, gap)
     if worst is not None:
@@ -313,8 +311,8 @@ class _Sequence:
                                   "tail_modulus_constant is not allowed")
             _require_family(kind, self.family, self.n)
             _check_tail(self.family.tail_modulus, "tail bound")
-            _require_separated([self.family.point(k) for k in range(1, _FAMILY_DISTINCT_PREFIX + 1)],
-                               "family points", first=1)
+            prefix = [self.family.point(k) for k in range(1, _FAMILY_DISTINCT_PREFIX + 1)]
+            _require_separated(prefix, "family points", first=1)
             return
         object.__setattr__(self, "prefix", self._read_points())
         if self.tail_constant is not None and not 0.0 < self.tail_constant < 1.0:
