@@ -22,7 +22,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="out", help="output directory")
     parser.add_argument("--res", type=int, default=200, help="grid points per axis")
-    parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args()
 
     outdir = Path(args.outdir)
@@ -31,7 +30,7 @@ def main() -> int:
         domain = parse_domain_spec(json.dumps(doc))
         job = GridJob(domain=domain, rect=(-0.98, 0.98, -0.98, 0.98),
                       resolution=(args.res, args.res), invariant="squeezing")
-        csv_text = run_grid(job, jobs=args.jobs)
+        csv_text = run_grid(job)
         path = outdir / f"{name}.csv"
         path.write_text(csv_text, encoding="utf-8", newline="")
         print(f"wrote {path} ({args.res}x{args.res})")

@@ -59,35 +59,46 @@ def _check_point_list(points, what: str) -> tuple[complex, ...]:
     return pts
 
 
-def _require_separated(points, what: str, first: int = 0) -> None:
-    """No two points closer than PAIR_SEPARATION (planar points by modulus,
-    n-tuples in the sup norm); reports the first close pair (i, j) in
-    double-loop order, numbered from ``first``.
+def _first_close_pair(points, reach: float, close) -> tuple[int, int] | None:
+    """The first pair (i, j) in double-loop order with close(i, j), among
+    points (complex numbers in the unit disk, or tuples of them) of which a
+    close pair differs by at most ``reach`` in each real and imaginary part;
+    None if no pair is close.
 
     Sorted by sum w_m y_m over their real and imaginary parts y_m, with
-    w_m = 2 + sin(m), a close pair differs by under sum(w) * PAIR_SEPARATION,
-    so only neighbours within twice that are compared.  The w_m are linearly
-    independent over the rationals: no line of rational direction (a ray of
-    punctures toward a boundary point) collapses into one window."""
+    w_m = 2 + sin(m), a close pair differs by at most sum(w) * reach, so only
+    neighbours within sum(w) * (reach + PAIR_SEPARATION) are compared: the
+    second term exceeds the rounding of two keys of up to 2 * MAX_DIMENSION
+    parts.  The w_m are linearly independent over the rationals: no line of
+    rational direction (a ray of punctures toward a boundary point) collapses
+    into one window."""
     planar = not isinstance(points[0], tuple)
     parts = [(p.real, p.imag) if planar else [y for c in p for y in (c.real, c.imag)]
              for p in points]
     weights = [2.0 + math.sin(m) for m in range(1, len(parts[0]) + 1)]
-    window = 2.0 * sum(weights) * PAIR_SEPARATION
+    window = sum(weights) * (reach + PAIR_SEPARATION)
     keyed = sorted((sum(w * y for w, y in zip(weights, ys)), i) for i, ys in enumerate(parts))
-    worst = None  # (i, j, gap) of the first close pair in double-loop order
+    first = None
     for a, (key, i) in enumerate(keyed):
         b = a + 1
         while b < len(keyed) and keyed[b][0] - key < window:
             pair = tuple(sorted((i, keyed[b][1])))
             b += 1
-            p, q = points[pair[0]], points[pair[1]]
-            gap = abs(p - q) if planar else sup_distance(p, q)
-            if gap < PAIR_SEPARATION and (worst is None or pair < worst[:2]):
-                worst = (*pair, gap)
-    if worst is not None:
-        i, j, gap = worst
-        close = "identical" if gap == 0.0 else f"closer than {PAIR_SEPARATION:g}"
+            if (first is None or pair < first) and close(*pair):
+                first = pair
+    return first
+
+
+def _require_separated(points, what: str, first: int = 0) -> None:
+    """No two points closer than PAIR_SEPARATION (planar points by modulus,
+    n-tuples in the sup norm); reports the first close pair (i, j) in
+    double-loop order, numbered from ``first``."""
+    dist = sup_distance if isinstance(points[0], tuple) else (lambda p, q: abs(p - q))
+    pair = _first_close_pair(points, PAIR_SEPARATION,
+                             lambda i, j: dist(points[i], points[j]) < PAIR_SEPARATION)
+    if pair is not None:
+        i, j = pair
+        close = "identical" if dist(points[i], points[j]) == 0.0 else f"closer than {PAIR_SEPARATION:g}"
         raise DomainError(f"{what} {i + first} and {j + first} are {close}")
 
 
@@ -277,20 +288,11 @@ def _check_tail(bound, what: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FinitePunctures:
-    """Unit disk minus finitely many pairwise-distinct punctures."""
-
-    punctures: tuple[complex, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "punctures", _check_point_list(self.punctures, "punctures"))
-
-
 class _Sequence:
     """What the disk and polydisk sequence domains share: a subclass declares
-    the fields prefix, family and tail_constant, a dimension ``n``, its
-    document ``kind``, and how it reads its listed points (_read_points).
+    prefix, family and tail_constant, a dimension ``n``, its document
+    ``kind``, and how it reads its listed points (_read_points).
+    FinitePunctures reads its own points and has no family or tail constant.
 
     Exactly one of the two descriptions is used:
 
@@ -369,6 +371,22 @@ class _Sequence:
         """About the smallest n with tail_lower_bound(n) > level, for level < 1;
         the length of a listing."""
         return len(self.prefix) if self.family is None else self.family.tail_index(level)
+
+
+@dataclass(frozen=True)
+class FinitePunctures(_Sequence):
+    """Unit disk minus finitely many pairwise-distinct punctures: an exact
+    listing of ``punctures``, with no family and no tail constant."""
+
+    punctures: tuple[complex, ...]
+
+    n = 1
+    kind = "finite_punctures"
+    family = tail_constant = None
+    prefix = property(lambda self: self.punctures)
+
+    def __post_init__(self):
+        object.__setattr__(self, "punctures", _check_point_list(self.punctures, "punctures"))
 
 
 @dataclass(frozen=True)
@@ -479,24 +497,27 @@ def _validate_blocks(n: int, blocks, family, metric, what: str) -> tuple[Block, 
     if family is None and not blocks:
         raise DomainError(f"{what}: empty block list")
     if family is not None:
+        # the law keeps every block inside; in floats 1 - (1 - r0) q^k rounds to 1
         _require_family(what, family, n)
         check = [family.block(k) for k in range(1, _BLOCK_FAMILY_CHECK + 1)]
         _check_tail(family.tail_inner_modulus, f"{what}: block tail bound")
     else:
-        check = list(blocks)
-    for i, b in enumerate(check):
-        if len(b.center) != n:
-            raise DomainError(f"{what}: block {i} center has {len(b.center)} coordinates, expected {n}")
-        reach = max(abs(c) for c in b.center) + b.radius
-        if reach >= 1.0:
-            raise DomainError(
-                f"{what}: block {i} is not strictly inside the polydisk "
-                f"(max |center_j| + radius = {reach!r})"
-            )
-    for i in range(len(check)):
-        for j in range(i + 1, len(check)):
-            if metric(check[i].center, check[j].center) <= check[i].radius + check[j].radius:
-                raise DomainError(f"{what}: blocks {i} and {j} have intersecting closures")
+        check = blocks
+        for i, b in enumerate(blocks):
+            if len(b.center) != n:
+                raise DomainError(f"{what}: block {i} center has {len(b.center)} coordinates, expected {n}")
+            reach = max(abs(c) for c in b.center) + b.radius
+            if reach >= 1.0:
+                raise DomainError(
+                    f"{what}: block {i} is not strictly inside the polydisk "
+                    f"(max |center_j| + radius = {reach!r})"
+                )
+    # closures meet where the center distance is at most r_i + r_j <= 2 max r
+    pair = _first_close_pair([b.center for b in check], 2.0 * max(b.radius for b in check),
+                             lambda i, j: metric(check[i].center, check[j].center)
+                             <= check[i].radius + check[j].radius)
+    if pair is not None:
+        raise DomainError(f"{what}: blocks {pair[0]} and {pair[1]} have intersecting closures")
     return tuple(blocks)
 
 

@@ -141,9 +141,10 @@ class _Scan(NamedTuple):
 
 
 def _tail_stops(tails, anchor, bound):
-    """The stop rule: every puncture beyond n is at distance > bound from a
-    point of modulus at most anchor once m(n) > anchor and the separation
-    bound of m(n) exceeds ``bound``.  Works on scalars and numpy arrays."""
+    """The stop rule: every puncture (or block) beyond n is at distance
+    > bound from a point of modulus at most anchor once m(n) > anchor and
+    the separation bound of m(n) exceeds ``bound``.  Works on scalars and
+    numpy arrays."""
     return (tails > anchor) & (radial_separation_bound(tails, anchor) > bound)
 
 
@@ -173,9 +174,10 @@ def _scan(domain, z, anchor: float, floor: float, cover: float | None = None) ->
     bound covers the running minimum of the distances, or the fixed level
     ``cover`` when given, by the stop rule _tail_stops.  A distance below
     ``floor`` at or before that index ends the scan there.  A scan that
-    reaches the end of a listing, or _SEQUENCE_CAP, returns with tail None.
-    The first chunk holds _GRID_FIRST_CHUNK punctures, or is sized by the
-    fixed level; later ones by the running minimum (see _next_stop).
+    reaches the end of a listing, or _SEQUENCE_CAP, returns with tail None
+    (see _unstopped).  The first chunk holds _GRID_FIRST_CHUNK punctures, or
+    is sized by the fixed level; later ones by the running minimum (see
+    _next_stop).
     """
     import numpy as np
 
@@ -217,26 +219,33 @@ def _sequence_min(domain, z, anchor: float) -> InvariantValue:
     if scan.bad is not None:
         raise PointError(f"query point coincides with puncture {scan.examined} "
                          f"(distance {scan.bad:.3e} < {COLLISION_EPS:g})")
-    best, best_idx = scan.best, scan.best_index
-    if scan.tail is not None:
-        return InvariantValue(best, truncation_index=scan.examined,
-                              tail_bound_used=scan.tail, attained_index=best_idx)
+    index, tail = scan.examined, scan.tail
+    if tail is None:
+        index, tail, covered = _unstopped(domain, anchor, scan.best)
+        if tail is None:
+            raise CertificationError(f"tail bound failed to certify within {_SEQUENCE_CAP} punctures")
+        if not covered:
+            raise CertificationError(
+                f"sequence exhausted without certification: tail constant {tail!r} "
+                f"gives bound below the prefix minimum {scan.best!r} at this point")
+    return InvariantValue(scan.best, truncation_index=index, tail_bound_used=tail,
+                          attained_index=scan.best_index)
+
+
+def _unstopped(domain, anchor, bound):
+    """What a scan that ran to its end without stopping certifies, as
+    (truncation index, tail bound, covered): at _SEQUENCE_CAP a family
+    gives (_SEQUENCE_CAP, None, False); an exact listing, whose infimum runs
+    over its points, (0, 0.0, True); a listing with tail constant m,
+    (its length, m, whether m > anchor and the separation bound of m is at
+    least ``bound``).  ``anchor`` and ``bound`` may be numpy arrays."""
     count = domain.known_count()
     if count is None:
-        raise CertificationError(
-            f"tail bound failed to certify within {_SEQUENCE_CAP} punctures"
-        )
+        return _SEQUENCE_CAP, None, False
     m = domain.tail_lower_bound(count)
     if m is None:
-        # exhausted: the listing is exact and the infimum runs over it
-        return InvariantValue(best, truncation_index=0, attained_index=best_idx)
-    if m <= anchor or radial_separation_bound(m, anchor) < best:
-        raise CertificationError(
-            f"sequence exhausted without certification: tail constant {m!r} "
-            f"gives bound below the prefix minimum {best!r} at this point"
-        )
-    return InvariantValue(best, truncation_index=count, tail_bound_used=m,
-                          attained_index=best_idx)
+        return 0, 0.0, True
+    return count, m, (m > anchor) & (radial_separation_bound(m, anchor) >= bound)
 
 
 def grid_cells(domain, reals, imags):
@@ -275,22 +284,13 @@ def grid_cells(domain, reals, imags):
         value[cells] = np.maximum(anchor[cells], r / anchor[cells])
         return value, index, certified
 
-    finite = isinstance(domain, FinitePunctures)
-    if finite:
-        listed = np.array(domain.punctures, dtype=complex)
-        limit = len(listed)
-
-        def chunk(start, stop):
-            return listed[start:stop].real, listed[start:stop].imag, None
-    else:
-        limit = domain.known_count() or _SEQUENCE_CAP
-        chunk = domain.chunk
+    limit = domain.known_count() or _SEQUENCE_CAP
     best = np.full(zr.shape, np.inf)
     cells = np.flatnonzero(inside)
     examined, width = 0, _GRID_FIRST_CHUNK
     while cells.size and examined < limit:
         stop = min(examined + width, limit)
-        ar, ai, tails = chunk(examined, stop)
+        ar, ai, tails = domain.chunk(examined, stop)
         size = stop - examined
         group = max(1, GRID_BLOCK // size)
         still_open = []
@@ -299,12 +299,9 @@ def grid_cells(domain, reals, imags):
             dist = _rho_block(zr[g, None], zi[g, None], ar, ai)
             run = np.minimum.accumulate(dist, axis=1)
             np.minimum(run, best[g, None], out=run)
-            last = np.full(g.size, size - 1)  # the last position each cell examines
-            stopped = np.zeros(g.size, dtype=bool)
-            if tails is not None:
-                stops = _tail_stops(tails, anchor[g, None], run)
-                stopped = stops.any(axis=1)
-                last[stopped] = stops.argmax(axis=1)[stopped]
+            stops = _tail_stops(tails, anchor[g, None], run)
+            stopped = stops.any(axis=1)
+            last = np.where(stopped, stops.argmax(axis=1), size - 1)  # each cell's last position
             best[g] = run[np.arange(g.size), last]
             hits = dist < COLLISION_EPS
             collided = hits.any(axis=1) & (hits.argmax(axis=1) <= last)
@@ -317,17 +314,7 @@ def grid_cells(domain, reals, imags):
 
     # cells left open examined the whole listing or the capped prefix
     value[cells] = best[cells]
-    if finite:
-        return value, index, certified
-    if domain.known_count() is None:
-        index[cells] = _SEQUENCE_CAP
-        certified[cells] = False
-    else:
-        m = domain.tail_lower_bound(limit)
-        if m is not None:
-            a = anchor[cells]
-            index[cells] = limit
-            certified[cells] = (m > a) & ~(radial_separation_bound(m, a) < best[cells])
+    index[cells], _, certified[cells] = _unstopped(domain, anchor[cells], best[cells])
     return value, index, certified
 
 
@@ -378,23 +365,12 @@ def lower_bound_certificate(domain, z: complex, claimed: float) -> VerificationO
     if not 0.0 < claimed < 1.0:
         raise DomainError(f"claimed bound must be in (0, 1), got {claimed!r}")
     anchor = abs(z)
-
-    if isinstance(domain, FinitePunctures):
-        punctures = domain.punctures
-        for k, a in enumerate(punctures, 1):
-            fa = rho(z, a)
-            if fa < claimed:
-                return VerificationOutcome(False, observed=(fa,), violating_index=k,
-                                           details=f"puncture {k} image modulus {fa!r} < {claimed!r}")
-        return VerificationOutcome(True, observed=(claimed,),
-                                   details=f"all {len(punctures)} punctures covered")
-    if not isinstance(domain, SequencePunctures):
+    if not isinstance(domain, (FinitePunctures, SequencePunctures)):
         raise DomainError(f"lower_bound_certificate does not apply to {type(domain).__name__}")
 
     # the tail covers the claim when its separation bound is >= claimed, which
     # for floats is > the next float below it: the stop rule's strict test
     cover = math.nextafter(claimed, -math.inf)
-    count = domain.known_count()
     m = domain.tail_lower_bound(0)
     scan = (_Scan(0, m, math.inf, 0) if _tail_stops(m, anchor, cover)
             else _scan(domain, z, anchor, claimed, cover))
@@ -406,14 +382,13 @@ def lower_bound_certificate(domain, z: complex, claimed: float) -> VerificationO
         return VerificationOutcome(True, observed=(scan.tail,),
                                    details=f"examined {scan.examined} punctures; tail bound "
                                            f"m = {scan.tail!r} covers the rest")
-    if count is None:
+    _, m, covered = _unstopped(domain, anchor, claimed)
+    if covered:  # an exact listing: the stop rule already tried a tail constant
+        return VerificationOutcome(True, observed=(claimed,), details=f"all "
+                                   f"{domain.known_count()} punctures covered, no tail")
+    if m is None:
         return VerificationOutcome(False, observed=(claimed,), violating_index=None,
                                    details=f"tail failed to cover within {_SEQUENCE_CAP} punctures")
-    m = domain.tail_lower_bound(count)
-    if m is None:
-        # exact listing fully examined
-        return VerificationOutcome(True, observed=(claimed,),
-                                   details=f"all {count} punctures covered, no tail")
     return VerificationOutcome(False, observed=(m,), violating_index=None,
                                details=f"tail constant {m!r} cannot cover the claim")
 
@@ -619,7 +594,7 @@ def polydisk_squeezing_removed_blocks(domain, z, mesh_tol: float = _DEFAULT_MESH
     while examined != count:
         if count is None and best_k:
             t = domain.tail_inner_bound(examined)
-            if t > anchor and radial_separation_bound(t, anchor) > best_v:
+            if _tail_stops(t, anchor, best_v):
                 tail = t
                 break
         if examined >= _SEQUENCE_CAP:

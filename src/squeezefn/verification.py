@@ -10,7 +10,7 @@ generator so that every report is reproducible from its seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .domains import (
     Annulus,
@@ -50,17 +50,7 @@ def format_reports(reports) -> str:
 
 
 def reports_to_json(reports) -> list[dict]:
-    return [
-        {
-            "check_name": r.check_name,
-            "passed": r.passed,
-            "observed": r.observed,
-            "expected": r.expected,
-            "tolerance": r.tolerance,
-            "details": r.details,
-        }
-        for r in reports
-    ]
+    return [asdict(r) for r in reports]
 
 
 class Lcg:
@@ -127,8 +117,6 @@ def brute_force_infimum(domain, z, count: int) -> float:
     """
     if count < 1:
         raise DomainError(f"brute force needs count >= 1, got {count!r}")
-    if isinstance(domain, FinitePunctures):
-        return min(rho(z, a) for a in domain.punctures[:count])
     dist = rho_max if isinstance(domain, PolySequencePunctures) else rho
     return min(dist(z, domain.puncture(k)) for k in range(1, count + 1))
 

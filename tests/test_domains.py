@@ -22,9 +22,11 @@ from squeezefn.domains import (
     RemovedPolydisks,
     SequencePunctures,
     _require_separated,
+    euclid_distance,
     parse_domain_spec,
     serialize_domain_spec,
 )
+from squeezefn.invariants import polydisk_squeezing_removed_blocks
 from squeezefn.verification import Lcg
 
 
@@ -304,6 +306,69 @@ def test_block_family_tail_bound_monotone():
         b = fam.block(k)
         inner = max(abs(c) for c in b.center) - b.radius
         assert inner >= fam.tail_inner_modulus(k - 1) - 5e-16
+
+
+@pytest.mark.parametrize("kind", ["removed_polydisks", "removed_balls"])
+def test_block_family_with_small_q_parses(kind):
+    # 1 - (1 - r0) q^k rounds to 1.0 from k = 31 on, yet the law keeps every
+    # block inside the polydisk
+    doc = {"kind": kind, "n": 2, "family": "radial", "q": 0.3, "theta": 1.0, "r0": 0.5}
+    d = parse_domain_spec(doc)
+    assert serialize_domain_spec(d) == doc
+    assert parse_domain_spec(json.loads(json.dumps(doc))) == d
+    z = (complex(0.1), complex(0.1))
+    res = polydisk_squeezing_removed_blocks(d, z)
+    listed = type(d)(n=2, blocks=tuple(d.block(k) for k in range(1, res.truncation_index + 1)))
+    assert res.value == polydisk_squeezing_removed_blocks(listed, z).value
+
+
+def reference_disjointness(blocks, metric, what):
+    """The message of the pairwise double loop that the sorted sweep replaces
+    for listed blocks, or None when all closures are disjoint."""
+    for i in range(len(blocks)):
+        for j in range(i + 1, len(blocks)):
+            if metric(blocks[i].center, blocks[j].center) <= blocks[i].radius + blocks[j].radius:
+                return f"{what}: blocks {i} and {j} have intersecting closures"
+    return None
+
+
+@st.composite
+def block_lists(draw):
+    # lattice centers and radii make tangent closures (distance = r_i + r_j,
+    # also Euclidean 3-4-5) common; |center_j| + radius stays below 1
+    n = draw(st.integers(2, 3))
+    part = st.one_of(st.integers(-8, 8).map(lambda v: v / 16), st.floats(-0.5, 0.5))
+    coordinate = st.builds(complex, part, part)
+    radius = st.sampled_from((1e-9, 1 / 64, 1 / 32, 1 / 16, 1 / 8, 1 / 4))
+    return n, draw(st.lists(st.builds(Block, st.tuples(*[coordinate] * n), radius),
+                            min_size=1, max_size=8))
+
+
+@settings(max_examples=400, deadline=None)
+@given(block_lists(), st.sampled_from([RemovedPolydisks, RemovedBalls]))
+def test_block_disjointness_matches_the_double_loop(case, cls):
+    n, blocks = case
+    expected = reference_disjointness(blocks, cls.metric, cls.kind)
+    if expected is None:
+        cls(n=n, blocks=tuple(blocks))
+    else:
+        with pytest.raises(DomainError) as err:
+            cls(n=n, blocks=tuple(blocks))
+        assert str(err.value) == expected
+
+
+def test_block_disjointness_sweeps_listed_blocks(monkeypatch):
+    # 1500 small balls on a circle: the double loop made 1,124,250 metric calls
+    calls = []
+
+    def counting(a, b):
+        calls.append(None)
+        return euclid_distance(a, b)
+
+    monkeypatch.setattr(RemovedBalls, "metric", staticmethod(counting))
+    ring = tuple(Block((0.5 * cmath.exp(2j * math.pi * k / 1500), 0j), 1e-5) for k in range(1500))
+    RemovedBalls(n=2, blocks=ring)
+    assert 0 < len(calls) < 20 * 1500
 
 
 def test_disjointness_metric_differs_between_kinds():

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from squeezefn.cli import GridJob, run_grid
 from squeezefn.domains import (
     Annulus,
     BoundaryOrbitFamily,
@@ -222,6 +223,25 @@ def test_certificate_scans_a_listing_beyond_the_family_cap():
     out = lower_bound_certificate(d, 0j, res.value)
     assert out.passed, out.details
     assert out.details == "examined 200001 punctures; tail bound m = 0.99 covers the rest"
+
+
+def test_finite_set_is_an_exact_listing():
+    # a finite set and the listing of its points without a tail constant agree
+    # in value, grid and certificate, passed or failed
+    pts = (complex(0.5), 0.5j, complex(-0.25, 0.125))
+    finite, listed = FinitePunctures(pts), SequencePunctures(prefix=pts)
+    z = complex(0.1, 0.2)
+    value = squeezing_punctured_disk(finite, z)
+    assert repr(value) == repr(squeezing_punctured_disk(listed, z))
+    grids = [run_grid(GridJob(d, (-0.98, 0.98, -0.98, 0.98), (16, 16), "squeezing"))
+             for d in (finite, listed)]
+    assert grids[0] == grids[1]
+    for claimed in (value.value, math.nextafter(value.value, 1.0)):
+        outcomes = [lower_bound_certificate(d, z, claimed) for d in (finite, listed)]
+        assert outcomes[0] == outcomes[1]
+    assert outcomes[0].violating_index == value.attained_index
+    assert lower_bound_certificate(finite, z, value.value).details == \
+        "all 3 punctures covered, no tail"
 
 
 # --- punctured polydisk -------------------------------------------------------------

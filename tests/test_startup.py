@@ -77,6 +77,7 @@ def test_import_and_parse_load_no_numpy():
 
 def test_evals_without_numpy_print_the_same(docs_dir, capsys):
     argvs = [eval_argv(docs_dir, *case) for case in NUMPY_FREE_EVALS]
+    argvs.append(["compare", "--domain", str(docs_dir / "finite.json"), "--point=0.1,0.2"])
     expected = []
     for argv in argvs:
         assert main(argv) == 0

@@ -63,6 +63,8 @@ def test_brute_force_prefix_and_exhaustion():
 def test_brute_force_k1():
     assert brute_force_infimum(RADIAL, 0j, 1) == 0.5
     assert brute_force_infimum(FinitePunctures((complex(0.3),)), 0j, 1) == 0.3
+    with pytest.raises(DomainError, match="no generator"):
+        brute_force_infimum(FinitePunctures((complex(0.3),)), 0j, 2)
 
 
 def test_brute_force_rejects_zero_count():
