@@ -19,17 +19,7 @@ from .domains import (
     parse_domain_spec,
     serialize_domain_spec,
 )
-from .hyperbolic import (
-    MobiusMap,
-    PointError,
-    mobius_apply,
-    poincare_distance,
-    polydisk_caratheodory_tanh,
-    pseudo_hyperbolic,
-    radial_separation_bound,
-    sigma,
-    sigma_inverse,
-)
+from .hyperbolic import MobiusMap, PointError, radial_separation_bound
 from .invariants import (
     CertificationError,
     InvariantValue,

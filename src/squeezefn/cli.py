@@ -51,17 +51,17 @@ def _parse_planar_point(text: str) -> complex:
         raise DomainError(f"point {text!r}: {e}") from e
 
 
-def _parse_poly_point(text: str) -> tuple[complex, ...]:
-    return tuple(_parse_planar_point(p) for p in text.split(";"))
+def _parse_poly_point(text: str, count: int) -> tuple[complex, ...]:
+    point = tuple(_parse_planar_point(p) for p in text.split(";"))
+    if len(point) != count:
+        raise DomainError(f"point has {len(point)} coordinates, expected {count}")
+    return point
 
 
 def _parse_product_point(domain: ProductOfBalls, text: str):
-    flat = _parse_poly_point(text)
-    if len(flat) != domain.n * domain.n:
-        raise DomainError(
-            f"product_of_balls point needs {domain.n * domain.n} coordinates "
-            f"('re,im;re,im;...'), got {len(flat)}")
-    return tuple(flat[i * domain.n:(i + 1) * domain.n] for i in range(domain.n))
+    n = domain.n
+    flat = _parse_poly_point(text, n * n)
+    return tuple(flat[i * n:(i + 1) * n] for i in range(n))
 
 
 def _planar(evaluate):
@@ -74,7 +74,8 @@ def _product(evaluate):
 
 
 def _removed_blocks(domain, text, mesh_tol):
-    return inv.polydisk_squeezing_removed_blocks(domain, _parse_poly_point(text), mesh_tol=mesh_tol)
+    return inv.polydisk_squeezing_removed_blocks(domain, _parse_poly_point(text, domain.n),
+                                                 mesh_tol=mesh_tol)
 
 
 # (invariant, domain type) -> evaluator(domain, point text, mesh tolerance)
@@ -87,7 +88,8 @@ _EVALUATORS = {
     ("fridman-c", FinitePunctures): _planar(inv.fridman_caratheodory_punctured_disk),
     ("fridman-c", SequencePunctures): _planar(inv.fridman_caratheodory_punctured_disk),
     ("polydisk-squeezing", PolySequencePunctures):
-        lambda domain, text, mesh_tol: inv.polydisk_squeezing_punctured(domain, _parse_poly_point(text)),
+        lambda domain, text, mesh_tol: inv.polydisk_squeezing_punctured(
+            domain, _parse_poly_point(text, domain.n)),
     ("polydisk-squeezing", RemovedPolydisks): _removed_blocks,
     ("polydisk-squeezing", RemovedBalls): _removed_blocks,
     ("t-lower-bound", ProductOfBalls): _product(inv.product_of_balls_T_lower_bound),
@@ -238,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", required=True, help="domain document (JSON)")
     p.add_argument("--point", required=True, help="'re,im' or 're,im;re,im;...'")
     p.add_argument("--invariant", default="squeezing", choices=INVARIANT_NAMES)
-    p.add_argument("--mesh-tol", type=float, default=1e-6,
+    p.add_argument("--mesh-tol", type=float, default=inv.DEFAULT_MESH_TOL,
                    help="target mesh error for boundary minimization")
     p.set_defaults(func=cmd_eval)
 

@@ -551,12 +551,6 @@ class RemovedPolydisks:
     def known_count(self) -> int | None:
         return None if self.family is not None else len(self.blocks)
 
-    def tail_inner_bound(self, examined: int) -> float | None:
-        """Lower bound on max_j |center_j| - radius over blocks beyond ``examined``."""
-        if self.family is not None:
-            return self.family.tail_inner_modulus(examined)
-        return None if examined >= len(self.blocks) else 0.0
-
     def block_distance(self, z, block: Block) -> float:
         return self.metric(z, block.center)
 
@@ -576,7 +570,6 @@ class RemovedBalls:
     __post_init__ = RemovedPolydisks.__post_init__
     block = RemovedPolydisks.block
     known_count = RemovedPolydisks.known_count
-    tail_inner_bound = RemovedPolydisks.tail_inner_bound
     block_distance = RemovedPolydisks.block_distance
 
 

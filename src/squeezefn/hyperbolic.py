@@ -1,17 +1,19 @@
-"""Hyperbolic geometry primitives on the unit disk and unit polydisk.
+"""Pseudo-hyperbolic geometry on the unit disk and unit polydisk.
 
-Points are plain ``complex`` numbers strictly inside the unit disk; points of
-the polydisk are tuples of them.  The validated wrappers reject bad inputs at
-API boundaries, while the ``rho`` / ``rho_max`` kernels skip all checks:
-evaluation loops feed them generated sequence tails whose moduli round to 1.0
-in double precision, which is harmless as long as the other argument stays
-safely inside the disk.
+The paper's invariants are infima of the pseudo-hyperbolic distance ``rho``
+and of its coordinate maximum ``rho_max`` on the polydisk; the Poincare
+distance atanh(rho) is monotone in ``rho``, so no evaluation needs it.
+Points are plain ``complex`` numbers, polydisk points tuples of them.  The
+``require_*`` checks validate query points and Mobius centers; the kernels
+skip all checks, because evaluation loops feed them generated sequence tails
+whose moduli round to 1.0 in double precision, which is harmless as long as
+the other argument stays safely inside the disk.  ``MobiusMap`` is the disk
+automorphism behind the invariance checks.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 # Points with modulus in [1 - 1e-12, 1) are rejected as evaluation anchors:
@@ -44,19 +46,14 @@ def require_interior_point(z: complex, what: str = "point") -> complex:
     return z
 
 
-def require_polydisk_point(zs, n: int | None = None, what: str = "point") -> tuple[complex, ...]:
+def require_interior_polydisk_point(zs, n: int, what: str = "point") -> tuple[complex, ...]:
+    """Check the coordinate count, then every coordinate against the disk,
+    then every coordinate against the interior margin."""
     zs = tuple(complex(z) for z in zs)
-    if n is not None and len(zs) != n:
+    if len(zs) != n:
         raise PointError(f"{what} has {len(zs)} coordinates, expected {n}")
-    if not zs:
-        raise PointError(f"{what} has no coordinates")
     for j, z in enumerate(zs):
         require_disk_point(z, f"{what} coordinate {j}")
-    return zs
-
-
-def require_interior_polydisk_point(zs, n: int | None = None, what: str = "point") -> tuple[complex, ...]:
-    zs = require_polydisk_point(zs, n, what)
     for j, z in enumerate(zs):
         require_interior_point(z, f"{what} coordinate {j}")
     return zs
@@ -70,40 +67,6 @@ def rho(z: complex, w: complex) -> float:
 def rho_max(zs, ws) -> float:
     """Unchecked coordinate-max kernel on the polydisk."""
     return max(rho(z, w) for z, w in zip(zs, ws))
-
-
-def pseudo_hyperbolic(z: complex, w: complex) -> float:
-    """Pseudo-hyperbolic distance |(w - z)/(1 - conj(z) w)| on the unit disk."""
-    z = require_disk_point(z, "first point")
-    w = require_disk_point(w, "second point")
-    return rho(z, w)
-
-
-def sigma(x: float) -> float:
-    """sigma(x) = (1/2) log((1 + x)/(1 - x)), i.e. atanh, on [0, 1)."""
-    if not 0.0 <= x < 1.0:
-        raise PointError(f"sigma argument {x!r} outside [0, 1)")
-    return math.atanh(x)
-
-
-def sigma_inverse(r: float) -> float:
-    """Inverse of sigma: tanh, on [0, inf)."""
-    if r < 0.0:
-        raise PointError(f"sigma_inverse argument {r!r} is negative")
-    return math.tanh(r)
-
-
-def poincare_distance(z: complex, w: complex) -> float:
-    """Poincare distance sigma(pseudo_hyperbolic(z, w))."""
-    return sigma(pseudo_hyperbolic(z, w))
-
-
-def polydisk_caratheodory_tanh(zs, ws) -> float:
-    """tanh of the polydisk Caratheodory distance: the coordinate-wise max of
-    pseudo-hyperbolic distances."""
-    zs = require_polydisk_point(zs, what="first point")
-    ws = require_polydisk_point(ws, len(zs), what="second point")
-    return rho_max(zs, ws)
 
 
 def radial_separation_bound(m: float, r: float) -> float:
@@ -120,8 +83,8 @@ def radial_separation_bound(m: float, r: float) -> float:
 class MobiusMap:
     """Disk automorphism z -> e^{i rotation} (z - center) / (1 - conj(center) z).
 
-    ``center`` is the point sent to the origin.  With ``rotation = 0`` the map
-    is an involution.
+    ``center`` is the point sent to the origin.  With ``rotation = pi`` the map
+    is an involution swapping ``center`` and the origin.
     """
 
     center: complex = 0j
@@ -139,10 +102,3 @@ class MobiusMap:
     def __call__(self, p: complex) -> complex:
         p = require_disk_point(p)
         return self.phase * (p - self.center) / (1.0 - self.center.conjugate() * p)
-
-    def inverse(self) -> "MobiusMap":
-        return MobiusMap(center=-self.center * self.phase, rotation=-self.rotation)
-
-
-def mobius_apply(m: MobiusMap, p: complex) -> complex:
-    return m(p)

@@ -55,7 +55,7 @@ _SEQUENCE_CAP = 200_000
 GRID_BLOCK = 8192
 _GRID_FIRST_CHUNK = 8
 
-_DEFAULT_MESH_TOL = 1e-6
+DEFAULT_MESH_TOL = 1e-6
 _MESH_FLOOR = 1e-14
 # rounding floor of a closed-form circle minimum, times kappa (see _min_on_circle)
 _CIRCLE_FLOOR = 64.0 * sys.float_info.epsilon
@@ -561,7 +561,7 @@ def _require_outside_block(domain, z, block: Block, index: int) -> None:
         raise PointError(f"point lies in or on removed block {index}: not in the domain")
 
 
-def polydisk_squeezing_removed_blocks(domain, z, mesh_tol: float = _DEFAULT_MESH_TOL) -> InvariantValue:
+def polydisk_squeezing_removed_blocks(domain, z, mesh_tol: float = DEFAULT_MESH_TOL) -> InvariantValue:
     """Polydisk squeezing function of the polydisk minus closed blocks:
     inf over blocks of the boundary minimum of the coordinate-max kernel.
 
@@ -593,7 +593,7 @@ def polydisk_squeezing_removed_blocks(domain, z, mesh_tol: float = _DEFAULT_MESH
     tail = 0.0
     while examined != count:
         if count is None and best_k:
-            t = domain.tail_inner_bound(examined)
+            t = domain.family.tail_inner_modulus(examined)
             if _tail_stops(t, anchor, best_v):
                 tail = t
                 break
@@ -684,7 +684,7 @@ def _require_product_point(domain: ProductOfBalls, z) -> None:
         raise PointError(f"product point must have {n} factors of {n} coordinates")
     for i, f in enumerate(factors):
         norm = math.sqrt(sum(abs(c) ** 2 for c in f))
-        if not norm < 1.0 - 1e-12:  # also NaN
+        if not norm < 1.0 - INTERIOR_MARGIN:  # also NaN
             raise PointError(f"factor {i} has norm {norm!r}, not strictly inside the ball")
 
 

@@ -76,9 +76,6 @@ class Lcg:
     def uniform(self) -> float:
         return (self.next_u64() >> 11) * 2.0**-53
 
-    def uniform_in(self, a: float, b: float) -> float:
-        return a + (b - a) * self.uniform()
-
     def disk_point(self, radius: float) -> complex:
         r = radius * math.sqrt(self.uniform())
         phi = 2.0 * math.pi * self.uniform()

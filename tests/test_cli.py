@@ -136,6 +136,30 @@ def test_eval_nan_point_exits_3(domain_file, capsys, name, doc, point, invariant
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+POLYDISK_POINT_DOMAINS = [
+    ("removed_polydisks", {"kind": "removed_polydisks", "n": 2,
+                           "blocks": [{"center": [[0.0, 0.0], [0.0, 0.0]], "radius": 0.25}]}),
+    ("removed_balls", {"kind": "removed_balls", "n": 2,
+                       "blocks": [{"center": [[0.0, 0.0], [0.0, 0.0]], "radius": 0.25}]}),
+    ("poly_sequence", {"kind": "poly_sequence", "n": 2, "family": "radial", "q": 0.5,
+                       "theta": 1.0}),
+]
+
+
+@pytest.mark.parametrize("name, doc", POLYDISK_POINT_DOMAINS,
+                         ids=[case[0] for case in POLYDISK_POINT_DOMAINS])
+def test_eval_wrong_coordinate_count_exits_2(domain_file, capsys, name, doc):
+    # a malformed --point is a usage error, as on product_of_balls, not a
+    # point outside the domain
+    path = domain_file(f"{name}.json", doc)
+    for point, count in (("0.5,0;0,0;0,0", 3), ("0.5,0", 1)):
+        assert main(["eval", "--domain", path, f"--point={point}",
+                     "--invariant", "polydisk-squeezing"]) == 2
+        assert capsys.readouterr().err == f"error: point has {count} coordinates, expected 2\n"
+    assert main(["eval", "--domain", path, "--point=0.5,0;0,0",
+                 "--invariant", "polydisk-squeezing"]) == 0
+
+
 def test_eval_domain_with_nan_puncture_exits_2(tmp_path, capsys):
     # json accepts the NaN literal; the puncture must not be silently ignored
     path = tmp_path / "nan.json"

@@ -7,14 +7,11 @@ from hypothesis import strategies as st
 from squeezefn.hyperbolic import (
     MobiusMap,
     PointError,
-    mobius_apply,
-    poincare_distance,
-    polydisk_caratheodory_tanh,
-    pseudo_hyperbolic,
     radial_separation_bound,
+    require_disk_point,
+    require_interior_polydisk_point,
     rho,
-    sigma,
-    sigma_inverse,
+    rho_max,
 )
 
 
@@ -40,7 +37,7 @@ def test_mobius_center_goes_to_origin():
 def test_mobius_quarter_point_value():
     # (1/4 - 1/2) / (1 - 1/8) = -2/7
     m = MobiusMap(center=0.5)
-    assert mobius_apply(m, complex(0.25)) == complex(-2.0 / 7.0)
+    assert m(complex(0.25)) == complex(-2.0 / 7.0)
 
 
 @settings(max_examples=200)
@@ -53,13 +50,6 @@ def test_mobius_involution_at_rotation_pi(a, p):
     assert abs(m(0j) - a) <= 1e-15
 
 
-@settings(max_examples=200)
-@given(disk_points, disk_points, st.floats(0.0, 2.0 * math.pi))
-def test_mobius_inverse(a, p, rot):
-    m = MobiusMap(center=a, rotation=rot)
-    assert abs(m.inverse()(m(p)) - p) <= 1e-12
-
-
 def test_mobius_rejects_boundary_adjacent_center():
     with pytest.raises(PointError):
         MobiusMap(center=complex(1.0 - 1e-13))
@@ -70,31 +60,31 @@ def test_mobius_rejects_outside_argument():
         MobiusMap(center=0.5)(complex(1.2))
 
 
-# --- pseudo-hyperbolic distance -------------------------------------------
+# --- pseudo-hyperbolic distance rho ----------------------------------------
 
 def test_distance_from_origin_is_modulus():
-    assert pseudo_hyperbolic(0j, complex(0.0, 0.7)) == 0.7
+    assert rho(0j, complex(0.0, 0.7)) == 0.7
 
 
 def test_distance_half_to_quarter():
-    assert pseudo_hyperbolic(complex(0.5), complex(0.25)) == 2.0 / 7.0
+    assert rho(complex(0.5), complex(0.25)) == 2.0 / 7.0
 
 
 def test_distance_of_coincident_points_is_zero():
     z = complex(0.3, 0.1)
-    assert pseudo_hyperbolic(z, z) == 0.0
+    assert rho(z, z) == 0.0
 
 
 @settings(max_examples=200)
 @given(disk_points, disk_points)
 def test_distance_symmetry(z, w):
-    assert pseudo_hyperbolic(z, w) == pytest.approx(pseudo_hyperbolic(w, z), abs=1e-15)
+    assert rho(z, w) == pytest.approx(rho(w, z), abs=1e-15)
 
 
 @settings(max_examples=200)
 @given(disk_points, disk_points)
 def test_distance_range_and_identity(z, w):
-    d = pseudo_hyperbolic(z, w)
+    d = rho(z, w)
     assert 0.0 <= d < 1.0
     if z != w:
         assert d > 0.0
@@ -104,7 +94,7 @@ def test_distance_range_and_identity(z, w):
 @given(disk_points, disk_points, disk_points, st.floats(0.0, 2.0 * math.pi))
 def test_mobius_invariance_of_distance(z, w, a, rot):
     m = MobiusMap(center=a, rotation=rot)
-    assert abs(pseudo_hyperbolic(m(z), m(w)) - pseudo_hyperbolic(z, w)) <= 1e-12
+    assert abs(rho(m(z), m(w)) - rho(z, w)) <= 1e-12
 
 
 def test_radial_separation_bound_against_brute_force():
@@ -123,63 +113,17 @@ def test_radial_separation_bound_against_brute_force():
 def test_rotation_only_maps_preserve_moduli():
     m = MobiusMap(rotation=1.234)
     for z, w in [(complex(0.1, 0.2), complex(-0.4, 0.5)), (0j, complex(0.9))]:
-        assert abs(pseudo_hyperbolic(m(z), m(w)) - pseudo_hyperbolic(z, w)) <= 1e-14
+        assert abs(rho(m(z), m(w)) - rho(z, w)) <= 1e-14
 
 
-# --- sigma / Poincare distance ---------------------------------------------
-
-def test_sigma_at_zero():
-    assert sigma(0.0) == 0.0
-
-
-def test_sigma_half_matches_displayed_formula():
-    assert sigma(0.5) == pytest.approx(0.5 * math.log(3.0), abs=1e-15)
-
-
-def test_sigma_roundtrip():
-    assert sigma_inverse(sigma(0.9)) == pytest.approx(0.9, abs=1e-12)
-    for i in range(1000):
-        x = 0.999999 * i / 999
-        assert sigma_inverse(sigma(x)) == pytest.approx(x, abs=1e-12)
-
-
-def test_sigma_strictly_increasing():
-    xs = [0.9999 * i / 999 for i in range(1000)]
-    vals = [sigma(x) for x in xs]
-    assert all(a < b for a, b in zip(vals, vals[1:]))
-
-
-def test_sigma_rejects_out_of_range():
-    with pytest.raises(PointError):
-        sigma(1.0)
-    with pytest.raises(PointError):
-        sigma(-0.1)
-    with pytest.raises(PointError):
-        sigma_inverse(-1.0)
-
-
-def test_poincare_distance_examples():
-    assert poincare_distance(0j, 0j) == 0.0
-    assert poincare_distance(0j, complex(math.tanh(1.0))) == pytest.approx(1.0, abs=1e-12)
-    assert poincare_distance(0j, complex(0.5)) == pytest.approx(0.5 * math.log(3.0), abs=1e-15)
-
-
-@settings(max_examples=200)
-@given(disk_points, disk_points)
-def test_tanh_of_poincare_recovers_pseudo_hyperbolic(z, w):
-    assert math.tanh(poincare_distance(z, w)) == pytest.approx(
-        pseudo_hyperbolic(z, w), abs=1e-12
-    )
-
-
-# --- polydisk Caratheodory --------------------------------------------------
+# --- polydisk Caratheodory distance rho_max ---------------------------------
 
 def test_polydisk_max_of_moduli_from_origin():
-    assert polydisk_caratheodory_tanh((0j, 0j), (complex(0.5), complex(0.25))) == 0.5
+    assert rho_max((0j, 0j), (complex(0.5), complex(0.25))) == 0.5
 
 
 def test_polydisk_coordinatewise_value():
-    assert polydisk_caratheodory_tanh(
+    assert rho_max(
         (complex(0.5), 0j), (complex(0.25), 0j)
     ) == 2.0 / 7.0
 
@@ -187,12 +131,7 @@ def test_polydisk_coordinatewise_value():
 @settings(max_examples=200)
 @given(disk_points, disk_points)
 def test_polydisk_collapses_to_disk_for_n1(z, w):
-    assert polydisk_caratheodory_tanh((z,), (w,)) == pseudo_hyperbolic(z, w)
-
-
-def test_polydisk_dimension_mismatch():
-    with pytest.raises(PointError):
-        polydisk_caratheodory_tanh((0j, 0j), (0j,))
+    assert rho_max((z,), (w,)) == rho(z, w)
 
 
 @settings(max_examples=150)
@@ -202,8 +141,8 @@ def test_polydisk_permutation_invariance(pairs, data):
     zs = tuple(p[0] for p in pairs)
     ws = tuple(p[1] for p in pairs)
     perm = data.draw(st.permutations(range(len(pairs))))
-    base = polydisk_caratheodory_tanh(zs, ws)
-    permuted = polydisk_caratheodory_tanh(
+    base = rho_max(zs, ws)
+    permuted = rho_max(
         tuple(zs[i] for i in perm), tuple(ws[i] for i in perm)
     )
     assert base == permuted
@@ -217,8 +156,8 @@ def test_polydisk_componentwise_mobius_invariance(rows):
     zs = tuple(r[0] for r in rows)
     ws = tuple(r[1] for r in rows)
     maps = [MobiusMap(center=r[2], rotation=r[3]) for r in rows]
-    base = polydisk_caratheodory_tanh(zs, ws)
-    moved = polydisk_caratheodory_tanh(
+    base = rho_max(zs, ws)
+    moved = rho_max(
         tuple(m(z) for m, z in zip(maps, zs)),
         tuple(m(w) for m, w in zip(maps, ws)),
     )
@@ -227,8 +166,26 @@ def test_polydisk_componentwise_mobius_invariance(rows):
 
 # --- validation --------------------------------------------------------------
 
+def test_polydisk_dimension_mismatch():
+    with pytest.raises(PointError, match="has 1 coordinates, expected 2"):
+        require_interior_polydisk_point((0j,), 2)
+    with pytest.raises(PointError, match="has 3 coordinates, expected 2"):
+        require_interior_polydisk_point((0j, 0j, 0j), 2)
+
+
 def test_point_outside_disk_rejected():
-    with pytest.raises(PointError):
-        pseudo_hyperbolic(complex(1.0), 0j)
-    with pytest.raises(PointError):
-        pseudo_hyperbolic(0j, complex(0.8, 0.8))
+    with pytest.raises(PointError, match="not strictly inside the unit disk"):
+        require_disk_point(complex(1.0))
+    with pytest.raises(PointError, match="not strictly inside the unit disk"):
+        require_disk_point(complex(0.8, 0.8))
+    with pytest.raises(PointError, match="not a finite complex number"):
+        require_disk_point(complex(math.nan, 0.0))
+    with pytest.raises(PointError, match="coordinate 1 .* not strictly inside"):
+        require_interior_polydisk_point((0j, complex(0.8, 0.8)), 2)
+    # coordinate 0 is boundary-adjacent, coordinate 1 outside the disk: the
+    # disk check runs over every coordinate before the interior check
+    boundary_adjacent = complex(1.0 - 1e-13)
+    with pytest.raises(PointError, match=r"coordinate 1 \(1\.5\+0j\) is not strictly inside"):
+        require_interior_polydisk_point((boundary_adjacent, complex(1.5)), 2)
+    with pytest.raises(PointError, match="coordinate 0 .* boundary-adjacent"):
+        require_interior_polydisk_point((boundary_adjacent, 0j), 2)
