@@ -160,6 +160,15 @@ def test_eval_wrong_coordinate_count_exits_2(domain_file, capsys, name, doc):
                  "--invariant", "polydisk-squeezing"]) == 0
 
 
+def test_eval_product_wrong_coordinate_count_exits_2(domain_file, capsys):
+    # a product point lists n*n planar coordinates
+    path = domain_file("prod.json", {"kind": "product_of_balls", "n": 2})
+    for point, count in (("0,0;0,0;0,0", 3), (";".join(["0,0"] * 5), 5)):
+        assert main(["eval", "--domain", path, f"--point={point}",
+                     "--invariant", "squeezing"]) == 2
+        assert capsys.readouterr().err == f"error: point has {count} coordinates, expected 4\n"
+
+
 def test_eval_domain_with_nan_puncture_exits_2(tmp_path, capsys):
     # json accepts the NaN literal; the puncture must not be silently ignored
     path = tmp_path / "nan.json"

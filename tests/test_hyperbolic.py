@@ -9,6 +9,7 @@ from squeezefn.hyperbolic import (
     PointError,
     radial_separation_bound,
     require_disk_point,
+    require_interior_point,
     require_interior_polydisk_point,
     rho,
     rho_max,
@@ -48,6 +49,23 @@ def test_mobius_involution_at_rotation_pi(a, p):
     m = MobiusMap(center=a, rotation=math.pi)
     assert abs(m(m(p)) - p) <= 1e-12
     assert abs(m(0j) - a) <= 1e-15
+
+
+@settings(max_examples=200)
+@given(disk_points, disk_points, st.floats(0.0, 2.0 * math.pi))
+def test_mobius_inverse_is_a_mobius_map(a, p, rot):
+    # the inverse of e^{i t}(z - a)/(1 - conj(a) z) is the map with center
+    # -a e^{i t} and rotation -t
+    m = MobiusMap(center=a, rotation=rot)
+    inverse = MobiusMap(center=-a * m.phase, rotation=-rot)
+    assert abs(inverse(m(p)) - p) <= 1e-12
+    assert abs(m(inverse(p)) - p) <= 1e-12
+
+
+@settings(max_examples=200)
+@given(disk_points, disk_points, st.floats(0.0, 2.0 * math.pi))
+def test_mobius_maps_disk_into_disk(a, p, rot):
+    assert abs(MobiusMap(center=a, rotation=rot)(p)) < 1.0
 
 
 def test_mobius_rejects_boundary_adjacent_center():
@@ -108,6 +126,36 @@ def test_radial_separation_bound_against_brute_force():
                 rho(z, polar(s, 2.0 * math.pi * k / 10_000)) for k in range(10_000)
             )
             assert observed >= bound - 1e-12
+
+
+@settings(max_examples=300)
+@given(disk_points, disk_points, disk_points)
+def test_distance_strong_triangle_inequality(z, w, x):
+    # the pseudo-hyperbolic form of the Poincare triangle inequality:
+    # atanh rho is additive along geodesics
+    a, b = rho(z, w), rho(w, x)
+    assert rho(z, x) <= (a + b) / (1.0 + a * b) + 1e-12
+
+
+def test_radial_separation_bound_is_attained_on_the_ray():
+    # on the positive real axis the aligned point realises the bound exactly
+    for r, m in [(0.0, 0.5), (0.3, 0.6), (0.7, 0.9), (0.5, 0.95), (0.9, 0.999)]:
+        assert rho(complex(r), complex(m)) == pytest.approx(
+            radial_separation_bound(m, r), rel=1e-13)
+    assert radial_separation_bound(0.5, 0.0) == 0.5
+
+
+def test_radial_separation_bound_is_monotone():
+    # a farther tail (larger m) separates more, a farther anchor (larger r) less
+    grid = [0.999 * i / 200 for i in range(201)]
+    for r in grid[:-1]:
+        ms = [m for m in grid if m > r]
+        vals = [radial_separation_bound(m, r) for m in ms]
+        assert all(u < v for u, v in zip(vals, vals[1:]))
+    for m in grid[1:]:
+        rs = [r for r in grid if r < m]
+        vals = [radial_separation_bound(m, r) for r in rs]
+        assert all(u > v for u, v in zip(vals, vals[1:]))
 
 
 def test_rotation_only_maps_preserve_moduli():
@@ -189,3 +237,12 @@ def test_point_outside_disk_rejected():
         require_interior_polydisk_point((boundary_adjacent, complex(1.5)), 2)
     with pytest.raises(PointError, match="coordinate 0 .* boundary-adjacent"):
         require_interior_polydisk_point((boundary_adjacent, 0j), 2)
+
+
+def test_interior_point_margin():
+    inside = complex(1.0 - 2e-12)
+    assert require_interior_point(inside) == inside
+    with pytest.raises(PointError, match="center .* boundary-adjacent"):
+        require_interior_point(complex(0.0, 1.0 - 1e-13), "center")
+    with pytest.raises(PointError, match="not strictly inside the unit disk"):
+        require_interior_point(complex(-1.0))
