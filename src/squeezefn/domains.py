@@ -115,8 +115,8 @@ def _require_finite(what: str, **params) -> None:
 
 def _require_angle(what: str, theta: float) -> None:
     """theta * k must be finite for every generated index k <= _TAIL_LIMIT_INDEX
-    (the engine stops far below it): cmath.exp raises ValueError on an
-    infinite angle."""
+    (the engine stops far below it).  This keeps chunk angles finite: numpy's
+    cos and sin give NaN at an infinite angle, with a warning, and do not raise."""
     _require_finite(what, theta=theta)
     if not math.isfinite(theta * _TAIL_LIMIT_INDEX):
         raise DomainError(f"{what}: theta * k overflows for indices up to "
@@ -126,26 +126,28 @@ def _require_angle(what: str, theta: float) -> None:
 # Chunks of a generated family: the real and imaginary parts of a_(start+1) ..
 # a_stop and the tail bounds m(start+1) .. m(stop), as numpy arrays, bitwise
 # equal to point(k) and tail_modulus(n).  m(n) is the modulus factor of
-# a_(n+1), so one power per index serves both.  numpy does only + - * /, in
-# the order CPython 3.10-3.13 does them; the transcendentals are math.pow, the
-# libm call of k**p and q**k, and cmath.exp itself.  (numpy's own power and
-# exp may differ in the last ulp.)
+# a_(n+1), so one power per index serves both.  numpy does + - * / in the
+# order CPython 3.10-3.13 does them; the transcendentals are math.pow, the
+# libm call of k**p and q**k, and numpy's float64 cos and sin, which must be
+# libm's cos and sin that cmath.exp calls: chunk-to-point equality is a
+# property of the numpy build.  (numpy's own power may differ in the last ulp.)
 
 
-def _polar_chunk(moduli, theta: float, k):
-    """moduli[i] * cmath.exp(1j * theta * k[i]) for float indices k, step by
-    step: 1j * theta is _Py_c_prod((0, 1), (theta, 0)), times k is _Py_c_prod
-    with (k, 0), and the float modulus times e is _Py_c_prod((modulus, 0), e)."""
+def _polar_chunk(theta: float, start: int, stop: int, modulus):
+    """chunk(start, stop) of a_k = modulus(k) * cmath.exp(1j * theta * k), where
+    ``modulus`` maps a float array of indices k to its moduli, step by step:
+    1j * theta * k is two _Py_c_prod, with real part +-0; cmath.exp of it is
+    (cos y, sin y) at its imaginary part y, as exp(+-0) = 1 exactly; and the
+    modulus times that is _Py_c_prod((modulus, 0), (cos y, sin y))."""
     import numpy as np
 
-    size = len(moduli)
+    k = np.arange(start + 1, stop + 2, dtype=float)
+    moduli = modulus(k)
     wr = 0.0 * theta - 1.0 * 0.0
     wi = 0.0 * 0.0 + 1.0 * theta
-    angles = np.empty(size, dtype=complex)
-    angles.real = wr * k - wi * 0.0
-    angles.imag = wr * 0.0 + wi * k
-    e = np.fromiter(map(cmath.exp, angles.tolist()), complex, size)
-    return moduli * e.real - 0.0 * e.imag, moduli * e.imag + 0.0 * e.real
+    y = wr * 0.0 + wi * k[:-1]
+    c, s = np.cos(y), np.sin(y)
+    return moduli[:-1] * c - 0.0 * s, moduli[:-1] * s + 0.0 * c, moduli[1:]
 
 
 class _RadialLaw:
@@ -167,10 +169,8 @@ class _RadialLaw:
     def _lead_chunk(self, start: int, stop: int):
         import numpy as np
 
-        k = np.arange(start + 1, stop + 2, dtype=float)
-        powers = map(math.pow, itertools.repeat(self.q), k.tolist())  # q**k
-        moduli = 1.0 - np.fromiter(powers, float, k.size)
-        return (*_polar_chunk(moduli[:-1], self.theta, k[:-1]), moduli[1:])
+        return _polar_chunk(self.theta, start, stop, lambda k: 1.0 - np.fromiter(
+            map(math.pow, itertools.repeat(self.q), k.tolist()), float, k.size))  # q**k
 
     def tail_modulus(self, examined: int) -> float:
         return 1.0 - self.q ** (examined + 1)
@@ -220,10 +220,8 @@ class BoundaryOrbitFamily:
     def chunk(self, start: int, stop: int):
         import numpy as np
 
-        k = np.arange(start + 1, stop + 2, dtype=float)
-        powers = map(math.pow, k.tolist(), itertools.repeat(self.p))  # k**p
-        moduli = 1.0 - self.c / np.fromiter(powers, float, k.size)
-        return (*_polar_chunk(moduli[:-1], self.theta, k[:-1]), moduli[1:])
+        return _polar_chunk(self.theta, start, stop, lambda k: 1.0 - self.c / np.fromiter(
+            map(math.pow, k.tolist(), itertools.repeat(self.p)), float, k.size))  # k**p
 
     def tail_index(self, level: float) -> int:
         """About the smallest n with tail_modulus(n) > level, for level < 1."""

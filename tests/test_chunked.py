@@ -118,6 +118,29 @@ def test_family_chunk_is_bitwise_point_and_tail_at_huge_angles(family, window):
     test_family_chunk_is_bitwise_point_and_tail.hypothesis.inner_test(family, window)
 
 
+DENSE = 2**17
+
+
+@pytest.mark.parametrize("family", [
+    BoundaryOrbitFamily(c=0.5, p=1.0, theta=2.3),
+    BoundaryOrbitFamily(c=0.5, p=2.0, theta=2.3),
+    RadialFamily(q=0.99, theta=1.0),
+], ids=["orbit-p1", "orbit-p2", "radial-q099"])
+def test_family_chunk_is_bitwise_point_at_every_index(family):
+    # the deep families' first 2**17 punctures in one chunk: the windows above
+    # are 40 wide, and numpy's cos and sin must be libm's at every angle here
+    import numpy as np
+
+    re, im, tails = family.chunk(0, DENSE)
+    points = np.array([family.point(k) for k in range(1, DENSE + 1)], dtype=complex)
+    bounds = np.array([family.tail_modulus(k) for k in range(1, DENSE + 1)])
+    for name, got, expect in (("re", re, points.real), ("im", im, points.imag),
+                              ("tail", tails, bounds)):
+        got, expect = (np.ascontiguousarray(a).view(np.uint64) for a in (got, expect))
+        bad = np.flatnonzero(got != expect)
+        assert bad.size == 0, f"{name} differs at {bad.size} indices, first k = {bad[0] + 1}"
+
+
 # --- the chunked evaluators against the per-puncture loop ---------------------
 
 
