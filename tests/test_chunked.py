@@ -5,6 +5,7 @@ import cmath
 import math
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, reject, settings
 from hypothesis import strategies as st
@@ -129,8 +130,6 @@ DENSE = 2**17
 def test_family_chunk_is_bitwise_point_at_every_index(family):
     # the deep families' first 2**17 punctures in one chunk: the windows above
     # are 40 wide, and numpy's cos and sin must be libm's at every angle here
-    import numpy as np
-
     re, im, tails = family.chunk(0, DENSE)
     points = np.array([family.point(k) for k in range(1, DENSE + 1)], dtype=complex)
     bounds = np.array([family.tail_modulus(k) for k in range(1, DENSE + 1)])
