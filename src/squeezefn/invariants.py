@@ -2,10 +2,12 @@
 
 Infima over infinite puncture sequences are evaluated exactly: examination
 stops at the first index N where the tail bound
-(m(N) - |z|)/(1 - |z| m(N)) strictly exceeds the running minimum, so the
-returned value equals the minimum over the examined prefix and is independent
-of any larger truncation.  Punctures are examined in numpy chunks (_scan for
-one point, grid_cells for a grid), bitwise equal to a per-puncture loop.
+(m(N) - |z|)/(1 - |z| m(N)) strictly exceeds the running minimum, or for a
+listing's tail constant at least equals it (see _unstopped); the value is the
+minimum over the examined prefix, independent of any larger truncation.
+Punctures are examined in numpy chunks, bitwise equal to a per-puncture loop:
+by grid_cells for a grid, and by _scan at one point from a starting bound,
+infinite for a value and just below the claim for a lower-bound certificate.
 Minima over removed-block boundaries reduce to circle minima, which are closed
 forms with a rounding floor; ball blocks add a branch-and-bound over radius
 profiles.  They carry a mesh error such that the true minimum lies in
@@ -135,8 +137,8 @@ def squeezing_punctured_disk(domain, z: complex) -> InvariantValue:
 class _Scan(NamedTuple):
     examined: int              # punctures examined; the offending index if ``bad`` is set
     tail: float | None         # m(examined), if it covers the bound there
-    best: float                # minimum distance over the examined punctures
-    best_index: int            # smallest index attaining it
+    best: float                # minimum of the scan's bound and the examined distances
+    best_index: int            # smallest index attaining it, 0 for the bound
     bad: float | None = None   # distance of the first puncture below the floor
 
 
@@ -167,35 +169,32 @@ def _distances(z, re, im):
     return np.max([_rho_block(c.real, c.imag, re[j], im[j]) for j, c in enumerate(z)], axis=0)
 
 
-def _scan(domain, z, anchor: float, floor: float, cover: float | None = None) -> _Scan:
+def _scan(domain, z, anchor: float, floor: float, bound: float = math.inf) -> _Scan:
     """The certified-truncation loop of a sequence domain at one point.
 
-    Examines punctures in chunks and stops at the first index whose tail
-    bound covers the running minimum of the distances, or the fixed level
-    ``cover`` when given, by the stop rule _tail_stops.  A distance below
-    ``floor`` at or before that index ends the scan there.  A scan that
-    reaches the end of a listing, or _SEQUENCE_CAP, returns with tail None
-    (see _unstopped).  The first chunk holds _GRID_FIRST_CHUNK punctures, or
-    is sized by the fixed level; later ones by the running minimum (see
-    _next_stop).
+    Stops at the first index n >= 0 whose tail bound m(n) covers the running
+    minimum of ``bound`` and the first n distances (_tail_stops); ``bound``
+    is infinite for a value and just below the claim for a certificate.  A
+    distance below ``floor`` at or before that index ends the scan.  At the
+    end of a listing, or at _SEQUENCE_CAP, the tail is None (see _unstopped).
+    Chunks: the first holds _GRID_FIRST_CHUNK punctures, or is sized by a
+    finite ``bound``; later ones by the running minimum (see _next_stop).
     """
     import numpy as np
 
+    tail = domain.tail_lower_bound(0)
+    if _tail_stops(tail, anchor, bound):
+        return _Scan(0, tail, bound, 0)
     limit = domain.known_count() or _SEQUENCE_CAP
-    best, best_index, examined = math.inf, 0, 0
-    if cover is None:
-        stop = min(_GRID_FIRST_CHUNK, limit)
-    else:
-        stop = _next_stop(domain, 0, limit, anchor, cover)
+    best, best_index, examined = bound, 0, 0
+    stop = (min(_GRID_FIRST_CHUNK, limit) if bound == math.inf
+            else _next_stop(domain, 0, limit, anchor, bound))
     while True:
         re, im, tails = domain.chunk(examined, stop)
         dist = _distances(z, re, im)
-        if cover is None:
-            bound = np.minimum.accumulate(dist)
-            np.minimum(bound, best, out=bound)
-        else:
-            bound = cover
-        stops = _tail_stops(tails, anchor, bound)
+        run = np.minimum.accumulate(dist)
+        np.minimum(run, best, out=run)
+        stops = _tail_stops(tails, anchor, run)
         stopped = bool(stops.any())
         seen = dist[:int(stops.argmax()) + 1] if stopped else dist
         low = seen < floor
@@ -210,7 +209,7 @@ def _scan(domain, z, anchor: float, floor: float, cover: float | None = None) ->
         examined = stop
         if examined >= limit:
             return _Scan(examined, None, best, best_index)
-        stop = _next_stop(domain, examined, limit, anchor, best if cover is None else cover)
+        stop = _next_stop(domain, examined, limit, anchor, best)
 
 
 def _sequence_min(domain, z, anchor: float) -> InvariantValue:
@@ -370,10 +369,7 @@ def lower_bound_certificate(domain, z: complex, claimed: float) -> VerificationO
 
     # the tail covers the claim when its separation bound is >= claimed, which
     # for floats is > the next float below it: the stop rule's strict test
-    cover = math.nextafter(claimed, -math.inf)
-    m = domain.tail_lower_bound(0)
-    scan = (_Scan(0, m, math.inf, 0) if _tail_stops(m, anchor, cover)
-            else _scan(domain, z, anchor, claimed, cover))
+    scan = _scan(domain, z, anchor, claimed, math.nextafter(claimed, -math.inf))
     if scan.bad is not None:
         return VerificationOutcome(False, observed=(scan.bad,), violating_index=scan.examined,
                                    details=f"puncture {scan.examined} image modulus "
@@ -530,7 +526,7 @@ def _ball_block_min(z, block: Block, tol: float,
     heap = [(low - lip_t * half_sum, 0, lo, hi)]
     counter = 1
     evals = 1
-    while heap:
+    while True:  # each pass pops one box and pushes two
         bound, _, lo, hi = heapq.heappop(heap)
         gap = best - bound
         if gap <= tol:
@@ -553,7 +549,6 @@ def _ball_block_min(z, block: Block, tol: float,
             best = min(best, v)
             heapq.heappush(heap, (low - lip_t * half, counter, child_lo, child_hi))
             counter += 1
-    raise CertificationError("boundary minimization exhausted its search queue")
 
 
 def _require_outside_block(domain, z, block: Block, index: int) -> None:

@@ -422,6 +422,7 @@ SUITES = ("paper-claims", "invariance", "truncation", "boundary-oracle", "all")
 # linearly with the budget: the suite peaks at 34 MB resident at the default
 # 250k samples and at about 290 MB at this limit, 16 times the default.
 MAX_ORACLE_SAMPLES = 4_000_000
+MIN_ORACLE_SAMPLES = 4_000  # the doubling check gives the oracle a quarter; it needs 1000
 
 
 def run_suite(name: str, seed: int = 42, trials: int | None = None,
@@ -430,6 +431,8 @@ def run_suite(name: str, seed: int = 42, trials: int | None = None,
     default count."""
     if samples > MAX_ORACLE_SAMPLES:
         raise DomainError(f"boundary oracle samples above the limit {MAX_ORACLE_SAMPLES}")
+    if samples < MIN_ORACLE_SAMPLES:
+        raise DomainError(f"boundary oracle needs samples >= {MIN_ORACLE_SAMPLES}, got {samples!r}")
     counts = {} if trials is None else {"trials": trials}
     if name == "paper-claims":
         return claims_suite(seed=seed)

@@ -5,7 +5,7 @@ import pytest
 from squeezefn.cli import MAX_GRID_CELLS, GridJob, main
 from squeezefn.domains import MAX_DIMENSION, DomainError, FinitePunctures, parse_domain_spec
 from squeezefn.hyperbolic import rho
-from squeezefn.verification import MAX_ORACLE_SAMPLES
+from squeezefn.verification import MAX_ORACLE_SAMPLES, MIN_ORACLE_SAMPLES
 
 
 @pytest.fixture
@@ -19,6 +19,7 @@ def domain_file(tmp_path):
 
 FINITE2 = {"kind": "finite_punctures", "points": [[0.5, 0.0], [0.0, 0.5]]}
 RADIAL = {"kind": "sequence", "family": "radial", "q": 0.5, "theta": 1.0}
+ANNULUS = {"kind": "annulus", "r": 0.25}
 
 
 # --- eval -------------------------------------------------------------------
@@ -167,6 +168,70 @@ def test_eval_product_wrong_coordinate_count_exits_2(domain_file, capsys):
         assert main(["eval", "--domain", path, f"--point={point}",
                      "--invariant", "squeezing"]) == 2
         assert capsys.readouterr().err == f"error: point has {count} coordinates, expected 4\n"
+
+
+RADIAL_BLOCKS = {"family": "radial", "q": 0.5, "theta": 1.0, "r0": 0.25}
+BALL = {"center": [[0.0, 0.0], [0.0, 0.0]], "radius": 0.25}
+EVAL = ["eval", "--point", "0,0"]
+GRID = ["grid", "--rect=-0.5,0.5,-0.5,0.5", "--res=2,2", "--output=out.csv"]
+PARSE_AND_ARGUMENT_ERRORS = [
+    ("orbit_c_above_range", {"kind": "sequence", "family": "boundary_orbit", "c": 1.0,
+                             "p": 1.0, "theta": 2.3}, EVAL,
+     "boundary_orbit family: c must be in (0, 1), got 1.0"),
+    ("orbit_c_zero", {"kind": "sequence", "family": "boundary_orbit", "c": 0.0,
+                      "p": 1.0, "theta": 2.3}, EVAL,
+     "boundary_orbit family: c must be in (0, 1), got 0.0"),
+    ("orbit_p_zero", {"kind": "sequence", "family": "boundary_orbit", "c": 0.5,
+                      "p": 0.0, "theta": 2.3}, EVAL,
+     "boundary_orbit family: p must be positive, got 0.0"),
+    ("poly_family_n0", {"kind": "poly_sequence", "n": 0, "family": "radial", "q": 0.5,
+                        "theta": 1.0}, EVAL, "radial family: dimension must be >= 1, got 0"),
+    ("poly_listing_n0", {"kind": "poly_sequence", "n": 0, "points": [[[0.5, 0.0]]]}, EVAL,
+     "poly_sequence: dimension must be an integer >= 1, got 0"),
+    ("block_family_n1", {"kind": "removed_balls", "n": 1, **RADIAL_BLOCKS}, EVAL,
+     "block family: dimension must be >= 2, got 1"),
+    ("block_family_r0_one", {"kind": "removed_polydisks", "n": 2, **RADIAL_BLOCKS, "r0": 1.0},
+     EVAL, "block family: r0 must be in (0, 1), got 1.0"),
+    ("block_family_r0_zero", {"kind": "removed_balls", "n": 2, **RADIAL_BLOCKS, "r0": 0.0},
+     EVAL, "block family: r0 must be in (0, 1), got 0.0"),
+    ("poly_listing_empty", {"kind": "poly_sequence", "n": 2, "points": []}, EVAL,
+     "poly_sequence.points: expected a nonempty list"),
+    ("block_centre_count", {"kind": "removed_balls", "n": 2,
+                            "blocks": [{"center": [[0.0, 0.0]], "radius": 0.25}]}, EVAL,
+     "removed_balls: block 0 center has 1 coordinates, expected 2"),
+    ("point_one_number", {"kind": "finite_punctures", "points": [[0.5]]}, EVAL,
+     "points[0]: expected [re, im], got [0.5]"),
+    ("blocks_missing", {"kind": "removed_balls", "n": 2}, EVAL,
+     "removed_balls: missing or empty 'blocks'"),
+    ("block_not_object", {"kind": "removed_polydisks", "n": 2, "blocks": [[0.0, 0.25]]}, EVAL,
+     "removed_polydisks.blocks[0]: expected {center, radius}"),
+    ("block_extra_field", {"kind": "removed_balls", "n": 2, "blocks": [{**BALL, "colour": 1}]},
+     EVAL, "removed_balls.blocks[0]: unexpected fields ['colour']"),
+    ("document_list", [ANNULUS], EVAL, "domain document must be an object, got list"),
+    ("kind_not_string", {"kind": 3}, EVAL, "unknown domain kind 3"),
+    ("product_without_n", {"kind": "product_of_balls"}, EVAL, "product_of_balls: missing 'n'"),
+    ("point_not_numbers", RADIAL, ["eval", "--point=a,b"],
+     "point 'a,b': could not convert string to float: 'a'"),
+    ("compare_annulus", ANNULUS, ["compare", "--point=0.5,0"],
+     "compare applies to punctured disks, not Annulus"),
+    ("grid_rect_three_numbers", RADIAL, [*GRID, "--rect=1,2,3"],
+     "--rect needs four numbers 'a,b,c,d', got '1,2,3'"),
+    ("grid_res_one_number", RADIAL, [*GRID, "--res=2"],
+     "bad --rect/--res: not enough values to unpack (expected 2, got 1)"),
+]
+
+
+@pytest.mark.parametrize("name, doc, args, message", PARSE_AND_ARGUMENT_ERRORS,
+                         ids=[case[0] for case in PARSE_AND_ARGUMENT_ERRORS])
+def test_parse_and_argument_errors_exit_2(domain_file, tmp_path, monkeypatch, capsys,
+                                          name, doc, args, message):
+    monkeypatch.chdir(tmp_path)
+    command, *rest = args
+    assert main([command, "--domain", domain_file(f"{name}.json", doc), *rest]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_eval_domain_with_nan_puncture_exits_2(tmp_path, capsys):
@@ -498,3 +563,13 @@ def test_verify_rejects_samples_above_the_limit(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: boundary oracle samples above the limit {MAX_ORACLE_SAMPLES}\n"
+
+
+@pytest.mark.parametrize("suite, samples", [("all", 10), ("invariance", -5),
+                                            ("boundary-oracle", MIN_ORACLE_SAMPLES - 1)])
+def test_verify_rejects_samples_below_the_floor(capsys, suite, samples):
+    # checked before any suite runs, whichever suites the run would use
+    assert main(["verify", "--suite", suite, "--samples", str(samples)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: boundary oracle needs samples >= {MIN_ORACLE_SAMPLES}, got {samples}\n"

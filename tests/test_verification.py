@@ -127,6 +127,7 @@ def test_report_serialization_formats():
 
 def test_run_suite_dispatch_and_unknown_name():
     assert run_suite("invariance", trials=5) == invariance_suite(trials=5)
+    assert run_suite("boundary-oracle", samples=4_000) == boundary_oracle_suite(samples=4_000)
     with pytest.raises(DomainError, match="unknown suite"):
         run_suite("nosuch")
 
