@@ -198,16 +198,21 @@ def run_grid(job: GridJob, jobs: int = 1) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _comma_numbers(text: str, convert, count: int, need: str) -> tuple:
+    try:
+        values = tuple(convert(x) for x in text.split(","))
+    except ValueError:
+        values = ()
+    if len(values) != count:
+        raise DomainError(f"{need}, got {text!r}")
+    return values
+
+
 def cmd_grid(args) -> int:
     domain = _load_domain(args.domain)
-    try:
-        rect = tuple(float(x) for x in args.rect.split(","))
-        nx, ny = (int(x) for x in args.res.split(","))
-    except ValueError as e:
-        raise DomainError(f"bad --rect/--res: {e}") from e
-    if len(rect) != 4:
-        raise DomainError(f"--rect needs four numbers 'a,b,c,d', got {args.rect!r}")
-    job = GridJob(domain=domain, rect=rect, resolution=(nx, ny), invariant=args.invariant)
+    rect = _comma_numbers(args.rect, float, 4, "--rect needs four numbers 'a,b,c,d'")
+    res = _comma_numbers(args.res, int, 2, "--res needs two integers 'nx,ny'")
+    job = GridJob(domain=domain, rect=rect, resolution=res, invariant=args.invariant)
     csv_text = run_grid(job, jobs=args.jobs)
     try:
         with open(args.output, "w", encoding="utf-8", newline="") as f:

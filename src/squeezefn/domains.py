@@ -131,6 +131,9 @@ def _require_angle(what: str, theta: float) -> None:
 # libm call of k**p and q**k, and numpy's float64 cos and sin, which must be
 # libm's cos and sin that cmath.exp calls: chunk-to-point equality is a
 # property of the numpy build.  (numpy's own power may differ in the last ulp.)
+# A whole-number p whose powers stay below 2**53 takes k**p in int64: each is
+# then a float exactly, and libm's pow, off by under one ulp, returns that
+# float.  A libm for which this fails fails tests/test_chunked.py.
 
 
 def _polar_chunk(theta: float, start: int, stop: int, modulus):
@@ -193,9 +196,26 @@ class RadialFamily(_RadialLaw):
     chunk = _RadialLaw._lead_chunk
 
 
+def _orbit_powers(k, p):
+    """k**p over a float array of indices k, bitwise as math.pow gives it
+    (see BoundaryOrbitFamily).  int(p) is raised only for a whole-number p,
+    which the parse check bounds at about 51."""
+    import numpy as np
+
+    if float(p).is_integer() and int(k[-1]) ** int(p) < 2**53:
+        return (k.astype(np.int64) ** int(p)).astype(float)
+    return np.fromiter(map(math.pow, k.tolist(), itertools.repeat(p)), float, k.size)
+
+
 @dataclass(frozen=True)
 class BoundaryOrbitFamily:
-    """a_k = (1 - c / k^p) e^{i k theta} with 0 < c < 1, p > 0; m(N) = 1 - c/(N+1)^p."""
+    """a_k = (1 - c / k^p) e^{i k theta} with 0 < c < 1, p > 0; m(N) = 1 - c/(N+1)^p.
+
+    k^p must stay finite at the last index the parse check evaluates, so p is
+    at most about 51.37.  Chunks take k^p from libm's pow, except where p is a
+    whole number and the chunk keeps k^p below 2**53: there they take exact
+    int64 powers, each a float, which libm's pow, off by under one ulp,
+    returns too.  A libm for which it does not fails tests/test_chunked.py."""
 
     c: float
     p: float
@@ -209,6 +229,11 @@ class BoundaryOrbitFamily:
         if self.p <= 0.0:
             raise DomainError(f"boundary_orbit family: p must be positive, got {self.p!r}")
         _require_finite("boundary_orbit family", p=self.p)
+        try:  # tail_modulus(_TAIL_LIMIT_INDEX), which _check_tail evaluates
+            math.pow(_TAIL_LIMIT_INDEX + 1, self.p)
+        except OverflowError:
+            raise DomainError(f"boundary_orbit family: k**p overflows at k = "
+                              f"{_TAIL_LIMIT_INDEX + 1}, got p={self.p!r}") from None
         _require_angle("boundary_orbit family", self.theta)
 
     def point(self, k: int) -> complex:
@@ -218,10 +243,8 @@ class BoundaryOrbitFamily:
         return 1.0 - self.c / (examined + 1) ** self.p
 
     def chunk(self, start: int, stop: int):
-        import numpy as np
-
-        return _polar_chunk(self.theta, start, stop, lambda k: 1.0 - self.c / np.fromiter(
-            map(math.pow, k.tolist(), itertools.repeat(self.p)), float, k.size))  # k**p
+        return _polar_chunk(self.theta, start, stop,
+                            lambda k: 1.0 - self.c / _orbit_powers(k, self.p))
 
     def tail_index(self, level: float) -> int:
         """About the smallest n with tail_modulus(n) > level, for level < 1."""

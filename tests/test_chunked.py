@@ -50,7 +50,8 @@ thetas = st.one_of(st.sampled_from([0.0, -0.0, -1.0, 2.3, -2.3]),
 families = st.one_of(
     st.builds(RadialFamily, q=st.floats(1e-3, 1.0, exclude_max=True), theta=thetas),
     st.builds(BoundaryOrbitFamily, c=st.floats(1e-3, 1.0, exclude_max=True),
-              p=st.floats(0.05, 6.0), theta=thetas),
+              p=st.one_of(st.sampled_from([1.0, 2.0, 3.0, 6.0]), st.floats(0.05, 6.0)),
+              theta=thetas),
     st.builds(PolyRadialFamily, n=st.integers(1, 3),
               q=st.floats(1e-3, 1.0, exclude_max=True), theta=thetas),
 )
@@ -58,11 +59,25 @@ windows = st.tuples(st.one_of(st.integers(0, 40), st.integers(_SEQUENCE_CAP - 40
                     st.integers(1, 40))
 
 
+def tie_c(k: int, p: int) -> float:
+    """The c at which 1 - c / k**p rounds from a tie when k**p is libm's pow,
+    for a k whose k**p is not a float: the correctly rounded integer power
+    differs from libm's there (k**3 at k = 208069, k**6 at k = 457), and
+    with this c the modulus and the tail bound differ too."""
+    return max(float(k**p), math.pow(k, p)) / 2**54
+
+
 @settings(max_examples=300, deadline=None)
 @given(families, windows)
 @example(RadialFamily(q=0.99, theta=-0.0), (0, 8))
 @example(BoundaryOrbitFamily(c=0.5, p=1.0, theta=0.0), (_SEQUENCE_CAP - 8, 8))
 @example(PolyRadialFamily(n=2, q=0.5, theta=-0.0), (0, 3))
+# whole-number p: exact int64 powers while every k**p < 2**53, math.pow beyond
+@example(BoundaryOrbitFamily(c=0.5, p=3.0, theta=2.3), (208022, 40))  # 208063**3 < 2**53
+@example(BoundaryOrbitFamily(c=tie_c(208069, 3), p=3.0, theta=2.3), (208060, 40))
+@example(BoundaryOrbitFamily(c=0.5, p=6.0, theta=2.3), (0, 40))
+@example(BoundaryOrbitFamily(c=tie_c(457, 6), p=6.0, theta=2.3), (420, 40))
+@example(BoundaryOrbitFamily(c=0.5, p=2, theta=2.3), (0, 40))  # a Python int p
 def test_family_chunk_is_bitwise_point_and_tail(family, window):
     start, width = window
     stop = start + width

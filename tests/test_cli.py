@@ -184,6 +184,9 @@ PARSE_AND_ARGUMENT_ERRORS = [
     ("orbit_p_zero", {"kind": "sequence", "family": "boundary_orbit", "c": 0.5,
                       "p": 0.0, "theta": 2.3}, EVAL,
      "boundary_orbit family: p must be positive, got 0.0"),
+    ("orbit_p_overflows", {"kind": "sequence", "family": "boundary_orbit", "c": 0.5,
+                           "p": 52.0, "theta": 2.3}, EVAL,
+     "boundary_orbit family: k**p overflows at k = 1000001, got p=52.0"),
     ("poly_family_n0", {"kind": "poly_sequence", "n": 0, "family": "radial", "q": 0.5,
                         "theta": 1.0}, EVAL, "radial family: dimension must be >= 1, got 0"),
     ("poly_listing_n0", {"kind": "poly_sequence", "n": 0, "points": [[[0.5, 0.0]]]}, EVAL,
@@ -217,7 +220,13 @@ PARSE_AND_ARGUMENT_ERRORS = [
     ("grid_rect_three_numbers", RADIAL, [*GRID, "--rect=1,2,3"],
      "--rect needs four numbers 'a,b,c,d', got '1,2,3'"),
     ("grid_res_one_number", RADIAL, [*GRID, "--res=2"],
-     "bad --rect/--res: not enough values to unpack (expected 2, got 1)"),
+     "--res needs two integers 'nx,ny', got '2'"),
+    ("grid_res_three_numbers", RADIAL, [*GRID, "--res=2,3,4"],
+     "--res needs two integers 'nx,ny', got '2,3,4'"),
+    ("grid_res_not_integers", RADIAL, [*GRID, "--res=2.5,3"],
+     "--res needs two integers 'nx,ny', got '2.5,3'"),
+    ("grid_rect_not_numbers", RADIAL, [*GRID, "--rect=a,0,0,1"],
+     "--rect needs four numbers 'a,b,c,d', got 'a,0,0,1'"),
 ]
 
 
