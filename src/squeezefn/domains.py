@@ -202,7 +202,7 @@ def _orbit_powers(k, p):
     which the parse check bounds at about 51."""
     import numpy as np
 
-    if float(p).is_integer() and int(k[-1]) ** int(p) < 2**53:
+    if p.is_integer() and int(k[-1]) ** int(p) < 2**53:
         return (k.astype(np.int64) ** int(p)).astype(float)
     return np.fromiter(map(math.pow, k.tolist(), itertools.repeat(p)), float, k.size)
 
@@ -212,10 +212,11 @@ class BoundaryOrbitFamily:
     """a_k = (1 - c / k^p) e^{i k theta} with 0 < c < 1, p > 0; m(N) = 1 - c/(N+1)^p.
 
     k^p must stay finite at the last index the parse check evaluates, so p is
-    at most about 51.37.  Chunks take k^p from libm's pow, except where p is a
-    whole number and the chunk keeps k^p below 2**53: there they take exact
-    int64 powers, each a float, which libm's pow, off by under one ulp,
-    returns too.  A libm for which it does not fails tests/test_chunked.py."""
+    at most about 51.37.  p is kept as a float, so every k^p comes from libm's
+    pow (an int p would make k**p an exact int), except where p is a whole
+    number and a chunk keeps k^p below 2**53: there it takes exact int64
+    powers, each a float, which libm's pow, off by under one ulp, returns
+    too.  A libm for which it does not fails tests/test_chunked.py."""
 
     c: float
     p: float
@@ -228,6 +229,7 @@ class BoundaryOrbitFamily:
             raise DomainError(f"boundary_orbit family: c must be in (0, 1), got {self.c!r}")
         if self.p <= 0.0:
             raise DomainError(f"boundary_orbit family: p must be positive, got {self.p!r}")
+        object.__setattr__(self, "p", float(self.p))
         _require_finite("boundary_orbit family", p=self.p)
         try:  # tail_modulus(_TAIL_LIMIT_INDEX), which _check_tail evaluates
             math.pow(_TAIL_LIMIT_INDEX + 1, self.p)
@@ -512,55 +514,46 @@ def euclid_distance(a, b) -> float:
     return math.sqrt(sum(abs(x - y) ** 2 for x, y in zip(a, b)))
 
 
-def _validate_blocks(n: int, blocks, family, metric, what: str) -> tuple[Block, ...]:
-    if family is not None and blocks:
-        raise DomainError(f"{what}: give either blocks or a family, not both")
-    if family is None and not blocks:
-        raise DomainError(f"{what}: empty block list")
-    if family is not None:
-        # the law keeps every block inside; in floats 1 - (1 - r0) q^k rounds to 1
-        _require_family(what, family, n)
-        check = [family.block(k) for k in range(1, _BLOCK_FAMILY_CHECK + 1)]
-        _check_tail(family.tail_inner_modulus, f"{what}: block tail bound")
-    else:
-        check = blocks
-        for i, b in enumerate(blocks):
-            if len(b.center) != n:
-                raise DomainError(f"{what}: block {i} center has {len(b.center)} coordinates, expected {n}")
-            reach = max(abs(c) for c in b.center) + b.radius
-            if reach >= 1.0:
-                raise DomainError(
-                    f"{what}: block {i} is not strictly inside the polydisk "
-                    f"(max |center_j| + radius = {reach!r})"
-                )
-    # closures meet where the center distance is at most r_i + r_j <= 2 max r
-    pair = _first_close_pair([b.center for b in check], 2.0 * max(b.radius for b in check),
-                             lambda i, j: metric(check[i].center, check[j].center)
-                             <= check[i].radius + check[j].radius)
-    if pair is not None:
-        raise DomainError(f"{what}: blocks {pair[0]} and {pair[1]} have intersecting closures")
-    return tuple(blocks)
-
-
-@dataclass(frozen=True)
-class RemovedPolydisks:
-    """Unit polydisk minus pairwise-disjoint closed sup-norm blocks."""
-
-    n: int
-    blocks: tuple[Block, ...] = ()
-    family: RadialBlockFamily | None = None
-
-    geometry = "polydisk"
-    kind = "removed_polydisks"
-    metric = staticmethod(sup_distance)
+class _Blocks:
+    """What the removed-polydisk and removed-ball domains share: a subclass
+    declares n, blocks and family, its ``geometry``, its document ``kind``
+    and the ``metric`` of block distances.  Exactly one of ``family`` (a block
+    generator with a closed-form bound on the inner moduli of later blocks)
+    and ``blocks`` (an explicit list of blocks strictly inside the polydisk)
+    is used; block closures are pairwise disjoint in the metric."""
 
     def __post_init__(self):
+        kind = self.kind
         if not isinstance(self.n, int) or self.n < 2:
-            raise DomainError(f"{self.kind}: dimension must be an integer >= 2, got {self.n!r}")
-        object.__setattr__(
-            self, "blocks",
-            _validate_blocks(self.n, self.blocks, self.family, self.metric, self.kind),
-        )
+            raise DomainError(f"{kind}: dimension must be an integer >= 2, got {self.n!r}")
+        if self.family is not None and self.blocks:
+            raise DomainError(f"{kind}: give either blocks or a family, not both")
+        if self.family is None and not self.blocks:
+            raise DomainError(f"{kind}: empty block list")
+        if self.family is not None:
+            # the law keeps every block inside; in floats 1 - (1 - r0) q^k rounds to 1
+            _require_family(kind, self.family, self.n)
+            check = [self.family.block(k) for k in range(1, _BLOCK_FAMILY_CHECK + 1)]
+            _check_tail(self.family.tail_inner_modulus, f"{kind}: block tail bound")
+        else:
+            check = self.blocks
+            for i, b in enumerate(self.blocks):
+                if len(b.center) != self.n:
+                    raise DomainError(
+                        f"{kind}: block {i} center has {len(b.center)} coordinates, expected {self.n}")
+                reach = max(abs(c) for c in b.center) + b.radius
+                if reach >= 1.0:
+                    raise DomainError(
+                        f"{kind}: block {i} is not strictly inside the polydisk "
+                        f"(max |center_j| + radius = {reach!r})"
+                    )
+        # closures meet where the center distance is at most r_i + r_j <= 2 max r
+        pair = _first_close_pair([b.center for b in check], 2.0 * max(b.radius for b in check),
+                                 lambda i, j: self.metric(check[i].center, check[j].center)
+                                 <= check[i].radius + check[j].radius)
+        if pair is not None:
+            raise DomainError(f"{kind}: blocks {pair[0]} and {pair[1]} have intersecting closures")
+        object.__setattr__(self, "blocks", tuple(self.blocks))
 
     def block(self, k: int) -> Block:
         if self.family is not None:
@@ -577,7 +570,20 @@ class RemovedPolydisks:
 
 
 @dataclass(frozen=True)
-class RemovedBalls:
+class RemovedPolydisks(_Blocks):
+    """Unit polydisk minus pairwise-disjoint closed sup-norm blocks."""
+
+    n: int
+    blocks: tuple[Block, ...] = ()
+    family: RadialBlockFamily | None = None
+
+    geometry = "polydisk"
+    kind = "removed_polydisks"
+    metric = staticmethod(sup_distance)
+
+
+@dataclass(frozen=True)
+class RemovedBalls(_Blocks):
     """Unit polydisk minus pairwise-disjoint closed Euclidean balls."""
 
     n: int
@@ -587,11 +593,6 @@ class RemovedBalls:
     geometry = "ball"
     kind = "removed_balls"
     metric = staticmethod(euclid_distance)
-
-    __post_init__ = RemovedPolydisks.__post_init__
-    block = RemovedPolydisks.block
-    known_count = RemovedPolydisks.known_count
-    block_distance = RemovedPolydisks.block_distance
 
 
 # ---------------------------------------------------------------------------

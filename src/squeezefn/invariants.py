@@ -58,6 +58,8 @@ GRID_BLOCK = 8192
 _GRID_FIRST_CHUNK = 8
 
 DEFAULT_MESH_TOL = 1e-6
+# Most radius profiles one ball block's branch-and-bound evaluates.
+_BALL_EVALS_CAP = 150_000
 _MESH_FLOOR = 1e-14
 # rounding floor of a closed-form circle minimum, times kappa (see _min_on_circle)
 _CIRCLE_FLOOR = 64.0 * sys.float_info.epsilon
@@ -493,8 +495,7 @@ def _sphere_profiles(t: tuple[float, ...], r: float) -> list[float]:
     return s
 
 
-def _ball_block_min(z, block: Block, tol: float,
-                    evals_cap: int = 150_000) -> tuple[float, float]:
+def _ball_block_min(z, block: Block, tol: float) -> tuple[float, float]:
     """Min of the coordinate-max kernel over the Euclidean sphere boundary.
 
     For a fixed per-coordinate radius profile (s_1..s_n) with sum s_j^2 = r^2
@@ -531,10 +532,10 @@ def _ball_block_min(z, block: Block, tol: float,
         gap = best - bound
         if gap <= tol:
             return best, max(gap, _MESH_FLOOR)
-        if evals >= evals_cap:
+        if evals >= _BALL_EVALS_CAP:
             raise CertificationError(
                 f"boundary minimization failed to reach mesh tolerance {tol:g} "
-                f"within {evals_cap} profile evaluations"
+                f"within {_BALL_EVALS_CAP} profile evaluations"
             )
         axis = max(range(len(lo)), key=lambda i: hi[i] - lo[i])
         mid = (lo[axis] + hi[axis]) / 2.0
@@ -579,15 +580,15 @@ def polydisk_squeezing_removed_blocks(domain, z, mesh_tol: float = DEFAULT_MESH_
 
     count = domain.known_count()
     if count is not None:
-        for k in range(1, count + 1):
-            _require_outside_block(domain, z, domain.block(k), k)
+        for k, block in enumerate(domain.blocks, 1):
+            _require_outside_block(domain, z, block, k)
     best_v = math.inf
     best_low = math.inf
     best_k = 0
     examined = 0
     tail = 0.0
     while examined != count:
-        if count is None and best_k:
+        if count is None:
             t = domain.family.tail_inner_modulus(examined)
             if _tail_stops(t, anchor, best_v):
                 tail = t
@@ -623,16 +624,13 @@ def removed_block_display_formula(domain, z) -> float:
     if not isinstance(domain, (RemovedPolydisks, RemovedBalls)):
         raise DomainError(
             f"removed_block_display_formula does not apply to {type(domain).__name__}")
-    count = domain.known_count()
-    if count is None:
+    if domain.family is not None:
         raise DomainError("display formula is not certified for block families; "
                           "use an explicit block list")
     z = require_interior_polydisk_point(z, domain.n)
     mods = [abs(c) for c in z]
-    return min(
-        max(abs((b.radius - m) / (1.0 - m * b.radius)) for m in mods)
-        for b in (domain.block(k) for k in range(1, count + 1))
-    )
+    return min(max(abs((b.radius - m) / (1.0 - m * b.radius)) for m in mods)
+               for b in domain.blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -667,9 +665,7 @@ def product_of_balls_T_lower_bound(domain: ProductOfBalls, z=None) -> float:
     A point ``z``, if given, is checked as in product_of_balls_squeezing."""
     if not isinstance(domain, ProductOfBalls):
         raise DomainError(f"product_of_balls_T_lower_bound does not apply to {type(domain).__name__}")
-    if z is not None:
-        _require_product_point(domain, z)
-    return 1.0 / math.sqrt(domain.n)
+    return product_of_balls_squeezing(domain, z)
 
 
 def _require_product_point(domain: ProductOfBalls, z) -> None:

@@ -71,11 +71,12 @@ def test_mesh_tolerance_must_be_positive(tol):
         polydisk_squeezing_removed_blocks(d, Z_HALF, mesh_tol=tol)
 
 
-def test_ball_refinement_cap_raises():
-    from squeezefn.invariants import _ball_block_min
+def test_ball_refinement_cap_raises(monkeypatch):
+    from squeezefn import invariants
 
+    monkeypatch.setattr(invariants, "_BALL_EVALS_CAP", 200)
     with pytest.raises(CertificationError, match="mesh tolerance"):
-        _ball_block_min(Z_HALF, ORIGIN_BLOCK, 1e-13, evals_cap=200)
+        invariants._ball_block_min(Z_HALF, ORIGIN_BLOCK, 1e-13)
 
 
 # --- display formula ------------------------------------------------------------

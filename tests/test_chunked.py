@@ -75,6 +75,7 @@ def tie_c(k: int, p: int) -> float:
 # whole-number p: exact int64 powers while every k**p < 2**53, math.pow beyond
 @example(BoundaryOrbitFamily(c=0.5, p=3.0, theta=2.3), (208022, 40))  # 208063**3 < 2**53
 @example(BoundaryOrbitFamily(c=tie_c(208069, 3), p=3.0, theta=2.3), (208060, 40))
+@example(BoundaryOrbitFamily(c=tie_c(208069, 3), p=3, theta=2.3), (208060, 40))  # a Python int p
 @example(BoundaryOrbitFamily(c=0.5, p=6.0, theta=2.3), (0, 40))
 @example(BoundaryOrbitFamily(c=tie_c(457, 6), p=6.0, theta=2.3), (420, 40))
 @example(BoundaryOrbitFamily(c=0.5, p=2, theta=2.3), (0, 40))  # a Python int p

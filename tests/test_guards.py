@@ -1,0 +1,157 @@
+"""Guards of the domain constructors and the evaluators, each pinned to its
+exact message: the domain, point and certification errors a caller sees."""
+
+import re
+
+import pytest
+
+from squeezefn import invariants
+from squeezefn.cli import GridJob, run_grid
+from squeezefn.domains import (
+    Annulus,
+    Block,
+    DomainError,
+    FinitePunctures,
+    PolySequencePunctures,
+    ProductOfBalls,
+    RadialBlockFamily,
+    RadialFamily,
+    RemovedBalls,
+    RemovedPolydisks,
+    SequencePunctures,
+    _check_tail,
+    serialize_domain_spec,
+)
+from squeezefn.hyperbolic import PointError
+from squeezefn.invariants import (
+    CertificationError,
+    annulus_squeezing,
+    lower_bound_certificate,
+    polydisk_squeezing_punctured,
+    polydisk_squeezing_removed_blocks,
+    product_of_balls_squeezing,
+    product_of_balls_T_lower_bound,
+    removed_block_display_formula,
+    squeezing_punctured_disk,
+)
+
+BLOCK_CLASSES = [RemovedPolydisks, RemovedBalls]
+ORIGIN_BLOCK = Block((0j, 0j), 0.25)
+BLOCK_FAMILY = RadialBlockFamily(n=2, q=0.5, theta=1.0, r0=0.25)
+RADIAL = RadialFamily(q=0.5, theta=1.0)
+
+
+def raises_exactly(exc, message):
+    return pytest.raises(exc, match=f"^{re.escape(message)}$")
+
+
+# --- removed blocks ----------------------------------------------------------------
+
+@pytest.mark.parametrize("cls", BLOCK_CLASSES)
+def test_blocks_and_family_are_exclusive(cls):
+    with raises_exactly(DomainError, f"{cls.kind}: give either blocks or a family, not both"):
+        cls(n=2, blocks=(ORIGIN_BLOCK,), family=BLOCK_FAMILY)
+
+
+@pytest.mark.parametrize("cls", BLOCK_CLASSES)
+def test_empty_block_list(cls):
+    with raises_exactly(DomainError, f"{cls.kind}: empty block list"):
+        cls(n=2)
+
+
+@pytest.mark.parametrize("cls", BLOCK_CLASSES)
+def test_block_beyond_the_list(cls):
+    d = cls(n=2, blocks=(ORIGIN_BLOCK,))
+    assert d.block(1) == ORIGIN_BLOCK
+    with raises_exactly(DomainError, "no block family attached: block 2 is beyond the list"):
+        d.block(2)
+
+
+@pytest.mark.parametrize("cls", BLOCK_CLASSES)
+def test_block_family_cap(cls, monkeypatch):
+    # (0.9, 0) certifies only after 7 blocks of this family
+    d = cls(n=2, family=BLOCK_FAMILY)
+    monkeypatch.setattr(invariants, "_SEQUENCE_CAP", 3)
+    with raises_exactly(CertificationError, "block tail bound failed to certify within 3 blocks"):
+        polydisk_squeezing_removed_blocks(d, (complex(0.9), 0j))
+
+
+@pytest.mark.parametrize("cls", BLOCK_CLASSES)
+def test_display_formula_rejects_block_families(cls):
+    d = cls(n=2, family=BLOCK_FAMILY)
+    with raises_exactly(DomainError, "display formula is not certified for block families; "
+                                     "use an explicit block list"):
+        removed_block_display_formula(d, (0j, 0j))
+
+
+@pytest.mark.parametrize("evaluator", [product_of_balls_squeezing, product_of_balls_T_lower_bound])
+@pytest.mark.parametrize("z", [[(0j, 0j)], [(0j, 0j), (0j,)], [(0j, 0j)] * 3])
+def test_product_point_shape(evaluator, z):
+    with raises_exactly(PointError, "product point must have 2 factors of 2 coordinates"):
+        evaluator(ProductOfBalls(2), z)
+
+
+# --- sequences ---------------------------------------------------------------------
+
+def test_points_and_family_are_exclusive():
+    with raises_exactly(DomainError, "sequence: give either points or a family, not both"):
+        SequencePunctures(prefix=(0.5 + 0j,), family=RADIAL)
+
+
+def test_family_rejects_a_tail_constant():
+    with raises_exactly(DomainError, "sequence: a family carries its own tail bound; "
+                                     "tail_modulus_constant is not allowed"):
+        SequencePunctures(family=RADIAL, tail_constant=0.9)
+
+
+def test_empty_point_lists():
+    with raises_exactly(DomainError, "punctures: empty point list"):
+        FinitePunctures(())
+    with raises_exactly(DomainError, "poly_sequence: empty point list"):
+        PolySequencePunctures(n=2)
+
+
+@pytest.mark.parametrize("domain", [SequencePunctures(family=RADIAL),
+                                    FinitePunctures((0.5 + 0j,))])
+def test_negative_tail_index(domain):
+    with raises_exactly(DomainError, "tail bound index must be >= 0, got -1"):
+        domain.tail_lower_bound(-1)
+
+
+def test_serialize_rejects_other_objects():
+    with raises_exactly(DomainError, "cannot serialize Block"):
+        serialize_domain_spec(ORIGIN_BLOCK)
+
+
+def test_tail_bound_must_not_decrease():
+    with raises_exactly(DomainError, "tail bound must be nondecreasing in [0, 1], got m(1) = 0.25"):
+        _check_tail(lambda n: 0.5 if n == 0 else 0.25, "tail bound")
+
+
+# --- evaluator type guards ---------------------------------------------------------
+
+ANNULUS = Annulus(0.5)
+
+
+@pytest.mark.parametrize("evaluator, call, domain", [
+    (squeezing_punctured_disk, lambda f, d: f(d, 0j), ANNULUS),
+    (lower_bound_certificate, lambda f, d: f(d, 0j, 0.5), ANNULUS),
+    (polydisk_squeezing_punctured, lambda f, d: f(d, (0j, 0j)), ANNULUS),
+    (polydisk_squeezing_removed_blocks, lambda f, d: f(d, (0j, 0j)), ANNULUS),
+    (removed_block_display_formula, lambda f, d: f(d, (0j, 0j)), ANNULUS),
+    (annulus_squeezing, lambda f, d: f(d, 0.75 + 0j), ProductOfBalls(2)),
+    (product_of_balls_squeezing, lambda f, d: f(d), ANNULUS),
+    (product_of_balls_T_lower_bound, lambda f, d: f(d), ANNULUS),
+])
+def test_evaluators_reject_other_domains(evaluator, call, domain):
+    message = f"{evaluator.__name__} does not apply to {type(domain).__name__}"
+    with raises_exactly(DomainError, message):
+        call(evaluator, domain)
+
+
+def test_grid_rejects_polydisk_invariant_on_planar_domain():
+    job = GridJob(FinitePunctures((0.5 + 0j,)), (-0.5, 0.5, -0.5, 0.5), (2, 2),
+                  "polydisk-squeezing")
+    with raises_exactly(DomainError,
+                        "grid invariant 'polydisk-squeezing' does not apply to planar domains"):
+        run_grid(job)
