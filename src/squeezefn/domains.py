@@ -109,7 +109,12 @@ def _require_separated(points, what: str, first: int = 0) -> None:
 
 def _require_finite(what: str, **params) -> None:
     for name, value in params.items():
-        if not cmath.isfinite(value):
+        try:
+            finite = cmath.isfinite(value)
+        except OverflowError:  # an int beyond the float range; not printed, as in _as_dimension
+            raise DomainError(f"{what}: {name} must be finite, got an integer "
+                              "too large for a float") from None
+        if not finite:
             raise DomainError(f"{what}: {name} must be finite, got {value!r}")
 
 
@@ -118,7 +123,7 @@ def _require_angle(what: str, theta: float) -> None:
     (the engine stops far below it).  This keeps chunk angles finite: numpy's
     cos and sin give NaN at an infinite angle, with a warning, and do not raise."""
     _require_finite(what, theta=theta)
-    if not math.isfinite(theta * _TAIL_LIMIT_INDEX):
+    if not math.isfinite(float(theta) * _TAIL_LIMIT_INDEX):
         raise DomainError(f"{what}: theta * k overflows for indices up to "
                           f"{_TAIL_LIMIT_INDEX}, got theta={theta!r}")
 
@@ -134,23 +139,49 @@ def _require_angle(what: str, theta: float) -> None:
 # A whole-number p whose powers stay below 2**53 takes k**p in int64: each is
 # then a float exactly, and libm's pow, off by under one ulp, returns that
 # float.  A libm for which this fails fails tests/test_chunked.py.
+#
+# A chunk is made in two steps: polar(start, stop) gives the moduli m_k, the
+# angles y_k and the tails, and points(m, y) the Cartesian parts of m e^{iy},
+# where cos and sin take most of the time.  chunk() converts every puncture;
+# the single-point scan (invariants._scan) converts only those whose angle
+# lies in its candidate window around arg z, and a scan whose window covers
+# every angle (a listing, z at or near 0, no running minimum yet, or angles
+# too large to reduce) converts them all.
 
 
 def _polar_chunk(theta: float, start: int, stop: int, modulus):
-    """chunk(start, stop) of a_k = modulus(k) * cmath.exp(1j * theta * k), where
-    ``modulus`` maps a float array of indices k to its moduli, step by step:
-    1j * theta * k is two _Py_c_prod, with real part +-0; cmath.exp of it is
-    (cos y, sin y) at its imaginary part y, as exp(+-0) = 1 exactly; and the
-    modulus times that is _Py_c_prod((modulus, 0), (cos y, sin y))."""
+    """polar(start, stop) of a_k = modulus(k) * cmath.exp(1j * theta * k), where
+    ``modulus`` maps a float array of indices k to its moduli: the moduli and
+    angles of a_(start+1) .. a_stop and the tails m(start+1) .. m(stop).
+    1j * theta * k is two _Py_c_prod, with real part +-0 and imaginary part y."""
     import numpy as np
 
     k = np.arange(start + 1, stop + 2, dtype=float)
     moduli = modulus(k)
     wr = 0.0 * theta - 1.0 * 0.0
     wi = 0.0 * 0.0 + 1.0 * theta
-    y = wr * 0.0 + wi * k[:-1]
+    return moduli[:-1], wr * 0.0 + wi * k[:-1], moduli[1:]
+
+
+def _cartesian(moduli, y):
+    """Real and imaginary parts of moduli * cmath.exp(1j * y) at _polar_chunk's
+    angles: cmath.exp of (+-0, y) is (cos y, sin y), as exp(+-0) = 1 exactly,
+    and the modulus times that is _Py_c_prod((modulus, 0), (cos y, sin y))."""
+    import numpy as np
+
     c, s = np.cos(y), np.sin(y)
-    return moduli[:-1] * c - 0.0 * s, moduli[:-1] * s + 0.0 * c, moduli[1:]
+    return moduli * c - 0.0 * s, moduli * s + 0.0 * c
+
+
+class _Polar:
+    """A family generated in polar form: a subclass gives polar(start, stop)
+    and, for points of several coordinates, its own points(moduli, y)."""
+
+    points = staticmethod(_cartesian)
+
+    def chunk(self, start: int, stop: int):
+        moduli, y, tails = self.polar(start, stop)
+        return (*self.points(moduli, y), tails)
 
 
 class _RadialLaw:
@@ -169,7 +200,7 @@ class _RadialLaw:
     def _lead(self, k: int) -> complex:
         return (1.0 - self.q**k) * cmath.exp(1j * self.theta * k)
 
-    def _lead_chunk(self, start: int, stop: int):
+    def _lead_polar(self, start: int, stop: int):
         import numpy as np
 
         return _polar_chunk(self.theta, start, stop, lambda k: 1.0 - np.fromiter(
@@ -185,7 +216,7 @@ class _RadialLaw:
 
 
 @dataclass(frozen=True)
-class RadialFamily(_RadialLaw):
+class RadialFamily(_Polar, _RadialLaw):
     """a_k = (1 - q^k) e^{i k theta} with 0 < q < 1; tail bound m(N) = 1 - q^(N+1)."""
 
     q: float
@@ -193,7 +224,7 @@ class RadialFamily(_RadialLaw):
 
     n = 1
     point = _RadialLaw._lead
-    chunk = _RadialLaw._lead_chunk
+    polar = _RadialLaw._lead_polar
 
 
 def _orbit_powers(k, p):
@@ -208,7 +239,7 @@ def _orbit_powers(k, p):
 
 
 @dataclass(frozen=True)
-class BoundaryOrbitFamily:
+class BoundaryOrbitFamily(_Polar):
     """a_k = (1 - c / k^p) e^{i k theta} with 0 < c < 1, p > 0; m(N) = 1 - c/(N+1)^p.
 
     k^p must stay finite at the last index the parse check evaluates, so p is
@@ -229,8 +260,8 @@ class BoundaryOrbitFamily:
             raise DomainError(f"boundary_orbit family: c must be in (0, 1), got {self.c!r}")
         if self.p <= 0.0:
             raise DomainError(f"boundary_orbit family: p must be positive, got {self.p!r}")
-        object.__setattr__(self, "p", float(self.p))
         _require_finite("boundary_orbit family", p=self.p)
+        object.__setattr__(self, "p", float(self.p))
         try:  # tail_modulus(_TAIL_LIMIT_INDEX), which _check_tail evaluates
             math.pow(_TAIL_LIMIT_INDEX + 1, self.p)
         except OverflowError:
@@ -244,7 +275,7 @@ class BoundaryOrbitFamily:
     def tail_modulus(self, examined: int) -> float:
         return 1.0 - self.c / (examined + 1) ** self.p
 
-    def chunk(self, start: int, stop: int):
+    def polar(self, start: int, stop: int):
         return _polar_chunk(self.theta, start, stop,
                             lambda k: 1.0 - self.c / _orbit_powers(k, self.p))
 
@@ -255,12 +286,14 @@ class BoundaryOrbitFamily:
 
 
 @dataclass(frozen=True)
-class PolyRadialFamily(_RadialLaw):
+class PolyRadialFamily(_Polar, _RadialLaw):
     """First coordinate follows the radial family, remaining coordinates are 0."""
 
     n: int
     q: float
     theta: float
+
+    polar = _RadialLaw._lead_polar
 
     def __post_init__(self):
         if self.n < 1:
@@ -270,15 +303,14 @@ class PolyRadialFamily(_RadialLaw):
     def point(self, k: int) -> tuple[complex, ...]:
         return (self._lead(k),) + (0j,) * (self.n - 1)
 
-    def chunk(self, start: int, stop: int):
-        """As RadialFamily.chunk, with points as (n, stop - start) arrays."""
+    def points(self, moduli, y):
+        """As _cartesian for coordinate 0, with points as (n, y.size) arrays."""
         import numpy as np
 
-        re, im, tails = self._lead_chunk(start, stop)
-        coords_re = np.zeros((self.n, stop - start))
-        coords_im = np.zeros((self.n, stop - start))
-        coords_re[0], coords_im[0] = re, im
-        return coords_re, coords_im, tails
+        coords_re = np.zeros((self.n, y.size))
+        coords_im = np.zeros((self.n, y.size))
+        coords_re[0], coords_im[0] = _cartesian(moduli, y)
+        return coords_re, coords_im
 
 
 def _require_family(kind: str, family, n: int) -> None:
@@ -380,15 +412,26 @@ class _Sequence:
         and tail_lower_bound(n).  A listing needs stop <= its length; an
         exhausted listing's last bound is NaN.  Polydisk points come as
         (n, stop - start) arrays."""
+        return self.candidate_chunk(start, stop, lambda y: slice(None))[1:]
+
+    def candidate_chunk(self, start: int, stop: int, keep):
+        """chunk(start, stop) with only the punctures ``keep`` selects converted:
+        (their positions in the chunk, their real and imaginary parts, the
+        tails of the whole chunk).  ``keep`` maps the angles y of a family's
+        punctures m e^{iy} (of coordinate 0 for a polydisk family) to
+        slice(None) or an array of positions.  A listing has no angles, and
+        every puncture is selected."""
         import numpy as np
 
         if self.family is not None:
-            return self.family.chunk(start, stop)
+            moduli, y, tails = self.family.polar(start, stop)
+            selected = keep(y)
+            return (selected, *self.family.points(moduli[selected], y[selected]), tails)
         points = np.array(self.prefix[start:stop], dtype=complex).T
         tails = np.zeros(stop - start)
         if stop == len(self.prefix):
             tails[-1] = math.nan if self.tail_constant is None else self.tail_constant
-        return points.real, points.imag, tails
+        return slice(None), points.real, points.imag, tails
 
     def tail_index(self, level: float) -> int:
         """About the smallest n with tail_lower_bound(n) > level, for level < 1;
@@ -469,9 +512,9 @@ class Block:
     radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "center", tuple(complex(c) for c in self.center))
         _require_finite("block", radius=self.radius,
                         **{f"center[{j}]": c for j, c in enumerate(self.center)})
+        object.__setattr__(self, "center", tuple(complex(c) for c in self.center))
         if self.radius <= 0.0:
             raise DomainError(f"block radius must be positive, got {self.radius!r}")
 

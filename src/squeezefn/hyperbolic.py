@@ -91,8 +91,11 @@ class MobiusMap:
     rotation: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "center", complex(self.center))
-        object.__setattr__(self, "rotation", float(self.rotation))
+        try:
+            object.__setattr__(self, "center", complex(self.center))
+            object.__setattr__(self, "rotation", float(self.rotation))
+        except OverflowError as e:  # an int beyond the float range
+            raise PointError(f"Mobius map: {e}") from None
         require_interior_point(self.center, "Mobius center")
 
     @property

@@ -8,6 +8,11 @@ minimum over the examined prefix, independent of any larger truncation.
 Punctures are examined in numpy chunks, bitwise equal to a per-puncture loop:
 by grid_cells for a grid, and by _scan at one point from a starting bound,
 infinite for a value and just below the claim for a lower-bound certificate.
+_scan converts and measures only the punctures of a family whose angle lies
+in a candidate window around arg z, out of which every puncture is provably
+farther than the running minimum (_candidates); the window spans about
+2(1 - |z|) radians near the boundary and prunes nothing for a listing, at z
+near 0, before the first minimum or at angles too large to reduce.
 Minima over removed-block boundaries reduce to circle minima, which are closed
 forms with a rounding floor; ball blocks add a branch-and-bound over radius
 profiles.  They carry a mesh error such that the true minimum lies in
@@ -16,6 +21,7 @@ profiles.  They carry a mesh error such that the true minimum lies in
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import sys
@@ -61,8 +67,9 @@ DEFAULT_MESH_TOL = 1e-6
 # Most radius profiles one ball block's branch-and-bound evaluates.
 _BALL_EVALS_CAP = 150_000
 _MESH_FLOOR = 1e-14
+_EPS = sys.float_info.epsilon
 # rounding floor of a closed-form circle minimum, times kappa (see _min_on_circle)
-_CIRCLE_FLOOR = 64.0 * sys.float_info.epsilon
+_CIRCLE_FLOOR = 64.0 * _EPS
 
 
 class CertificationError(RuntimeError):
@@ -171,6 +178,64 @@ def _distances(z, re, im):
     return np.max([_rho_block(c.real, c.imag, re[j], im[j]) for j, c in enumerate(z)], axis=0)
 
 
+def _candidates(z, bound: float, y):
+    """The candidate window of a chunk at z whose running minimum is ``bound``:
+    slice(None) or the positions of the candidates among the angles y of a
+    family's punctures m e^{iy} (coordinate 0 of a polydisk point and family;
+    rho_max is at least the distance there).  Every puncture left out has
+    _rho_block distance > bound, so taking it as +inf changes neither the
+    running minimum, the stop, the floor test nor the argmin.
+
+    {w : rho(z, w) <= T} for T < 1 is the closed disk of centre
+    P = z(1 - T^2)/(1 - T^2 |z|^2) and radius q = T(1 - |z|^2)/(1 - T^2 |z|^2)
+    (Garnett, Bounded Analytic Functions, ch. 1).  If q < |P| its points lie
+    within arcsin(q/|P|) of arg z, and q/|P| = T(1 - |z|^2)/(|z|(1 - T^2)).
+
+    Rounding (Higham, Accuracy and Stability, ch. 2-3), as in _min_on_circle:
+    u = eps/2, r = abs(z) within 2u of |z|, kappa = 1 - r, first order, each
+    bound used at least twice what it needs.
+    * Kernel: for |a| <= 1 + 16u, _rho_block is rho(z, a)(1 + d) with
+      |d| <= 16u/kappa: u from a - z, u + 3u/kappa from 1 - conj(z) a (its
+      products err by at most 3u |z||a| <= 3u |1 - conj(z) a|/kappa) and 9u
+      from Smith's quotient and hypot.  A distance <= bound thus has
+      rho <= T = bound (1 + 64 eps/kappa); an infinite bound gives T = inf.
+    * Conversion: with numpy's cos and sin within 4 ulps (libm's are within
+      1), the float puncture lies within 13u < 8 eps of m e^{iy}, so m e^{iy}
+      lies in the disk of radius q + 8 eps.  Its half-angle has sine at most
+      (T(1 - r^2) + 8 eps)/(r(1 - T^2)), as 1 - T^2 |z|^2 <= 1, and that
+      quotient is computed within 2u/kappa + 14u <= 16u/kappa, hence the
+      factor 1 + 16 eps/kappa.  At a sine >= 1 (T >= 1, or z at or near 0)
+      every angle is a candidate.
+    * Reduction: x = t - n tau with t = y - atan2(z), tau = fl(2 pi) and
+      n = rint(t / tau).  t is within u(|y| + pi) of y - arg z, atan2 within
+      4u pi, n tau within u(|y| + 3 pi) of itself and |n| |tau - 2 pi| <=
+      u(|y| + 2 pi) from n 2 pi; with the last subtraction, asin's ulp and the
+      sum below, x lies within e = 4 eps (|y| + 12) of x* = y - arg z - 2 pi n,
+      and |x| <= pi + 2e.  The window keeps |x| <= h = arcsin + e, used only
+      for h < 1.  A puncture left out is more than h - e >= arcsin from
+      arg z: by |x*| >= |x| - e > h - e if |x*| <= pi, and otherwise by
+      2 pi - |x*| >= pi - 3e > h - e, as e < h < 1.  A wider spread, e.g. at
+      theta = 1e302, makes every angle a candidate.  |y| is largest at an
+      end of the chunk, as y = fl(theta k) is monotone in k.
+    """
+    import numpy as np
+
+    z0 = z[0] if isinstance(z, tuple) else z
+    r = abs(z0)
+    kappa = 1.0 - r
+    t = bound * (1.0 + 64.0 * _EPS / kappa)
+    sine = (t * (kappa * (1.0 + r)) + 8.0 * _EPS) * (1.0 + 16.0 * _EPS / kappa)
+    below = r * ((1.0 - t) * (1.0 + t))
+    if not sine < below:  # also T = inf (NaN at r = 0)
+        return slice(None)
+    spread = math.asin(sine / below) + 4.0 * _EPS * (max(abs(y[0]), abs(y[-1])) + 12.0)
+    if not spread < 1.0:
+        return slice(None)
+    x = y - math.atan2(z0.imag, z0.real)
+    x -= math.tau * np.rint(x * (1.0 / math.tau))
+    return np.flatnonzero(np.abs(x) <= spread)
+
+
 def _scan(domain, z, anchor: float, floor: float, bound: float = math.inf) -> _Scan:
     """The certified-truncation loop of a sequence domain at one point.
 
@@ -181,6 +246,14 @@ def _scan(domain, z, anchor: float, floor: float, bound: float = math.inf) -> _S
     end of a listing, or at _SEQUENCE_CAP, the tail is None (see _unstopped).
     Chunks: the first holds _GRID_FIRST_CHUNK punctures, or is sized by a
     finite ``bound``; later ones by the running minimum (see _next_stop).
+
+    Each chunk converts and measures only the candidates of the window that
+    the running minimum before it leaves (_candidates); every other distance is
+    +inf and provably above that minimum, so values, indices, tails and
+    outcomes are those of measuring every puncture.  Near the boundary the
+    window spans about 2(1 - |z|) radians and almost nothing is converted.
+    It prunes nothing for a listing, before the first minimum, at z near 0
+    and at angles too large to reduce.
     """
     import numpy as np
 
@@ -192,8 +265,12 @@ def _scan(domain, z, anchor: float, floor: float, bound: float = math.inf) -> _S
     stop = (min(_GRID_FIRST_CHUNK, limit) if bound == math.inf
             else _next_stop(domain, 0, limit, anchor, bound))
     while True:
-        re, im, tails = domain.chunk(examined, stop)
+        selected, re, im, tails = domain.candidate_chunk(
+            examined, stop, functools.partial(_candidates, z, best))
         dist = _distances(z, re, im)
+        if not isinstance(selected, slice):  # the punctures left out are at +inf
+            dist, measured = np.full(tails.size, np.inf), dist
+            dist[selected] = measured
         run = np.minimum.accumulate(dist)
         np.minimum(run, best, out=run)
         stops = _tail_stops(tails, anchor, run)

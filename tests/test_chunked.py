@@ -18,6 +18,7 @@ from squeezefn.domains import (
     PolySequencePunctures,
     RadialFamily,
     SequencePunctures,
+    _cartesian,
     parse_domain_spec,
 )
 from squeezefn.hyperbolic import (
@@ -33,6 +34,8 @@ from squeezefn.invariants import (
     COLLISION_EPS,
     CertificationError,
     InvariantValue,
+    _candidates,
+    _rho_block,
     lower_bound_certificate,
     polydisk_squeezing_punctured,
     squeezing_punctured_disk,
@@ -279,6 +282,8 @@ def test_deep_reference_points_match_the_per_puncture_loop(doc, z):
 
 
 P2 = {"kind": "sequence", "family": "boundary_orbit", "c": 0.5, "p": 2.0, "theta": 2.3}
+RADIAL_Q099 = {"kind": "sequence", "family": "radial", "q": 0.99, "theta": 1.0}
+HUGE_P1 = dict(P1, theta=1e302)  # angles too large to reduce: no puncture is left out
 DEEP_PINS = [  # (doc, z, value, truncation_index, tail_bound_used, attained_index)
     (P1, -0.99, 0.27391460456383976, 87, 0.9943181818181818, 56),
     (P1, -0.999, 0.7861437720583139, 4174, 0.9998802395209581, 4151),
@@ -297,6 +302,70 @@ def test_deep_reference_points_are_pinned(doc, z, value, index, tail, attained):
             got.mesh_error, got.attained_index) == (repr(value), index, repr(tail), 0.0, attained)
 
 
+# --- the candidate window of a single-point scan ----------------------------------
+
+
+def left_out(z, bound, y):
+    """Mask of the chunk positions that _candidates leaves out."""
+    kept = np.zeros(y.size, dtype=bool)
+    kept[_candidates(z, bound, y)] = True
+    return ~kept
+
+
+def window_case(family, start, width, z):
+    """The angles of a chunk and the _rho_block distances of its punctures
+    (of coordinate 0 for a polydisk family) from z."""
+    moduli, y, _ = family.polar(start, start + width)
+    re, im = _cartesian(moduli, y)
+    return y, _rho_block(z.real, z.imag, re, im)
+
+
+window_thetas = st.one_of(st.sampled_from([1e302, -1e302, 2.3, 1.0, -0.0, 1e15]),
+                          st.floats(-1e302, 1e302), st.floats(-50.0, 50.0))
+window_families = st.one_of(
+    st.builds(or_reject(RadialFamily), unit_params, window_thetas),
+    st.builds(or_reject(BoundaryOrbitFamily), unit_params, st.floats(0.05, 6.0), window_thetas),
+    st.builds(or_reject(PolyRadialFamily), st.integers(1, 3), unit_params, window_thetas),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(window_families, st.integers(0, 10**6), st.integers(1, 2000),
+       st.floats(0.0, 11.9), st.floats(-math.pi, math.pi), st.data())
+@example(BoundaryOrbitFamily(0.5, 1.0, 2.3), 8192, 2000, 5.0, math.pi, None)
+def test_window_leaves_out_only_punctures_beyond_the_bound(family, start, width, u, arg, data):
+    z = cmath.rect(1.0 - 10.0**-u, arg)  # u = 0 is z = 0
+    y, dist = window_case(family, start, width, z)
+    i = data.draw(st.integers(0, width - 1)) if data else int(dist.argmin())
+    at_i = [dist[i], math.nextafter(dist[i], 0.0)]  # the distance of puncture i, a float below
+    above = [math.nextafter(dist[i], 1.0)] + ([data.draw(st.floats(0.0, 1.0, exclude_min=True))]
+                                              if data else [])
+    for bound in at_i + above:
+        out = left_out(z, bound, y)
+        assert (dist[out] > bound).all(), (bound, dist[out].min())
+        assert bound not in at_i or not out[i], (i, bound)
+
+
+@pytest.mark.parametrize("doc, mod", [(P1, 0.99999), (P2, 0.99999), (RADIAL_Q099, 0.99), (HUGE_P1, 0.99)],
+                         ids=["p1", "p2", "radial", "theta-1e302"])
+def test_window_at_the_deep_points(doc, mod):
+    # near the boundary almost every puncture is left out; the attained index
+    # is kept at its own distance and one float below it
+    domain, z = parse_domain_spec(doc), complex(-mod, 0.0)
+    got = squeezing_punctured_disk(domain, z)
+    start = max(0, got.attained_index - 1000)
+    y, dist = window_case(domain.family, start, 2000, z)
+    i = got.attained_index - start - 1
+    assert bits(float(dist[i])) == bits(got.value)
+    for bound in (got.value, math.nextafter(got.value, 0.0)):
+        out = left_out(z, bound, y)
+        assert not out[i] and (dist[out] > bound).all()
+        if doc is HUGE_P1:  # angles too large to reduce: no window
+            assert not out.any()
+        else:
+            assert out.sum() > 1900
+
+
 def test_sequence_cap_matches_the_per_puncture_loop():
     domain = parse_domain_spec(P1)
     z = complex(-0.999999, 0.0)
@@ -308,28 +377,33 @@ def test_sequence_cap_matches_the_per_puncture_loop():
 points = st.builds(cmath.rect, st.floats(0.0, 0.999), st.floats(0.0, 2.0 * math.pi))
 listed = st.lists(points.filter(lambda p: abs(p) < 0.98), min_size=1, max_size=12)
 sequence_domains = st.one_of(
-    st.builds(lambda q, theta: SequencePunctures(family=RadialFamily(q, theta)),
+    st.builds(or_reject(lambda q, theta: SequencePunctures(family=RadialFamily(q, theta))),
               st.floats(0.3, 0.995), thetas),
-    st.builds(lambda c, p, theta: SequencePunctures(family=BoundaryOrbitFamily(c, p, theta)),
+    st.builds(or_reject(lambda c, p, theta: SequencePunctures(family=BoundaryOrbitFamily(c, p, theta))),
               st.floats(0.1, 0.9), st.floats(1.0, 3.0), thetas),
-    st.builds(lambda pts, tail: SequencePunctures(prefix=tuple(pts), tail_constant=tail),
+    st.builds(or_reject(lambda pts, tail: SequencePunctures(prefix=tuple(pts), tail_constant=tail)),
               listed, st.one_of(st.none(), st.floats(0.05, 0.999))),
 )
 
 
+def near_boundary_examples(test):
+    """@examples at |z| = 1 - 2**-j, j <= 14, opposite the first punctures (the
+    truncation profile's points) and at an angle in between, where the
+    candidate window of a single-point scan spans about 2**(1 - j) radians."""
+    for doc in (P1, P2, RADIAL_Q099, HUGE_P1):
+        for j in range(1, 15):
+            for z in (complex(2.0**-j - 1.0, 0.0), cmath.rect(1.0 - 2.0**-j, 2.0)):
+                test = example(parse_domain_spec(doc), z, 0, 1.0)(test)
+    return test
+
+
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(st.data(), st.integers(0, 4))
-def test_chunked_evaluators_match_the_per_puncture_loop(data, on_puncture):
-    try:
-        domain = data.draw(sequence_domains)
-    except DomainError:
-        reject()
+@given(sequence_domains, points, st.integers(0, 4), st.sampled_from([1.0, 1.0 + 1e-16, 1.0 - 1e-15]))
+@near_boundary_examples
+def test_chunked_evaluators_match_the_per_puncture_loop(domain, z, on_puncture, scale):
     if on_puncture:  # a query point on or within an ulp of a puncture
         count = domain.known_count() or 30
-        a = domain.puncture(min(on_puncture * 7, count))
-        z = a * data.draw(st.sampled_from([1.0, 1.0 + 1e-16, 1.0 - 1e-15]))
-    else:
-        z = data.draw(points)
+        z = domain.puncture(min(on_puncture * 7, count)) * scale
     check_against_reference(domain, z)
 
 

@@ -10,8 +10,10 @@ from squeezefn.cli import GridJob, run_grid
 from squeezefn.domains import (
     Annulus,
     Block,
+    BoundaryOrbitFamily,
     DomainError,
     FinitePunctures,
+    PolyRadialFamily,
     PolySequencePunctures,
     ProductOfBalls,
     RadialBlockFamily,
@@ -22,7 +24,7 @@ from squeezefn.domains import (
     _check_tail,
     serialize_domain_spec,
 )
-from squeezefn.hyperbolic import PointError
+from squeezefn.hyperbolic import MobiusMap, PointError
 from squeezefn.invariants import (
     CertificationError,
     annulus_squeezing,
@@ -155,3 +157,36 @@ def test_grid_rejects_polydisk_invariant_on_planar_domain():
     with raises_exactly(DomainError,
                         "grid invariant 'polydisk-squeezing' does not apply to planar domains"):
         run_grid(job)
+
+
+# --- integers beyond the float range -----------------------------------------------
+
+HUGE = 10**400  # int too large for a float; not printed in messages
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: BoundaryOrbitFamily(0.5, HUGE, 1.0), "boundary_orbit family: p must be finite"),
+    (lambda: BoundaryOrbitFamily(0.5, 2.0, HUGE), "boundary_orbit family: theta must be finite"),
+    (lambda: RadialFamily(0.5, HUGE), "radial family: theta must be finite"),
+    (lambda: PolyRadialFamily(2, 0.5, HUGE), "radial family: theta must be finite"),
+    (lambda: RadialBlockFamily(2, 0.5, HUGE, 0.25), "block family: theta must be finite"),
+    (lambda: Block((0j, 0j), HUGE), "block: radius must be finite"),
+    (lambda: Block((HUGE, 0j), 0.1), "block: center[0] must be finite"),
+], ids=["orbit-p", "orbit-theta", "radial-theta", "poly-radial-theta", "block-family-theta",
+        "block-radius", "block-center"])
+def test_integers_beyond_the_float_range_are_domain_errors(build, message):
+    with raises_exactly(DomainError, f"{message}, got an integer too large for a float"):
+        build()
+
+
+def test_integer_angle_whose_multiples_overflow():
+    theta = 10**303  # a float, but theta * k overflows for k near 10**6
+    with raises_exactly(DomainError, "radial family: theta * k overflows for indices up to "
+                                     f"1000000, got theta={theta!r}"):
+        RadialFamily(0.5, theta)
+
+
+@pytest.mark.parametrize("center, rotation", [(0j, HUGE), (HUGE, 0.0)], ids=["rotation", "center"])
+def test_mobius_map_rejects_integers_beyond_the_float_range(center, rotation):
+    with raises_exactly(PointError, "Mobius map: int too large to convert to float"):
+        MobiusMap(center, rotation)
