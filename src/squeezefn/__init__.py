@@ -8,7 +8,6 @@ from .domains import (
     BoundaryOrbitFamily,
     DomainError,
     FinitePunctures,
-    PolyRadialFamily,
     PolySequencePunctures,
     ProductOfBalls,
     RadialBlockFamily,

@@ -107,15 +107,24 @@ def _require_separated(points, what: str, first: int = 0) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _shown(value) -> str:
+    """repr(value) for a message, except for an int beyond the float range,
+    which is not printed: str() refuses ints of more than 4300 digits."""
+    try:
+        cmath.isfinite(value)
+    except OverflowError:
+        return "an integer too large for a float"
+    return repr(value)
+
+
 def _require_finite(what: str, **params) -> None:
     for name, value in params.items():
         try:
             finite = cmath.isfinite(value)
-        except OverflowError:  # an int beyond the float range; not printed, as in _as_dimension
-            raise DomainError(f"{what}: {name} must be finite, got an integer "
-                              "too large for a float") from None
+        except OverflowError:  # an int beyond the float range
+            finite = False
         if not finite:
-            raise DomainError(f"{what}: {name} must be finite, got {value!r}")
+            raise DomainError(f"{what}: {name} must be finite, got {_shown(value)}")
 
 
 def _require_angle(what: str, theta: float) -> None:
@@ -140,13 +149,15 @@ def _require_angle(what: str, theta: float) -> None:
 # then a float exactly, and libm's pow, off by under one ulp, returns that
 # float.  A libm for which this fails fails tests/test_chunked.py.
 #
-# A chunk is made in two steps: polar(start, stop) gives the moduli m_k, the
-# angles y_k and the tails, and points(m, y) the Cartesian parts of m e^{iy},
-# where cos and sin take most of the time.  chunk() converts every puncture;
-# the single-point scan (invariants._scan) converts only those whose angle
-# lies in its candidate window around arg z, and a scan whose window covers
-# every angle (a listing, z at or near 0, no running minimum yet, or angles
-# too large to reduce) converts them all.
+# A chunk is made in two steps: the family's polar(start, stop) gives the
+# moduli m_k, the angles y_k and the tails, and _cartesian(m, y) the Cartesian
+# parts of m e^{iy}, where cos and sin take most of the time.  A family is a
+# planar law: the polydisk domain puts its points in coordinate 0 and 0j in
+# the others (PolySequencePunctures).  The domain's chunk() converts every
+# puncture; the single-point scan (invariants._scan) converts only those whose
+# angle lies in its candidate window around arg z, and a scan whose window
+# covers every angle (a listing, z at or near 0, no running minimum yet, or
+# angles too large to reduce) converts them all.
 
 
 def _polar_chunk(theta: float, start: int, stop: int, modulus):
@@ -173,34 +184,25 @@ def _cartesian(moduli, y):
     return moduli * c - 0.0 * s, moduli * s + 0.0 * c
 
 
-class _Polar:
-    """A family generated in polar form: a subclass gives polar(start, stop)
-    and, for points of several coordinates, its own points(moduli, y)."""
+@dataclass(frozen=True)
+class RadialFamily:
+    """a_k = (1 - q^k) e^{i k theta} with 0 < q < 1; tail bound m(N) = 1 - q^(N+1).
+    Errors name the family as ``_what``."""
 
-    points = staticmethod(_cartesian)
-
-    def chunk(self, start: int, stop: int):
-        moduli, y, tails = self.polar(start, stop)
-        return (*self.points(moduli, y), tails)
-
-
-class _RadialLaw:
-    """The radial law a_k = (1 - q^k) e^{i k theta}, 0 < q < 1, with tail bound
-    m(N) = 1 - q^(N+1), shared by the radial puncture and block families; a
-    subclass declares the fields q and theta and names itself in errors as
-    ``_what``."""
+    q: float
+    theta: float
 
     _what = "radial family"
 
     def __post_init__(self):
         if not 0.0 < self.q < 1.0:
-            raise DomainError(f"{self._what}: q must be in (0, 1), got {self.q!r}")
+            raise DomainError(f"{self._what}: q must be in (0, 1), got {_shown(self.q)}")
         _require_angle(self._what, self.theta)
 
-    def _lead(self, k: int) -> complex:
+    def point(self, k: int) -> complex:
         return (1.0 - self.q**k) * cmath.exp(1j * self.theta * k)
 
-    def _lead_polar(self, start: int, stop: int):
+    def polar(self, start: int, stop: int):
         import numpy as np
 
         return _polar_chunk(self.theta, start, stop, lambda k: 1.0 - np.fromiter(
@@ -215,18 +217,6 @@ class _RadialLaw:
         return int(math.log1p(-level) / math.log(self.q)) + 1
 
 
-@dataclass(frozen=True)
-class RadialFamily(_Polar, _RadialLaw):
-    """a_k = (1 - q^k) e^{i k theta} with 0 < q < 1; tail bound m(N) = 1 - q^(N+1)."""
-
-    q: float
-    theta: float
-
-    n = 1
-    point = _RadialLaw._lead
-    polar = _RadialLaw._lead_polar
-
-
 def _orbit_powers(k, p):
     """k**p over a float array of indices k, bitwise as math.pow gives it
     (see BoundaryOrbitFamily).  int(p) is raised only for a whole-number p,
@@ -239,7 +229,7 @@ def _orbit_powers(k, p):
 
 
 @dataclass(frozen=True)
-class BoundaryOrbitFamily(_Polar):
+class BoundaryOrbitFamily:
     """a_k = (1 - c / k^p) e^{i k theta} with 0 < c < 1, p > 0; m(N) = 1 - c/(N+1)^p.
 
     k^p must stay finite at the last index the parse check evaluates, so p is
@@ -253,13 +243,11 @@ class BoundaryOrbitFamily(_Polar):
     p: float
     theta: float
 
-    n = 1
-
     def __post_init__(self):
         if not 0.0 < self.c < 1.0:
-            raise DomainError(f"boundary_orbit family: c must be in (0, 1), got {self.c!r}")
+            raise DomainError(f"boundary_orbit family: c must be in (0, 1), got {_shown(self.c)}")
         if self.p <= 0.0:
-            raise DomainError(f"boundary_orbit family: p must be positive, got {self.p!r}")
+            raise DomainError(f"boundary_orbit family: p must be positive, got {_shown(self.p)}")
         _require_finite("boundary_orbit family", p=self.p)
         object.__setattr__(self, "p", float(self.p))
         try:  # tail_modulus(_TAIL_LIMIT_INDEX), which _check_tail evaluates
@@ -286,39 +274,36 @@ class BoundaryOrbitFamily(_Polar):
 
 
 @dataclass(frozen=True)
-class PolyRadialFamily(_Polar, _RadialLaw):
-    """First coordinate follows the radial family, remaining coordinates are 0."""
+class RadialBlockFamily(RadialFamily):
+    """The radial law with block radii r0 q^k, 0 < r0 < 1: block k is centered
+    at ((1 - q^k) e^{i k theta}, 0, ..., 0), padded by the domain.
 
-    n: int
-    q: float
-    theta: float
+    tail_inner_modulus(N) bounds max_j |center_j| - radius from below over all
+    blocks with index > N; containment in the polydisk holds for every k since
+    max_j |center_j| + radius = 1 - (1 - r0) q^k < 1.
+    """
 
-    polar = _RadialLaw._lead_polar
+    r0: float
+
+    _what = "block family"
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DomainError(f"radial family: dimension must be >= 1, got {self.n!r}")
         super().__post_init__()
+        if not 0.0 < self.r0 < 1.0:
+            raise DomainError(f"block family: r0 must be in (0, 1), got {_shown(self.r0)}")
 
-    def point(self, k: int) -> tuple[complex, ...]:
-        return (self._lead(k),) + (0j,) * (self.n - 1)
+    def radius(self, k: int) -> float:
+        return self.r0 * self.q**k
 
-    def points(self, moduli, y):
-        """As _cartesian for coordinate 0, with points as (n, y.size) arrays."""
-        import numpy as np
-
-        coords_re = np.zeros((self.n, y.size))
-        coords_im = np.zeros((self.n, y.size))
-        coords_re[0], coords_im[0] = _cartesian(moduli, y)
-        return coords_re, coords_im
+    def tail_inner_modulus(self, examined: int) -> float:
+        return max(0.0, 1.0 - (1.0 + self.r0) * self.q ** (examined + 1))
 
 
-def _require_family(kind: str, family, n: int) -> None:
-    """``family`` must be of dimension n and of a class the parser pairs with
-    ``kind`` (_FAMILIES)."""
-    if family.n != n:
-        raise DomainError(f"{kind}: family dimension {family.n} != n = {n}")
-    if not isinstance(family, tuple(cls for (k, _), (cls, _) in _FAMILIES.items() if k == kind)):
+def _require_family(kind: str, family) -> None:
+    """``family`` must be of a class the parser pairs with ``kind`` (_FAMILIES),
+    compared exactly: a block family extends the radial law but is no
+    sequence family."""
+    if type(family) not in {cls for (k, _), (cls, _) in _FAMILIES.items() if k == kind}:
         raise DomainError(f"{kind}: {type(family).__name__} is not a {kind} family")
 
 
@@ -346,7 +331,8 @@ def _check_tail(bound, what: str) -> None:
 class _Sequence:
     """What the disk and polydisk sequence domains share: a subclass declares
     prefix, family and tail_constant, a dimension ``n``, its document
-    ``kind``, and how it reads its listed points (_read_points).
+    ``kind``, how it reads its listed points (_read_points) and how it embeds
+    a planar family's points (_embed_point, _embed_parts; the identity here).
     FinitePunctures reads its own points and has no family or tail constant.
 
     Exactly one of the two descriptions is used:
@@ -366,7 +352,7 @@ class _Sequence:
             if self.tail_constant is not None:
                 raise DomainError(f"{kind}: a family carries its own tail bound; "
                                   "tail_modulus_constant is not allowed")
-            _require_family(kind, self.family, self.n)
+            _require_family(kind, self.family)
             _check_tail(self.family.tail_modulus, "tail bound")
             prefix = [self.family.point(k) for k in range(1, _FAMILY_DISTINCT_PREFIX + 1)]
             _require_separated(prefix, "family points", first=1)
@@ -382,7 +368,7 @@ class _Sequence:
         if k < 1:
             raise DomainError(f"puncture index must be >= 1, got {k!r}")
         if self.family is not None:
-            return self.family.point(k)
+            return self._embed_point(self.family.point(k))
         if k <= len(self.prefix):
             return self.prefix[k - 1]
         raise DomainError(f"no generator attached: puncture {k} is beyond the "
@@ -418,7 +404,7 @@ class _Sequence:
         """chunk(start, stop) with only the punctures ``keep`` selects converted:
         (their positions in the chunk, their real and imaginary parts, the
         tails of the whole chunk).  ``keep`` maps the angles y of a family's
-        punctures m e^{iy} (of coordinate 0 for a polydisk family) to
+        punctures m e^{iy} (of coordinate 0 for a polydisk domain) to
         slice(None) or an array of positions.  A listing has no angles, and
         every puncture is selected."""
         import numpy as np
@@ -426,7 +412,8 @@ class _Sequence:
         if self.family is not None:
             moduli, y, tails = self.family.polar(start, stop)
             selected = keep(y)
-            return (selected, *self.family.points(moduli[selected], y[selected]), tails)
+            re, im = _cartesian(moduli[selected], y[selected])
+            return (selected, *self._embed_parts(re, im), tails)
         points = np.array(self.prefix[start:stop], dtype=complex).T
         tails = np.zeros(stop - start)
         if stop == len(self.prefix):
@@ -437,6 +424,9 @@ class _Sequence:
         """About the smallest n with tail_lower_bound(n) > level, for level < 1;
         the length of a listing."""
         return len(self.prefix) if self.family is None else self.family.tail_index(level)
+
+    _embed_point = staticmethod(lambda a: a)
+    _embed_parts = staticmethod(lambda re, im: (re, im))
 
 
 @dataclass(frozen=True)
@@ -476,7 +466,7 @@ class PolySequencePunctures(_Sequence):
 
     n: int
     prefix: tuple[tuple[complex, ...], ...] = ()
-    family: PolyRadialFamily | None = None
+    family: RadialFamily | None = None
     tail_constant: float | None = None
 
     kind = "poly_sequence"
@@ -485,6 +475,19 @@ class PolySequencePunctures(_Sequence):
         if not isinstance(self.n, int) or self.n < 1:
             raise DomainError(f"poly_sequence: dimension must be an integer >= 1, got {self.n!r}")
         super().__post_init__()
+
+    def _embed_point(self, a: complex) -> tuple[complex, ...]:
+        """A family point as coordinate 0, with 0j in the others."""
+        return (a,) + (0j,) * (self.n - 1)
+
+    def _embed_parts(self, re, im):
+        """Chunk parts of coordinate 0 as (n, size) arrays, +0.0 in the others."""
+        import numpy as np
+
+        coords_re = np.zeros((self.n, re.size))
+        coords_im = np.zeros((self.n, re.size))
+        coords_re[0], coords_im[0] = re, im
+        return coords_re, coords_im
 
     def _read_points(self) -> tuple[tuple[complex, ...], ...]:
         pts = []
@@ -519,36 +522,6 @@ class Block:
             raise DomainError(f"block radius must be positive, got {self.radius!r}")
 
 
-@dataclass(frozen=True)
-class RadialBlockFamily(_RadialLaw):
-    """Blocks centered at ((1 - q^k) e^{i k theta}, 0, ..., 0) with radii r0 q^k.
-
-    tail_inner_modulus(N) bounds max_j |center_j| - radius from below over all
-    blocks with index > N; containment in the polydisk holds for every k since
-    max_j |center_j| + radius = 1 - (1 - r0) q^k < 1.
-    """
-
-    n: int
-    q: float
-    theta: float
-    r0: float
-
-    _what = "block family"
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise DomainError(f"block family: dimension must be >= 2, got {self.n!r}")
-        super().__post_init__()
-        if not 0.0 < self.r0 < 1.0:
-            raise DomainError(f"block family: r0 must be in (0, 1), got {self.r0!r}")
-
-    def block(self, k: int) -> Block:
-        return Block((self._lead(k),) + (0j,) * (self.n - 1), self.r0 * self.q**k)
-
-    def tail_inner_modulus(self, examined: int) -> float:
-        return max(0.0, 1.0 - (1.0 + self.r0) * self.q ** (examined + 1))
-
-
 def sup_distance(a, b) -> float:
     return max(abs(x - y) for x, y in zip(a, b))
 
@@ -560,9 +533,9 @@ def euclid_distance(a, b) -> float:
 class _Blocks:
     """What the removed-polydisk and removed-ball domains share: a subclass
     declares n, blocks and family, its ``geometry``, its document ``kind``
-    and the ``metric`` of block distances.  Exactly one of ``family`` (a block
-    generator with a closed-form bound on the inner moduli of later blocks)
-    and ``blocks`` (an explicit list of blocks strictly inside the polydisk)
+    and the ``metric`` of block distances.  Exactly one of ``family`` (a planar
+    block law with a closed-form bound on the inner moduli of later blocks,
+    padded to n coordinates here) and ``blocks`` (an explicit list of blocks strictly inside the polydisk)
     is used; block closures are pairwise disjoint in the metric."""
 
     def __post_init__(self):
@@ -575,8 +548,8 @@ class _Blocks:
             raise DomainError(f"{kind}: empty block list")
         if self.family is not None:
             # the law keeps every block inside; in floats 1 - (1 - r0) q^k rounds to 1
-            _require_family(kind, self.family, self.n)
-            check = [self.family.block(k) for k in range(1, _BLOCK_FAMILY_CHECK + 1)]
+            _require_family(kind, self.family)
+            check = [self.block(k) for k in range(1, _BLOCK_FAMILY_CHECK + 1)]
             _check_tail(self.family.tail_inner_modulus, f"{kind}: block tail bound")
         else:
             check = self.blocks
@@ -599,8 +572,9 @@ class _Blocks:
         object.__setattr__(self, "blocks", tuple(self.blocks))
 
     def block(self, k: int) -> Block:
-        if self.family is not None:
-            return self.family.block(k)
+        if self.family is not None:  # the family's point in coordinate 0
+            center = (self.family.point(k),) + (0j,) * (self.n - 1)
+            return Block(center, self.family.radius(k))
         if 1 <= k <= len(self.blocks):
             return self.blocks[k - 1]
         raise DomainError(f"no block family attached: block {k} is beyond the list")
@@ -718,12 +692,12 @@ def _reject_unknown(doc: dict, allowed: set[str], kind: str) -> None:
         raise DomainError(f"{kind}: unexpected fields {sorted(extra)!r}")
 
 
-# (kind, family) -> (family class, its document parameters); a dimensioned
-# kind also passes its n to the family
+# (kind, family) -> (family class, its document parameters); every family is
+# planar, and a dimensioned kind keeps its n to itself
 _FAMILIES = {
     ("sequence", "radial"): (RadialFamily, ("q", "theta")),
     ("sequence", "boundary_orbit"): (BoundaryOrbitFamily, ("c", "p", "theta")),
-    ("poly_sequence", "radial"): (PolyRadialFamily, ("q", "theta")),
+    ("poly_sequence", "radial"): (RadialFamily, ("q", "theta")),
     ("removed_polydisks", "radial"): (RadialBlockFamily, ("q", "theta", "r0")),
     ("removed_balls", "radial"): (RadialBlockFamily, ("q", "theta", "r0")),
 }
@@ -742,7 +716,7 @@ def _parse_family(doc: dict, kind: str, dims: dict):
     if missing:
         raise DomainError(f"{kind}: family {name!r} needs parameters {missing!r}")
     _reject_unknown(doc, {"family", *dims, *params}, kind)
-    return cls(**dims, **{p: _as_number(doc[p], f"{kind}.{p}") for p in params})
+    return cls(**{p: _as_number(doc[p], f"{kind}.{p}") for p in params})
 
 
 def _parse_blocks(doc: dict, kind: str) -> tuple[Block, ...]:

@@ -204,7 +204,7 @@ def test_ball_membership_uses_euclidean_norm():
 # --- block families ----------------------------------------------------------------
 
 def test_block_family_certified_truncation():
-    fam = RadialBlockFamily(n=2, q=0.5, theta=1.0, r0=0.1)
+    fam = RadialBlockFamily(q=0.5, theta=1.0, r0=0.1)
     d = RemovedPolydisks(n=2, family=fam)
     res = polydisk_squeezing_removed_blocks(d, (0j, 0j))
     assert res.truncation_index >= 1
@@ -212,7 +212,7 @@ def test_block_family_certified_truncation():
     # oracle: every examined block plus a margin of later ones
     per_block = []
     for k in range(1, res.truncation_index + 10):
-        b = fam.block(k)
+        b = d.block(k)
         per_block.append(boundary_min_oracle(b, (0j, 0j), 50_000, "polydisk"))
     oracle = min(per_block)
     assert abs(oracle - res.value) <= res.mesh_error + 1e-3

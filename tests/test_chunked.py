@@ -14,7 +14,6 @@ from squeezefn.domains import (
     _TAIL_LIMIT_INDEX,
     BoundaryOrbitFamily,
     DomainError,
-    PolyRadialFamily,
     PolySequencePunctures,
     RadialFamily,
     SequencePunctures,
@@ -46,16 +45,33 @@ def bits(x: float):
     return repr(x), math.copysign(1.0, x)
 
 
-# --- family chunks against point(k) and tail_modulus(n) -----------------------
+def unchecked(family, n=None):
+    """The sequence domain of a planar ``family``, of dimension n if given,
+    built without the domain's checks: chunk and puncture do not use them,
+    and a family the checks reject (at theta = 0 and small q its first
+    points meet within the separation floor) still has chunks to compare."""
+    cls = SequencePunctures if n is None else PolySequencePunctures
+    domain = object.__new__(cls)
+    object.__setattr__(domain, "family", family)
+    if n is not None:
+        object.__setattr__(domain, "n", n)
+    return domain
+
+
+def poly(n, q, theta):
+    return unchecked(RadialFamily(q, theta), n)
+
+
+# --- domain chunks against puncture(k) and tail_lower_bound(n) ----------------
 
 thetas = st.one_of(st.sampled_from([0.0, -0.0, -1.0, 2.3, -2.3]),
                    st.floats(-50.0, 50.0, allow_nan=False))
 families = st.one_of(
-    st.builds(RadialFamily, q=st.floats(1e-3, 1.0, exclude_max=True), theta=thetas),
+    st.builds(RadialFamily, q=st.floats(1e-3, 1.0, exclude_max=True), theta=thetas).map(unchecked),
     st.builds(BoundaryOrbitFamily, c=st.floats(1e-3, 1.0, exclude_max=True),
               p=st.one_of(st.sampled_from([1.0, 2.0, 3.0, 6.0]), st.floats(0.05, 6.0)),
-              theta=thetas),
-    st.builds(PolyRadialFamily, n=st.integers(1, 3),
+              theta=thetas).map(unchecked),
+    st.builds(poly, n=st.integers(1, 3),
               q=st.floats(1e-3, 1.0, exclude_max=True), theta=thetas),
 )
 windows = st.tuples(st.one_of(st.integers(0, 40), st.integers(_SEQUENCE_CAP - 40, _SEQUENCE_CAP)),
@@ -72,30 +88,33 @@ def tie_c(k: int, p: int) -> float:
 
 @settings(max_examples=300, deadline=None)
 @given(families, windows)
-@example(RadialFamily(q=0.99, theta=-0.0), (0, 8))
-@example(BoundaryOrbitFamily(c=0.5, p=1.0, theta=0.0), (_SEQUENCE_CAP - 8, 8))
-@example(PolyRadialFamily(n=2, q=0.5, theta=-0.0), (0, 3))
+@example(unchecked(RadialFamily(q=0.99, theta=-0.0)), (0, 8))
+@example(unchecked(BoundaryOrbitFamily(c=0.5, p=1.0, theta=0.0)), (_SEQUENCE_CAP - 8, 8))
+@example(poly(n=2, q=0.5, theta=-0.0), (0, 3))
 # whole-number p: exact int64 powers while every k**p < 2**53, math.pow beyond
-@example(BoundaryOrbitFamily(c=0.5, p=3.0, theta=2.3), (208022, 40))  # 208063**3 < 2**53
-@example(BoundaryOrbitFamily(c=tie_c(208069, 3), p=3.0, theta=2.3), (208060, 40))
-@example(BoundaryOrbitFamily(c=tie_c(208069, 3), p=3, theta=2.3), (208060, 40))  # a Python int p
-@example(BoundaryOrbitFamily(c=0.5, p=6.0, theta=2.3), (0, 40))
-@example(BoundaryOrbitFamily(c=tie_c(457, 6), p=6.0, theta=2.3), (420, 40))
-@example(BoundaryOrbitFamily(c=0.5, p=2, theta=2.3), (0, 40))  # a Python int p
-def test_family_chunk_is_bitwise_point_and_tail(family, window):
+@example(unchecked(BoundaryOrbitFamily(c=0.5, p=3.0, theta=2.3)), (208022, 40))  # 208063**3 < 2**53
+@example(unchecked(BoundaryOrbitFamily(c=tie_c(208069, 3), p=3.0, theta=2.3)), (208060, 40))
+@example(unchecked(BoundaryOrbitFamily(c=tie_c(208069, 3), p=3, theta=2.3)),
+         (208060, 40))  # a Python int p
+@example(unchecked(BoundaryOrbitFamily(c=0.5, p=6.0, theta=2.3)), (0, 40))
+@example(unchecked(BoundaryOrbitFamily(c=tie_c(457, 6), p=6.0, theta=2.3)), (420, 40))
+@example(unchecked(BoundaryOrbitFamily(c=0.5, p=2, theta=2.3)), (0, 40))  # a Python int p
+def test_family_chunk_is_bitwise_point_and_tail(domain, window):
     start, width = window
     stop = start + width
-    re, im, tails = family.chunk(start, stop)
+    re, im, tails = domain.chunk(start, stop)
     assert len(tails) == width
     for i, k in enumerate(range(start + 1, stop + 1)):
-        point = family.point(k)
-        if isinstance(point, tuple):
-            coords = [(float(re[j, i]), float(im[j, i])) for j in range(len(point))]
+        point, planar = domain.puncture(k), domain.family.point(k)
+        if isinstance(point, tuple):  # the family's point in coordinate 0, +0j elsewhere
+            assert [bits(c.real) + bits(c.imag) for c in point] == (
+                [bits(planar.real) + bits(planar.imag)] + [bits(0.0) * 2] * (domain.n - 1))
+            coords = [(float(re[j, i]), float(im[j, i])) for j in range(domain.n)]
         else:
             coords, point = [(float(re[i]), float(im[i]))], (point,)
         for (x, y), expect in zip(coords, point):
             assert (bits(x), bits(y)) == (bits(expect.real), bits(expect.imag)), (k, expect)
-        assert bits(float(tails[i])) == bits(family.tail_modulus(k)), k
+        assert bits(float(tails[i])) == bits(domain.tail_lower_bound(k)), k
 
 
 # cmath.exp at huge arguments: any theta the parser accepts (theta * k finite
@@ -118,9 +137,10 @@ huge_thetas = st.one_of(st.sampled_from([1e302, -1e302, HUGE_THETA, -HUGE_THETA,
                         st.floats(-HUGE_THETA, HUGE_THETA))
 unit_params = st.floats(1e-3, 1.0, exclude_max=True)
 huge_families = st.one_of(
-    st.builds(or_reject(RadialFamily), unit_params, huge_thetas),
-    st.builds(or_reject(BoundaryOrbitFamily), unit_params, st.floats(0.05, 6.0), huge_thetas),
-    st.builds(or_reject(PolyRadialFamily), st.integers(1, 3), unit_params, huge_thetas),
+    st.builds(or_reject(RadialFamily), unit_params, huge_thetas).map(unchecked),
+    st.builds(or_reject(BoundaryOrbitFamily), unit_params, st.floats(0.05, 6.0),
+              huge_thetas).map(unchecked),
+    st.builds(or_reject(poly), st.integers(1, 3), unit_params, huge_thetas),
 )
 far_windows = st.tuples(st.one_of(st.integers(0, _TAIL_LIMIT_INDEX),
                                   st.integers(_TAIL_LIMIT_INDEX - 40, _TAIL_LIMIT_INDEX)),
@@ -130,12 +150,13 @@ far_windows = st.tuples(st.one_of(st.integers(0, _TAIL_LIMIT_INDEX),
 
 @settings(max_examples=200, deadline=None)
 @given(huge_families, far_windows)
-@example(RadialFamily(q=0.5, theta=1e302), (_TAIL_LIMIT_INDEX - 40, 40))
-@example(BoundaryOrbitFamily(c=0.5, p=1.0, theta=-HUGE_THETA), (_TAIL_LIMIT_INDEX - 8, 8))
-@example(PolyRadialFamily(n=2, q=0.5, theta=-0.0), (_TAIL_LIMIT_INDEX - 3, 3))
-def test_family_chunk_is_bitwise_point_and_tail_at_huge_angles(family, window):
+@example(unchecked(RadialFamily(q=0.5, theta=1e302)), (_TAIL_LIMIT_INDEX - 40, 40))
+@example(unchecked(BoundaryOrbitFamily(c=0.5, p=1.0, theta=-HUGE_THETA)),
+         (_TAIL_LIMIT_INDEX - 8, 8))
+@example(poly(n=2, q=0.5, theta=-0.0), (_TAIL_LIMIT_INDEX - 3, 3))
+def test_family_chunk_is_bitwise_point_and_tail_at_huge_angles(domain, window):
     # the same comparison as above, over windows ending at most at _TAIL_LIMIT_INDEX
-    test_family_chunk_is_bitwise_point_and_tail.hypothesis.inner_test(family, window)
+    test_family_chunk_is_bitwise_point_and_tail.hypothesis.inner_test(domain, window)
 
 
 DENSE = 2**17
@@ -149,9 +170,10 @@ DENSE = 2**17
 def test_family_chunk_is_bitwise_point_at_every_index(family):
     # the deep families' first 2**17 punctures in one chunk: the windows above
     # are 40 wide, and numpy's cos and sin must be libm's at every angle here
-    re, im, tails = family.chunk(0, DENSE)
-    points = np.array([family.point(k) for k in range(1, DENSE + 1)], dtype=complex)
-    bounds = np.array([family.tail_modulus(k) for k in range(1, DENSE + 1)])
+    domain = SequencePunctures(family=family)
+    re, im, tails = domain.chunk(0, DENSE)
+    points = np.array([domain.puncture(k) for k in range(1, DENSE + 1)], dtype=complex)
+    bounds = np.array([domain.tail_lower_bound(k) for k in range(1, DENSE + 1)])
     for name, got, expect in (("re", re, points.real), ("im", im, points.imag),
                               ("tail", tails, bounds)):
         got, expect = (np.ascontiguousarray(a).view(np.uint64) for a in (got, expect))
@@ -314,7 +336,7 @@ def left_out(z, bound, y):
 
 def window_case(family, start, width, z):
     """The angles of a chunk and the _rho_block distances of its punctures
-    (of coordinate 0 for a polydisk family) from z."""
+    (of coordinate 0 in a polydisk domain) from z."""
     moduli, y, _ = family.polar(start, start + width)
     re, im = _cartesian(moduli, y)
     return y, _rho_block(z.real, z.imag, re, im)
@@ -325,7 +347,6 @@ window_thetas = st.one_of(st.sampled_from([1e302, -1e302, 2.3, 1.0, -0.0, 1e15])
 window_families = st.one_of(
     st.builds(or_reject(RadialFamily), unit_params, window_thetas),
     st.builds(or_reject(BoundaryOrbitFamily), unit_params, st.floats(0.05, 6.0), window_thetas),
-    st.builds(or_reject(PolyRadialFamily), st.integers(1, 3), unit_params, window_thetas),
 )
 
 
@@ -413,8 +434,8 @@ def test_chunked_polydisk_matches_the_per_puncture_loop(data, n):
     coords = st.lists(points.filter(lambda p: abs(p) < 0.98), min_size=n, max_size=n)
     try:
         if data.draw(st.booleans()):
-            domain = PolySequencePunctures(n=n, family=PolyRadialFamily(
-                n, data.draw(st.floats(0.3, 0.99)), data.draw(thetas)))
+            domain = PolySequencePunctures(n=n, family=RadialFamily(
+                data.draw(st.floats(0.3, 0.99)), data.draw(thetas)))
         else:
             domain = PolySequencePunctures(
                 n=n, prefix=tuple(tuple(c) for c in data.draw(st.lists(coords, min_size=1, max_size=8))),

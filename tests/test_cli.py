@@ -188,11 +188,12 @@ PARSE_AND_ARGUMENT_ERRORS = [
                            "p": 52.0, "theta": 2.3}, EVAL,
      "boundary_orbit family: k**p overflows at k = 1000001, got p=52.0"),
     ("poly_family_n0", {"kind": "poly_sequence", "n": 0, "family": "radial", "q": 0.5,
-                        "theta": 1.0}, EVAL, "radial family: dimension must be >= 1, got 0"),
+                        "theta": 1.0}, EVAL,
+     "poly_sequence: dimension must be an integer >= 1, got 0"),
     ("poly_listing_n0", {"kind": "poly_sequence", "n": 0, "points": [[[0.5, 0.0]]]}, EVAL,
      "poly_sequence: dimension must be an integer >= 1, got 0"),
     ("block_family_n1", {"kind": "removed_balls", "n": 1, **RADIAL_BLOCKS}, EVAL,
-     "block family: dimension must be >= 2, got 1"),
+     "removed_balls: dimension must be an integer >= 2, got 1"),
     ("block_family_r0_one", {"kind": "removed_polydisks", "n": 2, **RADIAL_BLOCKS, "r0": 1.0},
      EVAL, "block family: r0 must be in (0, 1), got 1.0"),
     ("block_family_r0_zero", {"kind": "removed_balls", "n": 2, **RADIAL_BLOCKS, "r0": 0.0},

@@ -13,7 +13,6 @@ from squeezefn.domains import (
     BoundaryOrbitFamily,
     DomainError,
     FinitePunctures,
-    PolyRadialFamily,
     PolySequencePunctures,
     ProductOfBalls,
     RadialBlockFamily,
@@ -146,9 +145,10 @@ def test_sequence_kinds_stay_distinct_types():
                               "q": 0.5, "theta": 1.0})
     assert isinstance(disk, SequencePunctures) and not isinstance(disk, PolySequencePunctures)
     assert isinstance(poly, PolySequencePunctures) and not isinstance(poly, SequencePunctures)
+    # one planar family; the domain owns the dimension and the padding
+    assert disk.family == poly.family == RadialFamily(0.5, 1.0)
     assert disk != poly
-    with pytest.raises(DomainError, match="sequence: family dimension 2 != n = 1"):
-        SequencePunctures(family=PolyRadialFamily(2, 0.5, 1.0))
+    assert poly.puncture(1) == (disk.puncture(1),)
 
 
 @settings(max_examples=100)
@@ -278,7 +278,7 @@ def test_slow_family_rejected_at_parse():
 
 
 def test_poly_family_points():
-    fam = PolyRadialFamily(2, 0.5, 1.0)
+    fam = RadialFamily(0.5, 1.0)
     d = PolySequencePunctures(n=2, family=fam)
     assert d.puncture(1) == (0.5 * cmath.exp(1j), 0j)
     assert d.tail_lower_bound(0) == 0.5
@@ -287,7 +287,7 @@ def test_poly_family_points():
 # --- blocks -------------------------------------------------------------------
 
 def test_block_family_blocks_are_disjoint_and_inside():
-    fam = RadialBlockFamily(n=2, q=0.5, theta=1.0, r0=0.1)
+    fam = RadialBlockFamily(q=0.5, theta=1.0, r0=0.1)
     d = RemovedPolydisks(n=2, family=fam)
     blocks = [d.block(k) for k in range(1, 41)]
     for b in blocks:
@@ -299,11 +299,13 @@ def test_block_family_blocks_are_disjoint_and_inside():
 
 
 def test_block_family_tail_bound_monotone():
-    fam = RadialBlockFamily(n=2, q=0.5, theta=1.0, r0=0.1)
+    fam = RadialBlockFamily(q=0.5, theta=1.0, r0=0.1)
+    d = RemovedBalls(n=3, family=fam)
     vals = [fam.tail_inner_modulus(n) for n in (0, 1, 10, 100, 1_000)]
     assert all(a <= b for a, b in zip(vals, vals[1:]))
     for k in range(1, 200):
-        b = fam.block(k)
+        b = d.block(k)
+        assert b == Block((fam.point(k), 0j, 0j), fam.radius(k))
         inner = max(abs(c) for c in b.center) - b.radius
         assert inner >= fam.tail_inner_modulus(k - 1) - 5e-16
 
@@ -393,16 +395,46 @@ def test_annulus_and_product_validation():
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: SequencePunctures(family=PolyRadialFamily(1, 0.5, 1.0)),
-     "sequence: PolyRadialFamily is not a sequence family"),
-    (lambda: PolySequencePunctures(n=1, family=RadialFamily(0.5, 1.0)),
-     "poly_sequence: RadialFamily is not a poly_sequence family"),
+    (lambda: SequencePunctures(family=RadialBlockFamily(0.5, 1.0, 0.25)),
+     "sequence: RadialBlockFamily is not a sequence family"),
+    (lambda: PolySequencePunctures(n=1, family=RadialBlockFamily(0.5, 1.0, 0.25)),
+     "poly_sequence: RadialBlockFamily is not a poly_sequence family"),
     (lambda: PolySequencePunctures(n=1, family=BoundaryOrbitFamily(0.5, 1.0, 1.0)),
      "poly_sequence: BoundaryOrbitFamily is not a poly_sequence family"),
-    (lambda: RemovedPolydisks(n=2, family=PolyRadialFamily(2, 0.5, 1.0)),
-     "removed_polydisks: PolyRadialFamily is not a removed_polydisks family"),
-], ids=["disk-poly-family", "poly-disk-family", "poly-orbit-family", "blocks-poly-family"])
+    (lambda: RemovedPolydisks(n=2, family=RadialFamily(0.5, 1.0)),
+     "removed_polydisks: RadialFamily is not a removed_polydisks family"),
+    (lambda: RemovedBalls(n=2, family=BoundaryOrbitFamily(0.5, 1.0, 1.0)),
+     "removed_balls: BoundaryOrbitFamily is not a removed_balls family"),
+], ids=["disk-block-family", "poly-block-family", "poly-orbit-family", "blocks-planar-family",
+        "balls-orbit-family"])
 def test_domain_rejects_a_family_of_another_kind(build, message):
-    # the dimensions agree; only the parser's (kind, family) table tells them apart
+    # every family is planar; only the parser's (kind, family) table, by exact
+    # class, tells them apart: a block family extends the radial law
     with pytest.raises(DomainError, match=message):
         build()
+
+
+LISTINGS = {
+    "poly_sequence": {"points": [[[0.5, 0.0]]]},
+    "removed_balls": {"blocks": [{"center": [[0.0, 0.0]], "radius": 0.25}]},
+    "removed_polydisks": {"blocks": [{"center": [[0.0, 0.0]], "radius": 0.25}]},
+}
+RADIAL_PARAMS = {"family": "radial", "q": 0.5, "theta": 1.0}
+
+
+@pytest.mark.parametrize("kind, n", [("poly_sequence", 0), ("removed_balls", 1),
+                                     ("removed_polydisks", 1)])
+def test_bad_dimension_reads_the_same_with_a_family(kind, n):
+    # the domain owns its dimension: a family document gets the listing's message
+    family = dict(RADIAL_PARAMS, **({} if kind == "poly_sequence" else {"r0": 0.25}))
+    for rest in (LISTINGS[kind], family):
+        with pytest.raises(DomainError) as err:
+            parse_domain_spec({"kind": kind, "n": n, **rest})
+        assert str(err.value) == f"{kind}: dimension must be an integer >= {n + 1}, got {n}"
+
+
+def test_family_parameters_are_checked_before_the_dimension():
+    # the family is built before its domain, so a bad parameter is reported first
+    with pytest.raises(DomainError) as err:
+        parse_domain_spec({"kind": "poly_sequence", "n": 0, **RADIAL_PARAMS, "q": 2.0})
+    assert str(err.value) == "radial family: q must be in (0, 1), got 2.0"

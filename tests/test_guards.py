@@ -1,6 +1,7 @@
 """Guards of the domain constructors and the evaluators, each pinned to its
 exact message: the domain, point and certification errors a caller sees."""
 
+import math
 import re
 
 import pytest
@@ -13,7 +14,6 @@ from squeezefn.domains import (
     BoundaryOrbitFamily,
     DomainError,
     FinitePunctures,
-    PolyRadialFamily,
     PolySequencePunctures,
     ProductOfBalls,
     RadialBlockFamily,
@@ -22,6 +22,7 @@ from squeezefn.domains import (
     RemovedPolydisks,
     SequencePunctures,
     _check_tail,
+    parse_domain_spec,
     serialize_domain_spec,
 )
 from squeezefn.hyperbolic import MobiusMap, PointError
@@ -39,7 +40,7 @@ from squeezefn.invariants import (
 
 BLOCK_CLASSES = [RemovedPolydisks, RemovedBalls]
 ORIGIN_BLOCK = Block((0j, 0j), 0.25)
-BLOCK_FAMILY = RadialBlockFamily(n=2, q=0.5, theta=1.0, r0=0.25)
+BLOCK_FAMILY = RadialBlockFamily(q=0.5, theta=1.0, r0=0.25)
 RADIAL = RadialFamily(q=0.5, theta=1.0)
 
 
@@ -168,15 +169,63 @@ HUGE = 10**400  # int too large for a float; not printed in messages
     (lambda: BoundaryOrbitFamily(0.5, HUGE, 1.0), "boundary_orbit family: p must be finite"),
     (lambda: BoundaryOrbitFamily(0.5, 2.0, HUGE), "boundary_orbit family: theta must be finite"),
     (lambda: RadialFamily(0.5, HUGE), "radial family: theta must be finite"),
-    (lambda: PolyRadialFamily(2, 0.5, HUGE), "radial family: theta must be finite"),
-    (lambda: RadialBlockFamily(2, 0.5, HUGE, 0.25), "block family: theta must be finite"),
+    (lambda: RadialBlockFamily(0.5, HUGE, 0.25), "block family: theta must be finite"),
     (lambda: Block((0j, 0j), HUGE), "block: radius must be finite"),
     (lambda: Block((HUGE, 0j), 0.1), "block: center[0] must be finite"),
-], ids=["orbit-p", "orbit-theta", "radial-theta", "poly-radial-theta", "block-family-theta",
+], ids=["orbit-p", "orbit-theta", "radial-theta", "block-family-theta",
         "block-radius", "block-center"])
 def test_integers_beyond_the_float_range_are_domain_errors(build, message):
     with raises_exactly(DomainError, f"{message}, got an integer too large for a float"):
         build()
+
+
+# more digits than str() converts: a range check may not print them
+HUGER = 10**5000
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: RadialFamily(HUGER, 1.0), "radial family: q must be in (0, 1)"),
+    (lambda: RadialFamily(-HUGER, 1.0), "radial family: q must be in (0, 1)"),
+    (lambda: BoundaryOrbitFamily(HUGER, 1.0, 1.0), "boundary_orbit family: c must be in (0, 1)"),
+    (lambda: BoundaryOrbitFamily(0.5, -HUGER, 1.0), "boundary_orbit family: p must be positive"),
+    (lambda: RadialBlockFamily(0.5, 1.0, HUGER), "block family: r0 must be in (0, 1)"),
+    (lambda: RadialBlockFamily(HUGER, 1.0, 0.25), "block family: q must be in (0, 1)"),
+], ids=["radial-q", "radial-q-negative", "orbit-c", "orbit-p-negative", "block-r0", "block-q"])
+def test_range_checks_do_not_print_integers_beyond_the_float_range(build, message):
+    with raises_exactly(DomainError, f"{message}, got an integer too large for a float"):
+        build()
+
+
+@pytest.mark.parametrize("value", [2.0, -0.0, math.nan, math.inf, -math.inf, 3, -10**300])
+@pytest.mark.parametrize("build, message", [
+    (lambda v: RadialFamily(v, 1.0), "radial family: q must be in (0, 1)"),
+    (lambda v: BoundaryOrbitFamily(v, 1.0, 1.0), "boundary_orbit family: c must be in (0, 1)"),
+    (lambda v: RadialBlockFamily(0.5, 1.0, v), "block family: r0 must be in (0, 1)"),
+], ids=["radial-q", "orbit-c", "block-r0"])
+def test_range_checks_print_other_values(build, message, value):
+    with raises_exactly(DomainError, f"{message}, got {value!r}"):
+        build(value)
+
+
+@pytest.mark.parametrize("value", [-2.0, -0.0, 0, -math.inf, -10**300])
+def test_orbit_p_check_prints_other_values(value):
+    with raises_exactly(DomainError, f"boundary_orbit family: p must be positive, got {value!r}"):
+        BoundaryOrbitFamily(0.5, value, 1.0)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ('{"kind":"sequence","family":"radial","q":NaN,"theta":1.0}',
+     "radial family: q must be in (0, 1), got nan"),
+    ('{"kind":"sequence","family":"boundary_orbit","c":-Infinity,"p":1.0,"theta":1.0}',
+     "boundary_orbit family: c must be in (0, 1), got -inf"),
+    ('{"kind":"sequence","family":"boundary_orbit","c":0.5,"p":-Infinity,"theta":1.0}',
+     "boundary_orbit family: p must be positive, got -inf"),
+    ('{"kind":"removed_balls","n":2,"family":"radial","q":0.5,"theta":1.0,"r0":NaN}',
+     "block family: r0 must be in (0, 1), got nan"),
+], ids=["q-nan", "c-minus-inf", "p-minus-inf", "r0-nan"])
+def test_json_nan_and_infinity_parameters(doc, message):
+    with raises_exactly(DomainError, message):
+        parse_domain_spec(doc)
 
 
 def test_integer_angle_whose_multiples_overflow():

@@ -9,7 +9,6 @@ from squeezefn.domains import (
     BoundaryOrbitFamily,
     DomainError,
     FinitePunctures,
-    PolyRadialFamily,
     PolySequencePunctures,
     ProductOfBalls,
     RadialFamily,
@@ -253,7 +252,7 @@ def test_poly_single_puncture():
 
 
 def test_poly_radial_family_at_origin():
-    d = PolySequencePunctures(n=2, family=PolyRadialFamily(2, 0.5, 1.0))
+    d = PolySequencePunctures(n=2, family=RadialFamily(0.5, 1.0))
     res = polydisk_squeezing_punctured(d, (0j, 0j))
     assert res.value == 0.5
     assert res.attained_index == 1
@@ -261,7 +260,7 @@ def test_poly_radial_family_at_origin():
 
 
 def test_poly_certified_matches_brute_force():
-    d = PolySequencePunctures(n=2, family=PolyRadialFamily(2, 0.5, 1.0))
+    d = PolySequencePunctures(n=2, family=RadialFamily(0.5, 1.0))
     rng = Lcg(55)
     for _ in range(50):
         z = (rng.disk_point(0.85), rng.disk_point(0.85))
@@ -271,7 +270,7 @@ def test_poly_certified_matches_brute_force():
 
 
 def test_poly_n1_collapses_to_disk_case():
-    poly = PolySequencePunctures(n=1, family=PolyRadialFamily(1, 0.5, 1.0))
+    poly = PolySequencePunctures(n=1, family=RadialFamily(0.5, 1.0))
     rng = Lcg(3)
     for _ in range(25):
         z = rng.disk_point(0.9)
@@ -280,7 +279,7 @@ def test_poly_n1_collapses_to_disk_case():
 
 
 def test_poly_dimension_mismatch():
-    d = PolySequencePunctures(n=2, family=PolyRadialFamily(2, 0.5, 1.0))
+    d = PolySequencePunctures(n=2, family=RadialFamily(0.5, 1.0))
     with pytest.raises(PointError):
         polydisk_squeezing_punctured(d, (0j,))
 
