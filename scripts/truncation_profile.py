@@ -5,12 +5,16 @@ evaluation costs: its wall time (best of REPEAT runs, after one run that
 loads numpy) and that time per examined puncture.  ``ns/punct`` divides by
 every examined puncture, those the scan's candidate window leaves out
 unconverted and unmeasured included, so near the boundary it falls as the
-window narrows.  ``--steps 17`` reaches |z| = 1 - 2**-17 and, for p=1, a
-prefix of about 10^5 punctures."""
+window narrows.  ``converted`` counts the punctures the scan converted and
+measured, and ``tails`` the tail bounds m(n) it computed, in one more run
+with the domain's ``parts`` and ``tails`` wrapped by counters; both stay far
+below ``stop N`` where the window and the tail skip act.  ``--steps 17``
+reaches |z| = 1 - 2**-17 and, for p=1, a prefix of about 10^5 punctures."""
 
 import argparse
 import math
 import time
+from unittest import mock
 
 from squeezefn.domains import BoundaryOrbitFamily, RadialFamily, SequencePunctures
 from squeezefn.hyperbolic import radial_separation_bound
@@ -25,13 +29,32 @@ FAMILIES = {
 REPEAT = 3
 
 
+def counted(domain, z) -> tuple[int, int]:
+    """(punctures converted, tails computed) by one evaluation at z."""
+    counts = [0, 0]
+    cls = type(domain)
+    convert, bound = cls.parts, cls.tails
+
+    def parts(self, index, y):
+        counts[0] += len(index)
+        return convert(self, index, y)
+
+    def tails(self, start, stop):
+        counts[1] += stop - start
+        return bound(self, start, stop)
+
+    with mock.patch.object(cls, "parts", parts), mock.patch.object(cls, "tails", tails):
+        squeezing_punctured_disk(domain, z)
+    return counts[0], counts[1]
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--steps", type=int, default=12)
     args = parser.parse_args()
 
     print(f"{'family':>16}  {'|z|':>8}  {'value':>12}  {'stop N':>6}  {'tail bound':>10}  "
-          f"{'ms':>8}  {'ns/punct':>8}")
+          f"{'ms':>8}  {'ns/punct':>8}  {'converted':>9}  {'tails':>6}")
     for name, domain in FAMILIES.items():
         for i in range(args.steps):
             mod = 1.0 - 0.5 ** (i + 1)
@@ -43,9 +66,10 @@ def main() -> int:
                 squeezing_punctured_disk(domain, z)
                 ns = min(ns, time.perf_counter_ns() - t0)
             tail = radial_separation_bound(res.tail_bound_used, mod)
+            converted, tails = counted(domain, z)
             print(f"{name:>16}  {mod:8.5f}  {res.value:12.8f}  "
                   f"{res.truncation_index:6d}  {tail:10.6f}  "
-                  f"{ns / 1e6:8.3f}  {ns / res.truncation_index:8.0f}")
+                  f"{ns / 1e6:8.3f}  {ns / res.truncation_index:8.0f}  {converted:9d}  {tails:6d}")
     return 0
 
 

@@ -140,48 +140,62 @@ def _require_angle(what: str, theta: float) -> None:
 # Chunks of a generated family: the real and imaginary parts of a_(start+1) ..
 # a_stop and the tail bounds m(start+1) .. m(stop), as numpy arrays, bitwise
 # equal to point(k) and tail_modulus(n).  m(n) is the modulus factor of
-# a_(n+1), so one power per index serves both.  numpy does + - * / in the
-# order CPython 3.10-3.13 does them; the transcendentals are math.pow, the
-# libm call of k**p and q**k, and numpy's float64 cos and sin, which must be
-# libm's cos and sin that cmath.exp calls: chunk-to-point equality is a
-# property of the numpy build.  (numpy's own power may differ in the last ulp.)
-# A whole-number p whose powers stay below 2**53 takes k**p in int64: each is
-# then a float exactly, and libm's pow, off by under one ulp, returns that
-# float.  A libm for which this fails fails tests/test_chunked.py.
+# a_(n+1).  numpy does + - * / in the order CPython 3.10-3.13 does them; the
+# transcendentals are math.pow, the libm call of k**p and q**k, and numpy's
+# float64 cos and sin, which must be libm's cos and sin that cmath.exp calls:
+# chunk-to-point equality is a property of the numpy build.  (numpy's own
+# power may differ in the last ulp.)  A whole-number p whose powers stay below
+# 2**53 takes k**p in int64: each is then a float exactly, and libm's pow, off
+# by under one ulp, returns that float.  A libm for which this fails fails
+# tests/test_chunked.py.
 #
-# A chunk is made in two steps: the family's polar(start, stop) gives the
-# moduli m_k, the angles y_k and the tails, and _cartesian(m, y) the Cartesian
-# parts of m e^{iy}, where cos and sin take most of the time.  A family is a
-# planar law: the polydisk domain puts its points in coordinate 0 and 0j in
-# the others (PolySequencePunctures).  The domain's chunk() converts every
-# puncture; the single-point scan (invariants._scan) converts only those whose
-# angle lies in its candidate window around arg z, and a scan whose window
-# covers every angle (a listing, z at or near 0, no running minimum yet, or
-# angles too large to reduce) converts them all.
+# A family gives its punctures in two pieces: angles(start, stop), the angles
+# y_k of a_(start+1) .. a_stop, and moduli(k), the moduli at an ascending
+# array of indices k (floats: math.pow takes them faster than ints), and
+# _cartesian(m, y) gives the Cartesian parts of m e^{iy}, where cos and sin
+# take most of the time.  Every piece is elementwise, so a puncture has the
+# same bits whichever indices are computed with it.  A family is a planar
+# law: the polydisk domain puts its points in coordinate 0 and 0j in the
+# others (PolySequencePunctures).  The domain's chunk() composes the pieces
+# over a whole index range, with one moduli call for the punctures and their
+# tails.  The single-point scan (invariants._scan) takes the angles of a whole
+# range, converts (parts) only the punctures whose angle lies in its candidate
+# window around arg z, and computes tails only from the family's tail_index,
+# below which no tail can stop the scan; a listing has no angles, and all its
+# points are candidates.
 
 
-def _polar_chunk(theta: float, start: int, stop: int, modulus):
-    """polar(start, stop) of a_k = modulus(k) * cmath.exp(1j * theta * k), where
-    ``modulus`` maps a float array of indices k to its moduli: the moduli and
-    angles of a_(start+1) .. a_stop and the tails m(start+1) .. m(stop).
+def _angles(theta: float, start: int, stop: int):
+    """The angles y of a_(start+1) .. a_stop in a_k = m_k cmath.exp(1j * theta * k):
     1j * theta * k is two _Py_c_prod, with real part +-0 and imaginary part y."""
     import numpy as np
 
-    k = np.arange(start + 1, stop + 2, dtype=float)
-    moduli = modulus(k)
     wr = 0.0 * theta - 1.0 * 0.0
     wi = 0.0 * 0.0 + 1.0 * theta
-    return moduli[:-1], wr * 0.0 + wi * k[:-1], moduli[1:]
+    return wr * 0.0 + wi * np.arange(start + 1, stop + 1, dtype=float)
 
 
 def _cartesian(moduli, y):
-    """Real and imaginary parts of moduli * cmath.exp(1j * y) at _polar_chunk's
-    angles: cmath.exp of (+-0, y) is (cos y, sin y), as exp(+-0) = 1 exactly,
-    and the modulus times that is _Py_c_prod((modulus, 0), (cos y, sin y))."""
+    """Real and imaginary parts of moduli * cmath.exp(1j * y) at _angles' angles:
+    cmath.exp of (+-0, y) is (cos y, sin y), as exp(+-0) = 1 exactly, and the
+    modulus times that is _Py_c_prod((modulus, 0), (cos y, sin y))."""
     import numpy as np
 
     c, s = np.cos(y), np.sin(y)
     return moduli * c - 0.0 * s, moduli * s + 0.0 * c
+
+
+# Cap of the tail_index bounds: every index below it is a float exactly.
+_INDEX_CAP = 2**53
+
+
+def _log_gap(level: float) -> float:
+    """a = -log(w), computed, where w = 1 - (level' + level)/2 and level' is
+    the float below ``level``: a real number below 1 - w rounds to a float
+    below ``level``.  For level <= 1, w >= 2**-54; its two subtractions, sum
+    and log (within 1 ulp) put a within 8u (1 + a) of -ln w, u = 2**-53."""
+    below = math.nextafter(level, -math.inf)
+    return -math.log(((1.0 - below) + (1.0 - level)) * 0.5)
 
 
 @dataclass(frozen=True)
@@ -202,25 +216,41 @@ class RadialFamily:
     def point(self, k: int) -> complex:
         return (1.0 - self.q**k) * cmath.exp(1j * self.theta * k)
 
-    def polar(self, start: int, stop: int):
+    def angles(self, start: int, stop: int):
+        return _angles(self.theta, start, stop)
+
+    def moduli(self, k):
         import numpy as np
 
-        return _polar_chunk(self.theta, start, stop, lambda k: 1.0 - np.fromiter(
-            map(math.pow, itertools.repeat(self.q), k.tolist()), float, k.size))  # q**k
+        return 1.0 - np.fromiter(map(math.pow, itertools.repeat(self.q), k.tolist()),
+                                 float, k.size)  # q**k
 
     def tail_modulus(self, examined: int) -> float:
         return 1.0 - self.q ** (examined + 1)
 
     def tail_index(self, level: float) -> int:
-        """About the smallest n with tail_modulus(n) > level, for level < 1."""
-        # 1 - q^(n+1) > level  iff  n + 1 > log(1 - level) / log(q)
-        return int(math.log1p(-level) / math.log(self.q)) + 1
+        """A lower bound, at most 2**53, on the first n with tail_modulus(n) >=
+        level, for level <= 1: every smaller n has tail_modulus(n) < level.
+        The tails need not be monotone in floats; the bound holds index by index.
+
+        With u = 2**-53, a = _log_gap(level) and w as there,
+        A = -ln w >= a - 8u (1 + a).
+        libm's pow is within 1 ulp, so P = pow(q, k) >= q^k (1 - 2u) while q^k
+        is normal, and 1 - P < 1 - w, which rounds below level, once
+        q^k (1 - 2u) > w, that is once k B < A + ln(1 - 2u), B = -ln q.  That
+        holds for k B <= A - 4u.  The numerator a - 16u (1 + a), rounded, is
+        at most A - 4u; with b = -log(q) within 1 ulp of B and the quotient's
+        rounding, the quotient times (1 - 8u), rounded, is a K with K B below
+        A - 4u when positive.  Every k = n + 1 <= K qualifies."""
+        a = _log_gap(level)
+        k = (a - 2.0**-49 * (1.0 + a)) / -math.log(self.q) * (1.0 - 2.0**-50)
+        return min(int(max(k, 0.0)), _INDEX_CAP)
 
 
 def _orbit_powers(k, p):
-    """k**p over a float array of indices k, bitwise as math.pow gives it
-    (see BoundaryOrbitFamily).  int(p) is raised only for a whole-number p,
-    which the parse check bounds at about 51."""
+    """k**p over an ascending array of indices k, bitwise as math.pow gives
+    it (see BoundaryOrbitFamily).  int(p) is raised only for a whole-number
+    p, which the parse check bounds at about 51."""
     import numpy as np
 
     if p.is_integer() and int(k[-1]) ** int(p) < 2**53:
@@ -263,14 +293,32 @@ class BoundaryOrbitFamily:
     def tail_modulus(self, examined: int) -> float:
         return 1.0 - self.c / (examined + 1) ** self.p
 
-    def polar(self, start: int, stop: int):
-        return _polar_chunk(self.theta, start, stop,
-                            lambda k: 1.0 - self.c / _orbit_powers(k, self.p))
+    def angles(self, start: int, stop: int):
+        return _angles(self.theta, start, stop)
+
+    def moduli(self, k):
+        return 1.0 - self.c / _orbit_powers(k, self.p)
 
     def tail_index(self, level: float) -> int:
-        """About the smallest n with tail_modulus(n) > level, for level < 1."""
-        # 1 - c/(n+1)^p > level  iff  n + 1 > (c / (1 - level))^(1/p)
-        return int(math.exp(min((math.log(self.c) - math.log1p(-level)) / self.p, 700.0))) + 1
+        """A lower bound, at most 2**53, on the first n with tail_modulus(n) >=
+        level, for level <= 1: every smaller n has tail_modulus(n) < level.
+        The tails need not be monotone in floats; the bound holds index by index.
+
+        With a and w as in RadialFamily.tail_index and k = n + 1, libm's pow
+        gives P = pow(k, p) <= k^p (1 + 2u).  Once c (1 - u)/(k^p (1 + 2u)) > w
+        (>= 2**-54), c/P is normal, rounds to at least (c/P)(1 - u) > w, and
+        1 minus it rounds below level.  That holds once ln k < D/p with
+        D = ln c + A - 4u.  With lc = log(c) within 1 ulp, the rounded
+        d = (lc + a) - 2**-48 (1 + a - lc) is at most D, as the margin exceeds
+        the error of a, of lc and of the three roundings; d/p and exp (within
+        1 ulp, its argument capped at 700) are each lowered by (1 - 8u), so
+        every k <= K = exp(d/p) qualifies."""
+        a, lc = _log_gap(level), math.log(self.c)
+        d = (lc + a) - 2.0**-48 * (1.0 + a - lc)
+        if not d > 0.0:
+            return 0
+        k = math.exp(min(d / self.p * (1.0 - 2.0**-50), 700.0)) * (1.0 - 2.0**-50)
+        return min(int(k), _INDEX_CAP)
 
 
 @dataclass(frozen=True)
@@ -360,13 +408,13 @@ class _Sequence:
         object.__setattr__(self, "prefix", self._read_points())
         if self.tail_constant is not None and not 0.0 < self.tail_constant < 1.0:
             raise DomainError(
-                f"{kind}: tail_modulus_constant must be in (0, 1), got {self.tail_constant!r}"
+                f"{kind}: tail_modulus_constant must be in (0, 1), got {_shown(self.tail_constant)}"
             )
 
     def puncture(self, k: int):
         """k-th puncture (1-based); deterministic and bitwise reproducible."""
         if k < 1:
-            raise DomainError(f"puncture index must be >= 1, got {k!r}")
+            raise DomainError(f"puncture index must be >= 1, got {_shown(k)}")
         if self.family is not None:
             return self._embed_point(self.family.point(k))
         if k <= len(self.prefix):
@@ -385,7 +433,7 @@ class _Sequence:
         prefix of an explicitly listed sequence.
         """
         if examined < 0:
-            raise DomainError(f"tail bound index must be >= 0, got {examined!r}")
+            raise DomainError(f"tail bound index must be >= 0, got {_shown(examined)}")
         if self.family is not None:
             return self.family.tail_modulus(examined)
         if examined < len(self.prefix):
@@ -398,31 +446,46 @@ class _Sequence:
         and tail_lower_bound(n).  A listing needs stop <= its length; an
         exhausted listing's last bound is NaN.  Polydisk points come as
         (n, stop - start) arrays."""
-        return self.candidate_chunk(start, stop, lambda y: slice(None))[1:]
+        import numpy as np
 
-    def candidate_chunk(self, start: int, stop: int, keep):
-        """chunk(start, stop) with only the punctures ``keep`` selects converted:
-        (their positions in the chunk, their real and imaginary parts, the
-        tails of the whole chunk).  ``keep`` maps the angles y of a family's
-        punctures m e^{iy} (of coordinate 0 for a polydisk domain) to
-        slice(None) or an array of positions.  A listing has no angles, and
-        every puncture is selected."""
+        if self.family is None:
+            return (*self.parts(np.arange(start + 1, stop + 1), None), self.tails(start, stop))
+        moduli = self.family.moduli(np.arange(start + 1, stop + 2, dtype=float))
+        re, im = _cartesian(moduli[:-1], self.family.angles(start, stop))
+        return (*self._embed_parts(re, im), moduli[1:])
+
+    def angles(self, start: int, stop: int):
+        """The angles y of a family's punctures a_(start+1) .. a_stop, where
+        a_k = m_k e^{i y_k} (in coordinate 0 for a polydisk domain), as a
+        numpy array; None for a listing, which has no angles."""
+        return None if self.family is None else self.family.angles(start, stop)
+
+    def parts(self, index, y):
+        """chunk()'s real and imaginary parts of the punctures at an ascending
+        numpy array of indices (ints or floats), given their angles y from
+        angles()."""
         import numpy as np
 
         if self.family is not None:
-            moduli, y, tails = self.family.polar(start, stop)
-            selected = keep(y)
-            re, im = _cartesian(moduli[selected], y[selected])
-            return (selected, *self._embed_parts(re, im), tails)
-        points = np.array(self.prefix[start:stop], dtype=complex).T
+            return self._embed_parts(*_cartesian(self.family.moduli(index), y))
+        points = np.array([self.prefix[int(k) - 1] for k in index.tolist()], dtype=complex).T
+        return points.real, points.imag
+
+    def tails(self, start: int, stop: int):
+        """chunk()'s tail bounds m(start+1) .. m(stop)."""
+        import numpy as np
+
+        if self.family is not None:
+            return self.family.moduli(np.arange(start + 2, stop + 2, dtype=float))
         tails = np.zeros(stop - start)
         if stop == len(self.prefix):
             tails[-1] = math.nan if self.tail_constant is None else self.tail_constant
-        return slice(None), points.real, points.imag, tails
+        return tails
 
     def tail_index(self, level: float) -> int:
-        """About the smallest n with tail_lower_bound(n) > level, for level < 1;
-        the length of a listing."""
+        """For 0 < level <= 1, a lower bound on the first n with
+        tail_lower_bound(n) >= level: the family's, or the length of a
+        listing, whose bounds before it are 0."""
         return len(self.prefix) if self.family is None else self.family.tail_index(level)
 
     _embed_point = staticmethod(lambda a: a)
@@ -473,7 +536,7 @@ class PolySequencePunctures(_Sequence):
 
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 1:
-            raise DomainError(f"poly_sequence: dimension must be an integer >= 1, got {self.n!r}")
+            raise DomainError(f"poly_sequence: dimension must be an integer >= 1, got {_shown(self.n)}")
         super().__post_init__()
 
     def _embed_point(self, a: complex) -> tuple[complex, ...]:
@@ -541,7 +604,7 @@ class _Blocks:
     def __post_init__(self):
         kind = self.kind
         if not isinstance(self.n, int) or self.n < 2:
-            raise DomainError(f"{kind}: dimension must be an integer >= 2, got {self.n!r}")
+            raise DomainError(f"{kind}: dimension must be an integer >= 2, got {_shown(self.n)}")
         if self.family is not None and self.blocks:
             raise DomainError(f"{kind}: give either blocks or a family, not both")
         if self.family is None and not self.blocks:
@@ -626,7 +689,7 @@ class Annulus:
     def __post_init__(self):
         if not 0.0 < self.inner_radius < 1.0:
             raise DomainError(
-                f"annulus: inner radius must be in (0, 1), got {self.inner_radius!r}"
+                f"annulus: inner radius must be in (0, 1), got {_shown(self.inner_radius)}"
             )
 
 
@@ -638,7 +701,7 @@ class ProductOfBalls:
 
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 1:
-            raise DomainError(f"product_of_balls: n must be an integer >= 1, got {self.n!r}")
+            raise DomainError(f"product_of_balls: n must be an integer >= 1, got {_shown(self.n)}")
 
 
 DomainSpec = (

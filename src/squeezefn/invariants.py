@@ -8,11 +8,14 @@ minimum over the examined prefix, independent of any larger truncation.
 Punctures are examined in numpy chunks, bitwise equal to a per-puncture loop:
 by grid_cells for a grid, and by _scan at one point from a starting bound,
 infinite for a value and just below the claim for a lower-bound certificate.
-_scan converts and measures only the punctures of a family whose angle lies
-in a candidate window around arg z, out of which every puncture is provably
-farther than the running minimum (_candidates); the window spans about
-2(1 - |z|) radians near the boundary and prunes nothing for a listing, at z
-near 0, before the first minimum or at angles too large to reduce.
+_scan builds a family chunk angle first: it converts and measures only the
+punctures whose angle lies in a candidate window around arg z, out of which
+every puncture is provably farther than the running minimum (_candidates),
+and computes tails only from the family's certified tail_index of the
+chunk's stop level (_tail_start), below which no tail can stop the scan.
+The window spans about 2(1 - |z|) radians near the boundary and prunes
+nothing for a listing, at z near 0, before the first minimum or at angles
+too large to reduce.
 Minima over removed-block boundaries reduce to circle minima, which are closed
 forms with a rounding floor; ball blocks add a branch-and-bound over radius
 profiles.  They carry a mesh error such that the true minimum lies in
@@ -21,7 +24,6 @@ profiles.  They carry a mesh error such that the true minimum lies in
 
 from __future__ import annotations
 
-import functools
 import heapq
 import math
 import sys
@@ -38,6 +40,8 @@ from .domains import (
     RemovedBalls,
     RemovedPolydisks,
     SequencePunctures,
+    _require_finite,
+    _shown,
 )
 from .hyperbolic import (
     INTERIOR_MARGIN,
@@ -159,14 +163,44 @@ def _tail_stops(tails, anchor, bound):
     return (tails > anchor) & (radial_separation_bound(tails, anchor) > bound)
 
 
-def _next_stop(domain, examined: int, limit: int, anchor: float, bound: float) -> int:
-    """End of the next chunk: the domain's estimate of the first index whose
-    tail bound covers ``bound``, at least _GRID_FIRST_CHUNK and at most
-    GRID_BLOCK punctures on, and at most ``limit``.  It only sizes the chunk;
-    the exact stop rule decides."""
-    level = (bound + anchor) / (1.0 + bound * anchor)  # m > level iff the bound is covered
-    reach = domain.tail_index(level) if level < 1.0 else limit
-    return min(limit, examined + GRID_BLOCK, max(reach, examined + _GRID_FIRST_CHUNK))
+def _stop_level(anchor: float, bound: float) -> float:
+    """The least float m that _tail_stops(m, anchor, bound) accepts; inf if
+    none does (bound >= 1, as the separation bound of m <= 1 is at most 1).
+    For m > anchor the test is radial_separation_bound(m, anchor) > bound,
+    and it is monotone in m: as m grows, fl(m - anchor) does not decrease
+    and fl(1 - anchor m) does not increase, so neither does their rounded
+    quotient (rounding is monotone).  So stepping float by float from an
+    estimate of the exact level finds it; m = 1 passes, as its separation
+    bound is 1."""
+    if not bound < 1.0:
+        return math.inf
+    least = math.nextafter(anchor, 2.0)
+    m = min(max((bound + anchor) / (1.0 + bound * anchor), least), 1.0)
+    if radial_separation_bound(m, anchor) > bound:
+        while m > least and radial_separation_bound(
+                below := math.nextafter(m, 0.0), anchor) > bound:
+            m = below
+        return m
+    while not radial_separation_bound(m, anchor) > bound:
+        m = math.nextafter(m, 2.0)
+    return m
+
+
+def _tail_start(domain, anchor: float, bound: float) -> int:
+    """The domain's tail_index of the stop level of ``bound``: no tail below
+    it stops a scan whose running minimum is at least ``bound``, since such
+    a tail is below the level (sys.maxsize if no tail can stop it)."""
+    level = _stop_level(anchor, bound)
+    return domain.tail_index(level) if level <= 1.0 else sys.maxsize
+
+
+def _next_stop(examined: int, limit: int, reach: int) -> int:
+    """End of the next chunk: ``reach`` (the _tail_start of the running
+    minimum, a lower bound on the stop that is mostly within an index of
+    it) plus 2, at least _GRID_FIRST_CHUNK and at most GRID_BLOCK punctures
+    on, and at most ``limit``.  It only sizes the chunk; the exact stop rule
+    decides."""
+    return min(limit, examined + GRID_BLOCK, max(reach + 2, examined + _GRID_FIRST_CHUNK))
 
 
 def _distances(z, re, im):
@@ -180,10 +214,10 @@ def _distances(z, re, im):
 
 def _candidates(z, bound: float, y):
     """The candidate window of a chunk at z whose running minimum is ``bound``:
-    slice(None) or the positions of the candidates among the angles y of a
+    the ascending positions of the candidates among the angles y of a
     family's punctures m e^{iy} (coordinate 0 of a polydisk point and family;
     rho_max is at least the distance there).  Every puncture left out has
-    _rho_block distance > bound, so taking it as +inf changes neither the
+    _rho_block distance > bound, so leaving it out changes neither the
     running minimum, the stop, the floor test nor the argmin.
 
     {w : rho(z, w) <= T} for T < 1 is the closed disk of centre
@@ -227,10 +261,10 @@ def _candidates(z, bound: float, y):
     sine = (t * (kappa * (1.0 + r)) + 8.0 * _EPS) * (1.0 + 16.0 * _EPS / kappa)
     below = r * ((1.0 - t) * (1.0 + t))
     if not sine < below:  # also T = inf (NaN at r = 0)
-        return slice(None)
+        return np.arange(y.size)
     spread = math.asin(sine / below) + 4.0 * _EPS * (max(abs(y[0]), abs(y[-1])) + 12.0)
     if not spread < 1.0:
-        return slice(None)
+        return np.arange(y.size)
     x = y - math.atan2(z0.imag, z0.real)
     x -= math.tau * np.rint(x * (1.0 / math.tau))
     return np.flatnonzero(np.abs(x) <= spread)
@@ -247,13 +281,19 @@ def _scan(domain, z, anchor: float, floor: float, bound: float = math.inf) -> _S
     Chunks: the first holds _GRID_FIRST_CHUNK punctures, or is sized by a
     finite ``bound``; later ones by the running minimum (see _next_stop).
 
-    Each chunk converts and measures only the candidates of the window that
-    the running minimum before it leaves (_candidates); every other distance is
-    +inf and provably above that minimum, so values, indices, tails and
-    outcomes are those of measuring every puncture.  Near the boundary the
-    window spans about 2(1 - |z|) radians and almost nothing is converted.
-    It prunes nothing for a listing, before the first minimum, at z near 0
-    and at angles too large to reduce.
+    A family chunk is built angle first.  The angles of the whole chunk give
+    the candidate window that the running minimum before it leaves
+    (_candidates); only the candidates are converted and measured, and the
+    running minimum, floor test and argmin run over them alone.  Every other
+    puncture is provably farther than that minimum, so it changes none of
+    them.  A listing has no angles: all its points are candidates.  Tails are
+    computed only from _tail_start of the chunk's lowest running minimum:
+    no tail before it can stop the scan.  So values, indices, tails and
+    outcomes are those of measuring every puncture and every tail.  Near the
+    boundary the window spans about 2(1 - |z|) radians, almost nothing is
+    converted, and a chunk that cannot stop computes no tail.  The window
+    prunes nothing for a listing, before the first minimum, at z near 0 and
+    at angles too large to reduce.
     """
     import numpy as np
 
@@ -263,32 +303,44 @@ def _scan(domain, z, anchor: float, floor: float, bound: float = math.inf) -> _S
     limit = domain.known_count() or _SEQUENCE_CAP
     best, best_index, examined = bound, 0, 0
     stop = (min(_GRID_FIRST_CHUNK, limit) if bound == math.inf
-            else _next_stop(domain, 0, limit, anchor, bound))
+            else _next_stop(0, limit, _tail_start(domain, anchor, bound)))
     while True:
-        selected, re, im, tails = domain.candidate_chunk(
-            examined, stop, functools.partial(_candidates, z, best))
-        dist = _distances(z, re, im)
-        if not isinstance(selected, slice):  # the punctures left out are at +inf
-            dist, measured = np.full(tails.size, np.inf), dist
-            dist[selected] = measured
-        run = np.minimum.accumulate(dist)
-        np.minimum(run, best, out=run)
-        stops = _tail_stops(tails, anchor, run)
-        stopped = bool(stops.any())
-        seen = dist[:int(stops.argmax()) + 1] if stopped else dist
-        low = seen < floor
-        if low.any():
-            j = int(low.argmax())
-            return _Scan(examined + 1 + j, None, best, best_index, float(dist[j]))
-        j = int(seen.argmin())
-        if seen[j] < best:
-            best, best_index = float(seen[j]), examined + 1 + j
-        if stopped:
-            return _Scan(examined + seen.size, float(tails[seen.size - 1]), best, best_index)
+        y = domain.angles(examined, stop)
+        kept = np.arange(stop - examined) if y is None else _candidates(z, best, y)
+        index = kept + (examined + 1.0)  # as floats, which math.pow takes fastest
+        dist = (_distances(z, *domain.parts(index, None if y is None else y[kept]))
+                if index.size else np.empty(0))
+        run = np.minimum.accumulate(np.concatenate(((best,), dist)))  # after 0, 1, ... candidates
+        reach = _tail_start(domain, anchor, float(run[-1]))
+        # tails from reach on: first up to just past the candidate that set the
+        # lowest minimum, where the stop falls unless the tails dip, then the rest
+        lowest = int(run.argmin())
+        first = max(reach, examined + 1)
+        split = min(stop, max(first, int(index[lowest - 1]) if lowest else 0) + 2)
+        seen, tail = dist, None
+        for lo, hi in ((first, split), (split + 1, stop)):
+            if lo > hi:
+                continue
+            tails = domain.tails(lo - 1, hi)
+            before = index.searchsorted(np.arange(lo, hi + 1), "right")  # candidates up to n
+            stops = _tail_stops(tails, anchor, run[before])
+            j = int(stops.argmax())
+            if stops[j]:
+                seen, tail = dist[:before[j]], (lo + j, float(tails[j]))
+                break
+        if seen.size:
+            j = int((seen < floor).argmax())
+            if seen[j] < floor:
+                return _Scan(int(index[j]), None, best, best_index, float(seen[j]))
+            j = int(seen.argmin())
+            if seen[j] < best:
+                best, best_index = float(seen[j]), int(index[j])
+        if tail is not None:
+            return _Scan(*tail, best, best_index)
         examined = stop
         if examined >= limit:
             return _Scan(examined, None, best, best_index)
-        stop = _next_stop(domain, examined, limit, anchor, best)
+        stop = _next_stop(examined, limit, reach)
 
 
 def _sequence_min(domain, z, anchor: float) -> InvariantValue:
@@ -441,7 +493,7 @@ def lower_bound_certificate(domain, z: complex, claimed: float) -> VerificationO
     """
     z = require_interior_point(z)
     if not 0.0 < claimed < 1.0:
-        raise DomainError(f"claimed bound must be in (0, 1), got {claimed!r}")
+        raise DomainError(f"claimed bound must be in (0, 1), got {_shown(claimed)}")
     anchor = abs(z)
     if not isinstance(domain, (FinitePunctures, SequencePunctures)):
         raise DomainError(f"lower_bound_certificate does not apply to {type(domain).__name__}")
@@ -649,7 +701,7 @@ def polydisk_squeezing_removed_blocks(domain, z, mesh_tol: float = DEFAULT_MESH_
         raise DomainError(
             f"polydisk_squeezing_removed_blocks does not apply to {type(domain).__name__}")
     if not mesh_tol > 0.0:  # also NaN, which would never be reached
-        raise DomainError(f"mesh tolerance must be positive, got {mesh_tol!r}")
+        raise DomainError(f"mesh tolerance must be positive, got {_shown(mesh_tol)}")
     z = require_interior_polydisk_point(z, domain.n)
     anchor = max(abs(c) for c in z)
     block_min = (_polydisk_block_min if domain.geometry == "polydisk"
@@ -766,7 +818,8 @@ def product_of_balls_ratio_contradiction(n: int) -> VerificationOutcome:
     1/sqrt(n).
     """
     if n <= 1:
-        raise DomainError(f"ratio contradiction check needs n > 1, got {n!r}")
+        raise DomainError(f"ratio contradiction check needs n > 1, got {_shown(n)}")
+    _require_finite("ratio contradiction check", n=n)
     s = 1.0 / math.sqrt(n)
     forced_high = n * s        # sqrt(n), would have to be <= 1
     forced_low = s / n         # n^(-3/2), would have to be >= 1/sqrt(n)

@@ -24,6 +24,8 @@ from .domains import (
     RemovedBalls,
     RemovedPolydisks,
     SequencePunctures,
+    _require_finite,
+    _shown,
 )
 from .hyperbolic import MobiusMap, radial_separation_bound, rho, rho_max
 from . import invariants as inv
@@ -112,7 +114,7 @@ def brute_force_infimum(domain, z, count: int) -> float:
     early stopping.
     """
     if count < 1:
-        raise DomainError(f"brute force needs count >= 1, got {count!r}")
+        raise DomainError(f"brute force needs count >= 1, got {_shown(count)}")
     dist = rho_max if isinstance(domain, PolySequencePunctures) else rho
     return min(dist(z, domain.puncture(k)) for k in range(1, count + 1))
 
@@ -140,7 +142,7 @@ def boundary_min_oracle(block: Block, z, samples: int, geometry: str = "polydisk
     import numpy as np
 
     if samples < 1_000:
-        raise DomainError(f"boundary oracle needs samples >= 1000, got {samples!r}")
+        raise DomainError(f"boundary oracle needs samples >= 1000, got {_shown(samples)}")
     n = len(block.center)
     r = block.radius
     if geometry == "polydisk":
@@ -231,7 +233,8 @@ def invariance_suite(trials: int = 1000, seed: int = 42) -> list[VerificationRep
     """Squeezing values are unchanged under disk automorphisms applied to the
     domain and the point together; checked on seeded random configurations."""
     if trials < 1:
-        raise DomainError(f"invariance suite needs trials >= 1, got {trials!r}")
+        raise DomainError(f"invariance suite needs trials >= 1, got {_shown(trials)}")
+    _require_finite("invariance suite", trials=trials)  # str() below refuses huge ints
     rng = Lcg(seed)
     tol = 1e-12
     width = len(str(trials - 1))
@@ -259,7 +262,8 @@ def truncation_suite(trials: int = 100, seed: int = 7) -> list[VerificationRepor
     """Certified truncation equals brute force over a strictly larger index
     range, and the recorded tail bound strictly exceeds the returned value."""
     if trials < 1:
-        raise DomainError(f"truncation suite needs trials >= 1, got {trials!r}")
+        raise DomainError(f"truncation suite needs trials >= 1, got {_shown(trials)}")
+    _require_finite("truncation suite", trials=trials)  # str() below refuses huge ints
     rng = Lcg(seed)
     domains = (
         ("radial", SequencePunctures(family=RadialFamily(q=0.5, theta=1.0))),
@@ -430,7 +434,7 @@ def run_suite(name: str, seed: int = 42, trials: int | None = None,
     if samples > MAX_ORACLE_SAMPLES:
         raise DomainError(f"boundary oracle samples above the limit {MAX_ORACLE_SAMPLES}")
     if samples < MIN_ORACLE_SAMPLES:
-        raise DomainError(f"boundary oracle needs samples >= {MIN_ORACLE_SAMPLES}, got {samples!r}")
+        raise DomainError(f"boundary oracle needs samples >= {MIN_ORACLE_SAMPLES}, got {_shown(samples)}")
     counts = {} if trials is None else {"trials": trials}
     if name == "paper-claims":
         return claims_suite(seed=seed)

@@ -35,6 +35,8 @@ from squeezefn.invariants import (
     InvariantValue,
     _candidates,
     _rho_block,
+    _stop_level,
+    _tail_stops,
     lower_bound_certificate,
     polydisk_squeezing_punctured,
     squeezing_punctured_disk,
@@ -263,8 +265,9 @@ def certificate(domain, z, claimed):
 
 
 def claims_around(value: float):
-    below = [value * 0.5, value - 2e-12, math.nextafter(value - 1e-12, 0.0), value - 1e-12]
-    above = [value + 1e-13, min(value * 1.5, 0.999)]
+    below = [value * 0.5, value - 2e-12, math.nextafter(value - 1e-12, 0.0), value - 1e-12,
+             math.nextafter(value, 0.0)]
+    above = [math.nextafter(value, 1.0), value + 1e-13, min(value * 1.5, 0.999)]
     return [c for c in below + [value] + above if 0.0 < c < 1.0]
 
 
@@ -337,8 +340,8 @@ def left_out(z, bound, y):
 def window_case(family, start, width, z):
     """The angles of a chunk and the _rho_block distances of its punctures
     (of coordinate 0 in a polydisk domain) from z."""
-    moduli, y, _ = family.polar(start, start + width)
-    re, im = _cartesian(moduli, y)
+    y = family.angles(start, start + width)
+    re, im = _cartesian(family.moduli(np.arange(start + 1, start + width + 1)), y)
     return y, _rho_block(z.real, z.imag, re, im)
 
 
@@ -385,6 +388,109 @@ def test_window_at_the_deep_points(doc, mod):
             assert not out.any()
         else:
             assert out.sum() > 1900
+
+
+# --- the certified tail_index of a family and the scan's tail skip ------------
+
+# about the largest q whose tail bound passes the parse check: m(10**6) > 1 - 1e-6
+Q_LIMIT = 1.0 - 1.4e-5
+TAIL_INDEX_CAP = 2**53
+tail_families = st.one_of(
+    st.builds(RadialFamily, q=st.one_of(st.floats(1e-3, Q_LIMIT), st.floats(0.999, Q_LIMIT),
+                                        st.just(Q_LIMIT)), theta=st.just(1.0)),
+    st.builds(BoundaryOrbitFamily, c=unit_params,
+              p=st.one_of(st.sampled_from([1.0, 2.0, 3.0, 6.0]), st.floats(0.5, 6.0)),
+              theta=st.just(1.0)),
+    # flat tails: (n+1)**p rounds to 1, so every tail is the float 1 - c
+    st.builds(BoundaryOrbitFamily, c=st.one_of(st.just(1e-7), st.floats(1e-9, 1e-6)),
+              p=st.just(1e-20), theta=st.just(1.0)),
+)
+# indices around where whole-number powers k**p leave the int64 range of
+# the chunks (2**53: k = 94906265 for p = 2, 208063 for p = 3, 455 for p = 6)
+tail_targets = st.one_of(st.integers(0, 100), st.integers(0, 10**7),
+                         st.integers(94_906_200, 94_906_330), st.integers(208_000, 208_130),
+                         st.integers(400, 520))
+
+
+@settings(max_examples=400, deadline=None)
+@given(tail_families, tail_targets, st.floats(0.0, 1.0, exclude_max=True), st.integers(-2, 1),
+       st.one_of(st.none(), st.floats(0.0, 1.0, exclude_max=True)))
+@example(RadialFamily(Q_LIMIT, 1.0), 10**6, 0.5, 0, None)
+@example(BoundaryOrbitFamily(0.5, 3.0, 1.0), 208_063, 0.0, -1, None)
+@example(BoundaryOrbitFamily(0.5, 2.0, 1.0), 94_906_265, 0.999, 0, None)
+@example(BoundaryOrbitFamily(1e-7, 1e-20, 1.0), 0, 0.5, 0, None)
+@example(BoundaryOrbitFamily(1e-7, 1e-20, 1.0), 0, 0.5, 1, None)
+def test_tail_index_is_a_certified_lower_bound_near_the_stop(family, target, share, shift, bound):
+    # the level of a chunk: the least float tail that _tail_stops accepts, for
+    # an anchor and a running minimum; drawn free, or from the separation
+    # bound of the target index's tail, shifted by a few floats
+    m = family.tail_modulus(target)
+    anchor = share * min(m, 1.0 - 1e-12)
+    if bound is None:
+        bound = radial_separation_bound(m, anchor)
+        for _ in range(abs(shift)):
+            bound = math.nextafter(bound, math.copysign(math.inf, shift))
+    level = _stop_level(anchor, bound)
+    if level == math.inf:
+        assert not bound < 1.0
+        return
+    assert _tail_stops(level, anchor, bound)
+    assert not _tail_stops(math.nextafter(level, 0.0), anchor, bound)
+    n0 = unchecked(family).tail_index(level)
+    assert 0 <= n0 <= TAIL_INDEX_CAP
+    low = max(0, n0 - 64)
+    assert all(family.tail_modulus(n) < level for n in range(low, n0)), n0
+    if n0 > low + 1:  # the chunk's tails m(low + 1) .. m(n0 - 1), from int64 powers or math.pow
+        assert (unchecked(family).tails(low, n0 - 1) < level).all(), n0
+    # the first real stop is a few indices on; beyond 10**8 the bound's
+    # relative margin, about 1e-13, may be worth more than a few indices
+    if n0 < 10**8:
+        assert any(family.tail_modulus(n) >= level for n in range(n0, n0 + 4)), n0
+    if getattr(family, "p", None) == 1e-20:  # flat tails reach the level at once or never
+        assert n0 in (0, TAIL_INDEX_CAP)
+
+
+FLAT = BoundaryOrbitFamily(c=1e-7, p=1e-20, theta=2.3)
+TAIL_SKIP = [  # (domain, point): tails computed only where the stop can fall
+    # flat tails: no tail covers, so every scan of a value runs to the cap
+    (SequencePunctures(family=FLAT), complex(0.3, 0.1)),
+    # q at the parse limit: the first punctures lie near 0, m(n) creeps up
+    (SequencePunctures(family=RadialFamily(q=Q_LIMIT, theta=1.0)), complex(0.004, 0.002)),
+    (SequencePunctures(family=RadialFamily(q=Q_LIMIT, theta=1.0)), complex(-0.02, 0.0)),
+    # non-whole p near the boundary
+    (SequencePunctures(family=BoundaryOrbitFamily(c=0.5, p=1.5, theta=2.3)), complex(-0.999, 0.0)),
+    (SequencePunctures(family=BoundaryOrbitFamily(c=0.3, p=2.7, theta=1.0)), cmath.rect(0.9999, 2.0)),
+    (SequencePunctures(family=BoundaryOrbitFamily(c=0.01, p=0.8, theta=2.3)), complex(-0.99, 0.0)),
+    # polydisk families, near the boundary in coordinate 0 and in another
+    (PolySequencePunctures(n=2, family=RadialFamily(q=0.99, theta=1.0)), (complex(-0.999, 0.0), 0.5j)),
+    (PolySequencePunctures(n=3, family=RadialFamily(q=0.9, theta=2.3)),
+     (cmath.rect(0.9999, 1.0), 0.1 + 0j, -0.2j)),
+    (PolySequencePunctures(n=2, family=RadialFamily(q=0.5, theta=1.0)), (0.1 + 0j, complex(0.0, 0.999))),
+]
+
+
+@pytest.mark.parametrize("domain, z", TAIL_SKIP, ids=[
+    "flat", "q-limit-small-z", "q-limit", "p1.5", "p2.7", "p0.8-c0.01", "poly-n2", "poly-n3", "poly-far-coordinate"])
+def test_tail_skip_cases_match_the_per_puncture_loop(domain, z):
+    check_against_reference(domain, z)
+
+
+class LooseTailIndex(SequencePunctures):
+    """A sequence domain whose tail_index is a loose but valid lower bound:
+    the scan must then find stops well past the index it starts tails from."""
+
+    def tail_index(self, level):
+        return max(0, super().tail_index(level) // 2 - 50)
+
+
+@pytest.mark.parametrize("doc, z", [DEEP[i] for i in (0, 1, 2, 4, 5, 6)],
+                         ids=["p1-0.99", "p1-0.999", "p1-0.9999", "p2", "radial", "listed"])
+def test_a_loose_tail_index_changes_no_outcome(doc, z):
+    domain = parse_domain_spec(doc)
+    loose = LooseTailIndex(prefix=domain.prefix, family=domain.family,
+                           tail_constant=domain.tail_constant)
+    assert squeezing_punctured_disk(loose, complex(z)) == squeezing_punctured_disk(domain, complex(z))
+    check_against_reference(loose, complex(z))
 
 
 def test_sequence_cap_matches_the_per_puncture_loop():

@@ -32,11 +32,13 @@ from squeezefn.invariants import (
     lower_bound_certificate,
     polydisk_squeezing_punctured,
     polydisk_squeezing_removed_blocks,
+    product_of_balls_ratio_contradiction,
     product_of_balls_squeezing,
     product_of_balls_T_lower_bound,
     removed_block_display_formula,
     squeezing_punctured_disk,
 )
+from squeezefn.verification import brute_force_infimum, run_suite
 
 BLOCK_CLASSES = [RemovedPolydisks, RemovedBalls]
 ORIGIN_BLOCK = Block((0j, 0j), 0.25)
@@ -239,3 +241,40 @@ def test_integer_angle_whose_multiples_overflow():
 def test_mobius_map_rejects_integers_beyond_the_float_range(center, rotation):
     with raises_exactly(PointError, "Mobius map: int too large to convert to float"):
         MobiusMap(center, rotation)
+
+
+ORIGIN_POLYDISKS = RemovedPolydisks(n=2, blocks=(ORIGIN_BLOCK,))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Annulus(HUGER), "annulus: inner radius must be in (0, 1)"),
+    (lambda: Annulus(-HUGER), "annulus: inner radius must be in (0, 1)"),
+    (lambda: ProductOfBalls(-HUGER), "product_of_balls: n must be an integer >= 1"),
+    (lambda: PolySequencePunctures(n=-HUGER, family=RADIAL),
+     "poly_sequence: dimension must be an integer >= 1"),
+    (lambda: RemovedBalls(n=-HUGER, family=BLOCK_FAMILY),
+     "removed_balls: dimension must be an integer >= 2"),
+    (lambda: SequencePunctures(prefix=(0.5 + 0j,), tail_constant=HUGER),
+     "sequence: tail_modulus_constant must be in (0, 1)"),
+    (lambda: SequencePunctures(family=RADIAL).puncture(-HUGER), "puncture index must be >= 1"),
+    (lambda: SequencePunctures(family=RADIAL).tail_lower_bound(-HUGER),
+     "tail bound index must be >= 0"),
+    (lambda: lower_bound_certificate(SequencePunctures(family=RADIAL), 0j, HUGER),
+     "claimed bound must be in (0, 1)"),
+    (lambda: polydisk_squeezing_removed_blocks(ORIGIN_POLYDISKS, (0.5 + 0j, 0j), mesh_tol=-HUGER),
+     "mesh tolerance must be positive"),
+    (lambda: product_of_balls_ratio_contradiction(-HUGER), "ratio contradiction check needs n > 1"),
+    (lambda: product_of_balls_ratio_contradiction(HUGER), "ratio contradiction check: n must be finite"),
+    (lambda: run_suite("invariance", trials=HUGER), "invariance suite: trials must be finite"),
+    (lambda: run_suite("invariance", trials=-HUGER), "invariance suite needs trials >= 1"),
+    (lambda: run_suite("truncation", trials=HUGER), "truncation suite: trials must be finite"),
+    (lambda: brute_force_infimum(SequencePunctures(family=RADIAL), 0j, -HUGER),
+     "brute force needs count >= 1"),
+    (lambda: run_suite("all", samples=-HUGER), "boundary oracle needs samples >= 4000"),
+], ids=["annulus", "annulus-negative", "product-n", "poly-n", "balls-n", "tail-constant",
+        "puncture-index", "tail-index", "claimed", "mesh-tol", "ratio-n-negative", "ratio-n",
+        "invariance-trials", "invariance-trials-negative", "truncation-trials",
+        "brute-force-count", "oracle-samples"])
+def test_entry_points_do_not_print_integers_beyond_the_str_limit(build, message):
+    with raises_exactly(DomainError, f"{message}, got an integer too large for a float"):
+        build()
