@@ -127,6 +127,14 @@ def _require_finite(what: str, **params) -> None:
             raise DomainError(f"{what}: {name} must be finite, got {_shown(value)}")
 
 
+def _at_index(what: str, law, k):
+    """law(k) of a family, as a DomainError where k, k**p or theta * k leaves the float range."""
+    try:
+        return law(k)
+    except (OverflowError, ValueError):
+        raise DomainError(f"{what} overflows the family's float arithmetic, got {_shown(k)}") from None
+
+
 def _require_angle(what: str, theta: float) -> None:
     """theta * k must be finite for every generated index k <= _TAIL_LIMIT_INDEX
     (the engine stops far below it).  This keeps chunk angles finite: numpy's
@@ -156,13 +164,13 @@ def _require_angle(what: str, theta: float) -> None:
 # take most of the time.  Every piece is elementwise, so a puncture has the
 # same bits whichever indices are computed with it.  A family is a planar
 # law: the polydisk domain puts its points in coordinate 0 and 0j in the
-# others (PolySequencePunctures).  The domain's chunk() composes the pieces
-# over a whole index range, with one moduli call for the punctures and their
-# tails.  The single-point scan (invariants._scan) takes the angles of a whole
-# range, converts (parts) only the punctures whose angle lies in its candidate
-# window around arg z, and computes tails only from the family's tail_index,
-# below which no tail can stop the scan; a listing has no angles, and all its
-# points are candidates.
+# others (PolySequencePunctures), and its chunks hold coordinate 0 alone.  The
+# domain's chunk() composes the pieces over a whole index range, with one
+# moduli call for the punctures and their tails.  The single-point scan
+# (invariants._scan) takes the angles of a whole range, converts (parts) only
+# the punctures whose angle lies in its candidate window around arg z, and
+# computes tails only from the family's tail_index, below which no tail can
+# stop it.  A listing's chunks serve the grid alone.
 
 
 def _angles(theta: float, start: int, stop: int):
@@ -380,7 +388,7 @@ class _Sequence:
     """What the disk and polydisk sequence domains share: a subclass declares
     prefix, family and tail_constant, a dimension ``n``, its document
     ``kind``, how it reads its listed points (_read_points) and how it embeds
-    a planar family's points (_embed_point, _embed_parts; the identity here).
+    a planar family's point (_embed_point; the identity here).
     FinitePunctures reads its own points and has no family or tail constant.
 
     Exactly one of the two descriptions is used:
@@ -416,10 +424,10 @@ class _Sequence:
         if k < 1:
             raise DomainError(f"puncture index must be >= 1, got {_shown(k)}")
         if self.family is not None:
-            return self._embed_point(self.family.point(k))
+            return self._embed_point(_at_index("puncture index", self.family.point, k))
         if k <= len(self.prefix):
             return self.prefix[k - 1]
-        raise DomainError(f"no generator attached: puncture {k} is beyond the "
+        raise DomainError(f"no generator attached: puncture {_shown(k)} is beyond the "
                           f"{len(self.prefix)}-point prefix")
 
     def known_count(self) -> int | None:
@@ -435,7 +443,7 @@ class _Sequence:
         if examined < 0:
             raise DomainError(f"tail bound index must be >= 0, got {_shown(examined)}")
         if self.family is not None:
-            return self.family.tail_modulus(examined)
+            return _at_index("tail bound index", self.family.tail_modulus, examined)
         if examined < len(self.prefix):
             return 0.0
         return self.tail_constant  # None = exhausted: infimum is over the prefix
@@ -444,32 +452,20 @@ class _Sequence:
         """Real and imaginary parts of a_(start+1) .. a_stop and the tail bounds
         m(start+1) .. m(stop), as numpy arrays bitwise equal to puncture(k)
         and tail_lower_bound(n).  A listing needs stop <= its length; an
-        exhausted listing's last bound is NaN.  Polydisk points come as
-        (n, stop - start) arrays."""
+        exhausted listing's last bound is NaN, and polydisk points come as
+        (n, stop - start) arrays.  A polydisk family's chunk is coordinate 0."""
         import numpy as np
 
         if self.family is None:
-            return (*self.parts(np.arange(start + 1, stop + 1), None), self.tails(start, stop))
+            points = np.array(self.prefix[start:stop], dtype=complex).T
+            return points.real, points.imag, self.tails(start, stop)
         moduli = self.family.moduli(np.arange(start + 1, stop + 2, dtype=float))
-        re, im = _cartesian(moduli[:-1], self.family.angles(start, stop))
-        return (*self._embed_parts(re, im), moduli[1:])
-
-    def angles(self, start: int, stop: int):
-        """The angles y of a family's punctures a_(start+1) .. a_stop, where
-        a_k = m_k e^{i y_k} (in coordinate 0 for a polydisk domain), as a
-        numpy array; None for a listing, which has no angles."""
-        return None if self.family is None else self.family.angles(start, stop)
+        return (*_cartesian(moduli[:-1], self.family.angles(start, stop)), moduli[1:])
 
     def parts(self, index, y):
-        """chunk()'s real and imaginary parts of the punctures at an ascending
-        numpy array of indices (ints or floats), given their angles y from
-        angles()."""
-        import numpy as np
-
-        if self.family is not None:
-            return self._embed_parts(*_cartesian(self.family.moduli(index), y))
-        points = np.array([self.prefix[int(k) - 1] for k in index.tolist()], dtype=complex).T
-        return points.real, points.imag
+        """chunk()'s real and imaginary parts of a family's punctures at an
+        ascending numpy array of indices (ints or floats), given their angles y."""
+        return _cartesian(self.family.moduli(index), y)
 
     def tails(self, start: int, stop: int):
         """chunk()'s tail bounds m(start+1) .. m(stop)."""
@@ -483,13 +479,10 @@ class _Sequence:
         return tails
 
     def tail_index(self, level: float) -> int:
-        """For 0 < level <= 1, a lower bound on the first n with
-        tail_lower_bound(n) >= level: the family's, or the length of a
-        listing, whose bounds before it are 0."""
-        return len(self.prefix) if self.family is None else self.family.tail_index(level)
+        """The family's tail_index (see RadialFamily.tail_index)."""
+        return self.family.tail_index(level)
 
     _embed_point = staticmethod(lambda a: a)
-    _embed_parts = staticmethod(lambda re, im: (re, im))
 
 
 @dataclass(frozen=True)
@@ -542,15 +535,6 @@ class PolySequencePunctures(_Sequence):
     def _embed_point(self, a: complex) -> tuple[complex, ...]:
         """A family point as coordinate 0, with 0j in the others."""
         return (a,) + (0j,) * (self.n - 1)
-
-    def _embed_parts(self, re, im):
-        """Chunk parts of coordinate 0 as (n, size) arrays, +0.0 in the others."""
-        import numpy as np
-
-        coords_re = np.zeros((self.n, re.size))
-        coords_im = np.zeros((self.n, re.size))
-        coords_re[0], coords_im[0] = re, im
-        return coords_re, coords_im
 
     def _read_points(self) -> tuple[tuple[complex, ...], ...]:
         pts = []
@@ -636,11 +620,11 @@ class _Blocks:
 
     def block(self, k: int) -> Block:
         if self.family is not None:  # the family's point in coordinate 0
-            center = (self.family.point(k),) + (0j,) * (self.n - 1)
-            return Block(center, self.family.radius(k))
+            center = (_at_index("block index", self.family.point, k),) + (0j,) * (self.n - 1)
+            return Block(center, _at_index("block index", self.family.radius, k))
         if 1 <= k <= len(self.blocks):
             return self.blocks[k - 1]
-        raise DomainError(f"no block family attached: block {k} is beyond the list")
+        raise DomainError(f"no block family attached: block {_shown(k)} is beyond the list")
 
     def known_count(self) -> int | None:
         return None if self.family is not None else len(self.blocks)

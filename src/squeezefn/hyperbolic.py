@@ -25,8 +25,16 @@ class PointError(ValueError):
     """A point violates a membership or modulus requirement."""
 
 
+def _as_complex(z, what: str = "point") -> complex:
+    """complex(z), with an int beyond the float range as a PointError."""
+    try:
+        return complex(z)
+    except OverflowError as e:
+        raise PointError(f"{what}: {e}") from None
+
+
 def require_disk_point(z: complex, what: str = "point") -> complex:
-    z = complex(z)
+    z = _as_complex(z, what)
     if not cmath.isfinite(z):
         # abs(nan) >= 1.0 is False: a NaN would pass the modulus test below
         raise PointError(f"{what} {z!r} is not a finite complex number")
@@ -49,7 +57,7 @@ def require_interior_point(z: complex, what: str = "point") -> complex:
 def require_interior_polydisk_point(zs, n: int, what: str = "point") -> tuple[complex, ...]:
     """Check the coordinate count, then every coordinate against the disk,
     then every coordinate against the interior margin."""
-    zs = tuple(complex(z) for z in zs)
+    zs = tuple(_as_complex(z, f"{what} coordinate {j}") for j, z in enumerate(zs))
     if len(zs) != n:
         raise PointError(f"{what} has {len(zs)} coordinates, expected {n}")
     for j, z in enumerate(zs):

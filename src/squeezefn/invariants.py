@@ -5,17 +5,17 @@ stops at the first index N where the tail bound
 (m(N) - |z|)/(1 - |z| m(N)) strictly exceeds the running minimum, or for a
 listing's tail constant at least equals it (see _unstopped); the value is the
 minimum over the examined prefix, independent of any larger truncation.
-Punctures are examined in numpy chunks, bitwise equal to a per-puncture loop:
-by grid_cells for a grid, and by _scan at one point from a starting bound,
-infinite for a value and just below the claim for a lower-bound certificate.
+_scan evaluates one point from a starting bound, infinite for a value and
+just below the claim for a certificate: a listing in one scalar pass with no
+numpy (_listed_scan), a family in numpy chunks bitwise equal to a
+per-puncture loop, as grid_cells does for every domain of a grid.
 _scan builds a family chunk angle first: it converts and measures only the
 punctures whose angle lies in a candidate window around arg z, out of which
 every puncture is provably farther than the running minimum (_candidates),
 and computes tails only from the family's certified tail_index of the
 chunk's stop level (_tail_start), below which no tail can stop the scan.
 The window spans about 2(1 - |z|) radians near the boundary and prunes
-nothing for a listing, at z near 0, before the first minimum or at angles
-too large to reduce.
+nothing at z near 0, before the first minimum or at large angles.
 Minima over removed-block boundaries reduce to circle minima, which are closed
 forms with a rounding floor; ball blocks add a branch-and-bound over radius
 profiles.  They carry a mesh error such that the true minimum lies in
@@ -46,10 +46,12 @@ from .domains import (
 from .hyperbolic import (
     INTERIOR_MARGIN,
     PointError,
+    _as_complex,
     radial_separation_bound,
     require_interior_point,
     require_interior_polydisk_point,
     rho,
+    rho_max,
 )
 
 # Evaluation aborts if an examined puncture is this close to the query point:
@@ -119,18 +121,6 @@ class VerificationOutcome:
 # ---------------------------------------------------------------------------
 
 
-def _finite_min(dists) -> tuple[float, int]:
-    best = math.inf
-    best_idx = 0
-    for k, d in enumerate(dists, 1):
-        if d < COLLISION_EPS:
-            raise PointError(f"query point coincides with puncture {k} "
-                             f"(distance {d:.3e} < {COLLISION_EPS:g})")
-        if d < best:
-            best, best_idx = d, k
-    return best, best_idx
-
-
 def squeezing_punctured_disk(domain, z: complex) -> InvariantValue:
     """Squeezing function of the disk minus punctures:
     inf over punctures a of |(a - z)/(1 - conj(z) a)|.
@@ -139,10 +129,7 @@ def squeezing_punctured_disk(domain, z: complex) -> InvariantValue:
     active tail bound recorded.
     """
     z = require_interior_point(z)
-    if isinstance(domain, FinitePunctures):
-        best, best_idx = _finite_min(rho(z, a) for a in domain.punctures)
-        return InvariantValue(best, truncation_index=0, attained_index=best_idx)
-    if not isinstance(domain, SequencePunctures):
+    if not isinstance(domain, (FinitePunctures, SequencePunctures)):
         raise DomainError(f"squeezing_punctured_disk does not apply to {type(domain).__name__}")
     return _sequence_min(domain, z, abs(z))
 
@@ -194,29 +181,31 @@ def _tail_start(domain, anchor: float, bound: float) -> int:
     return domain.tail_index(level) if level <= 1.0 else sys.maxsize
 
 
-def _next_stop(examined: int, limit: int, reach: int) -> int:
+def _next_stop(examined: int, reach: int) -> int:
     """End of the next chunk: ``reach`` (the _tail_start of the running
     minimum, a lower bound on the stop that is mostly within an index of
     it) plus 2, at least _GRID_FIRST_CHUNK and at most GRID_BLOCK punctures
-    on, and at most ``limit``.  It only sizes the chunk; the exact stop rule
-    decides."""
-    return min(limit, examined + GRID_BLOCK, max(reach + 2, examined + _GRID_FIRST_CHUNK))
+    on, and at most _SEQUENCE_CAP.  It only sizes the chunk; the exact stop
+    rule decides."""
+    return min(_SEQUENCE_CAP, examined + GRID_BLOCK, max(reach + 2, examined + _GRID_FIRST_CHUNK))
 
 
 def _distances(z, re, im):
-    """rho (or rho_max for a polydisk point) from z to each chunk puncture."""
+    """rho (rho_max for a polydisk point) from z to each puncture of a planar
+    family chunk: a polydisk family's punctures are 0j beyond coordinate 0,
+    at distance |z_j| there, bitwise _rho_block(z_j, 0), i.e. hypot(z_j)."""
     import numpy as np
 
-    if not isinstance(z, tuple):
-        return _rho_block(z.real, z.imag, re, im)
-    return np.max([_rho_block(c.real, c.imag, re[j], im[j]) for j, c in enumerate(z)], axis=0)
+    z0, rest = (z[0], z[1:]) if isinstance(z, tuple) else (z, ())
+    dist = _rho_block(z0.real, z0.imag, re, im)
+    return np.maximum(dist, max(map(abs, rest))) if rest else dist
 
 
 def _candidates(z, bound: float, y):
     """The candidate window of a chunk at z whose running minimum is ``bound``:
     the ascending positions of the candidates among the angles y of a
-    family's punctures m e^{iy} (coordinate 0 of a polydisk point and family;
-    rho_max is at least the distance there).  Every puncture left out has
+    family's punctures m e^{iy} (coordinate 0 of a polydisk point; rho_max
+    is at least the distance there).  Every puncture left out has
     _rho_block distance > bound, so leaving it out changes neither the
     running minimum, the stop, the floor test nor the argmin.
 
@@ -278,38 +267,38 @@ def _scan(domain, z, anchor: float, floor: float, bound: float = math.inf) -> _S
     is infinite for a value and just below the claim for a certificate.  A
     distance below ``floor`` at or before that index ends the scan.  At the
     end of a listing, or at _SEQUENCE_CAP, the tail is None (see _unstopped).
-    Chunks: the first holds _GRID_FIRST_CHUNK punctures, or is sized by a
-    finite ``bound``; later ones by the running minimum (see _next_stop).
+    A listing takes one scalar pass (_listed_scan).  A family's first chunk
+    holds _GRID_FIRST_CHUNK punctures, or is sized by a finite ``bound``;
+    later ones by the running minimum (see _next_stop).
 
     A family chunk is built angle first.  The angles of the whole chunk give
     the candidate window that the running minimum before it leaves
     (_candidates); only the candidates are converted and measured, and the
     running minimum, floor test and argmin run over them alone.  Every other
     puncture is provably farther than that minimum, so it changes none of
-    them.  A listing has no angles: all its points are candidates.  Tails are
-    computed only from _tail_start of the chunk's lowest running minimum:
-    no tail before it can stop the scan.  So values, indices, tails and
-    outcomes are those of measuring every puncture and every tail.  Near the
-    boundary the window spans about 2(1 - |z|) radians, almost nothing is
-    converted, and a chunk that cannot stop computes no tail.  The window
-    prunes nothing for a listing, before the first minimum, at z near 0 and
-    at angles too large to reduce.
+    them.  Tails are computed only from _tail_start of the chunk's lowest
+    running minimum: no tail before it can stop the scan.  So values,
+    indices, tails and outcomes are those of measuring every puncture and
+    every tail.  Near the boundary the window spans about 2(1 - |z|)
+    radians, almost nothing is converted, and a chunk that cannot stop
+    computes no tail.  The window prunes nothing before the first minimum,
+    at z near 0 and at angles too large to reduce.
     """
+    if domain.family is None:
+        return _listed_scan(domain, z, anchor, floor, bound)
     import numpy as np
 
     tail = domain.tail_lower_bound(0)
     if _tail_stops(tail, anchor, bound):
         return _Scan(0, tail, bound, 0)
-    limit = domain.known_count() or _SEQUENCE_CAP
     best, best_index, examined = bound, 0, 0
-    stop = (min(_GRID_FIRST_CHUNK, limit) if bound == math.inf
-            else _next_stop(0, limit, _tail_start(domain, anchor, bound)))
+    stop = (_GRID_FIRST_CHUNK if bound == math.inf
+            else _next_stop(0, _tail_start(domain, anchor, bound)))
     while True:
-        y = domain.angles(examined, stop)
-        kept = np.arange(stop - examined) if y is None else _candidates(z, best, y)
+        y = domain.family.angles(examined, stop)
+        kept = _candidates(z, best, y)
         index = kept + (examined + 1.0)  # as floats, which math.pow takes fastest
-        dist = (_distances(z, *domain.parts(index, None if y is None else y[kept]))
-                if index.size else np.empty(0))
+        dist = _distances(z, *domain.parts(index, y[kept])) if index.size else np.empty(0)
         run = np.minimum.accumulate(np.concatenate(((best,), dist)))  # after 0, 1, ... candidates
         reach = _tail_start(domain, anchor, float(run[-1]))
         # tails from reach on: first up to just past the candidate that set the
@@ -338,9 +327,26 @@ def _scan(domain, z, anchor: float, floor: float, bound: float = math.inf) -> _S
         if tail is not None:
             return _Scan(*tail, best, best_index)
         examined = stop
-        if examined >= limit:
+        if examined >= _SEQUENCE_CAP:
             return _Scan(examined, None, best, best_index)
-        stop = _next_stop(examined, limit, reach)
+        stop = _next_stop(examined, reach)
+
+
+def _listed_scan(domain, z, anchor: float, floor: float, bound: float) -> _Scan:
+    """_scan of a listing, in one scalar pass with no numpy.  Its tail
+    bounds are 0 before its last point, so the stop rule can hold only
+    there, on the tail constant; an exact listing never stops."""
+    dist = rho_max if isinstance(z, tuple) else rho
+    best, best_index = bound, 0
+    for k, a in enumerate(domain.prefix, 1):
+        d = dist(z, a)
+        if d < floor:
+            return _Scan(k, None, best, best_index, d)
+        if d < best:
+            best, best_index = d, k
+    tail = domain.tail_constant
+    stops = tail is not None and _tail_stops(tail, anchor, best)
+    return _Scan(len(domain.prefix), tail if stops else None, best, best_index)
 
 
 def _sequence_min(domain, z, anchor: float) -> InvariantValue:
@@ -799,7 +805,7 @@ def product_of_balls_T_lower_bound(domain: ProductOfBalls, z=None) -> float:
 
 def _require_product_point(domain: ProductOfBalls, z) -> None:
     n = domain.n
-    factors = tuple(tuple(complex(c) for c in f) for f in z)
+    factors = [[_as_complex(c, f"product point factor {i}") for c in f] for i, f in enumerate(z)]
     if len(factors) != n or any(len(f) != n for f in factors):
         raise PointError(f"product point must have {n} factors of {n} coordinates")
     for i, f in enumerate(factors):

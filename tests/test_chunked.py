@@ -14,6 +14,7 @@ from squeezefn.domains import (
     _TAIL_LIMIT_INDEX,
     BoundaryOrbitFamily,
     DomainError,
+    FinitePunctures,
     PolySequencePunctures,
     RadialFamily,
     SequencePunctures,
@@ -111,11 +112,9 @@ def test_family_chunk_is_bitwise_point_and_tail(domain, window):
         if isinstance(point, tuple):  # the family's point in coordinate 0, +0j elsewhere
             assert [bits(c.real) + bits(c.imag) for c in point] == (
                 [bits(planar.real) + bits(planar.imag)] + [bits(0.0) * 2] * (domain.n - 1))
-            coords = [(float(re[j, i]), float(im[j, i])) for j in range(domain.n)]
-        else:
-            coords, point = [(float(re[i]), float(im[i]))], (point,)
-        for (x, y), expect in zip(coords, point):
-            assert (bits(x), bits(y)) == (bits(expect.real), bits(expect.imag)), (k, expect)
+            point = point[0]  # a polydisk family's chunk is its coordinate 0
+        x, y = float(re[i]), float(im[i])
+        assert (bits(x), bits(y)) == (bits(point.real), bits(point.imag)), (k, point)
         assert bits(float(tails[i])) == bits(domain.tail_lower_bound(k)), k
 
 
@@ -510,6 +509,7 @@ sequence_domains = st.one_of(
               st.floats(0.1, 0.9), st.floats(1.0, 3.0), thetas),
     st.builds(or_reject(lambda pts, tail: SequencePunctures(prefix=tuple(pts), tail_constant=tail)),
               listed, st.one_of(st.none(), st.floats(0.05, 0.999))),
+    st.builds(or_reject(lambda pts: FinitePunctures(tuple(pts))), listed),
 )
 
 
@@ -566,3 +566,20 @@ def test_certificate_tail_covers_exactly_at_the_floor(domain, m, step):
     got = certificate(domain, 0j, floor)
     assert got == reference_certificate(domain, 0j, floor)
     assert got[0] is (m >= floor)
+
+
+@pytest.mark.parametrize("step", [-1, 0, 1])
+def test_value_tail_constant_covers_exactly_at_a_tie(step):
+    # at z = 0 the listed point lies at distance 0.5, and the separation bound
+    # of a tail constant m is m: m = 0.5 covers the minimum by the >= of a tail
+    # constant, the float below it does not
+    m = {-1: math.nextafter(0.5, 0.0), 0: 0.5, 1: math.nextafter(0.5, 1.0)}[step]
+    domain = SequencePunctures(prefix=(0.5 + 0j,), tail_constant=m)
+    got = outcome(lambda: squeezing_punctured_disk(domain, 0j))
+    assert got == outcome(lambda: reference_squeezing(domain, 0j))
+    if step < 0:
+        assert got == ("CertificationError: sequence exhausted without certification: tail "
+                       f"constant {m!r} gives bound below the prefix minimum 0.5 at this point")
+    else:
+        assert got == repr(InvariantValue(0.5, truncation_index=1, tail_bound_used=m,
+                                          attained_index=1))

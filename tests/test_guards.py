@@ -278,3 +278,51 @@ ORIGIN_POLYDISKS = RemovedPolydisks(n=2, blocks=(ORIGIN_BLOCK,))
 def test_entry_points_do_not_print_integers_beyond_the_str_limit(build, message):
     with raises_exactly(DomainError, f"{message}, got an integer too large for a float"):
         build()
+
+
+FINITE_PAIR = FinitePunctures((0.5 + 0j, 0.5j))
+ORBIT = BoundaryOrbitFamily(0.5, 2.0, 2.3)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: squeezing_punctured_disk(FINITE_PAIR, HUGE), "point"),
+    (lambda: squeezing_punctured_disk(SequencePunctures(family=RADIAL), HUGE), "point"),
+    (lambda: lower_bound_certificate(FINITE_PAIR, HUGE, 0.5), "point"),
+    (lambda: annulus_squeezing(Annulus(0.25), HUGE), "point"),
+    (lambda: MobiusMap(0.1)(HUGE), "point"),
+    (lambda: polydisk_squeezing_punctured(PolySequencePunctures(n=2, family=RADIAL), (0j, HUGE)),
+     "point coordinate 1"),
+    (lambda: polydisk_squeezing_removed_blocks(ORIGIN_POLYDISKS, (0.5, HUGE)), "point coordinate 1"),
+    (lambda: removed_block_display_formula(ORIGIN_POLYDISKS, (HUGE, 0j)), "point coordinate 0"),
+    (lambda: product_of_balls_squeezing(ProductOfBalls(2), ((0, 0), (0, HUGE))),
+     "product point factor 1"),
+], ids=["finite", "sequence", "certificate", "annulus", "mobius-call", "poly-sequence",
+        "removed-blocks", "display-formula", "product-of-balls"])
+def test_points_beyond_the_float_range_are_point_errors(build, message):
+    with raises_exactly(PointError, f"{message}: int too large to convert to float"):
+        build()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: SequencePunctures(family=RADIAL).puncture(HUGER),
+     "puncture index overflows the family's float arithmetic, got an integer too large for a float"),
+    (lambda: PolySequencePunctures(n=2, family=RADIAL).puncture(HUGE),
+     "puncture index overflows the family's float arithmetic, got an integer too large for a float"),
+    (lambda: SequencePunctures(family=ORBIT).puncture(10**200),  # k**p beyond the float range
+     f"puncture index overflows the family's float arithmetic, got {10**200!r}"),
+    (lambda: SequencePunctures(family=RADIAL).tail_lower_bound(HUGER),
+     "tail bound index overflows the family's float arithmetic, got an integer too large for a float"),
+    (lambda: SequencePunctures(family=ORBIT).tail_lower_bound(HUGE),
+     "tail bound index overflows the family's float arithmetic, got an integer too large for a float"),
+    (lambda: RemovedBalls(n=2, family=BLOCK_FAMILY).block(HUGER),
+     "block index overflows the family's float arithmetic, got an integer too large for a float"),
+    (lambda: FINITE_PAIR.puncture(HUGER),
+     "no generator attached: puncture an integer too large for a float is beyond the "
+     "2-point prefix"),
+    (lambda: RemovedPolydisks(n=2, blocks=(ORIGIN_BLOCK,)).block(HUGER),
+     "no block family attached: block an integer too large for a float is beyond the list"),
+], ids=["puncture", "poly-puncture", "orbit-power", "tail-bound", "orbit-tail-bound",
+        "block", "listed-puncture", "listed-block"])
+def test_indices_beyond_the_float_range_are_domain_errors(build, message):
+    with raises_exactly(DomainError, message):
+        build()

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from squeezefn import lower_bound_certificate, parse_domain_spec
 from squeezefn.cli import main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -37,6 +38,9 @@ DOCS = {
 NUMPY_FREE_EVALS = [
     ("finite", "0.1,0.2", "squeezing", []),
     ("finite", "0.1,0.2", "fridman-c", []),
+    ("sequence_points", "0.1,0.2", "squeezing", []),
+    ("sequence_points", "0.1,0.2", "fridman-c", []),
+    ("poly_points", "0.1,0;0,0.2", "polydisk-squeezing", []),
     ("annulus", "0.5,0.1", "squeezing", []),
     ("product_of_balls", "0.1,0;0,0.2;0.3,0;0,0", "squeezing", []),
     ("product_of_balls", "0.1,0;0,0.2;0.3,0;0,0", "t-lower-bound", []),
@@ -77,7 +81,8 @@ def test_import_and_parse_load_no_numpy():
 
 def test_evals_without_numpy_print_the_same(docs_dir, capsys):
     argvs = [eval_argv(docs_dir, *case) for case in NUMPY_FREE_EVALS]
-    argvs.append(["compare", "--domain", str(docs_dir / "finite.json"), "--point=0.1,0.2"])
+    argvs += [["compare", "--domain", str(docs_dir / f"{name}.json"), "--point=0.1,0.2"]
+              for name in ("finite", "sequence_points")]
     expected = []
     for argv in argvs:
         assert main(argv) == 0
@@ -92,6 +97,24 @@ def test_evals_without_numpy_print_the_same(docs_dir, capsys):
     """)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "".join(out + "--\n" for out in expected)
+
+
+def test_listed_certificates_load_no_numpy():
+    # a listing is scanned in one scalar pass, certificates included
+    cases = [(name, claimed) for name in ("finite", "sequence_points") for claimed in (0.1, 0.5, 0.9)]
+    expected = "".join(
+        f"{lower_bound_certificate(parse_domain_spec(DOCS[name]), 0.1 + 0.2j, claimed)!r}\n"
+        for name, claimed in cases)
+    proc = run_python(f"""
+        import sys
+        sys.modules["numpy"] = None  # any import of numpy raises ImportError
+        from squeezefn import lower_bound_certificate, parse_domain_spec
+        for name, claimed in {cases!r}:
+            domain = parse_domain_spec({DOCS!r}[name])
+            print(repr(lower_bound_certificate(domain, 0.1 + 0.2j, claimed)))
+    """)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected
 
 
 def test_sequence_eval_loads_numpy(docs_dir):
