@@ -6,9 +6,11 @@ loads numpy) and that time per examined puncture.  ``ns/punct`` divides by
 every examined puncture, those the scan's candidate window leaves out
 unconverted and unmeasured included, so near the boundary it falls as the
 window narrows.  ``converted`` counts the punctures the scan converted and
-measured, and ``tails`` the tail bounds m(n) it computed, in one more run
-with the domain's ``parts`` and ``tails`` wrapped by counters; both stay far
-below ``stop N`` where the window and the tail skip act.  ``--steps 17``
+measured, and ``tails`` the tail bounds m(n) it computed, m(0) included, in
+one more run with counters around the domain's ``puncture`` and
+``tail_lower_bound`` (the scalar head of the scan, its first 8 punctures)
+and ``parts`` and ``tails`` (its numpy chunks); both stay far below
+``stop N`` where the window and the tail skip act.  ``--steps 17``
 reaches |z| = 1 - 2**-17 and, for p=1, a prefix of about 10^5 punctures."""
 
 import argparse
@@ -34,6 +36,7 @@ def counted(domain, z) -> tuple[int, int]:
     counts = [0, 0]
     cls = type(domain)
     convert, bound = cls.parts, cls.tails
+    point, tail = cls.puncture, cls.tail_lower_bound
 
     def parts(self, index, y):
         counts[0] += len(index)
@@ -43,7 +46,16 @@ def counted(domain, z) -> tuple[int, int]:
         counts[1] += stop - start
         return bound(self, start, stop)
 
-    with mock.patch.object(cls, "parts", parts), mock.patch.object(cls, "tails", tails):
+    def puncture(self, k):
+        counts[0] += 1
+        return point(self, k)
+
+    def tail_lower_bound(self, examined):
+        counts[1] += 1
+        return tail(self, examined)
+
+    wrapped = {"parts": parts, "tails": tails, "puncture": puncture, "tail_lower_bound": tail_lower_bound}
+    with mock.patch.multiple(cls, **wrapped):
         squeezing_punctured_disk(domain, z)
     return counts[0], counts[1]
 

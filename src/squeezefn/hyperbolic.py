@@ -26,11 +26,19 @@ class PointError(ValueError):
 
 
 def _as_complex(z, what: str = "point") -> complex:
-    """complex(z), with an int beyond the float range as a PointError."""
-    try:
-        return complex(z)
-    except OverflowError as e:
-        raise PointError(f"{what}: {e}") from None
+    """complex(z) of a number (an int, float, complex or numpy scalar).  A
+    string, which complex() would parse, anything else that is not a number
+    and an int beyond the float range are PointErrors."""
+    if type(z) is complex:  # the common case, taken first: complex(z) is z
+        return z
+    if not isinstance(z, str):
+        try:
+            return complex(z)
+        except OverflowError as e:
+            raise PointError(f"{what}: {e}") from None
+        except (TypeError, ValueError):
+            pass
+    raise PointError(f"{what} must be a number, got {type(z).__name__}")
 
 
 def require_disk_point(z: complex, what: str = "point") -> complex:
@@ -57,7 +65,10 @@ def require_interior_point(z: complex, what: str = "point") -> complex:
 def require_interior_polydisk_point(zs, n: int, what: str = "point") -> tuple[complex, ...]:
     """Check the coordinate count, then every coordinate against the disk,
     then every coordinate against the interior margin."""
-    zs = tuple(_as_complex(z, f"{what} coordinate {j}") for j, z in enumerate(zs))
+    try:
+        zs = tuple(_as_complex(z, f"{what} coordinate {j}") for j, z in enumerate(zs))
+    except TypeError:  # not iterable
+        raise PointError(f"{what} must be a sequence of {n} numbers, got {type(zs).__name__}") from None
     if len(zs) != n:
         raise PointError(f"{what} has {len(zs)} coordinates, expected {n}")
     for j, z in enumerate(zs):

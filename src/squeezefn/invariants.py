@@ -6,8 +6,10 @@ stops at the first index N where the tail bound
 listing's tail constant at least equals it (see _unstopped); the value is the
 minimum over the examined prefix, independent of any larger truncation.
 _scan evaluates one point from a starting bound, infinite for a value and
-just below the claim for a certificate: a listing in one scalar pass with no
-numpy (_listed_scan), a family in numpy chunks bitwise equal to a
+just below the claim for a certificate.  One scalar pass with no numpy
+(_scalar_scan) takes a listing whole and a family's first _GRID_FIRST_CHUNK
+punctures, within which a point away from the boundary mostly stops; a
+family scan that goes on continues in numpy chunks bitwise equal to a
 per-puncture loop, as grid_cells does for every domain of a grid.
 _scan builds a family chunk angle first: it converts and measures only the
 punctures whose angle lies in a candidate window around arg z, out of which
@@ -15,7 +17,7 @@ every puncture is provably farther than the running minimum (_candidates),
 and computes tails only from the family's certified tail_index of the
 chunk's stop level (_tail_start), below which no tail can stop the scan.
 The window spans about 2(1 - |z|) radians near the boundary and prunes
-nothing at z near 0, before the first minimum or at large angles.
+nothing at z near 0 or at large angles.
 Minima over removed-block boundaries reduce to circle minima, which are closed
 forms with a rounding floor; ball blocks add a branch-and-bound over radius
 profiles.  They carry a mesh error such that the true minimum lies in
@@ -25,6 +27,7 @@ profiles.  They carry a mesh error such that the true minimum lies in
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -50,7 +53,6 @@ from .hyperbolic import (
     radial_separation_bound,
     require_interior_point,
     require_interior_polydisk_point,
-    rho,
     rho_max,
 )
 
@@ -64,8 +66,9 @@ COLLISION_EPS = 1e-14
 _SEQUENCE_CAP = 200_000
 
 # Most elements in one array of the batched kernels (cells x punctures), and
-# the first chunk of punctures.  Grid chunks double up to GRID_BLOCK; the
-# chunks of a single point are sized by the family's tail estimate.
+# the first chunk of punctures: a grid's, and the scalar head of a single-point
+# family scan.  Grid chunks double up to GRID_BLOCK; a single point's numpy
+# chunks are sized by the family's tail estimate.
 GRID_BLOCK = 8192
 _GRID_FIRST_CHUNK = 8
 
@@ -182,11 +185,11 @@ def _tail_start(domain, anchor: float, bound: float) -> int:
 
 
 def _next_stop(examined: int, reach: int) -> int:
-    """End of the next chunk: ``reach`` (the _tail_start of the running
-    minimum, a lower bound on the stop that is mostly within an index of
-    it) plus 2, at least _GRID_FIRST_CHUNK and at most GRID_BLOCK punctures
-    on, and at most _SEQUENCE_CAP.  It only sizes the chunk; the exact stop
-    rule decides."""
+    """End of the next numpy chunk of a family scan, the first one after the
+    scalar head: ``reach`` (the _tail_start of the running minimum, a lower
+    bound on the stop that is mostly within an index of it) plus 2, at least
+    _GRID_FIRST_CHUNK and at most GRID_BLOCK punctures on, and at most
+    _SEQUENCE_CAP.  It only sizes the chunk; the exact stop rule decides."""
     return min(_SEQUENCE_CAP, examined + GRID_BLOCK, max(reach + 2, examined + _GRID_FIRST_CHUNK))
 
 
@@ -202,7 +205,8 @@ def _distances(z, re, im):
 
 
 def _candidates(z, bound: float, y):
-    """The candidate window of a chunk at z whose running minimum is ``bound``:
+    """The candidate window of a chunk at z whose running minimum is ``bound``,
+    finite, as the scalar head of the scan measured at least one puncture:
     the ascending positions of the candidates among the angles y of a
     family's punctures m e^{iy} (coordinate 0 of a polydisk point; rho_max
     is at least the distance there).  Every puncture left out has
@@ -221,7 +225,7 @@ def _candidates(z, bound: float, y):
       |d| <= 16u/kappa: u from a - z, u + 3u/kappa from 1 - conj(z) a (its
       products err by at most 3u |z||a| <= 3u |1 - conj(z) a|/kappa) and 9u
       from Smith's quotient and hypot.  A distance <= bound thus has
-      rho <= T = bound (1 + 64 eps/kappa); an infinite bound gives T = inf.
+      rho <= T = bound (1 + 64 eps/kappa).
     * Conversion: with numpy's cos and sin within 4 ulps (libm's are within
       1), the float puncture lies within 13u < 8 eps of m e^{iy}, so m e^{iy}
       lies in the disk of radius q + 8 eps.  Its half-angle has sine at most
@@ -249,7 +253,7 @@ def _candidates(z, bound: float, y):
     t = bound * (1.0 + 64.0 * _EPS / kappa)
     sine = (t * (kappa * (1.0 + r)) + 8.0 * _EPS) * (1.0 + 16.0 * _EPS / kappa)
     below = r * ((1.0 - t) * (1.0 + t))
-    if not sine < below:  # also T = inf (NaN at r = 0)
+    if not sine < below:  # also T >= 1 and r = 0
         return np.arange(y.size)
     spread = math.asin(sine / below) + 4.0 * _EPS * (max(abs(y[0]), abs(y[-1])) + 12.0)
     if not spread < 1.0:
@@ -267,9 +271,11 @@ def _scan(domain, z, anchor: float, floor: float, bound: float = math.inf) -> _S
     is infinite for a value and just below the claim for a certificate.  A
     distance below ``floor`` at or before that index ends the scan.  At the
     end of a listing, or at _SEQUENCE_CAP, the tail is None (see _unstopped).
-    A listing takes one scalar pass (_listed_scan).  A family's first chunk
-    holds _GRID_FIRST_CHUNK punctures, or is sized by a finite ``bound``;
-    later ones by the running minimum (see _next_stop).
+    One scalar pass with no numpy (_scalar_scan) serves a listing whole and
+    a family's head, its first _GRID_FIRST_CHUNK punctures, where a point
+    away from the boundary mostly stops; numpy loads only if a family scan
+    goes on past the head, in chunks sized by the running minimum (see
+    _next_stop).
 
     A family chunk is built angle first.  The angles of the whole chunk give
     the candidate window that the running minimum before it leaves
@@ -281,19 +287,24 @@ def _scan(domain, z, anchor: float, floor: float, bound: float = math.inf) -> _S
     indices, tails and outcomes are those of measuring every puncture and
     every tail.  Near the boundary the window spans about 2(1 - |z|)
     radians, almost nothing is converted, and a chunk that cannot stop
-    computes no tail.  The window prunes nothing before the first minimum,
-    at z near 0 and at angles too large to reduce.
+    computes no tail.  The window prunes nothing at z near 0 and at angles
+    too large to reduce.
     """
     if domain.family is None:
-        return _listed_scan(domain, z, anchor, floor, bound)
-    import numpy as np
-
+        tails = itertools.chain(itertools.repeat(0.0, len(domain.prefix) - 1), (domain.tail_constant,))
+        return _scalar_scan(z, anchor, floor, bound, domain.prefix, tails)
     tail = domain.tail_lower_bound(0)
     if _tail_stops(tail, anchor, bound):
         return _Scan(0, tail, bound, 0)
-    best, best_index, examined = bound, 0, 0
-    stop = (_GRID_FIRST_CHUNK if bound == math.inf
-            else _next_stop(0, _tail_start(domain, anchor, bound)))
+    head = range(1, _GRID_FIRST_CHUNK + 1)
+    scan = _scalar_scan(z, anchor, floor, bound, map(domain.puncture, head),
+                        map(domain.tail_lower_bound, head))
+    if scan.tail is not None or scan.bad is not None:
+        return scan
+    import numpy as np
+
+    examined, _, best, best_index, _ = scan
+    stop = _next_stop(examined, _tail_start(domain, anchor, best))
     while True:
         y = domain.family.angles(examined, stop)
         kept = _candidates(z, best, y)
@@ -332,21 +343,24 @@ def _scan(domain, z, anchor: float, floor: float, bound: float = math.inf) -> _S
         stop = _next_stop(examined, reach)
 
 
-def _listed_scan(domain, z, anchor: float, floor: float, bound: float) -> _Scan:
-    """_scan of a listing, in one scalar pass with no numpy.  Its tail
-    bounds are 0 before its last point, so the stop rule can hold only
-    there, on the tail constant; an exact listing never stops."""
-    dist = rho_max if isinstance(z, tuple) else rho
+def _scalar_scan(z, anchor: float, floor: float, bound: float, points, tails) -> _Scan:
+    """_scan over ``points`` a_1, a_2, ... in one scalar pass with no numpy,
+    testing the stop rule after a_n on ``tails``' m(n).  A listing's tails
+    are 0.0 (falsy, like None: no test) before its last point, then its tail
+    constant, None when exact; the scan then ends unstopped at its length.
+    A planar distance is rho(z, a) inline, bitwise, with conj(z) taken once."""
+    planar = not isinstance(z, tuple)
+    zc = z.conjugate() if planar else None
     best, best_index = bound, 0
-    for k, a in enumerate(domain.prefix, 1):
-        d = dist(z, a)
+    for k, a, tail in zip(itertools.count(1), points, tails):
+        d = abs((a - z) / (1.0 - zc * a)) if planar else rho_max(z, a)
         if d < floor:
             return _Scan(k, None, best, best_index, d)
         if d < best:
             best, best_index = d, k
-    tail = domain.tail_constant
-    stops = tail is not None and _tail_stops(tail, anchor, best)
-    return _Scan(len(domain.prefix), tail if stops else None, best, best_index)
+        if tail and _tail_stops(tail, anchor, best):
+            return _Scan(k, tail, best, best_index)
+    return _Scan(k, None, best, best_index)
 
 
 def _sequence_min(domain, z, anchor: float) -> InvariantValue:

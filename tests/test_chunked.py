@@ -270,10 +270,14 @@ def claims_around(value: float):
     return [c for c in below + [value] + above if 0.0 < c < 1.0]
 
 
+def evaluate_at(domain, z):
+    if isinstance(domain, PolySequencePunctures):
+        return polydisk_squeezing_punctured(domain, z)
+    return squeezing_punctured_disk(domain, z)
+
+
 def check_against_reference(domain, z):
-    evaluate = (polydisk_squeezing_punctured if isinstance(domain, PolySequencePunctures)
-                else squeezing_punctured_disk)
-    got = outcome(lambda: evaluate(domain, z))
+    got = outcome(lambda: evaluate_at(domain, z))
     assert got == outcome(lambda: reference_squeezing(domain, z))
     if isinstance(domain, PolySequencePunctures):
         return
@@ -583,3 +587,54 @@ def test_value_tail_constant_covers_exactly_at_a_tie(step):
     else:
         assert got == repr(InvariantValue(0.5, truncation_index=1, tail_bound_used=m,
                                           attained_index=1))
+
+
+# --- the scalar head of a family scan -----------------------------------------
+
+RADIAL_Q05 = {"kind": "sequence", "family": "radial", "q": 0.5, "theta": 1.0}
+POLY_Q05 = {"kind": "poly_sequence", "n": 2, "family": "radial", "q": 0.5, "theta": 1.0}
+HEAD = 8  # _GRID_FIRST_CHUNK: punctures a family scan measures in the scalar pass before numpy
+HEAD_STOPS = [  # (doc, z, N): values whose scan stops at N, around the end of the head
+    (RADIAL_Q05, -0.22 - 0.82j, 7), (RADIAL_Q05, 0.63 - 0.63j, 8), (RADIAL_Q05, 0.65 - 0.65j, 9),
+    (P2, 0.68 - 0.39j, 7), (P2, 0.57 - 0.57j, 8), (P2, 0.59 - 0.59j, 9),
+    (HUGE_P1, -0.49 + 0.13j, 7), (HUGE_P1, -0.27 + 0.47j, 8), (HUGE_P1, -0.28 + 0.48j, 9),
+    (POLY_Q05, (-0.22 - 0.82j, 0.1j), 7), (POLY_Q05, (0.63 - 0.63j, 0.1j), 8),
+    (POLY_Q05, (0.65 - 0.65j, 0.1j), 9),
+]
+HEAD_IDS = {id(RADIAL_Q05): "radial", id(P2): "orbit-p2", id(HUGE_P1): "theta-1e302", id(POLY_Q05): "poly"}
+
+
+@pytest.mark.parametrize("doc, z, stop", HEAD_STOPS,
+                         ids=[f"{HEAD_IDS[id(d)]}-N{n}" for d, _, n in HEAD_STOPS])
+def test_stops_around_the_head_match_the_per_puncture_loop(doc, z, stop):
+    domain = parse_domain_spec(doc)
+    assert evaluate_at(domain, z).truncation_index == stop
+    check_against_reference(domain, z)
+
+
+@pytest.mark.parametrize("k", [HEAD, HEAD + 1])
+@pytest.mark.parametrize("doc", [RADIAL_Q05, P2, HUGE_P1, POLY_Q05],
+                         ids=["radial", "orbit-p2", "theta-1e302", "poly"])
+def test_collisions_at_the_end_of_the_head(doc, k):
+    # at a_k the tails before k do not exceed |z| = |a_k|, so the scan reaches it
+    domain = parse_domain_spec(doc)
+    z = domain.puncture(k)
+    with pytest.raises(PointError, match=f"^query point coincides with puncture {k} "):
+        evaluate_at(domain, z)
+    check_against_reference(domain, z)
+
+
+@pytest.mark.parametrize("doc, z", [(d, z) for d, z, n in HEAD_STOPS if n == HEAD + 1 and d is not POLY_Q05],
+                         ids=["radial", "orbit-p2", "theta-1e302"])
+def test_certificates_stop_inside_and_just_past_the_head(doc, z):
+    # the separation bound of m(n) certifies a claim at n exactly; the float
+    # above that of m(8) needs m(9), past the head
+    domain = parse_domain_spec(doc)
+    value = squeezing_punctured_disk(domain, z).value
+    sep = [radial_separation_bound(domain.tail_lower_bound(n), abs(z)) for n in range(HEAD + 1)]
+    for claimed, stop in [(sep[4], 4), (sep[HEAD - 1], HEAD - 1), (sep[HEAD], HEAD),
+                          (math.nextafter(sep[HEAD], 1.0), HEAD + 1)]:
+        assert claimed <= value
+        got = certificate(domain, z, claimed)
+        assert got == reference_certificate(domain, z, claimed)
+        assert got[0] and got[3].startswith(f"examined {stop} punctures;"), (claimed, got)

@@ -326,3 +326,44 @@ def test_points_beyond_the_float_range_are_point_errors(build, message):
 def test_indices_beyond_the_float_range_are_domain_errors(build, message):
     with raises_exactly(DomainError, message):
         build()
+
+
+POLY_RADIAL = PolySequencePunctures(n=2, family=RADIAL)
+
+
+@pytest.mark.parametrize("point, kind", [("0.1+0.2j", "str"), ("a", "str"), (b"0.1", "bytes"),
+                                         (None, "NoneType"), ([0.1, 0.2], "list")],
+                         ids=["complex-string", "malformed-string", "bytes", "none", "list"])
+@pytest.mark.parametrize("build, what", [
+    (lambda z: squeezing_punctured_disk(FINITE_PAIR, z), "point"),
+    (lambda z: squeezing_punctured_disk(SequencePunctures(family=RADIAL), z), "point"),
+    (lambda z: lower_bound_certificate(FINITE_PAIR, z, 0.5), "point"),
+    (lambda z: annulus_squeezing(Annulus(0.25), z), "point"),
+    (lambda z: MobiusMap(0.1)(z), "point"),
+    (lambda z: polydisk_squeezing_punctured(POLY_RADIAL, (0j, z)), "point coordinate 1"),
+    (lambda z: polydisk_squeezing_removed_blocks(ORIGIN_POLYDISKS, (z, 0.5)), "point coordinate 0"),
+    (lambda z: product_of_balls_squeezing(ProductOfBalls(2), ((0, 0), (z, 0))),
+     "product point factor 1"),
+], ids=["finite", "sequence", "certificate", "annulus", "mobius-call", "poly-sequence",
+        "removed-blocks", "product-of-balls"])
+def test_points_that_are_not_numbers_are_point_errors(build, what, point, kind):
+    with raises_exactly(PointError, f"{what} must be a number, got {kind}"):
+        build(point)
+
+
+@pytest.mark.parametrize("point, kind", [(None, "NoneType"), (0.5, "float")])
+def test_polydisk_points_that_are_not_sequences_are_point_errors(point, kind):
+    with raises_exactly(PointError, f"point must be a sequence of 2 numbers, got {kind}"):
+        polydisk_squeezing_punctured(POLY_RADIAL, point)
+
+
+def test_numpy_scalar_points_are_numbers():
+    import numpy as np
+
+    domain = SequencePunctures(family=RADIAL)
+    expected = squeezing_punctured_disk(domain, 0.25 + 0.5j)
+    assert squeezing_punctured_disk(domain, np.complex128(0.25 + 0.5j)) == expected
+    assert squeezing_punctured_disk(domain, np.float64(0.25)) == squeezing_punctured_disk(domain, 0.25)
+    assert squeezing_punctured_disk(domain, np.int64(0)) == squeezing_punctured_disk(domain, 0)
+    assert (polydisk_squeezing_punctured(POLY_RADIAL, (np.float32(0.25), np.complex64(0.5j)))
+            == polydisk_squeezing_punctured(POLY_RADIAL, (0.25, 0.5j)))

@@ -1,4 +1,5 @@
 """Start-up imports: numpy loads only where a batched kernel or an oracle runs.
+A family scan loads it only past its scalar head (the first 8 punctures).
 
 pytest itself imports numpy, so every check runs in a fresh interpreter.
 """
@@ -22,6 +23,7 @@ DOCS = {
     "sequence_points": {"kind": "sequence", "points": [[0.5, 0.0]], "tail_modulus_constant": 0.9},
     "sequence_radial": {"kind": "sequence", "family": "radial", "q": 0.5, "theta": 1.0},
     "sequence_orbit": {"kind": "sequence", "family": "boundary_orbit", "c": 0.5, "p": 2.0, "theta": 2.3},
+    "orbit_p1": {"kind": "sequence", "family": "boundary_orbit", "c": 0.5, "p": 1.0, "theta": 2.3},
     "poly_points": {"kind": "poly_sequence", "n": 2, "points": [[[0.5, 0.0], [0.0, 0.0]]]},
     "poly_radial": {"kind": "poly_sequence", "n": 2, "family": "radial", "q": 0.5, "theta": 1.0},
     "polydisks": {"kind": "removed_polydisks", "n": 2,
@@ -41,6 +43,11 @@ NUMPY_FREE_EVALS = [
     ("sequence_points", "0.1,0.2", "squeezing", []),
     ("sequence_points", "0.1,0.2", "fridman-c", []),
     ("poly_points", "0.1,0;0,0.2", "polydisk-squeezing", []),
+    # families whose scan stops within its scalar head
+    ("sequence_radial", "0.1,0.2", "squeezing", []),
+    ("sequence_radial", "0.5,-0.3", "fridman-c", []),
+    ("sequence_orbit", "0.5,-0.3", "squeezing", []),
+    ("poly_radial", "0.3,0.2;0,-0.1", "polydisk-squeezing", []),
     ("annulus", "0.5,0.1", "squeezing", []),
     ("product_of_balls", "0.1,0;0,0.2;0.3,0;0,0", "squeezing", []),
     ("product_of_balls", "0.1,0;0,0.2;0.3,0;0,0", "t-lower-bound", []),
@@ -82,7 +89,7 @@ def test_import_and_parse_load_no_numpy():
 def test_evals_without_numpy_print_the_same(docs_dir, capsys):
     argvs = [eval_argv(docs_dir, *case) for case in NUMPY_FREE_EVALS]
     argvs += [["compare", "--domain", str(docs_dir / f"{name}.json"), "--point=0.1,0.2"]
-              for name in ("finite", "sequence_points")]
+              for name in ("finite", "sequence_points", "sequence_radial")]
     expected = []
     for argv in argvs:
         assert main(argv) == 0
@@ -99,27 +106,40 @@ def test_evals_without_numpy_print_the_same(docs_dir, capsys):
     assert proc.stdout == "".join(out + "--\n" for out in expected)
 
 
-def test_listed_certificates_load_no_numpy():
-    # a listing is scanned in one scalar pass, certificates included
-    cases = [(name, claimed) for name in ("finite", "sequence_points") for claimed in (0.1, 0.5, 0.9)]
+def certificates_without_numpy(cases):
+    """Each (document, point, claim) certificate, in process and in a fresh
+    interpreter with numpy blocked: the two reprs must be equal."""
     expected = "".join(
-        f"{lower_bound_certificate(parse_domain_spec(DOCS[name]), 0.1 + 0.2j, claimed)!r}\n"
-        for name, claimed in cases)
+        f"{lower_bound_certificate(parse_domain_spec(DOCS[name]), z, claimed)!r}\n"
+        for name, z, claimed in cases)
     proc = run_python(f"""
         import sys
         sys.modules["numpy"] = None  # any import of numpy raises ImportError
         from squeezefn import lower_bound_certificate, parse_domain_spec
-        for name, claimed in {cases!r}:
+        for name, z, claimed in {cases!r}:
             domain = parse_domain_spec({DOCS!r}[name])
-            print(repr(lower_bound_certificate(domain, 0.1 + 0.2j, claimed)))
+            print(repr(lower_bound_certificate(domain, z, claimed)))
     """)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == expected
 
 
+def test_listed_certificates_load_no_numpy():
+    # a listing is scanned in one scalar pass, certificates included
+    certificates_without_numpy([(name, 0.1 + 0.2j, claimed) for name in ("finite", "sequence_points")
+                                for claimed in (0.1, 0.5, 0.9)])
+
+
+def test_shallow_family_certificates_load_no_numpy():
+    # so is a family's head: at 0.5-0.3j the radial family certifies 0.1
+    # after 1 puncture and 0.5 after 2, and puncture 1 refutes 0.9
+    certificates_without_numpy([("sequence_radial", 0.5 - 0.3j, claimed) for claimed in (0.1, 0.5, 0.9)])
+
+
 def test_sequence_eval_loads_numpy(docs_dir):
-    # the blocker above is not vacuous: sequence evaluation needs numpy
-    argv = eval_argv(docs_dir, "sequence_radial", "0,0", "squeezing", [])
+    # the blocker above is not vacuous: a family scan past its scalar head
+    # needs numpy (p=1 at -0.99 stops at N = 87)
+    argv = eval_argv(docs_dir, "orbit_p1", "-0.99,0", "squeezing", [])
     proc = run_python(f"""
         import sys
         from squeezefn.cli import main
@@ -134,5 +154,6 @@ def test_sequence_eval_loads_numpy(docs_dir):
             print("blocked")
     """)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.endswith("value 0.5\ntruncation_index 1\ntail_bound_used 0.75\n"
-                                "mesh_error 0.0\nattained_index 1\nblocked\n")
+    assert proc.stdout.endswith("value 0.27391460456383976\ntruncation_index 87\n"
+                                "tail_bound_used 0.9943181818181818\nmesh_error 0.0\n"
+                                "attained_index 56\nblocked\n")
