@@ -1,0 +1,162 @@
+#!/usr/bin/env python3
+"""Mutation check of the certified single-point scan: each mutant in MUTANTS
+breaks one property that a certificate or the byte-identity of outputs rests
+on, and the tests it names must fail on it.
+
+The script copies src/, tests/ and pyproject.toml to a temporary directory,
+runs the named tests of every mutant there unmutated (they must pass), then
+applies one mutant at a time (an exact text replacement that must match
+exactly once), runs its tests and reports it as killed or survived.  It exits
+non-zero when a mutant survives, when the unmutated copy fails, or when an
+old text does not match exactly once.
+
+    python scripts/mutation_check.py
+
+tests/test_mutation_table.py checks, in tier-1, only that every old text
+matches exactly once, so that a refactor updates this table in the same
+change.  The full run takes a few minutes; it needs numpy, pytest and
+hypothesis, as tier-1 does.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+INVARIANTS = "src/squeezefn/invariants.py"
+DOMAINS = "src/squeezefn/domains.py"
+CHUNKED = "tests/test_chunked.py"
+
+
+class Mutant(NamedTuple):
+    name: str
+    breaks: str          # the property the mutant breaks
+    path: str            # file, relative to the repository root
+    old: str             # exact text, which must occur exactly once
+    new: str
+    tests: tuple         # pytest node ids expected to fail on the mutant
+
+
+def _t(*names: str) -> tuple:
+    return tuple(f"{CHUNKED}::{n}" for n in names)
+
+
+MUTANTS = (
+    Mutant("pad-minus-zero", "a polydisk family's other coordinates are exactly +0j",
+           DOMAINS, "return (a,) + (0j,) * (self.n - 1)", "return (a,) + (-0j,) * (self.n - 1)",
+           _t("test_family_chunk_is_bitwise_point_and_tail")),
+    Mutant("radial-tail-index-plus-1", "RadialFamily.tail_index is a lower bound on the first stop",
+           DOMAINS, "return min(int(max(k, 0.0)), _INDEX_CAP)",
+           "return min(int(max(k, 0.0)) + 1, _INDEX_CAP)",
+           _t("test_tail_index_is_a_certified_lower_bound_near_the_stop")),
+    Mutant("orbit-tail-index-plus-1", "BoundaryOrbitFamily.tail_index is a lower bound on the first stop",
+           DOMAINS, "return min(int(k), _INDEX_CAP)", "return min(int(k) + 1, _INDEX_CAP)",
+           _t("test_tail_index_is_a_certified_lower_bound_near_the_stop")),
+    Mutant("radial-margin-dropped", "RadialFamily.tail_index covers the rounding of log, pow and the quotient",
+           DOMAINS, "k = (a - 2.0**-49 * (1.0 + a)) / -math.log(self.q) * (1.0 - 2.0**-50)",
+           "k = a / -math.log(self.q)",
+           _t("test_tail_index_is_a_certified_lower_bound_near_the_stop")),
+    Mutant("log-gap-without-midpoint", "_log_gap takes the level's gap to the float below it",
+           DOMAINS, "return -math.log(((1.0 - below) + (1.0 - level)) * 0.5)",
+           "return -math.log(1.0 - level)",
+           _t("test_tail_index_is_a_certified_lower_bound_near_the_stop")),
+    Mutant("stop-level-one-float-high", "_stop_level is the least float the stop rule accepts",
+           INVARIANTS, "            m = below\n        return m\n",
+           "            m = below\n        return math.nextafter(m, 2.0)\n",
+           _t("test_tail_index_is_a_certified_lower_bound_near_the_stop")),
+    Mutant("stop-cut-one-candidate-short", "the floor test and argmin run up to the stop, inclusive",
+           INVARIANTS, "seen, tail = dist[:before[j]], (lo + j, float(tails[j]))",
+           "seen, tail = dist[:before[j] - 1], (lo + j, float(tails[j]))",
+           _t("test_deep_reference_points_are_pinned")),
+    Mutant("first-plus-3", "tails are tried from _tail_start on, not later",
+           INVARIANTS, "first = max(reach, examined + 1)", "first = max(reach, examined + 1) + 3",
+           _t("test_deep_reference_points_are_pinned")),
+    Mutant("second-tail-pass-dropped", "the stop may fall past the lowest minimum's candidate",
+           INVARIANTS, "for lo, hi in ((first, split), (split + 1, stop)):",
+           "for lo, hi in ((first, split),):",
+           _t("test_a_loose_tail_index_changes_no_outcome")),
+    Mutant("head-resumed-one-late", "the numpy chunks resume right after the scalar head",
+           INVARIANTS, "    examined, _, best, best_index, _ = scan\n",
+           "    examined, _, best, best_index, _ = scan\n    examined += 1\n",
+           _t("test_stops_around_the_head_match_the_per_puncture_loop")),
+    Mutant("seed-tail-check-dropped",
+           "a seed is a window level only where no stop can fall before its puncture",
+           INVARIANTS, "if floor <= seed < bound and _tail_start(domain, anchor, seed) >= j:",
+           "if floor <= seed < bound:",
+           _t("test_seed_changes_no_outcome_under_an_overclaiming_tail")),
+    Mutant("run-started-at-the-seed",
+           "the running minimum starts from the minimum before the chunk, not from d*",
+           INVARIANTS, "run = np.minimum.accumulate(np.concatenate(((best,), dist)))",
+           "run = np.minimum.accumulate(np.concatenate(((dist.min(initial=best),), dist)))",
+           _t("test_seed_changes_no_outcome_under_an_overclaiming_tail")),
+    Mutant("seed-window-without-margins",
+           "the window at d* keeps the seed's puncture whatever the rounding",
+           INVARIANTS, "kept = kept[x[kept] <= _spread(z, seed, y)]",
+           "kept = kept[x[kept] <= math.asin(min(1.0, (t := math.nextafter(seed, 0.0)) * (1.0 - r * r)"
+           " / (r * (1.0 - t * t))))] if (r := abs(z[0] if isinstance(z, tuple) else z)) else kept",
+           _t("test_seed_keeps_its_puncture_at_the_edge_of_its_window")),
+)
+
+
+def matches() -> dict:
+    """How often each mutant's old text occurs in its file."""
+    return {m.name: (ROOT / m.path).read_text(encoding="utf-8").count(m.old) for m in MUTANTS}
+
+
+# pytest's exit codes: 0 all passed, 1 some test failed; any other code (an
+# import or collection error, a node id not found) kills no mutant
+OUTCOMES = {0: "SURVIVED", 1: "killed"}
+
+
+def _pytest(copy: Path, tests) -> tuple[str, float]:
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+                          cwd=copy, env={**os.environ, "PYTHONPATH": str(copy / "src")},
+                          stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    return OUTCOMES.get(proc.returncode, f"ERROR (pytest exit {proc.returncode})"), time.perf_counter() - t0
+
+
+def main() -> int:
+    argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter).parse_args()
+    bad = {name: n for name, n in matches().items() if n != 1}
+    if bad:
+        for name, n in bad.items():
+            print(f"{name}: old text matches {n} times, expected once")
+        return 1
+
+    t0 = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="mutation-") as tmp:
+        copy = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, copy / part, ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(ROOT / "pyproject.toml", copy / "pyproject.toml")
+        tests = sorted({t for m in MUTANTS for t in m.tests})
+        outcome, seconds = _pytest(copy, tests)
+        print(f"unmutated: {'pass' if outcome == 'SURVIVED' else outcome} ({seconds:.1f} s)")
+        if outcome != "SURVIVED":
+            return 1
+        killed = 0
+        for m in MUTANTS:
+            target = copy / m.path
+            original = target.read_text(encoding="utf-8")
+            target.write_text(original.replace(m.old, m.new), encoding="utf-8")
+            try:
+                outcome, seconds = _pytest(copy, m.tests)
+            finally:
+                target.write_text(original, encoding="utf-8")
+            print(f"{m.name}: {outcome} ({seconds:.1f} s)  [{m.breaks}]")
+            killed += outcome == "killed"
+    print(f"{killed}/{len(MUTANTS)} killed in {time.perf_counter() - t0:.0f} s")
+    return 0 if killed == len(MUTANTS) else 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

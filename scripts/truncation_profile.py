@@ -8,9 +8,10 @@ unconverted and unmeasured included, so near the boundary it falls as the
 window narrows.  ``converted`` counts the punctures the scan converted and
 measured, and ``tails`` the tail bounds m(n) it computed, m(0) included, in
 one more run with counters around the domain's ``puncture`` and
-``tail_lower_bound`` (the scalar head of the scan, its first 8 punctures)
-and ``parts`` and ``tails`` (its numpy chunks); both stay far below
-``stop N`` where the window and the tail skip act.  ``--steps 17``
+``tail_lower_bound`` (the scalar head of the scan, its first 8 punctures,
+and the seed of a chunk's window) and ``parts`` and ``tails`` (its numpy
+chunks); both stay far below ``stop N`` where the window and the tail skip
+act.  ``--steps 17``
 reaches |z| = 1 - 2**-17 and, for p=1, a prefix of about 10^5 punctures."""
 
 import argparse
@@ -25,6 +26,7 @@ from squeezefn.invariants import squeezing_punctured_disk
 FAMILIES = {
     "radial q=0.5": SequencePunctures(family=RadialFamily(q=0.5, theta=1.0)),
     "radial q=0.9": SequencePunctures(family=RadialFamily(q=0.9, theta=1.0)),
+    "radial q=0.99": SequencePunctures(family=RadialFamily(q=0.99, theta=1.0)),
     "orbit c=0.5 p=2": SequencePunctures(family=BoundaryOrbitFamily(c=0.5, p=2.0, theta=2.3)),
     "orbit c=0.5 p=1": SequencePunctures(family=BoundaryOrbitFamily(c=0.5, p=1.0, theta=2.3)),
 }

@@ -14,6 +14,7 @@ automorphism behind the invariance checks.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 # Points with modulus in [1 - 1e-12, 1) are rejected as evaluation anchors:
@@ -41,40 +42,48 @@ def _as_complex(z, what: str = "point") -> complex:
     raise PointError(f"{what} must be a number, got {type(z).__name__}")
 
 
-def require_disk_point(z: complex, what: str = "point") -> complex:
-    z = _as_complex(z, what)
+def _check_disk(z: complex, what: str) -> None:
     if not cmath.isfinite(z):
         # abs(nan) >= 1.0 is False: a NaN would pass the modulus test below
         raise PointError(f"{what} {z!r} is not a finite complex number")
     if abs(z) >= 1.0:
         raise PointError(f"{what} {z!r} is not strictly inside the unit disk")
+
+
+def _check_interior(z: complex, what: str) -> None:
+    if abs(z) >= 1.0 - INTERIOR_MARGIN:
+        raise PointError(
+            f"{what} {z!r} is numerically boundary-adjacent "
+            f"(modulus >= 1 - {INTERIOR_MARGIN:g})"
+        )
+
+
+def require_disk_point(z: complex, what: str = "point") -> complex:
+    z = _as_complex(z, what)
+    _check_disk(z, what)
     return z
 
 
 def require_interior_point(z: complex, what: str = "point") -> complex:
     """Strict interior check used for evaluation anchors and Mobius centers."""
     z = require_disk_point(z, what)
-    if abs(z) >= 1.0 - INTERIOR_MARGIN:
-        raise PointError(
-            f"{what} {z!r} is numerically boundary-adjacent "
-            f"(modulus >= 1 - {INTERIOR_MARGIN:g})"
-        )
+    _check_interior(z, what)
     return z
 
 
 def require_interior_polydisk_point(zs, n: int, what: str = "point") -> tuple[complex, ...]:
-    """Check the coordinate count, then every coordinate against the disk,
-    then every coordinate against the interior margin."""
+    """Convert every coordinate once, check the coordinate count, then every
+    coordinate against the disk, then every coordinate against the interior
+    margin."""
     try:
         zs = tuple(_as_complex(z, f"{what} coordinate {j}") for j, z in enumerate(zs))
     except TypeError:  # not iterable
         raise PointError(f"{what} must be a sequence of {n} numbers, got {type(zs).__name__}") from None
     if len(zs) != n:
         raise PointError(f"{what} has {len(zs)} coordinates, expected {n}")
-    for j, z in enumerate(zs):
-        require_disk_point(z, f"{what} coordinate {j}")
-    for j, z in enumerate(zs):
-        require_interior_point(z, f"{what} coordinate {j}")
+    for check in (_check_disk, _check_interior):
+        for j, z in enumerate(zs):
+            check(z, f"{what} coordinate {j}")
     return zs
 
 
@@ -110,12 +119,21 @@ class MobiusMap:
     rotation: float = 0.0
 
     def __post_init__(self):
+        import numbers  # here, not at import: a numpy-free eval never builds a map
+
+        center, rotation = self.center, self.rotation
+        if not isinstance(rotation, numbers.Real):  # float() would parse a string
+            raise PointError(f"Mobius rotation must be a real number, got {type(rotation).__name__}")
         try:
-            object.__setattr__(self, "center", complex(self.center))
-            object.__setattr__(self, "rotation", float(self.rotation))
+            if isinstance(center, numbers.Number):  # any other center fails require_interior_point
+                center = complex(center)
+            rotation = float(rotation)
         except OverflowError as e:  # an int beyond the float range
             raise PointError(f"Mobius map: {e}") from None
-        require_interior_point(self.center, "Mobius center")
+        if not math.isfinite(rotation):  # its phase would be nan+nanj, and so every image
+            raise PointError(f"Mobius rotation must be finite, got {rotation!r}")
+        object.__setattr__(self, "center", require_interior_point(center, "Mobius center"))
+        object.__setattr__(self, "rotation", rotation)
 
     @property
     def phase(self) -> complex:

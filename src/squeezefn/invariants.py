@@ -13,11 +13,14 @@ family scan that goes on continues in numpy chunks bitwise equal to a
 per-puncture loop, as grid_cells does for every domain of a grid.
 _scan builds a family chunk angle first: it converts and measures only the
 punctures whose angle lies in a candidate window around arg z, out of which
-every puncture is provably farther than the running minimum (_candidates),
+every puncture is provably farther than the window's level (_candidates),
 and computes tails only from the family's certified tail_index of the
 chunk's stop level (_tail_start), below which no tail can stop the scan.
-The window spans about 2(1 - |z|) radians near the boundary and prunes
-nothing at z near 0 or at large angles.
+A value's window is at the least distance of the few punctures nearest
+arg z in angle, where that level lies below the running minimum and no
+stop can fall before them, and otherwise, as for a certificate, at the
+running minimum.  The window spans about 2(1 - |z|) radians near the
+boundary and prunes nothing at z near 0 or at large angles.
 Minima over removed-block boundaries reduce to circle minima, which are closed
 forms with a rounding floor; ball blocks add a branch-and-bound over radius
 profiles.  They carry a mesh error such that the true minimum lies in
@@ -53,6 +56,7 @@ from .hyperbolic import (
     radial_separation_bound,
     require_interior_point,
     require_interior_polydisk_point,
+    rho,
     rho_max,
 )
 
@@ -204,14 +208,12 @@ def _distances(z, re, im):
     return np.maximum(dist, max(map(abs, rest))) if rest else dist
 
 
-def _candidates(z, bound: float, y):
-    """The candidate window of a chunk at z whose running minimum is ``bound``,
-    finite, as the scalar head of the scan measured at least one puncture:
-    the ascending positions of the candidates among the angles y of a
-    family's punctures m e^{iy} (coordinate 0 of a polydisk point; rho_max
-    is at least the distance there).  Every puncture left out has
-    _rho_block distance > bound, so leaving it out changes neither the
-    running minimum, the stop, the floor test nor the argmin.
+def _spread(z, bound: float, y) -> float:
+    """The half-width of the candidate window at a finite level ``bound``
+    around arg z (coordinate 0 of a polydisk point; rho_max is at least the
+    distance there) for a chunk of a family's punctures m e^{iy}: every
+    puncture whose reduced angle (_offsets) exceeds it has _rho_block
+    distance > bound.  inf where every angle is a candidate.
 
     {w : rho(z, w) <= T} for T < 1 is the closed disk of centre
     P = z(1 - T^2)/(1 - T^2 |z|^2) and radius q = T(1 - |z|^2)/(1 - T^2 |z|^2)
@@ -244,9 +246,9 @@ def _candidates(z, bound: float, y):
       2 pi - |x*| >= pi - 3e > h - e, as e < h < 1.  A wider spread, e.g. at
       theta = 1e302, makes every angle a candidate.  |y| is largest at an
       end of the chunk, as y = fl(theta k) is monotone in k.
+    The half-width grows with ``bound``: t, and with it the sine's numerator,
+    grows, and its denominator shrinks.
     """
-    import numpy as np
-
     z0 = z[0] if isinstance(z, tuple) else z
     r = abs(z0)
     kappa = 1.0 - r
@@ -254,13 +256,73 @@ def _candidates(z, bound: float, y):
     sine = (t * (kappa * (1.0 + r)) + 8.0 * _EPS) * (1.0 + 16.0 * _EPS / kappa)
     below = r * ((1.0 - t) * (1.0 + t))
     if not sine < below:  # also T >= 1 and r = 0
-        return np.arange(y.size)
+        return math.inf
     spread = math.asin(sine / below) + 4.0 * _EPS * (max(abs(y[0]), abs(y[-1])) + 12.0)
-    if not spread < 1.0:
-        return np.arange(y.size)
+    return spread if spread < 1.0 else math.inf
+
+
+def _offsets(z, y):
+    """|x| for the angles y: x is y - arg z reduced to about [-pi, pi], as
+    _spread bounds it (arg z of coordinate 0 for a polydisk point)."""
+    import numpy as np
+
+    z0 = z[0] if isinstance(z, tuple) else z
     x = y - math.atan2(z0.imag, z0.real)
     x -= math.tau * np.rint(x * (1.0 / math.tau))
-    return np.flatnonzero(np.abs(x) <= spread)
+    return np.abs(x)
+
+
+def _candidates(domain, z, anchor: float, floor: float, bound: float, examined: int, y):
+    """The candidates of a family chunk a_(examined+1) ... with angles y,
+    given the running minimum ``bound`` before it: their indices, ascending
+    floats (which math.pow takes fastest), and their _distances.  They are
+    the punctures in the window of _spread at min(bound, d*), where d* is a
+    measured distance from z to a puncture a_j of the chunk; every puncture
+    left out is farther than that level.
+
+    The seed: the _GRID_FIRST_CHUNK punctures of the window at ``bound``
+    whose reduced angle is nearest arg z are measured by the scalar kernel
+    of the scan's head (bitwise _distances, as puncture(k) is bitwise the
+    chunk), and d* is the least of their distances, a_j the first puncture
+    at it.  The window at d* keeps every puncture of the chunk at distance
+    <= d*, a_j included.  So the running minimum over the candidates is
+    exact at every n >= j, and at every n < j whose true running minimum is
+    <= d*.  At an n < j with a true running minimum above d*, the
+    candidates' one is at least as high, and a stop there would need
+    m(n) >= _stop_level(anchor, d*), that is n >= _tail_start(d*): with
+    _tail_start(d*) >= j there is no such n.  A floor hit (a distance below
+    ``floor``) is kept, as floor <= d*.  So the stop, the floor test and the
+    argmin are those of measuring every puncture, whether or not the
+    domain's tails bound its moduli.  If the window at d* keeps at most
+    _GRID_FIRST_CHUNK punctures, they are among the nearest angles, and
+    none is measured again.
+
+    The window stays at ``bound`` where that check fails, where the window
+    at ``bound`` keeps at most _GRID_FIRST_CHUNK punctures or every angle,
+    and for a certificate: its running minimum stays just below its floor,
+    the claim, so a seed at or above the floor cannot lower the window and
+    one below it could leave out an earlier floor hit.
+    """
+    import numpy as np
+
+    spread = _spread(z, bound, y)
+    if spread == math.inf and _spread(z, 0.0, y) == math.inf:  # z at or near 0, or huge angles
+        kept = np.arange(y.size)
+    else:
+        x = _offsets(z, y)
+        kept = np.flatnonzero(x <= spread)
+        if kept.size > _GRID_FIRST_CHUNK and floor <= bound:
+            near = kept[np.argpartition(x[kept], _GRID_FIRST_CHUNK)[:_GRID_FIRST_CHUNK]]
+            kernel = rho_max if isinstance(z, tuple) else rho
+            measured = {k: kernel(z, domain.puncture(k)) for k in (near + (examined + 1)).tolist()}
+            seed, j = min((d, k) for k, d in measured.items())
+            if floor <= seed < bound and _tail_start(domain, anchor, seed) >= j:
+                kept = kept[x[kept] <= _spread(z, seed, y)]
+                if kept.size <= _GRID_FIRST_CHUNK:
+                    index = kept + (examined + 1.0)
+                    return index, np.array([measured[k] for k in index.tolist()])
+    index = kept + (examined + 1.0)
+    return index, _distances(z, *domain.parts(index, y[kept])) if index.size else np.empty(0)
 
 
 def _scan(domain, z, anchor: float, floor: float, bound: float = math.inf) -> _Scan:
@@ -278,17 +340,21 @@ def _scan(domain, z, anchor: float, floor: float, bound: float = math.inf) -> _S
     _next_stop).
 
     A family chunk is built angle first.  The angles of the whole chunk give
-    the candidate window that the running minimum before it leaves
-    (_candidates); only the candidates are converted and measured, and the
-    running minimum, floor test and argmin run over them alone.  Every other
-    puncture is provably farther than that minimum, so it changes none of
-    them.  Tails are computed only from _tail_start of the chunk's lowest
-    running minimum: no tail before it can stop the scan.  So values,
-    indices, tails and outcomes are those of measuring every puncture and
-    every tail.  Near the boundary the window spans about 2(1 - |z|)
-    radians, almost nothing is converted, and a chunk that cannot stop
-    computes no tail.  The window prunes nothing at z near 0 and at angles
-    too large to reduce.
+    a candidate window around arg z (_candidates); only the candidates are
+    converted and measured, and the running minimum, floor test and argmin
+    run over them alone.  The window is at the running minimum before the
+    chunk or, for a value, at a seed: the least distance d* of the few
+    punctures whose angle is nearest arg z, where no stop can fall before
+    that puncture (_tail_start(d*) >= its index).  Every other puncture is
+    provably farther than that level, and d* is a window level only: the
+    running minimum still starts from the minimum before the chunk, so the
+    seed changes none of them.  Tails are computed only from _tail_start of
+    the chunk's lowest running minimum: no tail before it can stop the scan.
+    So values, indices, tails and outcomes are those of measuring every
+    puncture and every tail.  Near the boundary the window spans about
+    2(1 - |z|) radians, almost nothing is converted, and a chunk that cannot
+    stop computes no tail.  The window prunes nothing at z near 0 and at
+    angles too large to reduce.
     """
     if domain.family is None:
         tails = itertools.chain(itertools.repeat(0.0, len(domain.prefix) - 1), (domain.tail_constant,))
@@ -307,9 +373,7 @@ def _scan(domain, z, anchor: float, floor: float, bound: float = math.inf) -> _S
     stop = _next_stop(examined, _tail_start(domain, anchor, best))
     while True:
         y = domain.family.angles(examined, stop)
-        kept = _candidates(z, best, y)
-        index = kept + (examined + 1.0)  # as floats, which math.pow takes fastest
-        dist = _distances(z, *domain.parts(index, y[kept])) if index.size else np.empty(0)
+        index, dist = _candidates(domain, z, anchor, floor, best, examined, y)
         run = np.minimum.accumulate(np.concatenate(((best,), dist)))  # after 0, 1, ... candidates
         reach = _tail_start(domain, anchor, float(run[-1]))
         # tails from reach on: first up to just past the candidate that set the

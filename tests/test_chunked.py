@@ -4,6 +4,7 @@ and against a per-puncture reference loop kept here."""
 import cmath
 import math
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,8 +36,12 @@ from squeezefn.invariants import (
     CertificationError,
     InvariantValue,
     _candidates,
+    _next_stop,
+    _offsets,
     _rho_block,
+    _spread,
     _stop_level,
+    _tail_start,
     _tail_stops,
     lower_bound_certificate,
     polydisk_squeezing_punctured,
@@ -334,10 +339,8 @@ def test_deep_reference_points_are_pinned(doc, z, value, index, tail, attained):
 
 
 def left_out(z, bound, y):
-    """Mask of the chunk positions that _candidates leaves out."""
-    kept = np.zeros(y.size, dtype=bool)
-    kept[_candidates(z, bound, y)] = True
-    return ~kept
+    """Mask of the chunk positions that the window at ``bound`` leaves out."""
+    return _offsets(z, y) > _spread(z, bound, y)
 
 
 def window_case(family, start, width, z):
@@ -638,3 +641,184 @@ def test_certificates_stop_inside_and_just_past_the_head(doc, z):
         got = certificate(domain, z, claimed)
         assert got == reference_certificate(domain, z, claimed)
         assert got[0] and got[3].startswith(f"examined {stop} punctures;"), (claimed, got)
+
+
+# --- the seeded window of a value scan ----------------------------------------
+
+RING = [cmath.rect(0.99, 2.0 * math.pi * (i + offset) / 8) for offset in (0.0, 0.5) for i in range(8)]
+
+
+@pytest.mark.parametrize("z", RING, ids=[f"ring-{i}" for i in range(len(RING))])
+def test_ring_points_match_the_per_puncture_loop(z):
+    # the deep workload's ring at |z| = 0.99: a value's window is at its seed
+    check_against_reference(parse_domain_spec(RADIAL_Q099), z)
+
+
+def converted(domain, evaluate) -> int:
+    """Punctures converted by one evaluation: chunk parts and scalar punctures
+    (the scan's head and a seed), as scripts/truncation_profile.py counts them."""
+    count = [0]
+    cls = type(domain)
+    convert, point = cls.parts, cls.puncture
+
+    def parts(self, index, y):
+        count[0] += len(index)
+        return convert(self, index, y)
+
+    def puncture(self, k):
+        count[0] += 1
+        return point(self, k)
+
+    with mock.patch.multiple(cls, parts=parts, puncture=puncture):
+        evaluate()
+    return count[0]
+
+
+@pytest.mark.parametrize("z", [complex(-0.99, 0.0)] + RING, ids=["ref"] + [f"ring-{i}" for i in range(len(RING))])
+def test_a_ring_value_converts_about_what_its_certificate_does(z):
+    # the seed measures HEAD punctures and its window reuses them; the
+    # certificate's window is at its claim, the value
+    domain = parse_domain_spec(RADIAL_Q099)
+    value = squeezing_punctured_disk(domain, z).value
+    by_value = converted(domain, lambda: squeezing_punctured_disk(domain, z))
+    by_certificate = converted(domain, lambda: lower_bound_certificate(domain, z, value))
+    assert by_value <= by_certificate + HEAD, (by_value, by_certificate)
+
+
+def first_chunk(domain, z):
+    """The running minimum after a value scan's scalar head at z and the
+    angles of its first numpy chunk."""
+    best = min(rho(z, domain.puncture(k)) for k in range(1, HEAD + 1))
+    stop = _next_stop(HEAD, _tail_start(domain, abs(z), best))
+    return best, domain.family.angles(HEAD, stop)
+
+
+def radially_inside(domain, j, t):
+    """A point on the ray of a_j, inside it: a_j is nearest arg z and at a
+    distance whose stop level lies just above |a_j| = m(j - 1), so the
+    certified _tail_start of that distance is below j."""
+    return domain.puncture(j) * (1.0 - t)
+
+
+RADIAL_Q099_DOMAIN = parse_domain_spec(RADIAL_Q099)
+P1_DOMAIN = parse_domain_spec(P1)
+LOOSE_Q099 = LooseTailIndex(family=RADIAL_Q099_DOMAIN.family)
+FIRST_CHUNKS = [  # (domain, z, seeded)
+    (RADIAL_Q099_DOMAIN, complex(-0.99, 0.0), True),
+    (P1_DOMAIN, complex(-0.999, 0.0), True),
+    (RADIAL_Q099_DOMAIN, RING[3], True),
+    (LOOSE_Q099, complex(-0.99, 0.0), False),
+    (RADIAL_Q099_DOMAIN, radially_inside(RADIAL_Q099_DOMAIN, 120, 1e-3), False),
+    (RADIAL_Q099_DOMAIN, radially_inside(RADIAL_Q099_DOMAIN, 240, 1e-2), False),
+    (P1_DOMAIN, radially_inside(P1_DOMAIN, 60, 1e-3), False),
+]
+
+
+@pytest.mark.parametrize("domain, z, seeded", FIRST_CHUNKS, ids=[
+    "radial", "p1", "ring", "loose-radial", "inside-a120", "inside-a240", "p1-inside-a60"])
+def test_seed_window_or_the_window_at_the_running_minimum(domain, z, seeded):
+    # the first numpy chunk of a value scan: the window at the seed d* keeps
+    # fewer punctures than the one at the running minimum; where a stop could
+    # fall before the seed's puncture (_tail_start(d*) < its index: a loose
+    # tail_index, or z on the ray of that puncture) the window stays at the
+    # running minimum
+    best, y = first_chunk(domain, z)
+    index, dist = _candidates(domain, z, abs(z), COLLISION_EPS, best, HEAD, y)
+    at_best = np.flatnonzero(_offsets(z, y) <= _spread(z, best, y)) + (HEAD + 1.0)
+    assert at_best.size > HEAD
+    if seeded:
+        assert set(index.tolist()) < set(at_best.tolist())
+    else:
+        assert index.tolist() == at_best.tolist()
+    assert [bits(float(d)) for d in dist] == [bits(rho(z, domain.puncture(int(k)))) for k in index]
+    check_against_reference(domain, z)
+
+
+@pytest.mark.parametrize("doc, j", [(RADIAL_Q099, j) for j in (30, 60, 120, 240)] + [(P1, 30), (P1, 60)],
+                         ids=[f"radial-a{j}" for j in (30, 60, 120, 240)] + ["p1-a30", "p1-a60"])
+@pytest.mark.parametrize("t", [1e-3, 1e-2])
+def test_points_radially_inside_a_puncture_match_the_per_puncture_loop(doc, j, t):
+    domain = parse_domain_spec(doc)
+    z = radially_inside(domain, j, t)
+    got = squeezing_punctured_disk(domain, z)
+    assert got.attained_index == got.truncation_index == j
+    check_against_reference(domain, z)
+
+
+class OverclaimingTail(SequencePunctures):
+    """A family domain whose tail bounds run SHIFT indices ahead of its
+    moduli, m'(n) = m(n + SHIFT), with a tail_index to match: its stop rule is
+    unsound, and its punctures past a stop may come closer than the value.
+    The scan must still give what the per-puncture loop gives, which stops
+    by the same rule: a seed past such a stop must not move the window."""
+
+    SHIFT = 200
+
+    def tail_lower_bound(self, examined):
+        return super().tail_lower_bound(examined + self.SHIFT)
+
+    def tails(self, start, stop):
+        return super().tails(start + self.SHIFT, stop + self.SHIFT)
+
+    def tail_index(self, level):
+        return max(0, super().tail_index(level) - self.SHIFT)
+
+
+class OverclaimingByFifty(OverclaimingTail):
+    SHIFT = 50
+
+
+@pytest.mark.parametrize("domain, z", [(OverclaimingTail(family=RADIAL_Q099_DOMAIN.family), z) for z in RING[:8]]
+                         + [(OverclaimingByFifty(family=P1_DOMAIN.family), z) for z in RING[4:8]],
+                         ids=[f"radial-ring-{i}" for i in range(8)] + [f"p1-ring-{i}" for i in range(4, 8)])
+def test_seed_changes_no_outcome_under_an_overclaiming_tail(domain, z):
+    check_against_reference(domain, z)
+
+
+TANGENT_INDICES = (47, 61, 89, 152, 215, 285)
+
+
+def on_the_window_edge(domain, j, side, s=0.05):
+    """A point at distance s from a_j whose ray from 0 through a_j is tangent
+    to {w : rho(z, w) <= s} at a_j: z is the point at distance s along the
+    geodesic through a_j orthogonal to its diameter, so a_j is nearest z on
+    that diameter and lies on the edge of its own candidate window."""
+    w = domain.puncture(j)
+    u = side * 1j * s * w / abs(w)
+    return (u + w) / (1.0 + w.conjugate() * u)
+
+
+@pytest.mark.parametrize("side", [1, -1])
+@pytest.mark.parametrize("j", TANGENT_INDICES)
+def test_seed_keeps_its_puncture_at_the_edge_of_its_window(j, side):
+    # the window at d* = rho(z, a_j) must keep a_j itself, which needs its
+    # rounding margins: a_j lies where the window's edge touches the disk
+    z = on_the_window_edge(RADIAL_Q099_DOMAIN, j, side)
+    got = squeezing_punctured_disk(RADIAL_Q099_DOMAIN, z)
+    assert got.attained_index == j and abs(got.value - 0.05) < 1e-12
+    check_against_reference(RADIAL_Q099_DOMAIN, z)
+
+
+near_boundary_domains = st.sampled_from([  # (domain, largest u): the reference loop's cost bounds u
+    (parse_domain_spec(dict(RADIAL_Q099, q=0.9)), 5.0),
+    (RADIAL_Q099_DOMAIN, 4.0),
+    (P1_DOMAIN, 3.0),
+    (parse_domain_spec(P2), 5.0),
+    (parse_domain_spec(dict(P2, theta=1e302)), 4.0),
+    (parse_domain_spec(HUGE_P1), 3.0),
+    (PolySequencePunctures(n=2, family=RadialFamily(q=0.99, theta=1.0)), 4.0),
+    (PolySequencePunctures(n=3, family=RadialFamily(q=0.9, theta=2.3)), 5.0),
+])
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(near_boundary_domains, st.floats(0.0, 1.0), st.floats(-math.pi, math.pi),
+       st.floats(0.0, 0.9), st.floats(-math.pi, math.pi))
+def test_near_boundary_values_match_the_per_puncture_loop(case, share, arg, other, other_arg):
+    # |z| = 1 - 10**-u with u from 1 up to the case's bound: values are
+    # seeded, certificates are not
+    domain, u_max = case
+    z = cmath.rect(1.0 - 10.0 ** -(1.0 + share * (u_max - 1.0)), arg)
+    if isinstance(domain, PolySequencePunctures):
+        z = (z,) + (cmath.rect(other, other_arg),) * (domain.n - 1)
+    check_against_reference(domain, z)

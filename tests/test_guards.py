@@ -243,6 +243,33 @@ def test_mobius_map_rejects_integers_beyond_the_float_range(center, rotation):
         MobiusMap(center, rotation)
 
 
+@pytest.mark.parametrize("center, rotation, message", [
+    ("0.5+0.1j", 0.0, "Mobius center must be a number, got str"),
+    (None, 0.0, "Mobius center must be a number, got NoneType"),
+    ([0.5, 0.1], 0.0, "Mobius center must be a number, got list"),
+    (0.5, "1.5", "Mobius rotation must be a real number, got str"),
+    (0.5, None, "Mobius rotation must be a real number, got NoneType"),
+    (0.5, [1.5], "Mobius rotation must be a real number, got list"),
+    (0.5, 1.5j, "Mobius rotation must be a real number, got complex"),
+    (0.5, math.inf, "Mobius rotation must be finite, got inf"),
+    (0.5, -math.inf, "Mobius rotation must be finite, got -inf"),
+    (0.5, math.nan, "Mobius rotation must be finite, got nan"),
+], ids=["center-string", "center-none", "center-list", "rotation-string", "rotation-none",
+        "rotation-list", "rotation-complex", "rotation-inf", "rotation-minus-inf", "rotation-nan"])
+def test_mobius_map_rejects_a_center_or_rotation_that_is_not_a_finite_number(center, rotation, message):
+    with raises_exactly(PointError, message):
+        MobiusMap(center, rotation)
+
+
+def test_mobius_map_takes_numpy_scalars():
+    import numpy as np
+
+    expected = MobiusMap(0.25 + 0.5j, 1.5)
+    assert MobiusMap(np.complex128(0.25 + 0.5j), np.float64(1.5)) == expected
+    assert MobiusMap(np.complex128(0.25 + 0.5j), np.float32(1.5))(0.1j) == expected(0.1j)
+    assert MobiusMap(np.float64(0.25), np.int64(2)) == MobiusMap(0.25, 2.0)
+
+
 ORIGIN_POLYDISKS = RemovedPolydisks(n=2, blocks=(ORIGIN_BLOCK,))
 
 
