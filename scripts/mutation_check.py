@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Mutation check of the certified single-point scan: each mutant in MUTANTS
-breaks one property that a certificate or the byte-identity of outputs rests
-on, and the tests it names must fail on it.
+"""Mutation check of the certified single-point scan and of the verification
+oracles: each mutant in MUTANTS breaks one property that a certificate, an
+oracle or the byte-identity of outputs rests on, and the tests it names must
+fail on it.
 
 The script copies src/, tests/ and pyproject.toml to a temporary directory,
 runs the named tests of every mutant there unmutated (they must pass), then
@@ -34,6 +35,7 @@ ROOT = Path(__file__).resolve().parent.parent
 INVARIANTS = "src/squeezefn/invariants.py"
 DOMAINS = "src/squeezefn/domains.py"
 CHUNKED = "tests/test_chunked.py"
+VERIFICATION = "src/squeezefn/verification.py"
 
 
 class Mutant(NamedTuple):
@@ -103,6 +105,18 @@ MUTANTS = (
            "kept = kept[x[kept] <= math.asin(min(1.0, (t := math.nextafter(seed, 0.0)) * (1.0 - r * r)"
            " / (r * (1.0 - t * t))))] if (r := abs(z[0] if isinstance(z, tuple) else z)) else kept",
            _t("test_seed_keeps_its_puncture_at_the_edge_of_its_window")),
+    Mutant("oracle-last-partial-block-dropped", "an oracle's block walk covers its whole grid",
+           VERIFICATION, "for start in range(0, rows, step):",
+           "for start in range(0, rows - step + 1, step):",
+           ("tests/test_oracles.py::test_closed_disk_oracle_is_bitwise_the_full_grid_minimum",
+            "tests/test_oracles.py::test_boundary_oracle_is_bitwise_the_full_grid_minimum")),
+    Mutant("oracle-block-offset-off-by-one", "each block starts at the row after the last block's",
+           VERIFICATION, "np.arange(start, stop)", "np.arange(start + 1, stop + 1)",
+           ("tests/test_oracles.py::test_closed_disk_oracle_is_bitwise_the_full_grid_minimum",
+            "tests/test_oracles.py::test_boundary_oracle_is_bitwise_the_full_grid_minimum")),
+    Mutant("prefix-sliced-one-short", "the truncation suite's brute force covers its whole range",
+           VERIFICATION, "for a in prefix[:count])", "for a in prefix[:count - 1])",
+           ("tests/test_verification.py::test_prefix_infimum_is_the_brute_force_at_every_count",)),
 )
 
 

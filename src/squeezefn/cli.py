@@ -14,8 +14,8 @@ import math
 import sys
 from dataclasses import dataclass
 
+from . import SUITES
 from . import invariants as inv
-from . import verification as ver
 from .domains import (
     Annulus,
     DomainError,
@@ -224,6 +224,8 @@ def cmd_grid(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verification as ver  # loaded here: no other command runs it
+
     reports = ver.run_suite(args.suite, seed=args.seed, trials=args.trials,
                             samples=args.samples)
     if args.format == "json":
@@ -265,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", required=True, choices=ver.SUITES)
+    p.add_argument("--suite", required=True, choices=SUITES)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--samples", type=int, default=250_000)

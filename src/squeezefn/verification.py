@@ -28,6 +28,7 @@ from .domains import (
     _shown,
 )
 from .hyperbolic import MobiusMap, radial_separation_bound, rho, rho_max
+from . import SUITES
 from . import invariants as inv
 
 
@@ -119,11 +120,64 @@ def brute_force_infimum(domain, z, count: int) -> float:
     return min(dist(z, domain.puncture(k)) for k in range(1, count + 1))
 
 
+def _prefix_infimum(prefix: list, domain: SequencePunctures, z, count: int) -> float:
+    """brute_force_infimum(domain, z, count), over ``prefix``, a list of the
+    domain's first punctures, which it first extends to ``count`` points."""
+    prefix += [domain.puncture(k) for k in range(len(prefix) + 1, count + 1)]
+    return min(rho(z, a) for a in prefix[:count])
+
+
 def _pow2_axis(budget: int, axes: int) -> int:
     # largest power of two m with m^axes <= budget; nested under doubling budgets
     if budget < 2**axes:
         return 2
     return 1 << (int(math.log2(budget)) // axes)
+
+
+# Largest sample budget of an oracle, and of verify's --samples.  The oracles
+# walk their grids in blocks of _ORACLE_BLOCK points, so memory does not grow
+# with the budget; time does, linearly: in process, the boundary-oracle suite
+# takes about 40 ms at the default 250k samples and 0.5 s at this limit.
+MAX_ORACLE_SAMPLES = 4_000_000
+_ORACLE_BLOCK = 1 << 16
+
+
+def _check_budget(what: str, samples) -> None:
+    try:
+        whole = samples == math.floor(samples)  # NaN, infinities and non-numbers raise
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not whole:
+        raise DomainError(f"{what} samples must be a finite integer, got {_shown(samples)}")
+    if samples > MAX_ORACLE_SAMPLES:
+        raise DomainError(f"{what} samples above the limit {MAX_ORACLE_SAMPLES}")
+
+
+def _grid_min(axes, value) -> float:
+    """Minimum of ``value`` over the product grid of the 1-D arrays ``axes``.
+
+    The grid is walked in C order, in blocks of whole rows (along the last
+    axis), or of parts of one row, of at most _ORACLE_BLOCK points.  ``value``
+    gets a block's coordinates as flat contiguous arrays, the layout that
+    np.meshgrid gives the whole grid, and maps each point to its value by
+    elementwise operations, so every point's value is bitwise the one it takes
+    on the whole grid at once.
+    """
+    import numpy as np
+
+    *lead, last = axes
+    shape = tuple(len(a) for a in lead)
+    rows, cols = math.prod(shape), len(last)
+    step, width = max(1, _ORACLE_BLOCK // cols), min(cols, _ORACLE_BLOCK)
+    mins = []
+    for start in range(0, rows, step):
+        stop = min(start + step, rows)
+        index = np.unravel_index(np.arange(start, stop), shape) if shape else ()
+        for col in range(0, cols, width):
+            part = last[col:col + width]
+            points = [np.repeat(a[i], len(part)) for a, i in zip(lead, index)]
+            mins.append(value(*points, np.tile(part, stop - start)).min())
+    return float(np.min(mins))
 
 
 def _rho_np(z: complex, w: np.ndarray) -> np.ndarray:
@@ -137,14 +191,23 @@ def boundary_min_oracle(block: Block, z, samples: int, geometry: str = "polydisk
     of the block boundary.
 
     Grids are anchored at angle 0 and nest under doubling sample budgets, so
-    the value is nonincreasing along a doubling schedule.
+    the value is nonincreasing along a doubling schedule.  ``samples`` must be
+    a whole number from 1000 to MAX_ORACLE_SAMPLES.
     """
     import numpy as np
 
+    _check_budget("boundary oracle", samples)
     if samples < 1_000:
         raise DomainError(f"boundary oracle needs samples >= 1000, got {_shown(samples)}")
     n = len(block.center)
     r = block.radius
+
+    def coordinate_max(*w):
+        g = _rho_np(z[0], w[0])
+        for j in range(1, n):
+            np.maximum(g, _rho_np(z[j], w[j]), out=g)
+        return g
+
     if geometry == "polydisk":
         axes = 1 + 2 * (n - 1)
         m = _pow2_axis(max(samples // n, 2), axes)
@@ -152,37 +215,28 @@ def boundary_min_oracle(block: Block, z, samples: int, geometry: str = "polydisk
         radii = np.arange(m + 1) / m
         rim = np.exp(1j * angles)                       # unit circle sample
         disk = (radii[:, None] * rim[None, :]).ravel()  # unit disk sample
-        best = math.inf
-        for i in range(n):
-            coords = []
-            for j in range(n):
-                base = rim if j == i else disk
-                coords.append(block.center[j] + r * base)
-            mesh = np.meshgrid(*coords, indexing="ij")
-            g = _rho_np(z[0], mesh[0])
-            for j in range(1, n):
-                np.maximum(g, _rho_np(z[j], mesh[j]), out=g)
-            best = min(best, float(g.min()))
-        return best
+        # face i: coordinate i on its circle, the others in their disks
+        return min(math.inf, *(_grid_min([block.center[j] + r * (rim if j == i else disk)
+                                          for j in range(n)], coordinate_max)
+                               for i in range(n)))
     if geometry == "ball":
         axes = 2 * n - 1
         m = _pow2_axis(samples, axes)
         polar = np.pi * np.arange(m + 1) / m
         azimuth = 2.0 * np.pi * np.arange(m) / m
-        grids = np.meshgrid(*([polar] * (axes - 1) + [azimuth]), indexing="ij")
-        # hyperspherical coordinates on the unit (2n-1)-sphere
-        x = []
-        sin_prod = np.ones_like(grids[0])
-        for t in grids:
-            x.append(sin_prod * np.cos(t))
-            sin_prod = sin_prod * np.sin(t)
-        x.append(sin_prod)
-        g = None
-        for j in range(n):
-            w = block.center[j] + r * (x[2 * j] + 1j * x[2 * j + 1])
-            d = _rho_np(z[j], w)
-            g = d if g is None else np.maximum(g, d, out=g)
-        return float(g.min())
+
+        def on_sphere(*angles):
+            # hyperspherical coordinates on the unit (2n-1)-sphere
+            x = []
+            sin_prod = np.ones_like(angles[0])
+            for t in angles:
+                x.append(sin_prod * np.cos(t))
+                sin_prod = sin_prod * np.sin(t)
+            x.append(sin_prod)
+            return coordinate_max(*(block.center[j] + r * (x[2 * j] + 1j * x[2 * j + 1])
+                                    for j in range(n)))
+
+        return _grid_min([polar] * (axes - 1) + [azimuth], on_sphere)
     raise DomainError(f"unknown block geometry {geometry!r}")
 
 
@@ -193,8 +247,7 @@ def _closed_disk_min_oracle(z: complex, radius: float, samples: int) -> float:
     m = max(2, 1 << math.ceil(math.log2(math.sqrt(max(samples, 4)))))
     t = np.arange(m + 1) / m
     phi = 2.0 * np.pi * np.arange(m) / m
-    w = radius * t[:, None] * np.exp(1j * phi[None, :])
-    return float(_rho_np(z, w).min())
+    return _grid_min([radius * t, np.exp(1j * phi)], lambda rt, rim: _rho_np(z, rt * rim))
 
 
 def annulus_compact_removal_gap(samples: int = 1_000_000) -> inv.VerificationOutcome:
@@ -204,8 +257,10 @@ def annulus_compact_removal_gap(samples: int = 1_000_000) -> inv.VerificationOut
     The minimum of rho(1/2, .) over the closed disk |w| <= 1/4 is 2/7
     (attained at w = 1/4); the annulus value at 1/2 is 1/2.  The positive gap
     3/14 shows the compact-removal formula does not extend to this planar
-    domain.  The disk minimum is confirmed by a dense polar sample.
+    domain.  The disk minimum is confirmed by a dense polar sample of about
+    ``samples`` points, a whole number up to MAX_ORACLE_SAMPLES.
     """
+    _check_budget("disk oracle", samples)
     analytic = rho(complex(0.5), complex(0.25))
     sampled = _closed_disk_min_oracle(complex(0.5), 0.25, samples)
     annulus_val = inv.annulus_squeezing(Annulus(0.25), complex(0.5))
@@ -260,7 +315,11 @@ def invariance_suite(trials: int = 1000, seed: int = 42) -> list[VerificationRep
 
 def truncation_suite(trials: int = 100, seed: int = 7) -> list[VerificationReport]:
     """Certified truncation equals brute force over a strictly larger index
-    range, and the recorded tail bound strictly exceeds the returned value."""
+    range, and the recorded tail bound strictly exceeds the returned value.
+
+    The brute force is brute_force_infimum's, with no tail bound and no early
+    stop, but each domain's punctures are generated once, into a prefix that
+    grows to the largest range of its trials."""
     if trials < 1:
         raise DomainError(f"truncation suite needs trials >= 1, got {_shown(trials)}")
     _require_finite("truncation suite", trials=trials)  # str() below refuses huge ints
@@ -272,11 +331,12 @@ def truncation_suite(trials: int = 100, seed: int = 7) -> list[VerificationRepor
     width = len(str(trials - 1))
     reports = []
     for name, domain in domains:
+        prefix = []
         for t in range(trials):
             z = rng.disk_point(0.9)
             res = inv.squeezing_punctured_disk(domain, z)
             count = max(10 * res.truncation_index, res.truncation_index + 1000)
-            oracle = brute_force_infimum(domain, z, count)
+            oracle = _prefix_infimum(prefix, domain, z, count)
             tail = radial_separation_bound(res.tail_bound_used, abs(z))
             ok = oracle == res.value and tail > res.value
             reports.append(VerificationReport(
@@ -418,12 +478,6 @@ def claims_suite(seed: int = 42) -> list[VerificationReport]:
     return sorted(reports, key=lambda r: r.check_name)
 
 
-SUITES = ("paper-claims", "invariance", "truncation", "boundary-oracle", "all")
-
-# Largest --samples for the boundary-oracle suite.  Its sample arrays grow
-# linearly with the budget: the suite peaks at 34 MB resident at the default
-# 250k samples and at about 290 MB at this limit, 16 times the default.
-MAX_ORACLE_SAMPLES = 4_000_000
 MIN_ORACLE_SAMPLES = 4_000  # the doubling check gives the oracle a quarter; it needs 1000
 
 
@@ -431,8 +485,7 @@ def run_suite(name: str, seed: int = 42, trials: int | None = None,
               samples: int = 250_000) -> list[VerificationReport]:
     """Run one suite, or all of them; ``trials`` None means each suite's
     default count."""
-    if samples > MAX_ORACLE_SAMPLES:
-        raise DomainError(f"boundary oracle samples above the limit {MAX_ORACLE_SAMPLES}")
+    _check_budget("boundary oracle", samples)
     if samples < MIN_ORACLE_SAMPLES:
         raise DomainError(f"boundary oracle needs samples >= {MIN_ORACLE_SAMPLES}, got {_shown(samples)}")
     counts = {} if trials is None else {"trials": trials}

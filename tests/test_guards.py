@@ -38,7 +38,13 @@ from squeezefn.invariants import (
     removed_block_display_formula,
     squeezing_punctured_disk,
 )
-from squeezefn.verification import brute_force_infimum, run_suite
+from squeezefn.verification import (
+    MAX_ORACLE_SAMPLES,
+    annulus_compact_removal_gap,
+    boundary_min_oracle,
+    brute_force_infimum,
+    run_suite,
+)
 
 BLOCK_CLASSES = [RemovedPolydisks, RemovedBalls]
 ORIGIN_BLOCK = Block((0j, 0j), 0.25)
@@ -305,6 +311,47 @@ ORIGIN_POLYDISKS = RemovedPolydisks(n=2, blocks=(ORIGIN_BLOCK,))
 def test_entry_points_do_not_print_integers_beyond_the_str_limit(build, message):
     with raises_exactly(DomainError, f"{message}, got an integer too large for a float"):
         build()
+
+
+def disk_oracle(samples):
+    return lambda: annulus_compact_removal_gap(samples=samples)
+
+
+def ball_oracle(samples):
+    return lambda: boundary_min_oracle(ORIGIN_BLOCK, (0.5 + 0j, 0j), samples, "ball")
+
+
+@pytest.mark.parametrize("build, message", [
+    # before the budgets were checked: MemoryError (16 TiB), OverflowError,
+    # ValueError and MemoryError (4 TiB); with the oracles' grids walked in
+    # bounded blocks, 10**12 samples would run for hours
+    (disk_oracle(10**12), "disk oracle samples above the limit 4000000"),
+    (disk_oracle(HUGE), "disk oracle samples above the limit 4000000"),
+    (disk_oracle(HUGER), "disk oracle samples above the limit 4000000"),
+    (disk_oracle(MAX_ORACLE_SAMPLES + 1), "disk oracle samples above the limit 4000000"),
+    (disk_oracle(math.nan), "disk oracle samples must be a finite integer, got nan"),
+    (disk_oracle(math.inf), "disk oracle samples must be a finite integer, got inf"),
+    (disk_oracle(1e6 + 0.5), "disk oracle samples must be a finite integer, got 1000000.5"),
+    (ball_oracle(10**12), "boundary oracle samples above the limit 4000000"),
+    (ball_oracle(HUGE), "boundary oracle samples above the limit 4000000"),
+    (ball_oracle(math.nan), "boundary oracle samples must be a finite integer, got nan"),
+    (ball_oracle(-math.inf), "boundary oracle samples must be a finite integer, got -inf"),
+    (ball_oracle(-HUGER), "boundary oracle needs samples >= 1000, got an integer too large for a float"),
+    (lambda: run_suite("paper-claims", samples=math.nan),
+     "boundary oracle samples must be a finite integer, got nan"),
+], ids=["disk-1e12", "disk-huge", "disk-huger", "disk-limit", "disk-nan", "disk-inf",
+        "disk-fraction", "ball-1e12", "ball-huge", "ball-nan", "ball-minus-inf",
+        "ball-minus-huger", "suite-nan"])
+def test_oracle_budgets_are_finite_integers_up_to_the_limit(build, message):
+    with raises_exactly(DomainError, message):
+        build()
+
+
+def test_oracle_budgets_take_whole_floats_and_numpy_integers():
+    import numpy as np
+    assert annulus_compact_removal_gap(samples=4000.0) == annulus_compact_removal_gap(samples=4000)
+    assert (boundary_min_oracle(ORIGIN_BLOCK, (0.5 + 0j, 0j), np.int64(4000), "ball")
+            == boundary_min_oracle(ORIGIN_BLOCK, (0.5 + 0j, 0j), 4000, "ball"))
 
 
 FINITE_PAIR = FinitePunctures((0.5 + 0j, 0.5j))

@@ -1,5 +1,7 @@
 """Start-up imports: numpy loads only where a batched kernel or an oracle runs.
 A family scan loads it only past its scalar head (the first 8 punctures).
+Each submodule of squeezefn loads on first use: a domain parse loads only
+domains and hyperbolic, and only verify loads verification.
 
 pytest itself imports numpy, so every check runs in a fresh interpreter.
 """
@@ -82,6 +84,90 @@ def test_import_and_parse_load_no_numpy():
         for doc in {list(DOCS.values())!r}:
             parse_domain_spec(doc)
         assert "numpy" not in sys.modules, "numpy was imported"
+    """)
+    assert proc.returncode == 0, proc.stderr
+
+
+# the public names of squeezefn, each resolved from its submodule on first use
+PUBLIC_NAMES = {
+    "Annulus", "Block", "BoundaryOrbitFamily", "DomainError", "FinitePunctures",
+    "PolySequencePunctures", "ProductOfBalls", "RadialBlockFamily", "RadialFamily", "RemovedBalls",
+    "RemovedPolydisks", "SequencePunctures", "parse_domain_spec", "serialize_domain_spec",
+    "MobiusMap", "PointError", "radial_separation_bound",
+    "CertificationError", "InvariantValue", "VerificationOutcome", "annulus_squeezing",
+    "fridman_caratheodory_punctured_disk", "lower_bound_certificate", "polydisk_squeezing_punctured",
+    "polydisk_squeezing_removed_blocks", "product_of_balls_T_lower_bound",
+    "product_of_balls_ratio_contradiction", "product_of_balls_squeezing",
+    "removed_block_display_formula", "squeezing_punctured_disk",
+    "Lcg", "VerificationReport", "annulus_compact_removal_gap", "boundary_min_oracle",
+    "brute_force_infimum", "run_suite",
+}
+SUBMODULES = ("cli", "domains", "hyperbolic", "invariants", "verification")
+
+
+def test_import_and_parse_load_only_domains_and_hyperbolic():
+    proc = run_python(f"""
+        import sys
+        import squeezefn
+        for doc in {list(DOCS.values())!r}:
+            squeezefn.parse_domain_spec(doc)
+        loaded = sorted(m for m in sys.modules if m.startswith("squeezefn"))
+        assert loaded == ["squeezefn", "squeezefn.domains", "squeezefn.hyperbolic"], loaded
+    """)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_only_verify_loads_verification(docs_dir, tmp_path):
+    argvs = [eval_argv(docs_dir, *case) for case in NUMPY_FREE_EVALS]
+    argvs += [eval_argv(docs_dir, "orbit_p1", "-0.99,0", "squeezing", []),
+              ["compare", "--domain", str(docs_dir / "sequence_radial.json"), "--point=0.1,0.2"],
+              ["grid", "--domain", str(docs_dir / "sequence_orbit.json"), "--rect=-0.9,0.9,-0.9,0.9",
+               "--res=5,5", "--output", str(tmp_path / "grid.csv")]]
+    verify = ["verify", "--suite", "boundary-oracle", "--samples", "4000"]
+    proc = run_python(f"""
+        import sys
+        from squeezefn.cli import main
+        for argv in {argvs!r}:
+            assert main(argv) == 0, argv
+            assert "squeezefn.verification" not in sys.modules, argv
+        assert main({verify!r}) == 0
+        assert "squeezefn.verification" in sys.modules
+    """)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_public_names_resolve_to_their_submodules_objects():
+    proc = run_python(f"""
+        import importlib, sys
+        import squeezefn
+        assert set(squeezefn.__all__) == {PUBLIC_NAMES!r}, squeezefn.__all__
+        assert len(squeezefn.__all__) == len(set(squeezefn.__all__))
+        for name in squeezefn.__all__:
+            value = getattr(squeezefn, name)
+            assert value is getattr(sys.modules[value.__module__], name), name
+            assert value.__module__.startswith("squeezefn."), name
+        for name in {SUBMODULES!r}:
+            assert getattr(squeezefn, name) is importlib.import_module("squeezefn." + name), name
+    """)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_unknown_attributes_raise_attribute_error():
+    proc = run_python("""
+        import squeezefn
+        try:
+            squeezefn.nosuch
+        except AttributeError as e:
+            assert str(e) == "module 'squeezefn' has no attribute 'nosuch'", e
+        else:
+            raise AssertionError("no AttributeError")
+        assert not hasattr(squeezefn, "_rho_np")
+        try:
+            from squeezefn import nosuch
+        except ImportError:
+            pass
+        else:
+            raise AssertionError("no ImportError")
     """)
     assert proc.returncode == 0, proc.stderr
 

@@ -1,13 +1,18 @@
+import hashlib
 import json
 
 import pytest
 
+from squeezefn.cli import main
 from squeezefn.domains import (
+    BoundaryOrbitFamily,
     DomainError,
     FinitePunctures,
     RadialFamily,
     SequencePunctures,
 )
+from squeezefn.hyperbolic import radial_separation_bound
+from squeezefn.invariants import squeezing_punctured_disk
 from squeezefn.verification import (
     Lcg,
     boundary_oracle_suite,
@@ -18,6 +23,8 @@ from squeezefn.verification import (
     reports_to_json,
     run_suite,
     truncation_suite,
+    VerificationReport,
+    _prefix_infimum,
 )
 
 RADIAL = SequencePunctures(family=RadialFamily(q=0.5, theta=1.0))
@@ -94,6 +101,47 @@ def test_truncation_suite_passes():
     assert all(r.tolerance == 0.0 for r in reports)
 
 
+def brute_force_truncation_suite(trials, seed):
+    """truncation_suite with a fresh brute_force_infimum in every trial."""
+    rng = Lcg(seed)
+    domains = (("radial", RADIAL),
+               ("orbit", SequencePunctures(family=BoundaryOrbitFamily(c=0.5, p=2.0, theta=2.3))))
+    width = len(str(trials - 1))
+    reports = []
+    for name, domain in domains:
+        for t in range(trials):
+            z = rng.disk_point(0.9)
+            res = squeezing_punctured_disk(domain, z)
+            count = max(10 * res.truncation_index, res.truncation_index + 1000)
+            oracle = brute_force_infimum(domain, z, count)
+            tail = radial_separation_bound(res.tail_bound_used, abs(z))
+            reports.append(VerificationReport(
+                check_name=f"truncation/{name}-{t:0{width}d}",
+                passed=oracle == res.value and tail > res.value,
+                observed=res.value,
+                expected=oracle,
+                tolerance=0.0,
+                details=f"stopped at {res.truncation_index}, tail bound {tail!r}",
+            ))
+    return sorted(reports, key=lambda r: r.check_name)
+
+
+def test_prefix_infimum_is_the_brute_force_at_every_count():
+    # moduli 0.8, 0.7, ..., 0.1: at 0 each range's minimum is its last point
+    domain = SequencePunctures(prefix=tuple(complex(0.9 - 0.1 * k) for k in range(1, 9)))
+    prefix = []
+    for count in (3, 1, 5, 2, 8, 8, 4):
+        assert _prefix_infimum(prefix, domain, 0j, count) == brute_force_infimum(domain, 0j, count)
+    assert prefix == [domain.puncture(k) for k in range(1, 9)]
+
+
+@pytest.mark.parametrize("seed", [7, 1])
+def test_truncation_suite_shares_its_prefix_exactly(seed):
+    # the trials' counts are not monotone, so the shared prefix is both
+    # extended and sliced
+    assert truncation_suite(trials=25, seed=seed) == brute_force_truncation_suite(25, seed)
+
+
 def test_boundary_oracle_suite_passes():
     reports = boundary_oracle_suite(samples=50_000)
     assert all(r.passed for r in reports), format_reports(reports)
@@ -140,3 +188,18 @@ def test_run_suite_all_merges_and_sorts():
     assert any(n.startswith("invariance/") for n in names)
     assert any(n.startswith("truncation/") for n in names)
     assert any(n.startswith("boundary-oracle/") for n in names)
+
+
+# SHA-256 of `verify --suite all` at the default settings, text and JSON:
+# the suites' every value, name and detail
+VERIFY_ALL_SHA256 = {
+    "text": "5d8d7ec70eb833d54afb222b7a4eeda8f97132bb5405462f1032165797bc8d5f",
+    "json": "93c762ab25a4c1ee523edd786b9de29e41f28b445a36ac474b5c61acabccb243",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(VERIFY_ALL_SHA256))
+def test_verify_all_output_is_pinned(capsys, fmt):
+    assert main(["verify", "--suite", "all", "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SHA256[fmt]
