@@ -35,6 +35,7 @@ ROOT = Path(__file__).resolve().parent.parent
 INVARIANTS = "src/squeezefn/invariants.py"
 DOMAINS = "src/squeezefn/domains.py"
 CHUNKED = "tests/test_chunked.py"
+BATCHES = "tests/test_scalar_batches.py"
 VERIFICATION = "src/squeezefn/verification.py"
 
 
@@ -47,8 +48,8 @@ class Mutant(NamedTuple):
     tests: tuple         # pytest node ids expected to fail on the mutant
 
 
-def _t(*names: str) -> tuple:
-    return tuple(f"{CHUNKED}::{n}" for n in names)
+def _t(*names: str, path: str = CHUNKED) -> tuple:
+    return tuple(f"{path}::{n}" for n in names)
 
 
 MUTANTS = (
@@ -75,15 +76,13 @@ MUTANTS = (
            "            m = below\n        return math.nextafter(m, 2.0)\n",
            _t("test_tail_index_is_a_certified_lower_bound_near_the_stop")),
     Mutant("stop-cut-one-candidate-short", "the floor test and argmin run up to the stop, inclusive",
-           INVARIANTS, "seen, tail = dist[:before[j]], (lo + j, float(tails[j]))",
-           "seen, tail = dist[:before[j] - 1], (lo + j, float(tails[j]))",
+           INVARIANTS, "seen, tail = dist[:before], (n, m)", "seen, tail = dist[:before - 1], (n, m)",
            _t("test_deep_reference_points_are_pinned")),
     Mutant("first-plus-3", "tails are tried from _tail_start on, not later",
            INVARIANTS, "first = max(reach, examined + 1)", "first = max(reach, examined + 1) + 3",
            _t("test_deep_reference_points_are_pinned")),
     Mutant("second-tail-pass-dropped", "the stop may fall past the lowest minimum's candidate",
-           INVARIANTS, "for lo, hi in ((first, split), (split + 1, stop)):",
-           "for lo, hi in ((first, split),):",
+           INVARIANTS, "or _first_stop(domain, anchor, index, run, split + 1, stop))", "or None)",
            _t("test_a_loose_tail_index_changes_no_outcome")),
     Mutant("head-resumed-one-late", "the numpy chunks resume right after the scalar head",
            INVARIANTS, "    examined, _, best, best_index, _ = scan\n",
@@ -105,6 +104,27 @@ MUTANTS = (
            "kept = kept[x[kept] <= math.asin(min(1.0, (t := math.nextafter(seed, 0.0)) * (1.0 - r * r)"
            " / (r * (1.0 - t * t))))] if (r := abs(z[0] if isinstance(z, tuple) else z)) else kept",
            _t("test_seed_keeps_its_puncture_at_the_edge_of_its_window")),
+    Mutant("tail-probe-bisect-left", "a scalar tail probe at n counts the candidate at n",
+           INVARIANTS, "before = bisect.bisect_right(index, n)", "before = bisect.bisect_left(index, n)",
+           _t("test_scalar_tail_probe_is_the_numpy_pass", "test_a_stop_at_a_candidate_counts_that_candidate",
+              path=BATCHES)),
+    Mutant("tail-probe-one-late", "a scalar tail pass probes from its first index on",
+           INVARIANTS, "for n in range(lo, hi + 1):", "for n in range(lo + 1, hi + 1):",
+           _t("test_scalar_tail_probe_is_the_numpy_pass", "test_a_stop_at_a_candidate_counts_that_candidate",
+              path=BATCHES)),
+    Mutant("scalar-conversion-next-puncture", "the scalar kernel measures puncture(k), as numpy does",
+           INVARIANTS, "return lambda k: rho(z, domain.puncture(k))",
+           "return lambda k: rho(z, domain.puncture(k + 1))",
+           _t("test_candidate_sets_around_the_bound_are_the_numpy_conversion", path=BATCHES)
+           + _t("test_deep_reference_points_are_pinned")),
+    Mutant("stop-rule-not-strict", "a tail stops a scan only where its separation bound exceeds the minimum",
+           INVARIANTS, "return (tails > anchor) & (radial_separation_bound(tails, anchor) > bound)",
+           "return (tails > anchor) & (radial_separation_bound(tails, anchor) >= bound)",
+           _t("test_certificate_tail_covers_exactly_at_the_floor")),
+    Mutant("listing-tie-made-strict", "a listing's tail constant covers a minimum it ties",
+           INVARIANTS, "return count, m, (m > anchor) & (radial_separation_bound(m, anchor) >= bound)",
+           "return count, m, (m > anchor) & (radial_separation_bound(m, anchor) > bound)",
+           _t("test_value_tail_constant_covers_exactly_at_a_tie")),
     Mutant("oracle-last-partial-block-dropped", "an oracle's block walk covers its whole grid",
            VERIFICATION, "for start in range(0, rows, step):",
            "for start in range(0, rows - step + 1, step):",

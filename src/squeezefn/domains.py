@@ -109,11 +109,14 @@ def _require_separated(points, what: str, first: int = 0) -> None:
 
 def _shown(value) -> str:
     """repr(value) for a message, except for an int beyond the float range,
-    which is not printed: str() refuses ints of more than 4300 digits."""
+    which is not printed: str() refuses ints of more than 4300 digits.  A
+    value that is not a number (a string, None, a list) is shown by repr."""
     try:
         cmath.isfinite(value)
     except OverflowError:
         return "an integer too large for a float"
+    except TypeError:  # not a number
+        pass
     return repr(value)
 
 

@@ -16,6 +16,12 @@ punctures whose angle lies in a candidate window around arg z, out of which
 every puncture is provably farther than the window's level (_candidates),
 and computes tails only from the family's certified tail_index of the
 chunk's stop level (_tail_start), below which no tail can stop the scan.
+Each batch goes the cheaper way for its size: at most _SCALAR_BATCH
+candidates are measured by scalar puncture(k) and rho, and a tail pass over
+at most _SCALAR_BATCH indices probes tail_lower_bound(n) one index at a
+time (_first_stop); larger batches go through numpy.  Both give the same
+bits, so the rule moves only the cost, and _SCALAR_BATCH is the measured
+crossover of the two conversions.
 A value's window is at the least distance of the few punctures nearest
 arg z in angle, where that level lies below the running minimum and no
 stop can fall before them, and otherwise, as for a certificate, at the
@@ -29,6 +35,7 @@ profiles.  They carry a mesh error such that the true minimum lies in
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import math
@@ -75,6 +82,21 @@ _SEQUENCE_CAP = 200_000
 # chunks are sized by the family's tail estimate.
 GRID_BLOCK = 8192
 _GRID_FIRST_CHUNK = 8
+
+# Most punctures of a candidate set, and most indices of a tail pass, that a
+# single-point family scan measures by scalar calls (puncture(k) and rho,
+# tail_lower_bound(n)) rather than in numpy; both give the same bits, so the
+# choice moves only the cost.  Measured in process (Python 3.11, numpy 2.4,
+# 2-core Xeon), by least squares over sets of 1 to 64 punctures: numpy
+# converts and measures a set in about 21 us plus 0.04-0.11 us a puncture,
+# the scalar kernel in 0.75 us a puncture (1.0 us for a polydisk point of 3
+# coordinates), so the two cross at 29-32 punctures for the disk families
+# (24 for that polydisk).  A numpy tail pass takes about
+# 9 us and a scalar probe 1.7 us, but a scalar pass ends at its first stop,
+# and a chunk's first pass is aimed at the stop: in 1700 near-boundary values
+# and certificates, each of the 1571 tail passes spanned 3 indices and
+# stopped at its first.
+_SCALAR_BATCH = 32
 
 DEFAULT_MESH_TOL = 1e-6
 # Most radius profiles one ball block's branch-and-bound evaluates.
@@ -272,6 +294,18 @@ def _offsets(z, y):
     return np.abs(x)
 
 
+def _measure(domain, z):
+    """k -> rho (rho_max for a polydisk point) from z to puncture(k) of a
+    family domain: the scalar form of _distances, bitwise.  A polydisk
+    family's punctures are 0j beyond coordinate 0, at distance rho(z_j, 0j)
+    = |z_j| there, bitwise, so rho_max is max(rho(z_0, a_0), max_j |z_j|),
+    with the constant part taken once."""
+    if not isinstance(z, tuple):
+        return lambda k: rho(z, domain.puncture(k))
+    z0, rest = z[0], max(map(abs, z[1:]), default=0.0)
+    return lambda k: max(rho(z0, domain.puncture(k)[0]), rest)
+
+
 def _candidates(domain, z, anchor: float, floor: float, bound: float, examined: int, y):
     """The candidates of a family chunk a_(examined+1) ... with angles y,
     given the running minimum ``bound`` before it: their indices, ascending
@@ -282,8 +316,8 @@ def _candidates(domain, z, anchor: float, floor: float, bound: float, examined: 
 
     The seed: the _GRID_FIRST_CHUNK punctures of the window at ``bound``
     whose reduced angle is nearest arg z are measured by the scalar kernel
-    of the scan's head (bitwise _distances, as puncture(k) is bitwise the
-    chunk), and d* is the least of their distances, a_j the first puncture
+    (_measure: bitwise _distances, as puncture(k) is bitwise the chunk),
+    and d* is the least of their distances, a_j the first puncture
     at it.  The window at d* keeps every puncture of the chunk at distance
     <= d*, a_j included.  So the running minimum over the candidates is
     exact at every n >= j, and at every n < j whose true running minimum is
@@ -293,9 +327,12 @@ def _candidates(domain, z, anchor: float, floor: float, bound: float, examined: 
     _tail_start(d*) >= j there is no such n.  A floor hit (a distance below
     ``floor``) is kept, as floor <= d*.  So the stop, the floor test and the
     argmin are those of measuring every puncture, whether or not the
-    domain's tails bound its moduli.  If the window at d* keeps at most
-    _GRID_FIRST_CHUNK punctures, they are among the nearest angles, and
-    none is measured again.
+    domain's tails bound its moduli.
+
+    The candidates are measured the cheaper way for their number: at most
+    _SCALAR_BATCH by the scalar kernel, which reuses the seed's distances,
+    more by one numpy conversion (parts and _distances), which costs about
+    as much as _SCALAR_BATCH scalar ones; the two are bitwise equal.
 
     The window stays at ``bound`` where that check fails, where the window
     at ``bound`` keeps at most _GRID_FIRST_CHUNK punctures or every angle,
@@ -305,6 +342,7 @@ def _candidates(domain, z, anchor: float, floor: float, bound: float, examined: 
     """
     import numpy as np
 
+    measure, measured = _measure(domain, z), {}
     spread = _spread(z, bound, y)
     if spread == math.inf and _spread(z, 0.0, y) == math.inf:  # z at or near 0, or huge angles
         kept = np.arange(y.size)
@@ -313,16 +351,15 @@ def _candidates(domain, z, anchor: float, floor: float, bound: float, examined: 
         kept = np.flatnonzero(x <= spread)
         if kept.size > _GRID_FIRST_CHUNK and floor <= bound:
             near = kept[np.argpartition(x[kept], _GRID_FIRST_CHUNK)[:_GRID_FIRST_CHUNK]]
-            kernel = rho_max if isinstance(z, tuple) else rho
-            measured = {k: kernel(z, domain.puncture(k)) for k in (near + (examined + 1)).tolist()}
+            measured = {k: measure(k) for k in (near + (examined + 1)).tolist()}
             seed, j = min((d, k) for k, d in measured.items())
             if floor <= seed < bound and _tail_start(domain, anchor, seed) >= j:
                 kept = kept[x[kept] <= _spread(z, seed, y)]
-                if kept.size <= _GRID_FIRST_CHUNK:
-                    index = kept + (examined + 1.0)
-                    return index, np.array([measured[k] for k in index.tolist()])
     index = kept + (examined + 1.0)
-    return index, _distances(z, *domain.parts(index, y[kept])) if index.size else np.empty(0)
+    if kept.size > _SCALAR_BATCH:
+        return index, _distances(z, *domain.parts(index, y[kept]))
+    return index, np.array([measured[k] if k in measured else measure(k)
+                            for k in (kept + (examined + 1)).tolist()])
 
 
 def _scan(domain, z, anchor: float, floor: float, bound: float = math.inf) -> _Scan:
@@ -350,11 +387,15 @@ def _scan(domain, z, anchor: float, floor: float, bound: float = math.inf) -> _S
     running minimum still starts from the minimum before the chunk, so the
     seed changes none of them.  Tails are computed only from _tail_start of
     the chunk's lowest running minimum: no tail before it can stop the scan.
-    So values, indices, tails and outcomes are those of measuring every
-    puncture and every tail.  Near the boundary the window spans about
-    2(1 - |z|) radians, almost nothing is converted, and a chunk that cannot
-    stop computes no tail.  The window prunes nothing at z near 0 and at
-    angles too large to reduce.
+    A small batch is measured in scalar: a candidate set of at most
+    _SCALAR_BATCH punctures (_candidates), and a tail pass over at most
+    _SCALAR_BATCH indices, probed one index at a time up to the stop
+    (_first_stop); larger ones in numpy, bitwise the same.  So values,
+    indices, tails and outcomes are those of measuring every puncture and
+    every tail.  Near the boundary the window spans about 2(1 - |z|)
+    radians, almost nothing is converted, and a chunk that cannot stop
+    computes no tail.  The window prunes nothing at z near 0 and at angles
+    too large to reduce.
     """
     if domain.family is None:
         tails = itertools.chain(itertools.repeat(0.0, len(domain.prefix) - 1), (domain.tail_constant,))
@@ -382,16 +423,11 @@ def _scan(domain, z, anchor: float, floor: float, bound: float = math.inf) -> _S
         first = max(reach, examined + 1)
         split = min(stop, max(first, int(index[lowest - 1]) if lowest else 0) + 2)
         seen, tail = dist, None
-        for lo, hi in ((first, split), (split + 1, stop)):
-            if lo > hi:
-                continue
-            tails = domain.tails(lo - 1, hi)
-            before = index.searchsorted(np.arange(lo, hi + 1), "right")  # candidates up to n
-            stops = _tail_stops(tails, anchor, run[before])
-            j = int(stops.argmax())
-            if stops[j]:
-                seen, tail = dist[:before[j]], (lo + j, float(tails[j]))
-                break
+        hit = (_first_stop(domain, anchor, index, run, first, split)
+               or _first_stop(domain, anchor, index, run, split + 1, stop))
+        if hit:
+            n, m, before = hit
+            seen, tail = dist[:before], (n, m)
         if seen.size:
             j = int((seen < floor).argmax())
             if seen[j] < floor:
@@ -405,6 +441,29 @@ def _scan(domain, z, anchor: float, floor: float, bound: float = math.inf) -> _S
         if examined >= _SEQUENCE_CAP:
             return _Scan(examined, None, best, best_index)
         stop = _next_stop(examined, reach)
+
+
+def _first_stop(domain, anchor: float, index, run, lo: int, hi: int):
+    """The first n in lo .. hi at which the stop rule holds on m(n) and the
+    running minimum over the candidates up to n (``index`` ascending, run[c]
+    the minimum after c of them), as (n, m(n), c); None if there is none.
+    A pass over at most _SCALAR_BATCH indices probes tail_lower_bound(n) one
+    index at a time and ends at the stop; a longer one takes the domain's
+    tails() in one numpy pass, bitwise the same bounds."""
+    if hi - lo < _SCALAR_BATCH:
+        for n in range(lo, hi + 1):
+            before = bisect.bisect_right(index, n)  # candidates up to n
+            m = domain.tail_lower_bound(n)
+            if _tail_stops(m, anchor, run[before]):
+                return n, m, before
+        return None
+    import numpy as np
+
+    tails = domain.tails(lo - 1, hi)
+    before = index.searchsorted(np.arange(lo, hi + 1), "right")  # candidates up to n
+    stops = _tail_stops(tails, anchor, run[before])
+    j = int(stops.argmax())
+    return (lo + j, float(tails[j]), int(before[j])) if stops[j] else None
 
 
 def _scalar_scan(z, anchor: float, floor: float, bound: float, points, tails) -> _Scan:

@@ -211,6 +211,9 @@ def boundary_min_oracle(block: Block, z, samples: int, geometry: str = "polydisk
     if geometry == "polydisk":
         axes = 1 + 2 * (n - 1)
         m = _pow2_axis(max(samples // n, 2), axes)
+        if n == 1:  # the circle alone, of about ``samples`` points: walk its angle indices
+            return _grid_min([np.arange(m)], lambda k: coordinate_max(
+                block.center[0] + r * np.exp(1j * (2.0 * np.pi * k / m))))
         angles = 2.0 * np.pi * np.arange(m) / m
         radii = np.arange(m + 1) / m
         rim = np.exp(1j * angles)                       # unit circle sample

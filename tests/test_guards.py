@@ -339,9 +339,16 @@ def ball_oracle(samples):
     (ball_oracle(-HUGER), "boundary oracle needs samples >= 1000, got an integer too large for a float"),
     (lambda: run_suite("paper-claims", samples=math.nan),
      "boundary oracle samples must be a finite integer, got nan"),
+    # not numbers: a bare TypeError from the message's cmath.isfinite before
+    (disk_oracle("1000"), "disk oracle samples must be a finite integer, got '1000'"),
+    (lambda: boundary_min_oracle(Block((0j,), 0.25), (0.5 + 0j,), "1000"),
+     "boundary oracle samples must be a finite integer, got '1000'"),
+    (disk_oracle(None), "disk oracle samples must be a finite integer, got None"),
+    (ball_oracle([1000]), "boundary oracle samples must be a finite integer, got [1000]"),
 ], ids=["disk-1e12", "disk-huge", "disk-huger", "disk-limit", "disk-nan", "disk-inf",
         "disk-fraction", "ball-1e12", "ball-huge", "ball-nan", "ball-minus-inf",
-        "ball-minus-huger", "suite-nan"])
+        "ball-minus-huger", "suite-nan", "disk-string", "boundary-string", "disk-none",
+        "ball-list"])
 def test_oracle_budgets_are_finite_integers_up_to_the_limit(build, message):
     with raises_exactly(DomainError, message):
         build()

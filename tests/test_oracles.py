@@ -150,3 +150,24 @@ def test_boundary_oracle_memory_does_not_grow_with_the_budget(geometry, block, z
     # the full grids trace 22 MB (polydisk, n=2) to 260 MB (ball, n=2) at 4M
     peak = traced_peak_mb(lambda: boundary_min_oracle(block, z, MAX_ORACLE_SAMPLES, geometry))
     assert peak < 16.0
+
+
+def plain_rim_min(block, z, samples):
+    """The minimum over a one-coordinate polydisk block's boundary, its circle,
+    at the polydisk grid's m angles, in one array."""
+    m = _pow2_axis(max(samples, 2), 1)
+    return float(_rho_np(z[0], block.center[0] + block.radius * np.exp(1j * (2.0 * np.pi * np.arange(m) / m))).min())
+
+
+ONE_COORDINATE = [pytest.param(Block((0j,), 0.25), (0.5 + 0j,), id="two-sevenths"),
+                  pytest.param(Block((0.1 + 0.2j,), 0.25), (-0.3 + 0.4j,), id="generic")]
+
+
+@pytest.mark.parametrize("samples", [1000, MAX_ORACLE_SAMPLES])
+@pytest.mark.parametrize("block, z", ONE_COORDINATE)
+def test_one_coordinate_polydisk_oracle_is_its_circle(block, z, samples):
+    # a 1-dimensional polydisk block has one face, its circle; the unit-disk
+    # sample of the other coordinates, once built here, asked 64 TiB at 4M
+    peak = traced_peak_mb(lambda: boundary_min_oracle(block, z, samples, "polydisk"))
+    assert boundary_min_oracle(block, z, samples, "polydisk").hex() == plain_rim_min(block, z, samples).hex()
+    assert peak < (24.0 if samples > 1000 else 1.0)  # 16 MB of it the 2**21 angle indices
