@@ -18,10 +18,10 @@ and computes tails only from the family's certified tail_index of the
 chunk's stop level (_tail_start), below which no tail can stop the scan.
 Each batch goes the cheaper way for its size: at most _SCALAR_BATCH
 candidates are measured by scalar puncture(k) and rho, and a tail pass over
-at most _SCALAR_BATCH indices probes tail_lower_bound(n) one index at a
-time (_first_stop); larger batches go through numpy.  Both give the same
-bits, so the rule moves only the cost, and _SCALAR_BATCH is the measured
-crossover of the two conversions.
+at most _SCALAR_TAIL indices probes tail_lower_bound(n) one index at a time
+(_first_stop); larger batches go through numpy.  Both give the same bits,
+so the rule moves only the cost; each bound is the measured crossover of
+its two ways.
 A value's window is at the least distance of the few punctures nearest
 arg z in angle, where that level lies below the running minimum and no
 stop can fall before them, and otherwise, as for a certificate, at the
@@ -83,20 +83,33 @@ _SEQUENCE_CAP = 200_000
 GRID_BLOCK = 8192
 _GRID_FIRST_CHUNK = 8
 
-# Most punctures of a candidate set, and most indices of a tail pass, that a
-# single-point family scan measures by scalar calls (puncture(k) and rho,
-# tail_lower_bound(n)) rather than in numpy; both give the same bits, so the
-# choice moves only the cost.  Measured in process (Python 3.11, numpy 2.4,
-# 2-core Xeon), by least squares over sets of 1 to 64 punctures: numpy
+# Most punctures of a candidate set that a single-point family scan measures
+# by scalar puncture(k) and rho rather than in numpy; both give the same bits,
+# so the choice moves only the cost.  Measured in process (Python 3.11, numpy
+# 2.4, 2-core Xeon), by least squares over sets of 1 to 64 punctures: numpy
 # converts and measures a set in about 21 us plus 0.04-0.11 us a puncture,
 # the scalar kernel in 0.75 us a puncture (1.0 us for a polydisk point of 3
 # coordinates), so the two cross at 29-32 punctures for the disk families
-# (24 for that polydisk).  A numpy tail pass takes about
-# 9 us and a scalar probe 1.7 us, but a scalar pass ends at its first stop,
-# and a chunk's first pass is aimed at the stop: in 1700 near-boundary values
-# and certificates, each of the 1571 tail passes spanned 3 indices and
-# stopped at its first.
+# (24 for that polydisk).
 _SCALAR_BATCH = 32
+# Most indices of a tail pass that the scan probes one at a time by scalar
+# tail_lower_bound(n) rather than by one numpy tails() pass; both give the
+# same bounds.  Measured in process on the same host (best of 300 calls), over
+# passes of 1 to 64 indices on the radial q=0.99, orbit p=1 and p=2 and
+# 3-coordinate polydisk families, with the stop at the first index, the last
+# and none: a numpy pass takes 8-11 us up to 32 indices (13 us at 64)
+# whatever its stop, a scalar one 0.3 us plus about 1.4 us an index it
+# probes, up to its stop.  So a scalar pass that runs to its end costs no
+# more than the numpy one up to 6 indices (8.4-8.8 us against 8.8-10.4) and
+# more from 8 (10.9-11.6 against 8.8-10.3); one that stops at its first
+# index takes 1.8 us at any length.
+# Near the boundary a chunk's first pass ends just past the candidate that
+# sets its lowest minimum, where the stop falls: in 1700 near-boundary values
+# and certificates, each of the 1571 tail passes spanned 3 indices and
+# stopped at its first.  Passes run long where a domain's tail_index is
+# loose: with the families' tail_index halved less 50, a value at |z| = 0.999
+# on boundary_orbit p=1 takes 0.40 ms, but 7.5 ms with every pass in scalar.
+_SCALAR_TAIL = 6
 
 DEFAULT_MESH_TOL = 1e-6
 # Most radius profiles one ball block's branch-and-bound evaluates.
@@ -389,7 +402,7 @@ def _scan(domain, z, anchor: float, floor: float, bound: float = math.inf) -> _S
     the chunk's lowest running minimum: no tail before it can stop the scan.
     A small batch is measured in scalar: a candidate set of at most
     _SCALAR_BATCH punctures (_candidates), and a tail pass over at most
-    _SCALAR_BATCH indices, probed one index at a time up to the stop
+    _SCALAR_TAIL indices, probed one index at a time up to the stop
     (_first_stop); larger ones in numpy, bitwise the same.  So values,
     indices, tails and outcomes are those of measuring every puncture and
     every tail.  Near the boundary the window spans about 2(1 - |z|)
@@ -447,10 +460,10 @@ def _first_stop(domain, anchor: float, index, run, lo: int, hi: int):
     """The first n in lo .. hi at which the stop rule holds on m(n) and the
     running minimum over the candidates up to n (``index`` ascending, run[c]
     the minimum after c of them), as (n, m(n), c); None if there is none.
-    A pass over at most _SCALAR_BATCH indices probes tail_lower_bound(n) one
+    A pass over at most _SCALAR_TAIL indices probes tail_lower_bound(n) one
     index at a time and ends at the stop; a longer one takes the domain's
     tails() in one numpy pass, bitwise the same bounds."""
-    if hi - lo < _SCALAR_BATCH:
+    if hi - lo < _SCALAR_TAIL:
         for n in range(lo, hi + 1):
             before = bisect.bisect_right(index, n)  # candidates up to n
             m = domain.tail_lower_bound(n)

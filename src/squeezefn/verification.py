@@ -136,8 +136,10 @@ def _pow2_axis(budget: int, axes: int) -> int:
 
 # Largest sample budget of an oracle, and of verify's --samples.  The oracles
 # walk their grids in blocks of _ORACLE_BLOCK points, so memory does not grow
-# with the budget; time does, linearly: in process, the boundary-oracle suite
-# takes about 40 ms at the default 250k samples and 0.5 s at this limit.
+# with the budget, but for a one-coordinate polydisk's circle, which is held
+# whole (100 MB traced at this limit); time does, linearly: in process, the
+# boundary-oracle suite takes about 40 ms at the default 250k samples and 0.5 s
+# at this limit.
 MAX_ORACLE_SAMPLES = 4_000_000
 _ORACLE_BLOCK = 1 << 16
 
@@ -211,13 +213,11 @@ def boundary_min_oracle(block: Block, z, samples: int, geometry: str = "polydisk
     if geometry == "polydisk":
         axes = 1 + 2 * (n - 1)
         m = _pow2_axis(max(samples // n, 2), axes)
-        if n == 1:  # the circle alone, of about ``samples`` points: walk its angle indices
-            return _grid_min([np.arange(m)], lambda k: coordinate_max(
-                block.center[0] + r * np.exp(1j * (2.0 * np.pi * k / m))))
         angles = 2.0 * np.pi * np.arange(m) / m
         radii = np.arange(m + 1) / m
         rim = np.exp(1j * angles)                       # unit circle sample
-        disk = (radii[:, None] * rim[None, :]).ravel()  # unit disk sample
+        # unit disk sample, which only the faces of n > 1 coordinates use
+        disk = (radii[:, None] * rim[None, :]).ravel() if n > 1 else None
         # face i: coordinate i on its circle, the others in their disks
         return min(math.inf, *(_grid_min([block.center[j] + r * (rim if j == i else disk)
                                           for j in range(n)], coordinate_max)

@@ -1,9 +1,9 @@
 """The single-point scan measures a candidate set of at most _SCALAR_BATCH
 punctures by puncture(k) and rho, and probes a tail pass over at most
-_SCALAR_BATCH indices by tail_lower_bound(n), one index at a time; larger
+_SCALAR_TAIL indices by tail_lower_bound(n), one index at a time; larger
 batches stay in numpy.  Both sides give the same bits, so every value,
 index, tail and certificate outcome must be byte-identical to the numpy
-path's.  The numpy path is kept here as the reference: with the constant
+path's.  The numpy path is kept here as the reference: with both bounds
 set to 0, every nonempty batch takes it."""
 
 import cmath
@@ -24,7 +24,7 @@ from squeezefn.domains import (
     parse_domain_spec,
 )
 from squeezefn.hyperbolic import PointError, radial_separation_bound, rho_max
-from squeezefn.invariants import _SCALAR_BATCH, CertificationError, _first_stop, _measure
+from squeezefn.invariants import _SCALAR_BATCH, _SCALAR_TAIL, CertificationError, _first_stop, _measure
 from test_chunked import (
     DEEP,
     HUGE_P1,
@@ -41,12 +41,13 @@ from test_chunked import (
     poly,
 )
 
-K = _SCALAR_BATCH
+K, T = _SCALAR_BATCH, _SCALAR_TAIL
 
 
 def batch(k):
-    """The scan with its scalar batch bound at k; 0 is the numpy path."""
-    return mock.patch.object(inv, "_SCALAR_BATCH", k)
+    """The scan with both its scalar batch bounds, of candidates and of tail
+    indices, at k; 0 is the numpy path."""
+    return mock.patch.multiple(inv, _SCALAR_BATCH=k, _SCALAR_TAIL=k)
 
 
 def outcomes(domain, z):
@@ -116,14 +117,16 @@ def test_every_batch_size_around_the_bound_is_the_numpy_path(domain, z):
 
 
 def test_the_default_bound_splits_the_deep_batches():
-    # at the default bound the deep points measure small candidate sets and
+    # at the default bounds the deep points measure small candidate sets and
     # every tail pass in scalar, and their largest candidate sets in numpy
-    sizes = set()
+    sizes, spans = set(), set()
     for doc, z in DEEP:
         domain = parse_domain_spec(doc)
-        got, _ = batch_sizes(domain, complex(z) if not isinstance(z, tuple) else z)
+        got, passes = batch_sizes(domain, complex(z) if not isinstance(z, tuple) else z)
         sizes |= got
+        spans |= passes
     assert any(0 < s <= K for s in sizes) and any(s > K for s in sizes), sorted(sizes)
+    assert spans and max(spans) <= T, sorted(spans)
 
 
 CHUNK_FAMILIES = [  # (domain, z): near 0 the window keeps every puncture of a chunk
@@ -216,8 +219,9 @@ TAIL_FAMILIES = [RadialFamily(q=0.99, theta=1.0), BoundaryOrbitFamily(c=0.5, p=1
                  BoundaryOrbitFamily(c=0.5, p=2.0, theta=2.3)]
 
 
-def probe(domain, anchor, index, run, lo, hi, k):
-    with batch(k):
+def probe(domain, anchor, index, run, lo, hi, k=None):
+    """_first_stop with its tail bound at k, or at the default."""
+    with mock.patch.object(inv, "_SCALAR_TAIL", T if k is None else k):
         got = _first_stop(domain, anchor, np.array(index, dtype=float), np.array(run), lo, hi)
     return None if got is None else (got[0], bits(got[1]), got[2])
 
@@ -242,18 +246,18 @@ def tail_case(family, lo, span, picks, shifts):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from(TAIL_FAMILIES), st.integers(1, 10**6), st.sampled_from([1, 2, K, K + 1]),
+@given(st.sampled_from(TAIL_FAMILIES), st.integers(1, 10**6), st.sampled_from([1, 2, T, T + 1, 32]),
        st.lists(st.integers(0, 10**3), max_size=6), st.lists(st.integers(-3, 3), max_size=7))
 @example(TAIL_FAMILIES[0], 500, 1, [0], [-1])  # a stop at lo, set by the candidate at lo
 @example(TAIL_FAMILIES[1], 500, 3, [1], [-1])  # a stop at lo + 1, set by the candidate there
-@example(TAIL_FAMILIES[2], 50, K, [K - 1], [-1])
-@example(TAIL_FAMILIES[1], 500, K + 1, [K], [-1])
-@example(TAIL_FAMILIES[1], 500, K + 1, [3, 7], [2, 0])  # no stop at either candidate
+@example(TAIL_FAMILIES[2], 50, T, [T - 1], [-1])
+@example(TAIL_FAMILIES[1], 500, T + 1, [T], [-1])
+@example(TAIL_FAMILIES[1], 500, T + 1, [3, 5], [2, 0])  # no stop at either candidate
 def test_scalar_tail_probe_is_the_numpy_pass(family, lo, span, picks, shifts):
     case = tail_case(family, lo, span, picks, shifts)
     scalar, numpy = probe(*case, k=10**9), probe(*case, k=0)
     assert scalar == numpy
-    assert probe(*case, k=K) == numpy  # the default: scalar up to K indices, numpy beyond
+    assert probe(*case) == numpy  # the default: scalar up to T indices, numpy beyond
 
 
 def test_a_stop_at_a_candidate_counts_that_candidate():
@@ -262,9 +266,9 @@ def test_a_stop_at_a_candidate_counts_that_candidate():
     # without the candidate at 501 (bisect_left) it would fall at 502
     domain, anchor, index, run, lo, hi = tail_case(TAIL_FAMILIES[1], 500, 3, [1], [-1])
     assert index == [499, 501]
-    assert probe(domain, anchor, index, run, lo, hi, K) == (501, bits(domain.tail_lower_bound(501)), 2)
+    assert probe(domain, anchor, index, run, lo, hi) == (501, bits(domain.tail_lower_bound(501)), 2)
     domain, anchor, index, run, lo, hi = tail_case(TAIL_FAMILIES[0], 500, 1, [0], [-1])
-    assert probe(domain, anchor, index, run, lo, hi, K) == (500, bits(domain.tail_lower_bound(500)), 2)
+    assert probe(domain, anchor, index, run, lo, hi) == (500, bits(domain.tail_lower_bound(500)), 2)
 
 
 # --- the scalar kernel --------------------------------------------------------------
