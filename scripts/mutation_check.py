@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Mutation check of the certified single-point scan and of the verification
-oracles: each mutant in MUTANTS breaks one property that a certificate, an
-oracle or the byte-identity of outputs rests on, and the tests it names must
-fail on it.
+"""Mutation check of the distance kernel, of the certified single-point scan
+and of the verification oracles: each mutant in MUTANTS breaks one property
+that a value's accuracy, a certificate, an oracle or the byte-identity of
+outputs rests on, and the tests it names must fail on it.
 
 The script copies src/, tests/ and pyproject.toml to a temporary directory,
 runs the named tests of every mutant there unmutated (they must pass), then
@@ -37,6 +37,8 @@ DOMAINS = "src/squeezefn/domains.py"
 CHUNKED = "tests/test_chunked.py"
 BATCHES = "tests/test_scalar_batches.py"
 VERIFICATION = "src/squeezefn/verification.py"
+HYPERBOLIC = "src/squeezefn/hyperbolic.py"
+KERNEL = "tests/test_kernel.py"
 
 
 class Mutant(NamedTuple):
@@ -113,8 +115,8 @@ MUTANTS = (
            _t("test_scalar_tail_probe_is_the_numpy_pass", "test_a_stop_at_a_candidate_counts_that_candidate",
               path=BATCHES)),
     Mutant("scalar-conversion-next-puncture", "the scalar kernel measures puncture(k), as numpy does",
-           INVARIANTS, "return lambda k: rho(z, domain.puncture(k))",
-           "return lambda k: rho(z, domain.puncture(k + 1))",
+           INVARIANTS, "return lambda k: dist(domain.puncture(k))",
+           "return lambda k: dist(domain.puncture(k + 1))",
            _t("test_candidate_sets_around_the_bound_are_the_numpy_conversion", path=BATCHES)
            + _t("test_deep_reference_points_are_pinned")),
     Mutant("stop-rule-not-strict", "a tail stops a scan only where its separation bound exceeds the minimum",
@@ -135,8 +137,50 @@ MUTANTS = (
            ("tests/test_oracles.py::test_closed_disk_oracle_is_bitwise_the_full_grid_minimum",
             "tests/test_oracles.py::test_boundary_oracle_is_bitwise_the_full_grid_minimum")),
     Mutant("prefix-sliced-one-short", "the truncation suite's brute force covers its whole range",
-           VERIFICATION, "for a in prefix[:count])", "for a in prefix[:count - 1])",
+           VERIFICATION, "(p[:count] for p in prefix)", "(p[:count - 1] for p in prefix)",
            ("tests/test_verification.py::test_prefix_infimum_is_the_brute_force_at_every_count",)),
+    Mutant("dekker-error-terms-dropped", "each 1 - |x|^2 takes the exact rounding errors of its squares",
+           HYPERBOLIC, "return (t - yy) + (((1.0 - t) - xx - ex) - ey)", "return (t - yy) + ((1.0 - t) - xx)",
+           _t("test_kernel_is_within_its_bound_of_the_exact_distance", "test_defect_is_within_its_bound",
+              path=KERNEL)),
+    Mutant("fast2sum-error-dropped", "1 - x^2 is split into a float and its exact rounding error",
+           HYPERBOLIC, "return (t - yy) + (((1.0 - t) - xx - ex) - ey)", "return (t - yy) - (ex + ey)",
+           _t("test_kernel_is_within_its_bound_of_the_exact_distance", "test_defect_is_within_its_bound",
+              path=KERNEL)),
+    Mutant("smaller-square-first", "the subtractions from 1 are exact near the boundary",
+           HYPERBOLIC, "return (t - yy) + (((1.0 - t) - xx - ex) - ey)",
+           "return ((1.0 - min(xx, yy)) - max(xx, yy)) - (ex + ey)",
+           _t("test_kernel_is_within_its_bound_of_the_exact_distance", "test_defect_is_within_its_bound",
+              path=KERNEL)),
+    Mutant("larger-square-first-alone", "subtracting the larger square first is exact only off the diagonal",
+           HYPERBOLIC, "return (t - yy) + (((1.0 - t) - xx - ex) - ey)",
+           "return ((1.0 - max(xx, yy)) - min(xx, yy)) - (ex + ey)",
+           _t("test_kernel_is_within_its_bound_of_the_exact_distance", "test_defect_is_within_its_bound",
+              path=KERNEL)),
+    Mutant("scale-dropped", "|a - z| is formed scaled, so its square stays normal down to 2^-1021",
+           HYPERBOLIC, "_SCALE = 2.0**510", "_SCALE = 1.0",
+           _t("test_kernel_is_within_its_bound_of_the_exact_distance", path=KERNEL)),
+    Mutant("underflow-rescue-dropped", "distinct points whose scaled squares underflow stay apart",
+           HYPERBOLIC, "return sqrt(d) / e if d else _underflowed(dr, di, e, sqrt)", "return sqrt(d) / e",
+           _t("test_distinct_points_are_apart", path=KERNEL)),
+    Mutant("underflow-rescue-dropped-in-arrays", "the array form rescues underflowed squares as the float form does",
+           HYPERBOLIC, "if not d.all():  # a square underflowed to 0, or points coincide",
+           "if False:  # a square underflowed to 0, or points coincide",
+           _t("test_distinct_points_are_apart", path=KERNEL)),
+    Mutant("cell-defect-shared-by-group", "each grid cell takes its own 1 - |z|^2",
+           INVARIANTS, "dist = _kernel(cr[g, None], ci[g, None], cp[g, None], ar, ai, pa, np.sqrt)",
+           "dist = _kernel(cr[g, None], ci[g, None], cp[g[:1], None], ar, ai, pa, np.sqrt)",
+           _t("test_every_grid_row_is_the_per_point_evaluation", path=KERNEL)),
+    Mutant("polydisk-constant-modulus", "a polydisk family's other coordinates are at rho(z_j, 0j), in numpy",
+           INVARIANTS, "return np.maximum(dist, max(rho(c, 0j) for c in rest)) if rest else dist",
+           "return np.maximum(dist, max(map(abs, rest))) if rest else dist",
+           _t("test_polydisk_family_distances_are_rho_max", path=KERNEL)),
+    Mutant("polydisk-constant-modulus-scalar",
+           "a polydisk family's other coordinates are at rho(z_j, 0j), in scalar",
+           INVARIANTS, "dist, rest = rho_from(z[0]), max((rho(c, 0j) for c in z[1:]), default=0.0)",
+           "dist, rest = rho_from(z[0]), max(map(abs, z[1:]), default=0.0)",
+           _t("test_polydisk_constant_coordinates_are_rho_max_on_the_embedded_point", path=BATCHES)
+           + _t("test_polydisk_family_distances_are_rho_max", path=KERNEL)),
 )
 
 

@@ -120,6 +120,16 @@ def _shown(value) -> str:
     return repr(value)
 
 
+def _comparable(value) -> bool:
+    """Whether a guard can compare ``value`` with a number: a string, None or
+    a list cannot, and must meet the guard's DomainError, not a TypeError."""
+    try:
+        value < 0
+    except TypeError:
+        return False
+    return True
+
+
 def _require_finite(what: str, **params) -> None:
     for name, value in params.items():
         try:

@@ -9,6 +9,15 @@ skip all checks, because evaluation loops feed them generated sequence tails
 whose moduli round to 1.0 in double precision, which is harmless as long as
 the other argument stays safely inside the disk.  ``MobiusMap`` is the disk
 automorphism behind the invariance checks.
+
+There is one distance kernel, in a float form (rho_from, rho) and an array
+form (_kernel) that take the same operations in the same order, on what
+each point contributes (_prepare, _defect), written once for both.  It uses
+only +, -, *, / and sqrt, which IEEE 754 rounds correctly in Python floats
+and in numpy, so a batch of distances is bitwise the scalar ``rho`` of each
+pair whatever the interpreter's complex arithmetic.  What a point
+contributes is computed once per point, so a batch of cells against
+punctures pays about ten operations a pair.
 """
 
 from __future__ import annotations
@@ -87,14 +96,134 @@ def require_interior_polydisk_point(zs, n: int, what: str = "point") -> tuple[co
     return zs
 
 
+# Veltkamp's splitter 2^27 + 1; the power of two by which _prepare scales a
+# point, so that squares of scaled differences stay normal down to
+# |w - z| = 2^-1021 and below 2^1023 up to |w - z| = 2 + 2^-40; and the one
+# by which _underflowed scales the differences whose squares underflow.
+_SPLIT = 134217729.0
+_SCALE = 2.0**510
+_RESCALE = 2.0**600
+
+
+def _defect(x, y):
+    """1 - x^2 - y^2 for floats x, y, or for numpy arrays of them, bitwise alike.
+
+    Each square is a float and its exact rounding error: Veltkamp's split of
+    x into 26-bit halves and Dekker's product give x^2 = xx + ex exactly, with
+    no FMA (Dekker, Numer. Math. 18, 1971), barring underflow, where the
+    defect is at least 1/2 and the error below 2^-1000.  Fast2Sum gives
+    1 - xx = t + e1 exactly (|xx| <= 2, the exponent of 1), and the defect is
+    (t - yy) + ((e1 - ex) - ey).  Subtracting the larger square first is not
+    enough: at |x| = |y| near 1/sqrt(2) the larger can be just below 1/2,
+    and then 1 - xx rounds.
+
+    Error (Higham, Accuracy and Stability, ch. 2-3; u = 2^-53): with
+    |xx|, |yy| <= 1 + 2^-40, |e1|, |ex|, |ey| <= u and |t - yy| <= |d| + 3u
+    for the exact defect d.  t - yy and the last sum round once each, the
+    small sum twice, within 6u^2, so the result is within 2u |d| + 9u^2 of d:
+    2.01u |d| for |d| >= 2e-12, i.e. at every point with
+    |x + iy| <= 1 - 1e-12.
+    """
+    xx = x * x
+    yy = y * y
+    c = _SPLIT * x
+    xh = c - (c - x)
+    xl = x - xh
+    c = _SPLIT * y
+    yh = c - (c - y)
+    yl = y - yh
+    ex = ((xh * xh - xx) + (xh + xh) * xl) + xl * xl
+    ey = ((yh * yh - yy) + (yh + yh) * yl) + yl * yl
+    t = 1.0 - xx
+    return (t - yy) + (((1.0 - t) - xx - ex) - ey)
+
+
+def _prepare(x, y):
+    """A point x + iy (floats, or numpy arrays of them) as _kernel takes it:
+    its coordinates and its _defect 1 - |x + iy|^2, each times 2^510, which
+    is exact."""
+    return x * _SCALE, y * _SCALE, _defect(x, y) * _SCALE
+
+
+def _kernel(zr, zi, pz, ar, ai, pa, sqrt):
+    """rho(z, a) from _prepare(z) and _prepare(a) for numpy arrays that
+    broadcast (a column of cells against a row of punctures), with
+    sqrt=numpy.sqrt: the array form of rho_from, operation for operation,
+    so bitwise the scalar rho of each pair.
+
+    Garnett's identity |1 - conj(z) a|^2 = |a - z|^2 + (1 - |z|^2)(1 - |a|^2)
+    (Bounded Analytic Functions, ch. 1) gives rho = sqrt(D) / sqrt(D + P)
+    with D = |a - z|^2 and P = (1 - |z|^2)(1 - |a|^2); the scale 2^510 of
+    both cancels, and sqrt(D) is |a - z| 2^510, formed before the division
+    so that rho does not underflow with rho^2.
+
+    Error (Higham, ch. 2-3; u = 2^-53; first order, each step rounding once),
+    for |z| <= 1 - 1e-12 (the interior margin), |a| <= 1 + 16u (a float
+    puncture whose modulus rounds to 1.0) and |a - z| >= 2^-1021, where D is
+    normal; the kernel is symmetric in z and a, bitwise, so their roles may
+    swap.  A difference is within u, so D is computed within 4u (two squares
+    of it, their sum).  By _defect's bound 1 - |z|^2 is within 2.01u, and
+    1 - |a|^2 within 2u of itself plus 9u^2, so P is within 5.01u |P| plus
+    9u^2 (1 - |z|^2) <= 0.002u (D + P), as D + P = |1 - conj(z) a|^2 >=
+    (1 - |z|)^2 / 2.  If D and P are off by factors 1 + alpha and 1 + beta,
+    D + P is off by 1 + gamma with gamma = (D alpha + P beta)/(D + P), and
+    D/(D + P) by alpha - gamma = P (alpha - beta)/(D + P), at most 9.02u in
+    modulus (|P| <= D/99 when P < 0).  Half of that and of the sum's
+    rounding, plus the two square roots and the division, leave
+    |rho' - rho| <= 8.02u rho, within 9u rho with the second-order terms,
+    whatever 1 - |z|.  Below |a - z| = 2^-1021
+    the bound degrades as D leaves the normal range; below 2^-1046 its
+    scaled squares underflow to 0 and _underflowed takes over, so rho > 0
+    for every pair of distinct points.
+    """
+    dr = ar - zr
+    di = ai - zi
+    d = dr * dr + di * di
+    e = sqrt(d + pz * pa)
+    rho = sqrt(d) / e
+    if not d.all():  # a square underflowed to 0, or points coincide
+        low = d == 0.0
+        rho[low] = _underflowed(dr[low], di[low], e[low], sqrt)
+    return rho
+
+
+def _underflowed(dr, di, e, sqrt):
+    """_kernel where the scaled squares of the difference (dr, di) underflow
+    to 0, |a - z| < 2^-1046: scaled by 2^600 more, they cannot (dr, di <
+    2^-536 there), and rho is positive unless the points are equal."""
+    dr = dr * _RESCALE
+    di = di * _RESCALE
+    return sqrt(dr * dr + di * di) / e / _RESCALE
+
+
 def rho(z: complex, w: complex) -> float:
-    """Unchecked pseudo-hyperbolic kernel |w - z| / |1 - conj(z) w|."""
-    return abs((w - z) / (1.0 - z.conjugate() * w))
+    """Unchecked pseudo-hyperbolic distance |w - z| / |1 - conj(z) w| (_kernel)."""
+    return rho_from(z)(w)
 
 
 def rho_max(zs, ws) -> float:
     """Unchecked coordinate-max kernel on the polydisk."""
     return max(rho(z, w) for z, w in zip(zs, ws))
+
+
+def rho_from(z):
+    """w -> rho(z, w) (rho_max for a polydisk point z), with z's part of the
+    kernel (_prepare) computed once: the float form of _kernel, operation for
+    operation, with _prepare(w) inline, as the single-point scans call it
+    once per puncture."""
+    if isinstance(z, tuple):
+        coordinates = tuple(map(rho_from, z))
+        return lambda ws: max(f(w) for f, w in zip(coordinates, ws))
+    zr, zi, pz = _prepare(z.real, z.imag)
+
+    def dist(w, s=_SCALE, sqrt=math.sqrt):
+        x, y = w.real, w.imag
+        dr = x * s - zr
+        di = y * s - zi
+        d = dr * dr + di * di
+        e = sqrt(d + pz * (_defect(x, y) * s))
+        return sqrt(d) / e if d else _underflowed(dr, di, e, sqrt)
+    return dist
 
 
 def radial_separation_bound(m: float, r: float) -> float:

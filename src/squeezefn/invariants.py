@@ -53,6 +53,7 @@ from .domains import (
     RemovedBalls,
     RemovedPolydisks,
     SequencePunctures,
+    _comparable,
     _require_finite,
     _shown,
 )
@@ -60,11 +61,13 @@ from .hyperbolic import (
     INTERIOR_MARGIN,
     PointError,
     _as_complex,
+    _kernel,
+    _prepare,
     radial_separation_bound,
     require_interior_point,
     require_interior_polydisk_point,
     rho,
-    rho_max,
+    rho_from,
 )
 
 # Evaluation aborts if an examined puncture is this close to the query point:
@@ -90,7 +93,10 @@ _GRID_FIRST_CHUNK = 8
 # converts and measures a set in about 21 us plus 0.04-0.11 us a puncture,
 # the scalar kernel in 0.75 us a puncture (1.0 us for a polydisk point of 3
 # coordinates), so the two cross at 29-32 punctures for the disk families
-# (24 for that polydisk).
+# (24 for that polydisk).  The exact-square kernel moved both: numpy takes
+# about 26-30 us a set and the scalar way 1.25 us a puncture (radial q=0.99
+# and orbit p=1 at |z| = 0.99), so they cross at 22-24; the bound is kept,
+# which costs at most about 10 us on a set of 24-32 punctures.
 _SCALAR_BATCH = 32
 # Most indices of a tail pass that the scan probes one at a time by scalar
 # tail_lower_bound(n) rather than by one numpy tails() pass; both give the
@@ -234,21 +240,22 @@ def _next_stop(examined: int, reach: int) -> int:
 
 def _distances(z, re, im):
     """rho (rho_max for a polydisk point) from z to each puncture of a planar
-    family chunk: a polydisk family's punctures are 0j beyond coordinate 0,
-    at distance |z_j| there, bitwise _rho_block(z_j, 0), i.e. hypot(z_j)."""
+    family chunk, by the kernel's array form: bitwise the scalar rho of each
+    puncture.  A polydisk family's punctures are 0j beyond coordinate 0, at
+    distance rho(z_j, 0j) there, taken once."""
     import numpy as np
 
     z0, rest = (z[0], z[1:]) if isinstance(z, tuple) else (z, ())
-    dist = _rho_block(z0.real, z0.imag, re, im)
-    return np.maximum(dist, max(map(abs, rest))) if rest else dist
+    dist = _kernel(*_prepare(z0.real, z0.imag), *_prepare(re, im), np.sqrt)
+    return np.maximum(dist, max(rho(c, 0j) for c in rest)) if rest else dist
 
 
 def _spread(z, bound: float, y) -> float:
     """The half-width of the candidate window at a finite level ``bound``
     around arg z (coordinate 0 of a polydisk point; rho_max is at least the
     distance there) for a chunk of a family's punctures m e^{iy}: every
-    puncture whose reduced angle (_offsets) exceeds it has _rho_block
-    distance > bound.  inf where every angle is a candidate.
+    puncture whose reduced angle (_offsets) exceeds it has a distance
+    (_distances, _measure) > bound.  inf where every angle is a candidate.
 
     {w : rho(z, w) <= T} for T < 1 is the closed disk of centre
     P = z(1 - T^2)/(1 - T^2 |z|^2) and radius q = T(1 - |z|^2)/(1 - T^2 |z|^2)
@@ -258,11 +265,10 @@ def _spread(z, bound: float, y) -> float:
     Rounding (Higham, Accuracy and Stability, ch. 2-3), as in _min_on_circle:
     u = eps/2, r = abs(z) within 2u of |z|, kappa = 1 - r, first order, each
     bound used at least twice what it needs.
-    * Kernel: for |a| <= 1 + 16u, _rho_block is rho(z, a)(1 + d) with
-      |d| <= 16u/kappa: u from a - z, u + 3u/kappa from 1 - conj(z) a (its
-      products err by at most 3u |z||a| <= 3u |1 - conj(z) a|/kappa) and 9u
-      from Smith's quotient and hypot.  A distance <= bound thus has
-      rho <= T = bound (1 + 64 eps/kappa).
+    * Kernel: for |a| <= 1 + 16u, a distance (hyperbolic.rho_from, or its
+      array form _kernel) is rho(z, a)(1 + d) with |d| <= 9u, whatever kappa.  A distance
+      <= bound thus has rho <= bound/(1 - 9u) <= T = bound (1 + 64 eps/kappa):
+      the margin is at least 128u, over 14 times what the kernel needs.
     * Conversion: with numpy's cos and sin within 4 ulps (libm's are within
       1), the float puncture lies within 13u < 8 eps of m e^{iy}, so m e^{iy}
       lies in the disk of radius q + 8 eps.  Its half-angle has sine at most
@@ -310,16 +316,17 @@ def _offsets(z, y):
 def _measure(domain, z):
     """k -> rho (rho_max for a polydisk point) from z to puncture(k) of a
     family domain: the scalar form of _distances, bitwise.  A polydisk
-    family's punctures are 0j beyond coordinate 0, at distance rho(z_j, 0j)
-    = |z_j| there, bitwise, so rho_max is max(rho(z_0, a_0), max_j |z_j|),
-    with the constant part taken once."""
+    family's punctures are 0j beyond coordinate 0, so rho_max is
+    max(rho(z_0, a_0), max_j rho(z_j, 0j)), with the constant part taken
+    once."""
     if not isinstance(z, tuple):
-        return lambda k: rho(z, domain.puncture(k))
-    z0, rest = z[0], max(map(abs, z[1:]), default=0.0)
-    return lambda k: max(rho(z0, domain.puncture(k)[0]), rest)
+        dist = rho_from(z)
+        return lambda k: dist(domain.puncture(k))
+    dist, rest = rho_from(z[0]), max((rho(c, 0j) for c in z[1:]), default=0.0)
+    return lambda k: max(dist(domain.puncture(k)[0]), rest)
 
 
-def _candidates(domain, z, anchor: float, floor: float, bound: float, examined: int, y):
+def _candidates(domain, z, anchor: float, floor: float, bound: float, examined: int, y, measure):
     """The candidates of a family chunk a_(examined+1) ... with angles y,
     given the running minimum ``bound`` before it: their indices, ascending
     floats (which math.pow takes fastest), and their _distances.  They are
@@ -328,9 +335,9 @@ def _candidates(domain, z, anchor: float, floor: float, bound: float, examined: 
     left out is farther than that level.
 
     The seed: the _GRID_FIRST_CHUNK punctures of the window at ``bound``
-    whose reduced angle is nearest arg z are measured by the scalar kernel
-    (_measure: bitwise _distances, as puncture(k) is bitwise the chunk),
-    and d* is the least of their distances, a_j the first puncture
+    whose reduced angle is nearest arg z are measured by ``measure``, the
+    scan's _measure (bitwise _distances, as puncture(k) is bitwise the
+    chunk), and d* is the least of their distances, a_j the first puncture
     at it.  The window at d* keeps every puncture of the chunk at distance
     <= d*, a_j included.  So the running minimum over the candidates is
     exact at every n >= j, and at every n < j whose true running minimum is
@@ -355,7 +362,7 @@ def _candidates(domain, z, anchor: float, floor: float, bound: float, examined: 
     """
     import numpy as np
 
-    measure, measured = _measure(domain, z), {}
+    measured = {}
     spread = _spread(z, bound, y)
     if spread == math.inf and _spread(z, 0.0, y) == math.inf:  # z at or near 0, or huge angles
         kept = np.arange(y.size)
@@ -412,13 +419,13 @@ def _scan(domain, z, anchor: float, floor: float, bound: float = math.inf) -> _S
     """
     if domain.family is None:
         tails = itertools.chain(itertools.repeat(0.0, len(domain.prefix) - 1), (domain.tail_constant,))
-        return _scalar_scan(z, anchor, floor, bound, domain.prefix, tails)
+        return _scalar_scan(map(rho_from(z), domain.prefix), anchor, floor, bound, tails)
     tail = domain.tail_lower_bound(0)
     if _tail_stops(tail, anchor, bound):
         return _Scan(0, tail, bound, 0)
     head = range(1, _GRID_FIRST_CHUNK + 1)
-    scan = _scalar_scan(z, anchor, floor, bound, map(domain.puncture, head),
-                        map(domain.tail_lower_bound, head))
+    measure = _measure(domain, z)
+    scan = _scalar_scan(map(measure, head), anchor, floor, bound, map(domain.tail_lower_bound, head))
     if scan.tail is not None or scan.bad is not None:
         return scan
     import numpy as np
@@ -427,7 +434,7 @@ def _scan(domain, z, anchor: float, floor: float, bound: float = math.inf) -> _S
     stop = _next_stop(examined, _tail_start(domain, anchor, best))
     while True:
         y = domain.family.angles(examined, stop)
-        index, dist = _candidates(domain, z, anchor, floor, best, examined, y)
+        index, dist = _candidates(domain, z, anchor, floor, best, examined, y, measure)
         run = np.minimum.accumulate(np.concatenate(((best,), dist)))  # after 0, 1, ... candidates
         reach = _tail_start(domain, anchor, float(run[-1]))
         # tails from reach on: first up to just past the candidate that set the
@@ -479,17 +486,15 @@ def _first_stop(domain, anchor: float, index, run, lo: int, hi: int):
     return (lo + j, float(tails[j]), int(before[j])) if stops[j] else None
 
 
-def _scalar_scan(z, anchor: float, floor: float, bound: float, points, tails) -> _Scan:
-    """_scan over ``points`` a_1, a_2, ... in one scalar pass with no numpy,
-    testing the stop rule after a_n on ``tails``' m(n).  A listing's tails
-    are 0.0 (falsy, like None: no test) before its last point, then its tail
-    constant, None when exact; the scan then ends unstopped at its length.
-    A planar distance is rho(z, a) inline, bitwise, with conj(z) taken once."""
-    planar = not isinstance(z, tuple)
-    zc = z.conjugate() if planar else None
+def _scalar_scan(dists, anchor: float, floor: float, bound: float, tails) -> _Scan:
+    """_scan over the distances d_1, d_2, ... of points a_1, a_2, ... from z
+    (rho_from for a listing, _measure for a family's head) in one scalar
+    pass with no numpy, testing the stop rule after d_n on ``tails``' m(n).
+    A listing's tails are 0.0 (falsy, like None: no test) before its last
+    point, then its tail constant, None when exact; the scan then ends
+    unstopped at its length."""
     best, best_index = bound, 0
-    for k, a, tail in zip(itertools.count(1), points, tails):
-        d = abs((a - z) / (1.0 - zc * a)) if planar else rho_max(z, a)
+    for k, d, tail in zip(itertools.count(1), dists, tails):
         if d < floor:
             return _Scan(k, None, best, best_index, d)
         if d < best:
@@ -544,7 +549,9 @@ def grid_cells(domain, reals, imags):
     has value NaN.  A cell whose tail is not certified, within _SEQUENCE_CAP
     punctures or by the tail constant of a listing, gets the minimum over the
     punctures it examined, their count and False.  Every value is bitwise
-    equal to the scalar result (see _rho_block).
+    equal to the scalar result: the distances are the kernel's array form
+    (hyperbolic._kernel), with each cell's part of it computed once per
+    sweep and each puncture's once per chunk.
 
     Prefix chunks double in size, so that cells which stop early do not pay
     for large chunks; a cell stops at the first index where the tail bound
@@ -573,16 +580,19 @@ def grid_cells(domain, reals, imags):
     limit = domain.known_count() or _SEQUENCE_CAP
     best = np.full(zr.shape, np.inf)
     cells = np.flatnonzero(inside)
+    cr, ci, cp = (np.zeros(zr.shape) for _ in range(3))
+    cr[cells], ci[cells], cp[cells] = _prepare(zr[cells], zi[cells])
     examined, width = 0, _GRID_FIRST_CHUNK
     while cells.size and examined < limit:
         stop = min(examined + width, limit)
         ar, ai, tails = domain.chunk(examined, stop)
+        ar, ai, pa = _prepare(ar, ai)
         size = stop - examined
         group = max(1, GRID_BLOCK // size)
         still_open = []
         for first in range(0, cells.size, group):
             g = cells[first:first + group]
-            dist = _rho_block(zr[g, None], zi[g, None], ar, ai)
+            dist = _kernel(cr[g, None], ci[g, None], cp[g, None], ar, ai, pa, np.sqrt)
             run = np.minimum.accumulate(dist, axis=1)
             np.minimum(run, best[g, None], out=run)
             stops = _tail_stops(tails, anchor[g, None], run)
@@ -604,32 +614,6 @@ def grid_cells(domain, reals, imags):
     return value, index, certified
 
 
-def _rho_block(zr, zi, ar, ai):
-    """rho(z, a) for a column of cells z against a row of punctures a.
-
-    Redoes CPython's complex arithmetic operation by operation, so that every
-    value is bitwise equal to hyperbolic.rho: the product and the difference
-    as _Py_c_prod and _Py_c_diff (1.0 - w is (1.0 - w.real, 0.0 - w.imag)),
-    the quotient as _Py_c_quot with Smith's two branches, abs as hypot.  The
-    second branch's imaginary part comes out negated, which abs ignores.
-    """
-    import numpy as np
-
-    mzi = -zi  # conj(z).imag
-    nr = ar - zr
-    ni = ai - zi
-    dr = 1.0 - (zr * ar - mzi * ai)
-    di = 0.0 - (zr * ai + mzi * ar)
-    by_real = np.abs(dr) >= np.abs(di)
-    big = np.where(by_real, dr, di)
-    small = np.where(by_real, di, dr)
-    top = np.where(by_real, nr, ni)
-    other = np.where(by_real, ni, nr)
-    ratio = small / big
-    denom = big + small * ratio
-    return np.hypot((top + other * ratio) / denom, (other - top * ratio) / denom)
-
-
 def fridman_caratheodory_punctured_disk(domain, z: complex) -> InvariantValue:
     """Caratheodory Fridman invariant of the punctured disk.
 
@@ -648,7 +632,7 @@ def lower_bound_certificate(domain, z: complex, claimed: float) -> VerificationO
     Failure is a result, not an error.
     """
     z = require_interior_point(z)
-    if not 0.0 < claimed < 1.0:
+    if not (_comparable(claimed) and 0.0 < claimed < 1.0):
         raise DomainError(f"claimed bound must be in (0, 1), got {_shown(claimed)}")
     anchor = abs(z)
     if not isinstance(domain, (FinitePunctures, SequencePunctures)):
@@ -856,7 +840,7 @@ def polydisk_squeezing_removed_blocks(domain, z, mesh_tol: float = DEFAULT_MESH_
     if not isinstance(domain, (RemovedPolydisks, RemovedBalls)):
         raise DomainError(
             f"polydisk_squeezing_removed_blocks does not apply to {type(domain).__name__}")
-    if not mesh_tol > 0.0:  # also NaN, which would never be reached
+    if not (_comparable(mesh_tol) and mesh_tol > 0.0):  # also NaN, which would never be reached
         raise DomainError(f"mesh tolerance must be positive, got {_shown(mesh_tol)}")
     z = require_interior_polydisk_point(z, domain.n)
     anchor = max(abs(c) for c in z)
@@ -973,7 +957,7 @@ def product_of_balls_ratio_contradiction(n: int) -> VerificationOutcome:
     the ball-based one it would be n^(-3/2), below its own lower bound
     1/sqrt(n).
     """
-    if n <= 1:
+    if not _comparable(n) or n <= 1:
         raise DomainError(f"ratio contradiction check needs n > 1, got {_shown(n)}")
     _require_finite("ratio contradiction check", n=n)
     s = 1.0 / math.sqrt(n)

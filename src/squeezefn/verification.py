@@ -10,6 +10,7 @@ generator so that every report is reproducible from its seed.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import asdict, dataclass
 
 from .domains import (
@@ -24,10 +25,11 @@ from .domains import (
     RemovedBalls,
     RemovedPolydisks,
     SequencePunctures,
+    _comparable,
     _require_finite,
     _shown,
 )
-from .hyperbolic import MobiusMap, radial_separation_bound, rho, rho_max
+from .hyperbolic import MobiusMap, _kernel, _prepare, radial_separation_bound, rho, rho_from
 from . import SUITES
 from . import invariants as inv
 
@@ -69,7 +71,10 @@ class Lcg:
     __slots__ = ("state",)
 
     def __init__(self, seed: int):
-        self.state = seed & self._MASK
+        try:
+            self.state = operator.index(seed) & self._MASK
+        except TypeError:  # a str, a float, None
+            raise DomainError(f"seed must be an integer, got {_shown(seed)}") from None
 
     def next_u64(self) -> int:
         self.state = (self._A * self.state + self._C) & self._MASK
@@ -114,17 +119,25 @@ def brute_force_infimum(domain, z, count: int) -> float:
     The oracle counterpart of the certified truncation: no tail bounds, no
     early stopping.
     """
-    if count < 1:
+    if not _comparable(count) or count < 1:
         raise DomainError(f"brute force needs count >= 1, got {_shown(count)}")
-    dist = rho_max if isinstance(domain, PolySequencePunctures) else rho
-    return min(dist(z, domain.puncture(k)) for k in range(1, count + 1))
+    dist = rho_from(tuple(z) if isinstance(domain, PolySequencePunctures) else z)
+    return min(dist(domain.puncture(k)) for k in range(1, count + 1))
 
 
 def _prefix_infimum(prefix: list, domain: SequencePunctures, z, count: int) -> float:
-    """brute_force_infimum(domain, z, count), over ``prefix``, a list of the
-    domain's first punctures, which it first extends to ``count`` points."""
-    prefix += [domain.puncture(k) for k in range(len(prefix) + 1, count + 1)]
-    return min(rho(z, a) for a in prefix[:count])
+    """brute_force_infimum(domain, z, count), bitwise, over ``prefix``: the
+    domain's first punctures as the kernel takes them, the three arrays of
+    _prepare, so that each 1 - |a|^2 is computed once for every trial.  It
+    first extends them to ``count`` punctures."""
+    import numpy as np
+
+    have = len(prefix[0]) if prefix else 0
+    if count > have:
+        new = [domain.puncture(k) for k in range(have + 1, count + 1)]
+        parts = _prepare(np.array([a.real for a in new]), np.array([a.imag for a in new]))
+        prefix[:] = [np.concatenate(pair) for pair in zip(prefix, parts)] if prefix else parts
+    return float(_kernel(*_prepare(z.real, z.imag), *(p[:count] for p in prefix), np.sqrt).min())
 
 
 def _pow2_axis(budget: int, axes: int) -> int:
@@ -135,11 +148,10 @@ def _pow2_axis(budget: int, axes: int) -> int:
 
 
 # Largest sample budget of an oracle, and of verify's --samples.  The oracles
-# walk their grids in blocks of _ORACLE_BLOCK points, so memory does not grow
-# with the budget, but for a one-coordinate polydisk's circle, which is held
-# whole (100 MB traced at this limit); time does, linearly: in process, the
-# boundary-oracle suite takes about 40 ms at the default 250k samples and 0.5 s
-# at this limit.
+# walk their grids in blocks of _ORACLE_BLOCK points and compute each block's
+# coordinates from its indices, so memory does not grow with the budget; time
+# does, linearly: in process, the boundary-oracle suite takes about 40 ms at
+# the default 250k samples and 0.5 s at this limit.
 MAX_ORACLE_SAMPLES = 4_000_000
 _ORACLE_BLOCK = 1 << 16
 
@@ -155,29 +167,30 @@ def _check_budget(what: str, samples) -> None:
         raise DomainError(f"{what} samples above the limit {MAX_ORACLE_SAMPLES}")
 
 
-def _grid_min(axes, value) -> float:
-    """Minimum of ``value`` over the product grid of the 1-D arrays ``axes``.
+def _grid_min(shape, axis, value) -> float:
+    """Minimum of ``value`` over the product grid of ``shape``, whose axis j
+    has the coordinates axis(j, i) at an array of indices i.
 
     The grid is walked in C order, in blocks of whole rows (along the last
-    axis), or of parts of one row, of at most _ORACLE_BLOCK points.  ``value``
-    gets a block's coordinates as flat contiguous arrays, the layout that
-    np.meshgrid gives the whole grid, and maps each point to its value by
-    elementwise operations, so every point's value is bitwise the one it takes
-    on the whole grid at once.
+    axis), or of parts of one row, of at most _ORACLE_BLOCK points; only the
+    coordinates of a block's indices are computed.  ``axis`` maps each index
+    to its coordinate and ``value`` gets a block's coordinates as flat
+    contiguous arrays, the layout that np.meshgrid gives the whole grid, both
+    by elementwise operations, so every point's value is bitwise the one it
+    takes on the whole grid at once.
     """
     import numpy as np
 
-    *lead, last = axes
-    shape = tuple(len(a) for a in lead)
-    rows, cols = math.prod(shape), len(last)
+    *lead, cols = shape
+    rows = math.prod(lead)
     step, width = max(1, _ORACLE_BLOCK // cols), min(cols, _ORACLE_BLOCK)
     mins = []
     for start in range(0, rows, step):
         stop = min(start + step, rows)
-        index = np.unravel_index(np.arange(start, stop), shape) if shape else ()
+        index = np.unravel_index(np.arange(start, stop), lead) if lead else ()
         for col in range(0, cols, width):
-            part = last[col:col + width]
-            points = [np.repeat(a[i], len(part)) for a, i in zip(lead, index)]
+            part = axis(len(lead), np.arange(col, min(col + width, cols)))
+            points = [np.repeat(axis(j, i), len(part)) for j, i in enumerate(index)]
             mins.append(value(*points, np.tile(part, stop - start)).min())
     return float(np.min(mins))
 
@@ -213,20 +226,25 @@ def boundary_min_oracle(block: Block, z, samples: int, geometry: str = "polydisk
     if geometry == "polydisk":
         axes = 1 + 2 * (n - 1)
         m = _pow2_axis(max(samples // n, 2), axes)
-        angles = 2.0 * np.pi * np.arange(m) / m
-        radii = np.arange(m + 1) / m
-        rim = np.exp(1j * angles)                       # unit circle sample
-        # unit disk sample, which only the faces of n > 1 coordinates use
-        disk = (radii[:, None] * rim[None, :]).ravel() if n > 1 else None
-        # face i: coordinate i on its circle, the others in their disks
-        return min(math.inf, *(_grid_min([block.center[j] + r * (rim if j == i else disk)
-                                          for j in range(n)], coordinate_max)
-                               for i in range(n)))
+
+        def rim(k):  # the unit circle sample at angle indices k
+            return np.exp(1j * (2.0 * np.pi * k / m))
+
+        def disk(k):  # the unit disk sample, radius index k // m, angle index k % m
+            return (k // m / m) * rim(k % m)
+
+        # face i: coordinate i on its circle (m points), the others in their
+        # disks ((m + 1) m points each)
+        return min(_grid_min([m if j == i else (m + 1) * m for j in range(n)],
+                             lambda j, k: block.center[j] + r * (rim(k) if j == i else disk(k)),
+                             coordinate_max)
+                   for i in range(n))
     if geometry == "ball":
         axes = 2 * n - 1
         m = _pow2_axis(samples, axes)
-        polar = np.pi * np.arange(m + 1) / m
-        azimuth = 2.0 * np.pi * np.arange(m) / m
+
+        def angle(j, k):  # polar angles, then the azimuth on the last axis
+            return np.pi * k / m if j < axes - 1 else 2.0 * np.pi * k / m
 
         def on_sphere(*angles):
             # hyperspherical coordinates on the unit (2n-1)-sphere
@@ -239,7 +257,7 @@ def boundary_min_oracle(block: Block, z, samples: int, geometry: str = "polydisk
             return coordinate_max(*(block.center[j] + r * (x[2 * j] + 1j * x[2 * j + 1])
                                     for j in range(n)))
 
-        return _grid_min([polar] * (axes - 1) + [azimuth], on_sphere)
+        return _grid_min([m + 1] * (axes - 1) + [m], angle, on_sphere)
     raise DomainError(f"unknown block geometry {geometry!r}")
 
 
@@ -250,7 +268,8 @@ def _closed_disk_min_oracle(z: complex, radius: float, samples: int) -> float:
     m = max(2, 1 << math.ceil(math.log2(math.sqrt(max(samples, 4)))))
     t = np.arange(m + 1) / m
     phi = 2.0 * np.pi * np.arange(m) / m
-    return _grid_min([radius * t, np.exp(1j * phi)], lambda rt, rim: _rho_np(z, rt * rim))
+    axes = (radius * t, np.exp(1j * phi))
+    return _grid_min([m + 1, m], lambda j, k: axes[j][k], lambda rt, rim: _rho_np(z, rt * rim))
 
 
 def annulus_compact_removal_gap(samples: int = 1_000_000) -> inv.VerificationOutcome:
@@ -290,7 +309,7 @@ def annulus_compact_removal_gap(samples: int = 1_000_000) -> inv.VerificationOut
 def invariance_suite(trials: int = 1000, seed: int = 42) -> list[VerificationReport]:
     """Squeezing values are unchanged under disk automorphisms applied to the
     domain and the point together; checked on seeded random configurations."""
-    if trials < 1:
+    if not _comparable(trials) or trials < 1:
         raise DomainError(f"invariance suite needs trials >= 1, got {_shown(trials)}")
     _require_finite("invariance suite", trials=trials)  # str() below refuses huge ints
     rng = Lcg(seed)
@@ -323,7 +342,7 @@ def truncation_suite(trials: int = 100, seed: int = 7) -> list[VerificationRepor
     The brute force is brute_force_infimum's, with no tail bound and no early
     stop, but each domain's punctures are generated once, into a prefix that
     grows to the largest range of its trials."""
-    if trials < 1:
+    if not _comparable(trials) or trials < 1:
         raise DomainError(f"truncation suite needs trials >= 1, got {_shown(trials)}")
     _require_finite("truncation suite", trials=trials)  # str() below refuses huge ints
     rng = Lcg(seed)

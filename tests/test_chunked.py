@@ -36,9 +36,10 @@ from squeezefn.invariants import (
     CertificationError,
     InvariantValue,
     _candidates,
+    _distances,
+    _measure,
     _next_stop,
     _offsets,
-    _rho_block,
     _spread,
     _stop_level,
     _tail_start,
@@ -318,11 +319,11 @@ P2 = {"kind": "sequence", "family": "boundary_orbit", "c": 0.5, "p": 2.0, "theta
 RADIAL_Q099 = {"kind": "sequence", "family": "radial", "q": 0.99, "theta": 1.0}
 HUGE_P1 = dict(P1, theta=1e302)  # angles too large to reduce: no puncture is left out
 DEEP_PINS = [  # (doc, z, value, truncation_index, tail_bound_used, attained_index)
-    (P1, -0.99, 0.27391460456383976, 87, 0.9943181818181818, 56),
-    (P1, -0.999, 0.7861437720583139, 4174, 0.9998802395209581, 4151),
-    (P1, -0.9999, 0.33109768016428426, 9949, 0.9999497487437186, 4151),
-    (P1, -0.99999, 0.4369645238913424, 127608, 0.9999960817810656, 126878),
-    (P2, -0.99999, 0.9998865282136178, 29685, 0.9999999994326296, 56),
+    (P1, -0.99, 0.2739146045638394, 87, 0.9943181818181818, 56),
+    (P1, -0.999, 0.7861437720583353, 4174, 0.9998802395209581, 4151),
+    (P1, -0.9999, 0.33109768016427343, 9949, 0.9999497487437186, 4151),
+    (P1, -0.99999, 0.43696452389185025, 127608, 0.9999960817810656, 126878),
+    (P2, -0.99999, 0.9998865282136176, 29685, 0.9999999994326296, 56),
 ]
 
 
@@ -344,11 +345,11 @@ def left_out(z, bound, y):
 
 
 def window_case(family, start, width, z):
-    """The angles of a chunk and the _rho_block distances of its punctures
-    (of coordinate 0 in a polydisk domain) from z."""
+    """The angles of a chunk and the _distances of its punctures (of
+    coordinate 0 in a polydisk domain) from z."""
     y = family.angles(start, start + width)
     re, im = _cartesian(family.moduli(np.arange(start + 1, start + width + 1)), y)
-    return y, _rho_block(z.real, z.imag, re, im)
+    return y, _distances(z, re, im)
 
 
 window_thetas = st.one_of(st.sampled_from([1e302, -1e302, 2.3, 1.0, -0.0, 1e15]),
@@ -572,7 +573,10 @@ def test_certificate_tail_covers_exactly_at_the_floor(domain, m, step):
     floor = {-1: math.nextafter(m, 0.0), 0: m, 1: math.nextafter(m, 1.0)}[step]
     got = certificate(domain, 0j, floor)
     assert got == reference_certificate(domain, 0j, floor)
-    assert got[0] is (m >= floor)
+    # the certificate passes on the tail m exactly where m >= floor; above it,
+    # the outcome is the next puncture's (of the family: the float a_1 with
+    # |a_1| < 0.7, whose distance the kernel takes to 0.7000000000000001)
+    assert (got[0] and got[1] == (m,)) is (m >= floor)
 
 
 @pytest.mark.parametrize("step", [-1, 0, 1])
@@ -723,7 +727,7 @@ def test_seed_window_or_the_window_at_the_running_minimum(domain, z, seeded):
     # tail_index, or z on the ray of that puncture) the window stays at the
     # running minimum
     best, y = first_chunk(domain, z)
-    index, dist = _candidates(domain, z, abs(z), COLLISION_EPS, best, HEAD, y)
+    index, dist = _candidates(domain, z, abs(z), COLLISION_EPS, best, HEAD, y, _measure(domain, z))
     at_best = np.flatnonzero(_offsets(z, y) <= _spread(z, best, y)) + (HEAD + 1.0)
     assert at_best.size > HEAD
     if seeded:

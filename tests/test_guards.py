@@ -448,3 +448,31 @@ def test_numpy_scalar_points_are_numbers():
     assert squeezing_punctured_disk(domain, np.int64(0)) == squeezing_punctured_disk(domain, 0)
     assert (polydisk_squeezing_punctured(POLY_RADIAL, (np.float32(0.25), np.complex64(0.5j)))
             == polydisk_squeezing_punctured(POLY_RADIAL, (0.25, 0.5j)))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: lower_bound_certificate(SequencePunctures(family=RADIAL), 0.1j, "0.5"),
+     "claimed bound must be in (0, 1), got '0.5'"),
+    (lambda: lower_bound_certificate(SequencePunctures(family=RADIAL), 0.1j, None),
+     "claimed bound must be in (0, 1), got None"),
+    (lambda: polydisk_squeezing_removed_blocks(ORIGIN_POLYDISKS, (0.5 + 0j, 0j), mesh_tol="1e-3"),
+     "mesh tolerance must be positive, got '1e-3'"),
+    (lambda: product_of_balls_ratio_contradiction("3"), "ratio contradiction check needs n > 1, got '3'"),
+    (lambda: brute_force_infimum(SequencePunctures(family=RADIAL), 0j, "3"),
+     "brute force needs count >= 1, got '3'"),
+    (lambda: run_suite("truncation", trials="3"), "truncation suite needs trials >= 1, got '3'"),
+    (lambda: run_suite("invariance", trials=[3]), "invariance suite needs trials >= 1, got [3]"),
+    (lambda: run_suite("invariance", seed="1"), "seed must be an integer, got '1'"),
+    (lambda: run_suite("truncation", trials=1, seed=1.5), "seed must be an integer, got 1.5"),
+], ids=["claimed-string", "claimed-none", "mesh-tol-string", "ratio-n-string", "brute-force-count-string",
+        "truncation-trials-string", "invariance-trials-list", "invariance-seed-string", "truncation-seed-float"])
+def test_numeric_arguments_that_are_not_numbers_are_domain_errors(build, message):
+    # each ended in a bare TypeError from its guard's comparison, or from the
+    # generator's & on the seed
+    with raises_exactly(DomainError, message):
+        build()
+
+
+def test_seeds_take_numpy_integers():
+    import numpy as np
+    assert run_suite("invariance", trials=2, seed=np.int64(3)) == run_suite("invariance", trials=2, seed=3)

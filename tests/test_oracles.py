@@ -170,5 +170,14 @@ def test_one_coordinate_polydisk_oracle_is_its_circle(block, z, samples):
     # sample of the other coordinates, once built here, asked 64 TiB at 4M
     peak = traced_peak_mb(lambda: boundary_min_oracle(block, z, samples, "polydisk"))
     assert boundary_min_oracle(block, z, samples, "polydisk").hex() == plain_rim_min(block, z, samples).hex()
-    # the circle's 2**21 angles, rim points and shifted rim points trace 100 MB at 4M
-    assert peak < (104.0 if samples > 1000 else 1.0)
+    # the circle's 2**21 angles, rim points and shifted rim points, held
+    # whole, traced 106 MB at 4M; walked in blocks, about 11 MB
+    assert peak < (20.0 if samples > 1000 else 1.0)
+
+
+@pytest.mark.parametrize("geometry", ["polydisk", "ball"])
+def test_one_coordinate_oracle_memory_does_not_grow_with_the_budget(geometry):
+    # a one-coordinate block's grid is its circle, 2**21 angles at 4M: held
+    # whole it traced 106 MB (polydisk) and 48 MB (ball)
+    block, z = Block((0.1j,), 0.3), (0.4 + 0.2j,)
+    assert traced_peak_mb(lambda: boundary_min_oracle(block, z, MAX_ORACLE_SAMPLES, geometry)) < 20.0

@@ -165,7 +165,7 @@ def test_candidate_sets_around_the_bound_are_the_numpy_conversion(domain, z, siz
     # at any point) every one is a candidate, measured by the scalar kernel
     # up to K and converted in numpy beyond
     y = domain.family.angles(1000, 1000 + size)
-    args = (domain, z, abs(z[0] if isinstance(z, tuple) else z), 0.5, 0.25, 1000, y)
+    args = (domain, z, abs(z[0] if isinstance(z, tuple) else z), 0.5, 0.25, 1000, y, _measure(domain, z))
     (index, dist), counts = converted_by(domain, lambda: inv._candidates(*args))
     with batch(0):
         ref_index, ref_dist = inv._candidates(*args)
@@ -285,7 +285,7 @@ coordinates = st.one_of(
 @example(3, 0j, [0.5j, -0.5 + 0j], 0.5, 1.0, 3)
 def test_polydisk_constant_coordinates_are_rho_max_on_the_embedded_point(n, z0, rest, q, theta, k):
     # a polydisk family's puncture is 0j beyond coordinate 0: the scalar
-    # kernel takes max(rho(z_0, a_0), max_j |z_j|), which must be rho_max
+    # kernel takes max(rho(z_0, a_0), max_j rho(z_j, 0j)), which must be rho_max
     domain = poly(n, q, theta)
     z = (z0, *rest[:n - 1])
     assert bits(_measure(domain, z)(k)) == bits(rho_max(z, domain.puncture(k)))

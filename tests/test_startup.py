@@ -240,6 +240,6 @@ def test_sequence_eval_loads_numpy(docs_dir):
             print("blocked")
     """)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.endswith("value 0.27391460456383976\ntruncation_index 87\n"
+    assert proc.stdout.endswith("value 0.2739146045638394\ntruncation_index 87\n"
                                 "tail_bound_used 0.9943181818181818\nmesh_error 0.0\n"
                                 "attained_index 56\nblocked\n")
