@@ -161,11 +161,18 @@ MUTANTS = (
            HYPERBOLIC, "_SCALE = 2.0**510", "_SCALE = 1.0",
            _t("test_kernel_is_within_its_bound_of_the_exact_distance", path=KERNEL)),
     Mutant("underflow-rescue-dropped", "distinct points whose scaled squares underflow stay apart",
-           HYPERBOLIC, "return sqrt(d) / e if d else _underflowed(dr, di, e, sqrt)", "return sqrt(d) / e",
+           HYPERBOLIC, "return sqrt(d) / sqrt(e) if d else _underflowed(dr, di, sqrt(e), sqrt)",
+           "return sqrt(d) / sqrt(e)",
            _t("test_distinct_points_are_apart", path=KERNEL)),
     Mutant("underflow-rescue-dropped-in-arrays", "the array form rescues underflowed squares as the float form does",
-           HYPERBOLIC, "if not d.all():  # a square underflowed to 0, or points coincide",
-           "if False:  # a square underflowed to 0, or points coincide",
+           HYPERBOLIC, "if not d.all():  # a square underflowed to 0",
+           "if False:  # a square underflowed to 0",
+           _t("test_distinct_points_are_apart", path=KERNEL)),
+    Mutant("quotient-below-normal", "below rho = 2^-511 rho^2 would lose bits, and the kernel takes two square roots",
+           HYPERBOLIC, "_NORMAL = 2.0**-1022", "_NORMAL = 5e-324",
+           _t("test_kernel_is_within_its_bound_of_the_exact_distance", path=KERNEL)),
+    Mutant("quotient-below-normal-in-arrays", "the array form takes two square roots below rho = 2^-511 as the float form does",
+           HYPERBOLIC, "rho[low] = sqrt(d[low]) / sqrt(e[low])", "rho[low] = sqrt(q[low])",
            _t("test_distinct_points_are_apart", path=KERNEL)),
     Mutant("cell-defect-shared-by-group", "each grid cell takes its own 1 - |z|^2",
            INVARIANTS, "dist = _kernel(cr[g, None], ci[g, None], cp[g, None], ar, ai, pa, np.sqrt)",

