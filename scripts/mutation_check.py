@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Mutation check of the distance kernel, of the certified single-point scan
-and of the verification oracles: each mutant in MUTANTS breaks one property
-that a value's accuracy, a certificate, an oracle or the byte-identity of
-outputs rests on, and the tests it names must fail on it.
+"""Mutation check of the family law, of the distance kernel, of the certified
+single-point scan, of the block minima and of the verification oracles: each
+mutant in MUTANTS breaks one property that a value's accuracy, a
+certificate, an oracle or the byte-identity of outputs rests on, and the
+tests it names must fail on it.
 
 The script copies src/, tests/ and pyproject.toml to a temporary directory,
 runs the named tests of every mutant there unmutated (they must pass), then
@@ -57,6 +58,14 @@ def _t(*names: str, path: str = CHUNKED) -> tuple:
 MUTANTS = (
     Mutant("pad-minus-zero", "a polydisk family's other coordinates are exactly +0j",
            DOMAINS, "return (a,) + (0j,) * (self.n - 1)", "return (a,) + (-0j,) * (self.n - 1)",
+           _t("test_family_chunk_is_bitwise_point_and_tail")),
+    Mutant("angle-one-ulp-high", "a chunk's angles are theta * k, the angles of point(k)",
+           DOMAINS, "return self.theta * np.arange(start + 1, stop + 1, dtype=float)",
+           "return np.nextafter(self.theta * np.arange(start + 1, stop + 1, dtype=float), np.inf)",
+           _t("test_family_chunk_is_bitwise_point_and_tail")),
+    Mutant("point-modulus-one-late", "point(k) takes the modulus of the same index as a chunk",
+           DOMAINS, "return cmath.rect(self.modulus(k), self.theta * k)",
+           "return cmath.rect(self.modulus(k + 1), self.theta * k)",
            _t("test_family_chunk_is_bitwise_point_and_tail")),
     Mutant("radial-tail-index-plus-1", "RadialFamily.tail_index is a lower bound on the first stop",
            DOMAINS, "return min(int(max(k, 0.0)), _INDEX_CAP)",
@@ -123,6 +132,10 @@ MUTANTS = (
            INVARIANTS, "return (tails > anchor) & (radial_separation_bound(tails, anchor) > bound)",
            "return (tails > anchor) & (radial_separation_bound(tails, anchor) >= bound)",
            _t("test_certificate_tail_covers_exactly_at_the_floor")),
+    Mutant("collision-eps-zero", "a point within COLLISION_EPS of a puncture is rejected",
+           INVARIANTS, "COLLISION_EPS = 1e-14", "COLLISION_EPS = 0.0",
+           ("tests/test_invariants.py::test_query_on_puncture_rejected",)
+           + _t("test_collisions_at_the_end_of_the_head")),
     Mutant("listing-tie-made-strict", "a listing's tail constant covers a minimum it ties",
            INVARIANTS, "return count, m, (m > anchor) & (radial_separation_bound(m, anchor) >= bound)",
            "return count, m, (m > anchor) & (radial_separation_bound(m, anchor) > bound)",
@@ -174,6 +187,16 @@ MUTANTS = (
     Mutant("quotient-below-normal-in-arrays", "the array form takes two square roots below rho = 2^-511 as the float form does",
            HYPERBOLIC, "rho[low] = sqrt(d[low]) / sqrt(e[low])", "rho[low] = sqrt(q[low])",
            _t("test_distinct_points_are_apart", path=KERNEL)),
+    # the two block floors below are worst-case rounding and refinement bounds;
+    # no bracket against a finer minimum comes near them, so only the pinned
+    # bytes of verify --suite all, which prints mesh errors, kill their mutants
+    Mutant("circle-floor-halved", "a circle minimum's error covers its rounding (43 eps/kappa); "
+           "killed by a byte pin",
+           INVARIANTS, "_CIRCLE_FLOOR = 64.0 * _EPS", "_CIRCLE_FLOOR = 32.0 * _EPS",
+           ("tests/test_verification.py::test_verify_all_output_is_pinned",)),
+    Mutant("ball-gap-halved", "a ball block's error is its whole branch-and-bound gap; killed by a byte pin",
+           INVARIANTS, "return best, max(gap, _MESH_FLOOR)", "return best, max(gap / 2, _MESH_FLOOR)",
+           ("tests/test_verification.py::test_verify_all_output_is_pinned",)),
     Mutant("cell-defect-shared-by-group", "each grid cell takes its own 1 - |z|^2",
            INVARIANTS, "dist = _kernel(cr[g, None], ci[g, None], cp[g, None], ar, ai, pa, np.sqrt)",
            "dist = _kernel(cr[g, None], ci[g, None], cp[g[:1], None], ar, ai, pa, np.sqrt)",

@@ -148,36 +148,26 @@ def _at_index(what: str, law, k):
         raise DomainError(f"{what} overflows the family's float arithmetic, got {_shown(k)}") from None
 
 
-def _require_angle(what: str, theta: float) -> None:
-    """theta * k must be finite for every generated index k <= _TAIL_LIMIT_INDEX
-    (the engine stops far below it).  This keeps chunk angles finite: numpy's
-    cos and sin give NaN at an infinite angle, with a warning, and do not raise."""
-    _require_finite(what, theta=theta)
-    if not math.isfinite(float(theta) * _TAIL_LIMIT_INDEX):
-        raise DomainError(f"{what}: theta * k overflows for indices up to "
-                          f"{_TAIL_LIMIT_INDEX}, got theta={theta!r}")
-
-
-# Chunks of a generated family: the real and imaginary parts of a_(start+1) ..
-# a_stop and the tail bounds m(start+1) .. m(stop), as numpy arrays, bitwise
-# equal to point(k) and tail_modulus(n).  m(n) is the modulus factor of
-# a_(n+1).  numpy does + - * / in the order CPython 3.10-3.13 does them; the
-# transcendentals are math.pow, the libm call of k**p and q**k, and numpy's
-# float64 cos and sin, which must be libm's cos and sin that cmath.exp calls:
-# chunk-to-point equality is a property of the numpy build.  (numpy's own
-# power may differ in the last ulp.)  A whole-number p whose powers stay below
-# 2**53 takes k**p in int64: each is then a float exactly, and libm's pow, off
-# by under one ulp, returns that float.  A libm for which this fails fails
-# tests/test_chunked.py.
+# A generated family is a polar law, a_k = m(k) e^{i theta k}.  It writes its
+# modulus law m(k) as modulus(k), for one index, and as moduli(k), over an
+# ascending numpy array of indices (floats: math.pow takes them faster than
+# ints); _PolarFamily derives the rest from it.  point(k) is
+# cmath.rect(m(k), theta * k), and tail_modulus(n) = m(n + 1) bounds every
+# later modulus.  A chunk takes the angles y = theta * k of a range
+# (angles) and _cartesian(m, y) = (m cos y, m sin y): the products that
+# cmath.rect forms from libm's cos and sin (at y = +-0 it returns (m, m y),
+# the same floats).  So a chunk is bitwise point(k) and tail_modulus(n) where
+# numpy's float64 cos and sin are libm's and a chunk's moduli take their
+# powers from math.pow, the libm call of k**p and q**k (numpy's own power may
+# differ in the last ulp); the rest is IEEE +, -, * and /.  A whole-number p
+# whose powers stay below 2**53 takes k**p in int64: each is then a float
+# exactly, and libm's pow, off by under one ulp, returns that float.  A numpy
+# build or libm for which any of this fails fails tests/test_chunked.py.
 #
-# A family gives its punctures in two pieces: angles(start, stop), the angles
-# y_k of a_(start+1) .. a_stop, and moduli(k), the moduli at an ascending
-# array of indices k (floats: math.pow takes them faster than ints), and
-# _cartesian(m, y) gives the Cartesian parts of m e^{iy}, where cos and sin
-# take most of the time.  Every piece is elementwise, so a puncture has the
-# same bits whichever indices are computed with it.  A family is a planar
-# law: the polydisk domain puts its points in coordinate 0 and 0j in the
-# others (PolySequencePunctures), and its chunks hold coordinate 0 alone.  The
+# Every piece is elementwise, so a puncture has the same bits whichever
+# indices are computed with it.  A family is a planar law: the polydisk domain
+# puts its points in coordinate 0 and 0j in the others
+# (PolySequencePunctures), and its chunks hold coordinate 0 alone.  The
 # domain's chunk() composes the pieces over a whole index range, with one
 # moduli call for the punctures and their tails.  The single-point scan
 # (invariants._scan) takes the angles of a whole range, converts (parts) only
@@ -186,24 +176,40 @@ def _require_angle(what: str, theta: float) -> None:
 # stop it.  A listing's chunks serve the grid alone.
 
 
-def _angles(theta: float, start: int, stop: int):
-    """The angles y of a_(start+1) .. a_stop in a_k = m_k cmath.exp(1j * theta * k):
-    1j * theta * k is two _Py_c_prod, with real part +-0 and imaginary part y."""
-    import numpy as np
-
-    wr = 0.0 * theta - 1.0 * 0.0
-    wi = 0.0 * 0.0 + 1.0 * theta
-    return wr * 0.0 + wi * np.arange(start + 1, stop + 1, dtype=float)
-
-
 def _cartesian(moduli, y):
-    """Real and imaginary parts of moduli * cmath.exp(1j * y) at _angles' angles:
-    cmath.exp of (+-0, y) is (cos y, sin y), as exp(+-0) = 1 exactly, and the
-    modulus times that is _Py_c_prod((modulus, 0), (cos y, sin y))."""
+    """Real and imaginary parts of moduli * e^{iy}, as cmath.rect gives them."""
     import numpy as np
 
-    c, s = np.cos(y), np.sin(y)
-    return moduli * c - 0.0 * s, moduli * s + 0.0 * c
+    return moduli * np.cos(y), moduli * np.sin(y)
+
+
+class _PolarFamily:
+    """a_k = modulus(k) e^{i k theta}; a subclass gives theta and the modulus
+    law, as modulus(k) and over index arrays as moduli(k)."""
+
+    def _require_angle(self, what: str) -> None:
+        """theta * k must be finite for every generated index k <=
+        _TAIL_LIMIT_INDEX (the engine stops far below it): numpy's cos and
+        sin give NaN at an infinite angle, with a warning, and do not raise.
+        theta is kept as a float, so that theta * k is the same product in
+        point(k) and in angles (an int theta would make it exact)."""
+        _require_finite(what, theta=self.theta)
+        if not math.isfinite(float(self.theta) * _TAIL_LIMIT_INDEX):
+            raise DomainError(f"{what}: theta * k overflows for indices up to "
+                              f"{_TAIL_LIMIT_INDEX}, got theta={self.theta!r}")
+        object.__setattr__(self, "theta", float(self.theta))
+
+    def point(self, k: int) -> complex:
+        return cmath.rect(self.modulus(k), self.theta * k)
+
+    def tail_modulus(self, examined: int) -> float:
+        return self.modulus(examined + 1)
+
+    def angles(self, start: int, stop: int):
+        """The angles theta * k of a_(start+1) .. a_stop."""
+        import numpy as np
+
+        return self.theta * np.arange(start + 1, stop + 1, dtype=float)
 
 
 # Cap of the tail_index bounds: every index below it is a float exactly.
@@ -220,7 +226,7 @@ def _log_gap(level: float) -> float:
 
 
 @dataclass(frozen=True)
-class RadialFamily:
+class RadialFamily(_PolarFamily):
     """a_k = (1 - q^k) e^{i k theta} with 0 < q < 1; tail bound m(N) = 1 - q^(N+1).
     Errors name the family as ``_what``."""
 
@@ -232,22 +238,16 @@ class RadialFamily:
     def __post_init__(self):
         if not 0.0 < self.q < 1.0:
             raise DomainError(f"{self._what}: q must be in (0, 1), got {_shown(self.q)}")
-        _require_angle(self._what, self.theta)
+        self._require_angle(self._what)
 
-    def point(self, k: int) -> complex:
-        return (1.0 - self.q**k) * cmath.exp(1j * self.theta * k)
-
-    def angles(self, start: int, stop: int):
-        return _angles(self.theta, start, stop)
+    def modulus(self, k: int) -> float:
+        return 1.0 - self.q**k
 
     def moduli(self, k):
         import numpy as np
 
         return 1.0 - np.fromiter(map(math.pow, itertools.repeat(self.q), k.tolist()),
                                  float, k.size)  # q**k
-
-    def tail_modulus(self, examined: int) -> float:
-        return 1.0 - self.q ** (examined + 1)
 
     def tail_index(self, level: float) -> int:
         """A lower bound, at most 2**53, on the first n with tail_modulus(n) >=
@@ -280,7 +280,7 @@ def _orbit_powers(k, p):
 
 
 @dataclass(frozen=True)
-class BoundaryOrbitFamily:
+class BoundaryOrbitFamily(_PolarFamily):
     """a_k = (1 - c / k^p) e^{i k theta} with 0 < c < 1, p > 0; m(N) = 1 - c/(N+1)^p.
 
     k^p must stay finite at the last index the parse check evaluates, so p is
@@ -306,16 +306,10 @@ class BoundaryOrbitFamily:
         except OverflowError:
             raise DomainError(f"boundary_orbit family: k**p overflows at k = "
                               f"{_TAIL_LIMIT_INDEX + 1}, got p={self.p!r}") from None
-        _require_angle("boundary_orbit family", self.theta)
+        self._require_angle("boundary_orbit family")
 
-    def point(self, k: int) -> complex:
-        return (1.0 - self.c / k**self.p) * cmath.exp(1j * self.theta * k)
-
-    def tail_modulus(self, examined: int) -> float:
-        return 1.0 - self.c / (examined + 1) ** self.p
-
-    def angles(self, start: int, stop: int):
-        return _angles(self.theta, start, stop)
+    def modulus(self, k: int) -> float:
+        return 1.0 - self.c / k**self.p
 
     def moduli(self, k):
         return 1.0 - self.c / _orbit_powers(k, self.p)

@@ -108,6 +108,13 @@ def tie_c(k: int, p: int) -> float:
 @example(unchecked(BoundaryOrbitFamily(c=0.5, p=6.0, theta=2.3)), (0, 40))
 @example(unchecked(BoundaryOrbitFamily(c=tie_c(457, 6), p=6.0, theta=2.3)), (420, 40))
 @example(unchecked(BoundaryOrbitFamily(c=0.5, p=2, theta=2.3)), (0, 40))  # a Python int p
+# signed zero and subnormal angles: bits() compares the signs of zeros too
+@example(unchecked(BoundaryOrbitFamily(c=0.5, p=2.0, theta=-0.0)), (0, 8))
+@example(unchecked(RadialFamily(q=0.5, theta=0.0)), (0, 8))
+@example(unchecked(RadialFamily(q=0.5, theta=5e-324)), (0, 8))
+@example(unchecked(BoundaryOrbitFamily(c=0.5, p=1.0, theta=-5e-324)), (_SEQUENCE_CAP - 8, 8))
+# a Python int theta beyond 2**53: theta * 3 is exact in ints but not in floats
+@example(unchecked(RadialFamily(q=0.5, theta=2**53 + 1)), (0, 8))
 def test_family_chunk_is_bitwise_point_and_tail(domain, window):
     start, width = window
     stop = start + width
@@ -164,6 +171,23 @@ far_windows = st.tuples(st.one_of(st.integers(0, _TAIL_LIMIT_INDEX),
 def test_family_chunk_is_bitwise_point_and_tail_at_huge_angles(domain, window):
     # the same comparison as above, over windows ending at most at _TAIL_LIMIT_INDEX
     test_family_chunk_is_bitwise_point_and_tail.hypothesis.inner_test(domain, window)
+
+
+@pytest.mark.parametrize("family", [
+    lambda theta: RadialFamily(q=0.9, theta=theta),
+    lambda theta: BoundaryOrbitFamily(c=0.5, p=2.0, theta=theta),
+], ids=["radial-q09", "orbit-p2"])
+def test_negative_zero_angle_is_the_zero_angle(family):
+    # at theta = -0.0 the punctures' imaginary parts are -0.0, not +0.0; the
+    # kernel squares differences, so values, indices and certificates agree
+    plus, minus = (SequencePunctures(family=family(theta)) for theta in (0.0, -0.0))
+    assert bits(minus.puncture(3).imag) == bits(-0.0)
+    for z in (0.5 + 0.1j, -0.3 + 0j, 0.95j, complex(0.97, -0.01), -0.999 + 0j):
+        value = squeezing_punctured_disk(plus, z)
+        assert repr(squeezing_punctured_disk(minus, z)) == repr(value), z
+        for claim in (value.value, math.nextafter(value.value, 1.0)):
+            assert repr(lower_bound_certificate(minus, z, claim)) == repr(
+                lower_bound_certificate(plus, z, claim)), (z, claim)
 
 
 DENSE = 2**17

@@ -300,7 +300,7 @@ HUGE_THETA_DOMAINS = [
                          ids=[case[0] for case in HUGE_THETA_DOMAINS])
 def test_eval_family_theta_overflowing_at_large_index_exits_2(
         domain_file, capsys, name, doc, point, invariant, theta):
-    # theta * k is not finite at k = 10**6: cmath.exp and math.cos would raise
+    # theta * k is not finite at k = 10**6: cmath.rect and math.cos would raise
     # ValueError at parse (1e308) or once an evaluation passes k = 179770
     # (-1e303, e.g. p = 1 at -0.999999, which runs to the 200000 cap)
     path = domain_file(f"{name}.json", {**doc, "theta": theta})
