@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Mutation check of the family law, of the distance kernel, of the certified
-single-point scan, of the block minima and of the verification oracles: each
-mutant in MUTANTS breaks one property that a value's accuracy, a
-certificate, an oracle or the byte-identity of outputs rests on, and the
-tests it names must fail on it.
+single-point scan, of the block minima, of the verification oracles and of
+the record base: each mutant in MUTANTS breaks one property that a value's
+accuracy, a certificate, an oracle, a record's semantics or the
+byte-identity of outputs rests on, and the tests it names must fail on it.
 
 The script copies src/, tests/ and pyproject.toml to a temporary directory,
 runs the named tests of every mutant there unmutated (they must pass), then
@@ -40,6 +40,7 @@ BATCHES = "tests/test_scalar_batches.py"
 VERIFICATION = "src/squeezefn/verification.py"
 HYPERBOLIC = "src/squeezefn/hyperbolic.py"
 KERNEL = "tests/test_kernel.py"
+RECORDS = "tests/test_records.py"
 
 
 class Mutant(NamedTuple):
@@ -211,6 +212,22 @@ MUTANTS = (
            "dist, rest = rho_from(z[0]), max(map(abs, z[1:]), default=0.0)",
            _t("test_polydisk_constant_coordinates_are_rho_max_on_the_embedded_point", path=BATCHES)
            + _t("test_polydisk_family_distances_are_rho_max", path=KERNEL)),
+    Mutant("record-assignment-allowed", "a record's fields cannot be reassigned",
+           HYPERBOLIC, 'raise AttributeError(f"cannot assign to field {name!r}")',
+           "object.__setattr__(self, name, value)",
+           _t("test_assignment_raises", path=RECORDS)),
+    Mutant("record-eq-skips-last-field", "records are equal only when every field is",
+           HYPERBOLIC, "return self._key() == other._key()", "return self._key()[:-1] == other._key()[:-1]",
+           _t("test_equality_and_hash_follow_every_field", path=RECORDS)),
+    Mutant("record-repr-drops-a-field", "a record's repr shows every field, as the dataclass repr did",
+           HYPERBOLIC, '!r}" for name in self._fields])', '!r}" for name in self._fields[:-1]])',
+           _t("test_construction_by_position_keyword_and_default", path=RECORDS)),
+    Mutant("record-repr-reorders-fields", "a record's repr shows the fields in declaration order",
+           HYPERBOLIC, '!r}" for name in self._fields])', '!r}" for name in reversed(self._fields)])',
+           _t("test_construction_by_position_keyword_and_default", path=RECORDS)),
+    Mutant("record-default-not-applied", "an omitted field takes its declared default",
+           HYPERBOLIC, "else self._defaults[f] for f in fields]", "else None for f in fields]",
+           _t("test_construction_by_position_keyword_and_default", path=RECORDS)),
 )
 
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import sys
-from dataclasses import dataclass
 
 from . import SUITES
 from . import invariants as inv
@@ -27,7 +27,7 @@ from .domains import (
     SequencePunctures,
     parse_domain_spec,
 )
-from .hyperbolic import PointError
+from .hyperbolic import PointError, Record
 
 INVARIANT_NAMES = ("squeezing", "fridman-c", "polydisk-squeezing", "t-lower-bound")
 
@@ -135,8 +135,7 @@ def cmd_compare(args) -> int:
 MAX_GRID_CELLS = 1_000_000
 
 
-@dataclass(frozen=True)
-class GridJob:
+class GridJob(Record):
     """A rectangle sweep: domain, [re_min, re_max, im_min, im_max], (nx, ny)."""
 
     domain: object
@@ -151,11 +150,16 @@ class GridJob:
             raise DomainError(f"grid rectangle {self.rect!r} does not have a finite extent")
         if not (re_min < re_max and im_min < im_max):
             raise DomainError(f"degenerate grid rectangle {self.rect!r}")
-        nx, ny = self.resolution
+        try:
+            nx, ny = map(operator.index, self.resolution)
+        except TypeError:  # a float would fail in range() in run_grid
+            raise DomainError(f"grid resolution must be integers, got {self.resolution!r}") from None
         if nx < 2 or ny < 2:
             raise DomainError(f"grid resolution must be >= 2 in each direction, got {self.resolution!r}")
         if nx * ny > MAX_GRID_CELLS:
             raise DomainError(f"grid resolution {nx}x{ny} has more than {MAX_GRID_CELLS} cells")
+        # Python ints: numpy integers would make the cell coordinates numpy floats
+        object.__setattr__(self, "resolution", (nx, ny))
 
 
 def run_grid(job: GridJob, jobs: int = 1) -> str:

@@ -19,9 +19,8 @@ import cmath
 import itertools
 import json
 import math
-from dataclasses import dataclass
 
-from .hyperbolic import PointError, require_interior_point
+from .hyperbolic import PointError, Record, require_interior_point
 
 # Parse-time separation floor: point lists (and spot-checked family prefixes)
 # with a pair closer than this are rejected rather than silently accepted.
@@ -134,7 +133,7 @@ def _require_finite(what: str, **params) -> None:
     for name, value in params.items():
         try:
             finite = cmath.isfinite(value)
-        except OverflowError:  # an int beyond the float range
+        except (OverflowError, TypeError):  # an int beyond the float range, or not a number
             finite = False
         if not finite:
             raise DomainError(f"{what}: {name} must be finite, got {_shown(value)}")
@@ -183,7 +182,7 @@ def _cartesian(moduli, y):
     return moduli * np.cos(y), moduli * np.sin(y)
 
 
-class _PolarFamily:
+class _PolarFamily(Record):
     """a_k = modulus(k) e^{i k theta}; a subclass gives theta and the modulus
     law, as modulus(k) and over index arrays as moduli(k)."""
 
@@ -225,7 +224,6 @@ def _log_gap(level: float) -> float:
     return -math.log(((1.0 - below) + (1.0 - level)) * 0.5)
 
 
-@dataclass(frozen=True)
 class RadialFamily(_PolarFamily):
     """a_k = (1 - q^k) e^{i k theta} with 0 < q < 1; tail bound m(N) = 1 - q^(N+1).
     Errors name the family as ``_what``."""
@@ -236,7 +234,7 @@ class RadialFamily(_PolarFamily):
     _what = "radial family"
 
     def __post_init__(self):
-        if not 0.0 < self.q < 1.0:
+        if not (_comparable(self.q) and 0.0 < self.q < 1.0):
             raise DomainError(f"{self._what}: q must be in (0, 1), got {_shown(self.q)}")
         self._require_angle(self._what)
 
@@ -279,7 +277,6 @@ def _orbit_powers(k, p):
     return np.fromiter(map(math.pow, k.tolist(), itertools.repeat(p)), float, k.size)
 
 
-@dataclass(frozen=True)
 class BoundaryOrbitFamily(_PolarFamily):
     """a_k = (1 - c / k^p) e^{i k theta} with 0 < c < 1, p > 0; m(N) = 1 - c/(N+1)^p.
 
@@ -295,9 +292,9 @@ class BoundaryOrbitFamily(_PolarFamily):
     theta: float
 
     def __post_init__(self):
-        if not 0.0 < self.c < 1.0:
+        if not (_comparable(self.c) and 0.0 < self.c < 1.0):
             raise DomainError(f"boundary_orbit family: c must be in (0, 1), got {_shown(self.c)}")
-        if self.p <= 0.0:
+        if not _comparable(self.p) or self.p <= 0.0:
             raise DomainError(f"boundary_orbit family: p must be positive, got {_shown(self.p)}")
         _require_finite("boundary_orbit family", p=self.p)
         object.__setattr__(self, "p", float(self.p))
@@ -336,7 +333,6 @@ class BoundaryOrbitFamily(_PolarFamily):
         return min(int(k), _INDEX_CAP)
 
 
-@dataclass(frozen=True)
 class RadialBlockFamily(RadialFamily):
     """The radial law with block radii r0 q^k, 0 < r0 < 1: block k is centered
     at ((1 - q^k) e^{i k theta}, 0, ..., 0), padded by the domain.
@@ -352,7 +348,7 @@ class RadialBlockFamily(RadialFamily):
 
     def __post_init__(self):
         super().__post_init__()
-        if not 0.0 < self.r0 < 1.0:
+        if not (_comparable(self.r0) and 0.0 < self.r0 < 1.0):
             raise DomainError(f"block family: r0 must be in (0, 1), got {_shown(self.r0)}")
 
     def radius(self, k: int) -> float:
@@ -391,7 +387,7 @@ def _check_tail(bound, what: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-class _Sequence:
+class _Sequence(Record):
     """What the disk and polydisk sequence domains share: a subclass declares
     prefix, family and tail_constant, a dimension ``n``, its document
     ``kind``, how it reads its listed points (_read_points) and how it embeds
@@ -421,9 +417,10 @@ class _Sequence:
             _require_separated(prefix, "family points", first=1)
             return
         object.__setattr__(self, "prefix", self._read_points())
-        if self.tail_constant is not None and not 0.0 < self.tail_constant < 1.0:
+        tail = self.tail_constant
+        if tail is not None and not (_comparable(tail) and 0.0 < tail < 1.0):
             raise DomainError(
-                f"{kind}: tail_modulus_constant must be in (0, 1), got {_shown(self.tail_constant)}"
+                f"{kind}: tail_modulus_constant must be in (0, 1), got {_shown(tail)}"
             )
 
     def puncture(self, k: int):
@@ -492,7 +489,6 @@ class _Sequence:
     _embed_point = staticmethod(lambda a: a)
 
 
-@dataclass(frozen=True)
 class FinitePunctures(_Sequence):
     """Unit disk minus finitely many pairwise-distinct punctures: an exact
     listing of ``punctures``, with no family and no tail constant."""
@@ -504,11 +500,10 @@ class FinitePunctures(_Sequence):
     family = tail_constant = None
     prefix = property(lambda self: self.punctures)
 
-    def __post_init__(self):
-        object.__setattr__(self, "punctures", _check_point_list(self.punctures, "punctures"))
+    def __init__(self, punctures):
+        object.__setattr__(self, "punctures", _check_point_list(punctures, "punctures"))
 
 
-@dataclass(frozen=True)
 class SequencePunctures(_Sequence):
     """Unit disk minus a puncture sequence converging to the boundary."""
 
@@ -523,7 +518,6 @@ class SequencePunctures(_Sequence):
         return _check_point_list(self.prefix, "sequence points")
 
 
-@dataclass(frozen=True)
 class PolySequencePunctures(_Sequence):
     """Unit polydisk minus a puncture sequence; moduli are coordinate maxima."""
 
@@ -561,19 +555,18 @@ class PolySequencePunctures(_Sequence):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(Record):
     """A removed closed polydisk or ball: center in the polydisk plus a radius."""
 
     center: tuple[complex, ...]
     radius: float
 
-    def __post_init__(self):
-        _require_finite("block", radius=self.radius,
-                        **{f"center[{j}]": c for j, c in enumerate(self.center)})
-        object.__setattr__(self, "center", tuple(complex(c) for c in self.center))
-        if self.radius <= 0.0:
-            raise DomainError(f"block radius must be positive, got {self.radius!r}")
+    def __init__(self, center, radius):
+        _require_finite("block", radius=radius, **{f"center[{j}]": c for j, c in enumerate(center)})
+        if radius <= 0.0:
+            raise DomainError(f"block radius must be positive, got {radius!r}")
+        object.__setattr__(self, "center", tuple(complex(c) for c in center))
+        object.__setattr__(self, "radius", radius)
 
 
 def sup_distance(a, b) -> float:
@@ -584,7 +577,7 @@ def euclid_distance(a, b) -> float:
     return math.sqrt(sum(abs(x - y) ** 2 for x, y in zip(a, b)))
 
 
-class _Blocks:
+class _Blocks(Record):
     """What the removed-polydisk and removed-ball domains share: a subclass
     declares n, blocks and family, its ``geometry``, its document ``kind``
     and the ``metric`` of block distances.  Exactly one of ``family`` (a planar
@@ -608,6 +601,8 @@ class _Blocks:
         else:
             check = self.blocks
             for i, b in enumerate(self.blocks):
+                if not isinstance(b, Block):
+                    raise DomainError(f"{kind}: block {i} is not a Block, got {_shown(b)}")
                 if len(b.center) != self.n:
                     raise DomainError(
                         f"{kind}: block {i} center has {len(b.center)} coordinates, expected {self.n}")
@@ -640,7 +635,6 @@ class _Blocks:
         return self.metric(z, block.center)
 
 
-@dataclass(frozen=True)
 class RemovedPolydisks(_Blocks):
     """Unit polydisk minus pairwise-disjoint closed sup-norm blocks."""
 
@@ -653,7 +647,6 @@ class RemovedPolydisks(_Blocks):
     metric = staticmethod(sup_distance)
 
 
-@dataclass(frozen=True)
 class RemovedBalls(_Blocks):
     """Unit polydisk minus pairwise-disjoint closed Euclidean balls."""
 
@@ -671,21 +664,19 @@ class RemovedBalls(_Blocks):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Annulus:
+class Annulus(Record):
     """{z : r < |z| < 1} for 0 < r < 1."""
 
     inner_radius: float
 
     def __post_init__(self):
-        if not 0.0 < self.inner_radius < 1.0:
+        if not (_comparable(self.inner_radius) and 0.0 < self.inner_radius < 1.0):
             raise DomainError(
                 f"annulus: inner radius must be in (0, 1), got {_shown(self.inner_radius)}"
             )
 
 
-@dataclass(frozen=True)
-class ProductOfBalls:
+class ProductOfBalls(Record):
     """n-fold product of n-dimensional unit balls."""
 
     n: int

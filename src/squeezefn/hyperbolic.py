@@ -8,7 +8,9 @@ Points are plain ``complex`` numbers, polydisk points tuples of them.  The
 skip all checks, because evaluation loops feed them generated sequence tails
 whose moduli round to 1.0 in double precision, which is harmless as long as
 the other argument stays safely inside the disk.  ``MobiusMap`` is the disk
-automorphism behind the invariance checks.
+automorphism behind the invariance checks.  ``Record`` is the immutable base
+of every record class of the package, here because every path loads this
+module first.
 
 There is one distance kernel, in a float form (rho_from, rho) and an array
 form (_kernel) that take the same operations in the same order, on what
@@ -24,7 +26,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 # Points with modulus in [1 - 1e-12, 1) are rejected as evaluation anchors:
 # Mobius denominators degenerate there and certified tail bounds lose meaning.
@@ -247,8 +248,100 @@ def radial_separation_bound(m: float, r: float) -> float:
     return (m - r) / (1.0 - r * m)
 
 
-@dataclass(frozen=True)
-class MobiusMap:
+class _DataclassFields:
+    """A record class's ``__dataclass_fields__``, built on each use: the
+    dataclasses.Field of each field, so that dataclasses' fields, replace,
+    asdict and is_dataclass take a record, and only their caller imports
+    dataclasses."""
+
+    def __get__(self, record, cls):
+        import dataclasses
+
+        fields = {}
+        for name in cls._fields:
+            f = fields[name] = dataclasses.field(default=cls._defaults.get(name, dataclasses.MISSING))
+            f.name, f._field_type = name, dataclasses._FIELD  # as the decorator sets them
+        return fields
+
+
+class Record:
+    """An immutable record of named fields: the base of every record class.
+
+    A subclass declares its fields as annotated class attributes, after those
+    of a base record, a default as the attribute's value.  The constructor
+    takes them by position or keyword and then calls ``__post_init__``, the
+    validation hook.  A class built often defines its own ``__init__``,
+    which takes the fields in order with their defaults, validates them and
+    stores each with ``object.__setattr__``: a write through ``__dict__``
+    would materialise the instance dict, and every later attribute load
+    would be slower (about 30 ns against 10 on CPython 3.11).  Assignment
+    raises AttributeError.  Records are equal when of the same class with
+    equal field tuples; the hash is that tuple's and the repr
+    ``Name(field=value, ...)``, as the frozen dataclasses that records
+    replaced had them.  Nothing is generated or compiled: a record class
+    costs its class statement alone."""
+
+    _fields = ()
+    _defaults = {}
+    __dataclass_fields__ = _DataclassFields()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        own = cls.__dict__.get("__annotations__", {})
+        cls._fields = cls.__match_args__ = cls._fields + tuple(own)
+        cls._defaults = {**cls._defaults, **{f: cls.__dict__[f] for f in own if f in cls.__dict__}}
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self._fields):
+            args = self._bound(args, kwargs)
+        for name, value in zip(self._fields, args):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def _bound(self, args, kwargs) -> list:
+        """The field values of a call, defaults filled in; a call that does
+        not match the fields is a TypeError, as for a written signature."""
+        name, fields = type(self).__name__, self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} positional arguments but {len(args)} were given")
+        values = dict(zip(fields, args))
+        for key, value in kwargs.items():
+            if key not in fields:
+                raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
+            if key in values:
+                raise TypeError(f"{name}() got multiple values for argument {key!r}")
+            values[key] = value
+        missing = [f for f in fields if f not in values and f not in self._defaults]
+        if missing:
+            raise TypeError(f"{name}() missing required arguments: {', '.join(map(repr, missing))}")
+        return [values[f] if f in values else self._defaults[f] for f in fields]
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({fields})"
+
+
+class MobiusMap(Record):
     """Disk automorphism z -> e^{i rotation} (z - center) / (1 - conj(center) z).
 
     ``center`` is the point sent to the origin.  With ``rotation = pi`` the map
@@ -258,10 +351,9 @@ class MobiusMap:
     center: complex = 0j
     rotation: float = 0.0
 
-    def __post_init__(self):
+    def __init__(self, center=0j, rotation=0.0):
         import numbers  # here, not at import: a numpy-free eval never builds a map
 
-        center, rotation = self.center, self.rotation
         if not isinstance(rotation, numbers.Real):  # float() would parse a string
             raise PointError(f"Mobius rotation must be a real number, got {type(rotation).__name__}")
         try:

@@ -40,7 +40,6 @@ import heapq
 import itertools
 import math
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .domains import (
@@ -60,6 +59,7 @@ from .domains import (
 from .hyperbolic import (
     INTERIOR_MARGIN,
     PointError,
+    Record,
     _as_complex,
     _kernel,
     _prepare,
@@ -130,8 +130,7 @@ class CertificationError(RuntimeError):
     """An infimum could not be certified (uncovered tail or search cap)."""
 
 
-@dataclass(frozen=True)
-class InvariantValue:
+class InvariantValue(Record):
     """An invariant value in (0, 1] plus certification metadata.
 
     truncation_index is the last puncture/block index examined (0 for exact
@@ -147,21 +146,33 @@ class InvariantValue:
     mesh_error: float = 0.0
     attained_index: int = 0
 
-    def __post_init__(self):
-        if not 0.0 < self.value <= 1.0:
-            raise ValueError(f"invariant value {self.value!r} outside (0, 1]")
-        if self.mesh_error < 0.0:
-            raise ValueError(f"negative mesh error {self.mesh_error!r}")
+    def __init__(self, value, truncation_index=0, tail_bound_used=0.0, mesh_error=0.0, attained_index=0):
+        if not 0.0 < value <= 1.0:
+            raise ValueError(f"invariant value {value!r} outside (0, 1]")
+        if mesh_error < 0.0:
+            raise ValueError(f"negative mesh error {mesh_error!r}")
+        store = object.__setattr__
+        store(self, "value", value)
+        store(self, "truncation_index", truncation_index)
+        store(self, "tail_bound_used", tail_bound_used)
+        store(self, "mesh_error", mesh_error)
+        store(self, "attained_index", attained_index)
 
 
-@dataclass(frozen=True)
-class VerificationOutcome:
+class VerificationOutcome(Record):
     """Pass/fail result of a consistency check, with the computed values."""
 
     passed: bool
     observed: tuple[float, ...] = ()
     violating_index: int | None = None
     details: str = ""
+
+    def __init__(self, passed, observed=(), violating_index=None, details=""):
+        store = object.__setattr__
+        store(self, "passed", passed)
+        store(self, "observed", observed)
+        store(self, "violating_index", violating_index)
+        store(self, "details", details)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import asdict, dataclass
 
 from .domains import (
     Annulus,
@@ -29,19 +28,30 @@ from .domains import (
     _require_finite,
     _shown,
 )
-from .hyperbolic import MobiusMap, _kernel, _prepare, radial_separation_bound, rho, rho_from
+from .hyperbolic import MobiusMap, Record, _kernel, _prepare, radial_separation_bound, rho, rho_from
 from . import SUITES
 from . import invariants as inv
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
+    """One check of a suite: its name, its outcome, the observed and expected
+    values and the tolerance between them."""
+
     check_name: str
     passed: bool
     observed: float
     expected: float
     tolerance: float
     details: str = ""
+
+    def __init__(self, check_name, passed, observed, expected, tolerance, details=""):
+        store = object.__setattr__
+        store(self, "check_name", check_name)
+        store(self, "passed", passed)
+        store(self, "observed", observed)
+        store(self, "expected", expected)
+        store(self, "tolerance", tolerance)
+        store(self, "details", details)
 
 
 def report_line(r: VerificationReport) -> str:
@@ -54,7 +64,7 @@ def format_reports(reports) -> str:
 
 
 def reports_to_json(reports) -> list[dict]:
-    return [asdict(r) for r in reports]
+    return [{name: getattr(r, name) for name in r._fields} for r in reports]
 
 
 class Lcg:

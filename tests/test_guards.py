@@ -476,3 +476,35 @@ def test_numeric_arguments_that_are_not_numbers_are_domain_errors(build, message
 def test_seeds_take_numpy_integers():
     import numpy as np
     assert run_suite("invariance", trials=2, seed=np.int64(3)) == run_suite("invariance", trials=2, seed=3)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: RadialFamily("0.5", 1.0), "radial family: q must be in (0, 1), got '0.5'"),
+    (lambda: RadialFamily(0.5, "1.0"), "radial family: theta must be finite, got '1.0'"),
+    (lambda: BoundaryOrbitFamily("0.5", 2.0, 1.0), "boundary_orbit family: c must be in (0, 1), got '0.5'"),
+    (lambda: BoundaryOrbitFamily(0.5, "2", 1.0), "boundary_orbit family: p must be positive, got '2'"),
+    (lambda: RadialBlockFamily(0.5, 1.0, "0.2"), "block family: r0 must be in (0, 1), got '0.2'"),
+    (lambda: Annulus("0.3"), "annulus: inner radius must be in (0, 1), got '0.3'"),
+    (lambda: Block((0j,), "0.2"), "block: radius must be finite, got '0.2'"),
+    (lambda: Block(("0",), 0.2), "block: center[0] must be finite, got '0'"),
+    (lambda: SequencePunctures(prefix=(0.5,), tail_constant="0.9"),
+     "sequence: tail_modulus_constant must be in (0, 1), got '0.9'"),
+    (lambda: RemovedPolydisks(2, blocks=[(0, 0.25)]), "removed_polydisks: block 0 is not a Block, got (0, 0.25)"),
+    (lambda: GridJob(Annulus(0.25), (-0.5, 0.5, -0.5, 0.5), (2.5, 2), "squeezing"),
+     "grid resolution must be integers, got (2.5, 2)"),
+], ids=["radial-q", "radial-theta", "orbit-c", "orbit-p", "block-family-r0", "annulus", "block-radius",
+        "block-center", "tail-constant", "block-list-entry", "grid-resolution"])
+def test_record_fields_that_are_not_numbers_are_domain_errors(build, message):
+    # each ended in a bare TypeError from its guard's comparison or from
+    # cmath.isfinite, an AttributeError on the block's center, or (the grid)
+    # a TypeError in range() once run_grid started
+    with raises_exactly(DomainError, message):
+        build()
+
+
+def test_grid_resolution_takes_numpy_integers():
+    import numpy as np
+
+    rect = (-0.5, 0.5, -0.5, 0.5)
+    assert (run_grid(GridJob(Annulus(0.25), rect, (np.int64(3), np.int32(2)), "squeezing"))
+            == run_grid(GridJob(Annulus(0.25), rect, (3, 2), "squeezing")))

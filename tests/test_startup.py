@@ -1,7 +1,8 @@
 """Start-up imports: numpy loads only where a batched kernel or an oracle runs.
 A family scan loads it only past its scalar head (the first 8 punctures).
 Each submodule of squeezefn loads on first use: a domain parse loads only
-domains and hyperbolic, and only verify loads verification.
+domains and hyperbolic, and only verify loads verification.  No command that
+runs without numpy loads dataclasses or inspect.
 
 pytest itself imports numpy, so every check runs in a fresh interpreter.
 """
@@ -113,6 +114,25 @@ def test_import_and_parse_load_only_domains_and_hyperbolic():
             squeezefn.parse_domain_spec(doc)
         loaded = sorted(m for m in sys.modules if m.startswith("squeezefn"))
         assert loaded == ["squeezefn", "squeezefn.domains", "squeezefn.hyperbolic"], loaded
+    """)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_numpy_free_commands_load_neither_dataclasses_nor_inspect(docs_dir):
+    # numpy imports inspect, so grid, verify and deep family scans are exempt
+    argvs = [eval_argv(docs_dir, *case) for case in NUMPY_FREE_EVALS]
+    proc = run_python(f"""
+        import sys
+        import squeezefn
+        for doc in {list(DOCS.values())!r}:
+            squeezefn.parse_domain_spec(doc)
+        unwanted = ("dataclasses", "inspect")
+        assert not [m for m in unwanted if m in sys.modules], "loaded by import and parse"
+        from squeezefn.cli import main
+        for argv in {argvs!r}:
+            assert main(argv) == 0, argv
+            loaded = [m for m in unwanted if m in sys.modules]
+            assert not loaded, (argv, loaded)
     """)
     assert proc.returncode == 0, proc.stderr
 
