@@ -116,6 +116,14 @@ MUTANTS = (
            "kept = kept[x[kept] <= math.asin(min(1.0, (t := math.nextafter(seed, 0.0)) * (1.0 - r * r)"
            " / (r * (1.0 - t * t))))] if (r := abs(z[0] if isinstance(z, tuple) else z)) else kept",
            _t("test_seed_keeps_its_puncture_at_the_edge_of_its_window")),
+    # of the window's three margins only the reduction's can be told apart by
+    # a test: the quotient factor's slack covers the kernel's 9u, and a float
+    # puncture's angle is within a few u of y, inside the reduction's 48 eps
+    Mutant("window-reduction-margin-dropped",
+           "a chunk's angles too large to reduce within the window's width leave no window",
+           INVARIANTS, "spread = math.asin(sine / below) + 4.0 * _EPS * (max(abs(y[0]), abs(y[-1])) + 12.0)",
+           "spread = math.asin(sine / below)",
+           _t("test_window_at_the_deep_points")),
     Mutant("tail-probe-bisect-left", "a scalar tail probe at n counts the candidate at n",
            INVARIANTS, "before = bisect.bisect_right(index, n)", "before = bisect.bisect_left(index, n)",
            _t("test_scalar_tail_probe_is_the_numpy_pass", "test_a_stop_at_a_candidate_counts_that_candidate",

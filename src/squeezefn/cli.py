@@ -25,6 +25,7 @@ from .domains import (
     RemovedBalls,
     RemovedPolydisks,
     SequencePunctures,
+    _shown,
     parse_domain_spec,
 )
 from .hyperbolic import PointError, Record
@@ -144,8 +145,12 @@ class GridJob(Record):
     invariant: str
 
     def __post_init__(self):
-        re_min, re_max, im_min, im_max = self.rect
-        if not (math.isfinite(re_max - re_min) and math.isfinite(im_max - im_min)):
+        try:
+            re_min, re_max, im_min, im_max = self.rect
+            finite = math.isfinite(re_max - re_min) and math.isfinite(im_max - im_min)
+        except (TypeError, ValueError):  # not four values, or not real numbers
+            raise DomainError(f"grid rectangle must be four numbers, got {_shown(self.rect)}") from None
+        if not finite:
             # infinite extents would put NaN coordinates into the grid
             raise DomainError(f"grid rectangle {self.rect!r} does not have a finite extent")
         if not (re_min < re_max and im_min < im_max):
@@ -154,6 +159,8 @@ class GridJob(Record):
             nx, ny = map(operator.index, self.resolution)
         except TypeError:  # a float would fail in range() in run_grid
             raise DomainError(f"grid resolution must be integers, got {self.resolution!r}") from None
+        except ValueError:  # not two values
+            raise DomainError(f"grid resolution must be two integers, got {_shown(self.resolution)}") from None
         if nx < 2 or ny < 2:
             raise DomainError(f"grid resolution must be >= 2 in each direction, got {self.resolution!r}")
         if nx * ny > MAX_GRID_CELLS:

@@ -50,8 +50,17 @@ def _ingest_point(p, what: str) -> complex:
         raise DomainError(str(e)) from e
 
 
+def _listed(values, what: str) -> tuple:
+    """tuple(values), or a DomainError naming ``what`` where values is not
+    a list (a number, None)."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise DomainError(f"{what} must be a list, got {_shown(values)}") from None
+
+
 def _check_point_list(points, what: str) -> tuple[complex, ...]:
-    pts = tuple(_ingest_point(p, f"{what} entry") for p in points)
+    pts = tuple(_ingest_point(p, f"{what} entry") for p in _listed(points, what))
     if not pts:
         raise DomainError(f"{what}: empty point list")
     _require_separated(pts, f"{what}: entries")
@@ -539,8 +548,8 @@ class PolySequencePunctures(_Sequence):
 
     def _read_points(self) -> tuple[tuple[complex, ...], ...]:
         pts = []
-        for i, p in enumerate(self.prefix):
-            p = tuple(_ingest_point(c, f"poly point {i} coordinate") for c in p)
+        for i, p in enumerate(_listed(self.prefix, "poly_sequence points")):
+            p = tuple(_ingest_point(c, f"poly point {i} coordinate") for c in _listed(p, f"poly point {i}"))
             if len(p) != self.n:
                 raise DomainError(f"poly point {i} has {len(p)} coordinates, expected {self.n}")
             pts.append(p)
@@ -562,6 +571,7 @@ class Block(Record):
     radius: float
 
     def __init__(self, center, radius):
+        center = _listed(center, "block: center")
         _require_finite("block", radius=radius, **{f"center[{j}]": c for j, c in enumerate(center)})
         if radius <= 0.0:
             raise DomainError(f"block radius must be positive, got {radius!r}")
@@ -596,9 +606,11 @@ class _Blocks(Record):
         if self.family is not None:
             # the law keeps every block inside; in floats 1 - (1 - r0) q^k rounds to 1
             _require_family(kind, self.family)
+            object.__setattr__(self, "blocks", ())
             check = [self.block(k) for k in range(1, _BLOCK_FAMILY_CHECK + 1)]
             _check_tail(self.family.tail_inner_modulus, f"{kind}: block tail bound")
         else:
+            object.__setattr__(self, "blocks", _listed(self.blocks, f"{kind}: blocks"))
             check = self.blocks
             for i, b in enumerate(self.blocks):
                 if not isinstance(b, Block):
@@ -618,7 +630,6 @@ class _Blocks(Record):
                                  <= check[i].radius + check[j].radius)
         if pair is not None:
             raise DomainError(f"{kind}: blocks {pair[0]} and {pair[1]} have intersecting closures")
-        object.__setattr__(self, "blocks", tuple(self.blocks))
 
     def block(self, k: int) -> Block:
         if self.family is not None:  # the family's point in coordinate 0

@@ -160,10 +160,17 @@ def _pow2_axis(budget: int, axes: int) -> int:
 # Largest sample budget of an oracle, and of verify's --samples.  The oracles
 # walk their grids in blocks of _ORACLE_BLOCK points and compute each block's
 # coordinates from its indices, so memory does not grow with the budget; time
-# does, linearly: in process, the boundary-oracle suite takes about 40 ms at
-# the default 250k samples and 0.5 s at this limit.
+# does, linearly: in process, the boundary-oracle suite takes about 30 ms at
+# the default 250k samples and 0.4 s at this limit.
 MAX_ORACLE_SAMPLES = 4_000_000
-_ORACLE_BLOCK = 1 << 16
+# A block's coordinate, angle and kernel temporaries trace about 190 B a
+# point (ball blocks at n = 3), so 2^13 points keep them within a core's
+# 2 MiB L2 cache.  Swept over 2^10 - 2^16 on a 2-core Xeon (in process, best
+# of 9; the closed disk at 1M and 4M samples, polydisk and ball blocks at
+# n = 1, 2, 3 at 250k and 4M): all 14 oracles took 659 ms at 2^13, 709 at
+# 2^12, 787 at 2^14 and 1140 at 2^16, none slower than at 2^16; at 4M their
+# traced peaks were 0.6 - 1.5 MB, against 5.0 - 12.1 MB at 2^16.
+_ORACLE_BLOCK = 1 << 13
 
 
 def _check_budget(what: str, samples) -> None:

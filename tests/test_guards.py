@@ -508,3 +508,40 @@ def test_grid_resolution_takes_numpy_integers():
     rect = (-0.5, 0.5, -0.5, 0.5)
     assert (run_grid(GridJob(Annulus(0.25), rect, (np.int64(3), np.int32(2)), "squeezing"))
             == run_grid(GridJob(Annulus(0.25), rect, (3, 2), "squeezing")))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: FinitePunctures(5), "punctures must be a list, got 5"),
+    (lambda: FinitePunctures(None), "punctures must be a list, got None"),
+    (lambda: SequencePunctures(prefix=5), "sequence points must be a list, got 5"),
+    (lambda: PolySequencePunctures(2, prefix=5), "poly_sequence points must be a list, got 5"),
+    (lambda: PolySequencePunctures(2, prefix=(5,)), "poly point 0 must be a list, got 5"),
+    (lambda: Block(5, 0.2), "block: center must be a list, got 5"),
+    (lambda: RemovedPolydisks(2, blocks=5), "removed_polydisks: blocks must be a list, got 5"),
+    (lambda: RemovedBalls(2, blocks=5), "removed_balls: blocks must be a list, got 5"),
+    (lambda: GridJob(Annulus(0.25), (-0.5, 0.5), (3, 3), "squeezing"),
+     "grid rectangle must be four numbers, got (-0.5, 0.5)"),
+    (lambda: GridJob(Annulus(0.25), 5, (3, 3), "squeezing"), "grid rectangle must be four numbers, got 5"),
+    (lambda: GridJob(Annulus(0.25), ("-0.5", "0.5", "-0.5", "0.5"), (3, 3), "squeezing"),
+     "grid rectangle must be four numbers, got ('-0.5', '0.5', '-0.5', '0.5')"),
+    (lambda: GridJob(Annulus(0.25), (-0.5, 0.5, -0.5, 0.5), (3,), "squeezing"),
+     "grid resolution must be two integers, got (3,)"),
+    (lambda: GridJob(Annulus(0.25), (-0.5, 0.5, -0.5, 0.5), (3, 3, 3), "squeezing"),
+     "grid resolution must be two integers, got (3, 3, 3)"),
+], ids=["finite-number", "finite-none", "sequence-prefix", "poly-prefix", "poly-point", "block-center",
+        "polydisk-blocks", "ball-blocks", "grid-rect-short", "grid-rect-number", "grid-rect-strings",
+        "grid-resolution-short",
+        "grid-resolution-long"])
+def test_record_fields_that_are_not_lists_are_domain_errors(build, message):
+    # each ended in a bare TypeError ("'int' object is not iterable", or the
+    # rectangle's str - str) or, for the grid's rectangle and resolution, a
+    # ValueError from unpacking
+    with raises_exactly(DomainError, message):
+        build()
+
+
+def test_record_lists_may_be_any_iterable():
+    # a generator is read once, into the tuple the record keeps
+    blocks = RemovedPolydisks(2, blocks=(b for b in (ORIGIN_BLOCK,)))
+    assert blocks == RemovedPolydisks(2, blocks=(ORIGIN_BLOCK,))
+    assert Block(iter((0j, 0j)), 0.25) == ORIGIN_BLOCK

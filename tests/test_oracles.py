@@ -72,10 +72,10 @@ def full_closed_disk_min(z, radius, samples):
     return float(_rho_np(z, w).min())
 
 
-# The disk grid fills 1 block at 4000 samples, 2 just below one block, 5 just
-# above and 65 at the limit; the boundary grids fill 1 block up to 250,000
-# samples and 5 to 33 blocks a face at 1M and 4M.  Most walks end in a partial
-# block.
+# The disk grid fills 1 block at 4000 samples, 3 on either side of one
+# block's budget, 129 at 1M and 513 at the limit; the boundary grids fill 1
+# block a face up to one block's budget, 5 to 7 at 250,000 and 33 to 261 at
+# 1M and 4M.  Most walks end in a partial block.
 BUDGETS = [4_000, _ORACLE_BLOCK - 1, _ORACLE_BLOCK + 1, 250_000, 1_000_000, MAX_ORACLE_SAMPLES]
 
 # (name, block, point) per dimension: the 2/7 configuration, where the
@@ -112,7 +112,7 @@ def test_closed_disk_oracle_is_bitwise_the_full_grid_minimum(z, radius, samples)
 @pytest.mark.parametrize("geometry, block, z", BOUNDARY_CASES)
 def test_small_blocks_walk_the_same_grid(monkeypatch, geometry, block, z, block_points):
     # many blocks and partial blocks, and rows longer than a block (a polydisk
-    # face's last coordinate in its disk has 4160 points at 65,537 samples)
+    # face's last coordinate in its disk has 272 points at 8193 samples)
     monkeypatch.setattr(verification, "_ORACLE_BLOCK", block_points)
     for samples in (4_000, _ORACLE_BLOCK + 1):
         expected = full_boundary_min(block, z, samples, geometry)
@@ -140,16 +140,18 @@ def traced_peak_mb(run) -> float:
 
 
 def test_closed_disk_oracle_memory_does_not_grow_with_the_budget():
-    # the full 1025 x 1024 grid traces 64 MB at 1M samples, 256 MB at 4M
+    # the full 1025 x 1024 grid traces 64 MB at 1M samples, 256 MB at 4M;
+    # walked in blocks of 2**13 points, 0.76 and 0.84 MB (5.6 MB in 2**16)
     for samples in (1_000_000, MAX_ORACLE_SAMPLES):
-        assert traced_peak_mb(lambda: _closed_disk_min_oracle(0.5 + 0j, 0.25, samples)) < 8.0
+        assert traced_peak_mb(lambda: _closed_disk_min_oracle(0.5 + 0j, 0.25, samples)) < 1.6
 
 
 @pytest.mark.parametrize("geometry, block, z", BOUNDARY_CASES)
 def test_boundary_oracle_memory_does_not_grow_with_the_budget(geometry, block, z):
-    # the full grids trace 22 MB (polydisk, n=2) to 260 MB (ball, n=2) at 4M
+    # the full grids trace 22 MB (polydisk, n=2) to 260 MB (ball, n=2) at 4M;
+    # walked in blocks of 2**13 points, 0.70 to 1.54 MB (5.5 to 12.1 MB in 2**16)
     peak = traced_peak_mb(lambda: boundary_min_oracle(block, z, MAX_ORACLE_SAMPLES, geometry))
-    assert peak < 16.0
+    assert peak < 3.0
 
 
 def plain_rim_min(block, z, samples):
@@ -171,13 +173,14 @@ def test_one_coordinate_polydisk_oracle_is_its_circle(block, z, samples):
     peak = traced_peak_mb(lambda: boundary_min_oracle(block, z, samples, "polydisk"))
     assert boundary_min_oracle(block, z, samples, "polydisk").hex() == plain_rim_min(block, z, samples).hex()
     # the circle's 2**21 angles, rim points and shifted rim points, held
-    # whole, traced 106 MB at 4M; walked in blocks, about 11 MB
-    assert peak < (20.0 if samples > 1000 else 1.0)
+    # whole, traced 106 MB at 4M; walked in blocks, 0.64 MB (5.0 MB in 2**16)
+    assert peak < (1.5 if samples > 1000 else 1.0)
 
 
 @pytest.mark.parametrize("geometry", ["polydisk", "ball"])
 def test_one_coordinate_oracle_memory_does_not_grow_with_the_budget(geometry):
     # a one-coordinate block's grid is its circle, 2**21 angles at 4M: held
-    # whole it traced 106 MB (polydisk) and 48 MB (ball)
+    # whole it traced 106 MB (polydisk) and 48 MB (ball); walked in blocks of
+    # 2**13 points, 0.64 and 0.76 MB (5.0 and 6.0 MB in 2**16)
     block, z = Block((0.1j,), 0.3), (0.4 + 0.2j,)
-    assert traced_peak_mb(lambda: boundary_min_oracle(block, z, MAX_ORACLE_SAMPLES, geometry)) < 20.0
+    assert traced_peak_mb(lambda: boundary_min_oracle(block, z, MAX_ORACLE_SAMPLES, geometry)) < 1.5
