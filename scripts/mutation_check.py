@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Mutation check of the family law, of the distance kernel, of the certified
-single-point scan, of the block minima, of the verification oracles and of
-the record base: each mutant in MUTANTS breaks one property that a value's
-accuracy, a certificate, an oracle, a record's semantics or the
-byte-identity of outputs rests on, and the tests it names must fail on it.
+single-point scan, of the block minima and their scan, of the verification
+oracles and of the record base: each mutant in MUTANTS breaks one property
+that a value's accuracy, a certificate, an oracle, a record's semantics or
+the byte-identity of outputs rests on, and the tests it names must fail on
+it.
 
 The script copies src/, tests/ and pyproject.toml to a temporary directory,
 runs the named tests of every mutant there unmutated (they must pass), then
@@ -41,6 +42,7 @@ VERIFICATION = "src/squeezefn/verification.py"
 HYPERBOLIC = "src/squeezefn/hyperbolic.py"
 KERNEL = "tests/test_kernel.py"
 RECORDS = "tests/test_records.py"
+BLOCK_LOOP = "tests/test_block_loop.py"
 
 
 class Mutant(NamedTuple):
@@ -206,6 +208,17 @@ MUTANTS = (
     Mutant("ball-gap-halved", "a ball block's error is its whole branch-and-bound gap; killed by a byte pin",
            INVARIANTS, "return best, max(gap, _MESH_FLOOR)", "return best, max(gap / 2, _MESH_FLOOR)",
            ("tests/test_verification.py::test_verify_all_output_is_pinned",)),
+    Mutant("block-tails-one-late", "block n's boundary minimum is tested against the tail beyond block n",
+           INVARIANTS, "map(family.tail_inner_modulus, itertools.count(1))",
+           "map(family.tail_inner_modulus, itertools.count(2))",
+           _t("test_random_points_match_the_reference_loop", path=BLOCK_LOOP)),
+    Mutant("block-bracket-one-short", "the lower bracket runs over every block the scan read",
+           INVARIANTS, "mesh_error = max(scan.best - min(lows), _MESH_FLOOR)",
+           "mesh_error = max(scan.best - min(lows[:-1], default=scan.best), _MESH_FLOOR)",
+           _t("test_random_points_match_the_reference_loop", path=BLOCK_LOOP)),
+    Mutant("family-outside-check-dropped", "a family point inside a block it reaches is rejected",
+           INVARIANTS, "        if domain.family is not None:\n            _require_outside_block(domain, z, block, k)\n", "",
+           _t("test_family_point_inside_a_later_block_exits_there", path=BLOCK_LOOP)),
     Mutant("cell-defect-shared-by-group", "each grid cell takes its own 1 - |z|^2",
            INVARIANTS, "dist = _kernel(cr[g, None], ci[g, None], cp[g, None], ar, ai, pa, np.sqrt)",
            "dist = _kernel(cr[g, None], ci[g, None], cp[g[:1], None], ar, ai, pa, np.sqrt)",

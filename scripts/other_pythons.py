@@ -83,6 +83,8 @@ cases = [
     ("radial certificate 0.9", lambda: lower_bound_certificate(d["radial"], 0.5 - 0.3j, 0.9)),
     ("orbit p=2 head at 0.5-0.3i", lambda: squeezing_punctured_disk(d["orbit-p2"], 0.5 - 0.3j)),
     ("poly radial head", lambda: polydisk_squeezing_punctured(d["poly-radial"], (0.3 + 0.2j, -0.1j))),
+    ("poly listed certificate 0.25", lambda: lower_bound_certificate(d["poly-listed"], (0.3 + 0.2j, 0.1j), 0.25)),
+    ("poly radial certificate 0.25", lambda: lower_bound_certificate(d["poly-radial"], (0.3 + 0.2j, 0.1j), 0.25)),
     ("removed polydisk 2/7", lambda: polydisk_squeezing_removed_blocks(
         RemovedPolydisks(n=2, blocks=(origin,)), (0.5 + 0j, 0j))),
     ("removed polydisk off-centre", lambda: polydisk_squeezing_removed_blocks(

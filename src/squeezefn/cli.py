@@ -147,24 +147,26 @@ class GridJob(Record):
     def __post_init__(self):
         try:
             re_min, re_max, im_min, im_max = self.rect
-            finite = math.isfinite(re_max - re_min) and math.isfinite(im_max - im_min)
+            finite = all(map(math.isfinite, (*self.rect, re_max - re_min, im_max - im_min)))
         except (TypeError, ValueError):  # not four values, or not real numbers
             raise DomainError(f"grid rectangle must be four numbers, got {_shown(self.rect)}") from None
+        except OverflowError:  # an int beyond the float range
+            finite = False
         if not finite:
             # infinite extents would put NaN coordinates into the grid
-            raise DomainError(f"grid rectangle {self.rect!r} does not have a finite extent")
+            raise DomainError(f"grid rectangle {_shown(self.rect)} does not have a finite extent")
         if not (re_min < re_max and im_min < im_max):
-            raise DomainError(f"degenerate grid rectangle {self.rect!r}")
+            raise DomainError(f"degenerate grid rectangle {_shown(self.rect)}")
         try:
             nx, ny = map(operator.index, self.resolution)
         except TypeError:  # a float would fail in range() in run_grid
-            raise DomainError(f"grid resolution must be integers, got {self.resolution!r}") from None
+            raise DomainError(f"grid resolution must be integers, got {_shown(self.resolution)}") from None
         except ValueError:  # not two values
             raise DomainError(f"grid resolution must be two integers, got {_shown(self.resolution)}") from None
         if nx < 2 or ny < 2:
-            raise DomainError(f"grid resolution must be >= 2 in each direction, got {self.resolution!r}")
+            raise DomainError(f"grid resolution must be >= 2 in each direction, got {_shown(self.resolution)}")
         if nx * ny > MAX_GRID_CELLS:
-            raise DomainError(f"grid resolution {nx}x{ny} has more than {MAX_GRID_CELLS} cells")
+            raise DomainError(f"grid resolution {_shown(nx)}x{_shown(ny)} has more than {MAX_GRID_CELLS} cells")
         # Python ints: numpy integers would make the cell coordinates numpy floats
         object.__setattr__(self, "resolution", (nx, ny))
 

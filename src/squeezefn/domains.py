@@ -118,7 +118,11 @@ def _require_separated(points, what: str, first: int = 0) -> None:
 def _shown(value) -> str:
     """repr(value) for a message, except for an int beyond the float range,
     which is not printed: str() refuses ints of more than 4300 digits.  A
-    value that is not a number (a string, None, a list) is shown by repr."""
+    tuple or list shows each item so; any other value that is not a number
+    (a string, None, a dict) is shown by repr."""
+    if type(value) in (tuple, list):  # not a subclass, whose repr may differ
+        items = ", ".join(map(_shown, value))
+        return f"({items}{',' * (len(value) == 1)})" if type(value) is tuple else f"[{items}]"
     try:
         cmath.isfinite(value)
     except OverflowError:

@@ -30,7 +30,8 @@ boundary and prunes nothing at z near 0 or at large angles.
 Minima over removed-block boundaries reduce to circle minima, which are closed
 forms with a rounding floor; ball blocks add a branch-and-bound over radius
 profiles.  They carry a mesh error such that the true minimum lies in
-[value - mesh_error, value].
+[value - mesh_error, value].  A sequence of blocks stops in _scalar_scan,
+the puncture scan, with each block's minimum as its distance.
 """
 
 from __future__ import annotations
@@ -300,6 +301,11 @@ def _spread(z, bound: float, y) -> float:
       end of the chunk, as y = fl(theta k) is monotone in k.
     The half-width grows with ``bound``: t, and with it the sine's numerator,
     grows, and its denominator shrinks.
+    The kernel and conversion margins are covered jointly, so no test tells
+    either apart (their mutants survive): the quotient factor's slack, at
+    least 8 eps/kappa on the sine, covers the kernel's 9u where the sine is
+    below sin 1, and the reduction margin covers a float puncture's angle,
+    within a few u of y.  Each margin stays, as the bound its step needs.
     """
     z0 = z[0] if isinstance(z, tuple) else z
     r = abs(z0)
@@ -499,11 +505,12 @@ def _first_stop(domain, anchor: float, index, run, lo: int, hi: int):
 
 def _scalar_scan(dists, anchor: float, floor: float, bound: float, tails) -> _Scan:
     """_scan over the distances d_1, d_2, ... of points a_1, a_2, ... from z
-    (rho_from for a listing, _measure for a family's head) in one scalar
-    pass with no numpy, testing the stop rule after d_n on ``tails``' m(n).
-    A listing's tails are 0.0 (falsy, like None: no test) before its last
-    point, then its tail constant, None when exact; the scan then ends
-    unstopped at its length."""
+    (rho_from for a listing, _measure for a family's head, the boundary
+    minima of removed blocks) in one scalar pass with no numpy, testing the
+    stop rule after d_n on ``tails``' m(n).  A listing's tails are 0.0
+    (falsy, like None: no test) before its last point, then its tail
+    constant, None when exact; the scan then ends unstopped at its length,
+    as it does where ``dists`` ends (a block family's _SEQUENCE_CAP)."""
     best, best_index = bound, 0
     for k, d, tail in zip(itertools.count(1), dists, tails):
         if d < floor:
@@ -637,17 +644,22 @@ def fridman_caratheodory_punctured_disk(domain, z: complex) -> InvariantValue:
 def lower_bound_certificate(domain, z: complex, claimed: float) -> VerificationOutcome:
     """Check the explicit-embedding certificate for a claimed lower bound.
 
-    The centering map f(w) = (w - z)/(1 - conj(z) w) embeds the domain in the
-    disk with f(z) = 0; the claim holds iff every puncture image has modulus
-    >= claimed and the tail certificate covers all unexamined punctures.
-    Failure is a result, not an error.
+    The centering map f(w) = (w - z)/(1 - conj(z) w), coordinate by
+    coordinate for a poly_sequence, embeds the domain in the disk or
+    polydisk with f(z) = 0; the claim holds iff every puncture image has
+    modulus (coordinate maximum) >= claimed and the tail certificate covers
+    all unexamined punctures.  Failure is a result, not an error.
     """
-    z = require_interior_point(z)
+    if isinstance(domain, PolySequencePunctures):
+        z = require_interior_polydisk_point(z, domain.n)
+        anchor = max(map(abs, z))
+    elif isinstance(domain, (FinitePunctures, SequencePunctures)):
+        z = require_interior_point(z)
+        anchor = abs(z)
+    else:
+        raise DomainError(f"lower_bound_certificate does not apply to {type(domain).__name__}")
     if not (_comparable(claimed) and 0.0 < claimed < 1.0):
         raise DomainError(f"claimed bound must be in (0, 1), got {_shown(claimed)}")
-    anchor = abs(z)
-    if not isinstance(domain, (FinitePunctures, SequencePunctures)):
-        raise DomainError(f"lower_bound_certificate does not apply to {type(domain).__name__}")
 
     # the tail covers the claim when its separation bound is >= claimed, which
     # for floats is > the next float below it: the stop rule's strict test
@@ -845,8 +857,8 @@ def polydisk_squeezing_removed_blocks(domain, z, mesh_tol: float = DEFAULT_MESH_
     [value - mesh_error, value], and mesh_error is at most ``mesh_tol``:
     ball blocks refine until it holds, polydisk blocks are closed forms whose
     error is their rounding floor, and an error above the tolerance raises
-    CertificationError.  Block sequences are truncated under the same tail
-    certificate as punctures, applied to the innermost block modulus.
+    CertificationError.  Block sequences stop in the same scan as punctures
+    (_scalar_scan), on a family's tail bound of the innermost block modulus.
     """
     if not isinstance(domain, (RemovedPolydisks, RemovedBalls)):
         raise DomainError(
@@ -854,43 +866,39 @@ def polydisk_squeezing_removed_blocks(domain, z, mesh_tol: float = DEFAULT_MESH_
     if not (_comparable(mesh_tol) and mesh_tol > 0.0):  # also NaN, which would never be reached
         raise DomainError(f"mesh tolerance must be positive, got {_shown(mesh_tol)}")
     z = require_interior_polydisk_point(z, domain.n)
-    anchor = max(abs(c) for c in z)
+    anchor = max(map(abs, z))
     block_min = (_polydisk_block_min if domain.geometry == "polydisk"
                  else lambda z, block: _ball_block_min(z, block, mesh_tol))
 
-    count = domain.known_count()
-    if count is not None:
+    family = domain.family
+    if family is None:  # a point in block 3 exits before block 1's ball search could
         for k, block in enumerate(domain.blocks, 1):
             _require_outside_block(domain, z, block, k)
-    best_v = math.inf
-    best_low = math.inf
-    best_k = 0
-    examined = 0
-    tail = 0.0
-    while examined != count:
-        if count is None:
-            t = domain.family.tail_inner_modulus(examined)
-            if _tail_stops(t, anchor, best_v):
-                tail = t
-                break
-        if examined >= _SEQUENCE_CAP:
-            raise CertificationError(
-                f"block tail bound failed to certify within {_SEQUENCE_CAP} blocks")
-        examined += 1
-        block = domain.block(examined)
-        if count is None:
-            _require_outside_block(domain, z, block, examined)
-        v, e = block_min(z, block)
-        if v < best_v:
-            best_v, best_k = v, examined
-        best_low = min(best_low, v - e)
-    mesh_error = max(best_v - best_low, _MESH_FLOOR)
+    lows = []
+    tails = itertools.repeat(None) if family is None else map(family.tail_inner_modulus, itertools.count(1))
+    scan = _scalar_scan(_block_minima(domain, z, block_min, lows), anchor, 0.0, math.inf, tails)
+    if family is not None and scan.tail is None:
+        raise CertificationError(f"block tail bound failed to certify within {_SEQUENCE_CAP} blocks")
+    mesh_error = max(scan.best - min(lows), _MESH_FLOOR)
     if mesh_error > mesh_tol:
         raise CertificationError(
             f"boundary minimization reached mesh error {mesh_error!r}, above the "
             f"mesh tolerance {mesh_tol:g}")
-    return InvariantValue(best_v, truncation_index=0 if count is not None else examined,
-                          tail_bound_used=tail, mesh_error=mesh_error, attained_index=best_k)
+    return InvariantValue(scan.best, truncation_index=0 if family is None else scan.examined,
+                          tail_bound_used=scan.tail or 0.0, mesh_error=mesh_error,
+                          attained_index=scan.best_index)
+
+
+def _block_minima(domain, z, block_min, lows):
+    """The boundary minimum v of each of a listing's blocks, or of a family's
+    first _SEQUENCE_CAP, each checked outside as it is reached; v - e of each
+    block read goes to ``lows``, whose least is the lower bracket."""
+    for k, block in enumerate(domain.blocks or map(domain.block, range(1, _SEQUENCE_CAP + 1)), 1):
+        if domain.family is not None:
+            _require_outside_block(domain, z, block, k)
+        v, e = block_min(z, block)
+        lows.append(v - e)
+        yield v
 
 
 def removed_block_display_formula(domain, z) -> float:

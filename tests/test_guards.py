@@ -7,7 +7,7 @@ import re
 import pytest
 
 from squeezefn import invariants
-from squeezefn.cli import GridJob, run_grid
+from squeezefn.cli import MAX_GRID_CELLS, GridJob, run_grid
 from squeezefn.domains import (
     Annulus,
     Block,
@@ -147,6 +147,9 @@ ANNULUS = Annulus(0.5)
 @pytest.mark.parametrize("evaluator, call, domain", [
     (squeezing_punctured_disk, lambda f, d: f(d, 0j), ANNULUS),
     (lower_bound_certificate, lambda f, d: f(d, 0j, 0.5), ANNULUS),
+    # the kind is checked before the point, which a block domain takes as a tuple
+    (lower_bound_certificate, lambda f, d: f(d, (0.5 + 0j, 0j), 0.5), RemovedPolydisks(2, blocks=(ORIGIN_BLOCK,))),
+    (lower_bound_certificate, lambda f, d: f(d, (0.5 + 0j, 0j), 0.5), RemovedBalls(2, family=BLOCK_FAMILY)),
     (polydisk_squeezing_punctured, lambda f, d: f(d, (0j, 0j)), ANNULUS),
     (polydisk_squeezing_removed_blocks, lambda f, d: f(d, (0j, 0j)), ANNULUS),
     (removed_block_display_formula, lambda f, d: f(d, (0j, 0j)), ANNULUS),
@@ -369,6 +372,7 @@ ORBIT = BoundaryOrbitFamily(0.5, 2.0, 2.3)
     (lambda: squeezing_punctured_disk(FINITE_PAIR, HUGE), "point"),
     (lambda: squeezing_punctured_disk(SequencePunctures(family=RADIAL), HUGE), "point"),
     (lambda: lower_bound_certificate(FINITE_PAIR, HUGE, 0.5), "point"),
+    (lambda: lower_bound_certificate(POLY_RADIAL, (0j, HUGE), 0.5), "point coordinate 1"),
     (lambda: annulus_squeezing(Annulus(0.25), HUGE), "point"),
     (lambda: MobiusMap(0.1)(HUGE), "point"),
     (lambda: polydisk_squeezing_punctured(PolySequencePunctures(n=2, family=RADIAL), (0j, HUGE)),
@@ -377,8 +381,8 @@ ORBIT = BoundaryOrbitFamily(0.5, 2.0, 2.3)
     (lambda: removed_block_display_formula(ORIGIN_POLYDISKS, (HUGE, 0j)), "point coordinate 0"),
     (lambda: product_of_balls_squeezing(ProductOfBalls(2), ((0, 0), (0, HUGE))),
      "product point factor 1"),
-], ids=["finite", "sequence", "certificate", "annulus", "mobius-call", "poly-sequence",
-        "removed-blocks", "display-formula", "product-of-balls"])
+], ids=["finite", "sequence", "certificate", "poly-certificate", "annulus", "mobius-call",
+        "poly-sequence", "removed-blocks", "display-formula", "product-of-balls"])
 def test_points_beyond_the_float_range_are_point_errors(build, message):
     with raises_exactly(PointError, f"{message}: int too large to convert to float"):
         build()
@@ -419,14 +423,15 @@ POLY_RADIAL = PolySequencePunctures(n=2, family=RADIAL)
     (lambda z: squeezing_punctured_disk(FINITE_PAIR, z), "point"),
     (lambda z: squeezing_punctured_disk(SequencePunctures(family=RADIAL), z), "point"),
     (lambda z: lower_bound_certificate(FINITE_PAIR, z, 0.5), "point"),
+    (lambda z: lower_bound_certificate(POLY_RADIAL, (0j, z), 0.5), "point coordinate 1"),
     (lambda z: annulus_squeezing(Annulus(0.25), z), "point"),
     (lambda z: MobiusMap(0.1)(z), "point"),
     (lambda z: polydisk_squeezing_punctured(POLY_RADIAL, (0j, z)), "point coordinate 1"),
     (lambda z: polydisk_squeezing_removed_blocks(ORIGIN_POLYDISKS, (z, 0.5)), "point coordinate 0"),
     (lambda z: product_of_balls_squeezing(ProductOfBalls(2), ((0, 0), (z, 0))),
      "product point factor 1"),
-], ids=["finite", "sequence", "certificate", "annulus", "mobius-call", "poly-sequence",
-        "removed-blocks", "product-of-balls"])
+], ids=["finite", "sequence", "certificate", "poly-certificate", "annulus", "mobius-call",
+        "poly-sequence", "removed-blocks", "product-of-balls"])
 def test_points_that_are_not_numbers_are_point_errors(build, what, point, kind):
     with raises_exactly(PointError, f"{what} must be a number, got {kind}"):
         build(point)
@@ -538,6 +543,28 @@ def test_record_fields_that_are_not_lists_are_domain_errors(build, message):
     # ValueError from unpacking
     with raises_exactly(DomainError, message):
         build()
+
+
+HUGE_INT = "an integer too large for a float"
+
+
+@pytest.mark.parametrize("rect, resolution, message", [
+    ((-10**400, 10**400, -0.5, 0.5), (3, 3),
+     f"grid rectangle ({HUGE_INT}, {HUGE_INT}, -0.5, 0.5) does not have a finite extent"),
+    ((10**400, 10**400 + 1, -0.5, 0.5), (3, 3),
+     f"grid rectangle ({HUGE_INT}, {HUGE_INT}, -0.5, 0.5) does not have a finite extent"),
+    ((10**5000,), (3, 3), f"grid rectangle must be four numbers, got ({HUGE_INT},)"),
+    ([-10**5000, 10**5000, -0.5, 0.5], (3, 3),
+     f"grid rectangle [{HUGE_INT}, {HUGE_INT}, -0.5, 0.5] does not have a finite extent"),
+    ((-0.5, 0.5, -0.5, 0.5), (10**5000, 3), f"grid resolution {HUGE_INT}x3 has more than {MAX_GRID_CELLS} cells"),
+    ((-0.5, 0.5, -0.5, 0.5), (10**5000, 2.5), f"grid resolution must be integers, got ({HUGE_INT}, 2.5)"),
+], ids=["rect-extent", "rect-corners", "rect-short", "rect-list", "resolution-cells", "resolution-float"])
+def test_grid_ints_beyond_the_float_range_are_domain_errors(rect, resolution, message):
+    # the extent ended in a bare OverflowError from math.isfinite, corners
+    # with a finite extent in one from run_grid, and the others in a
+    # ValueError from printing an int of more than 4300 digits
+    with raises_exactly(DomainError, message):
+        GridJob(Annulus(0.25), rect, resolution, "squeezing")
 
 
 def test_record_lists_may_be_any_iterable():

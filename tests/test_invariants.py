@@ -278,6 +278,31 @@ def test_poly_n1_collapses_to_disk_case():
             squeezing_punctured_disk(RADIAL, z).value
 
 
+POLY_RADIAL = PolySequencePunctures(n=2, family=RadialFamily(0.5, 1.0))
+POLY_LISTED = PolySequencePunctures(n=2, prefix=((0.5 + 0j, 0j), (0j, 0.5j), (-0.3 + 0.3j, 0.4 + 0j)),
+                                    tail_constant=0.9)
+
+
+@pytest.mark.parametrize("domain, z, head", [
+    (POLY_LISTED, (0.1 + 0.2j, -0.1j), True),
+    (POLY_RADIAL, (0.3 + 0.2j, -0.1j), True),            # stops at puncture 1
+    (POLY_RADIAL, (0.999 * cmath.exp(12j), 0.1j), False),  # stops at puncture 12
+], ids=["listing", "family-head", "family-past-head"])
+def test_poly_certificate_holds_up_to_the_brute_force_infimum(domain, z, head):
+    # the claim passes at the infimum and the float below it, and fails at
+    # the float above it on the puncture that attains it
+    res = polydisk_squeezing_punctured(domain, z)
+    assert (res.truncation_index <= 8) is head  # the scalar head's 8 punctures
+    value = brute_force_infimum(domain, z, domain.known_count() or res.truncation_index + 1000)
+    assert value == res.value
+    for claimed in (math.nextafter(value, 0.0), value):
+        out = lower_bound_certificate(domain, z, claimed)
+        assert out.passed and out.observed == (res.tail_bound_used,), out
+    out = lower_bound_certificate(domain, z, math.nextafter(value, 1.0))
+    assert not out.passed
+    assert (out.observed, out.violating_index) == ((value,), res.attained_index)
+
+
 def test_poly_dimension_mismatch():
     d = PolySequencePunctures(n=2, family=RadialFamily(0.5, 1.0))
     with pytest.raises(PointError):

@@ -242,6 +242,13 @@ def test_shallow_family_certificates_load_no_numpy():
     certificates_without_numpy([("sequence_radial", 0.5 - 0.3j, claimed) for claimed in (0.1, 0.5, 0.9)])
 
 
+def test_poly_sequence_certificates_load_no_numpy():
+    # at (0.3+0.2i, 0.1i) the poly_sequence family stops at puncture 1: 0.1
+    # and 0.25 certify on it and on the listing, and puncture 1 refutes 0.5
+    certificates_without_numpy([(name, (0.3 + 0.2j, 0.1j), claimed) for name in ("poly_points", "poly_radial")
+                                for claimed in (0.1, 0.25, 0.5)])
+
+
 def test_sequence_eval_loads_numpy(docs_dir):
     # the blocker above is not vacuous: a family scan past its scalar head
     # needs numpy (p=1 at -0.99 stops at N = 87)
