@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Mutation check of the family law, of the distance kernel, of the certified
 single-point scan, of the block minima and their scan, of the verification
-oracles and of the record base: each mutant in MUTANTS breaks one property
-that a value's accuracy, a certificate, an oracle, a record's semantics or
-the byte-identity of outputs rests on, and the tests it names must fail on
-it.
+oracles, of the record base and of the point check: each mutant in MUTANTS
+breaks one property that a value's accuracy, a certificate, an oracle, a
+record's semantics or the byte-identity of outputs rests on, and the tests
+it names must fail on it.
 
 The script copies src/, tests/ and pyproject.toml to a temporary directory,
 runs the named tests of every mutant there unmutated (they must pass), then
@@ -43,6 +43,7 @@ HYPERBOLIC = "src/squeezefn/hyperbolic.py"
 KERNEL = "tests/test_kernel.py"
 RECORDS = "tests/test_records.py"
 BLOCK_LOOP = "tests/test_block_loop.py"
+BLOCK_FACES = "tests/test_block_faces.py"
 
 
 class Mutant(NamedTuple):
@@ -219,6 +220,18 @@ MUTANTS = (
     Mutant("family-outside-check-dropped", "a family point inside a block it reaches is rejected",
            INVARIANTS, "        if domain.family is not None:\n            _require_outside_block(domain, z, block, k)\n", "",
            _t("test_family_point_inside_a_later_block_exits_there", path=BLOCK_LOOP)),
+    Mutant("faces-runner-up-never-updated", "a block's largest disk minimum takes the runner-up on its own face",
+           INVARIANTS, "            top, runner_up, at_top = d, top, c\n        elif d > runner_up:\n            runner_up = d\n",
+           "            top, at_top = d, c\n",
+           _t("test_one_pass_faces_are_bitwise_the_face_loop", path=BLOCK_FACES)),
+    Mutant("faces-top-on-its-own-face", "face k of the largest disk minimum D_k omits D_k",
+           INVARIANTS, "return min(max(at_top, runner_up), max(min(ends)[0], top))",
+           "return min(max(at_top, top), max(min(ends)[0], top))",
+           _t("test_one_pass_faces_are_bitwise_the_face_loop", path=BLOCK_FACES)),
+    Mutant("point-margin-not-strict", "a coordinate of modulus 1 - INTERIOR_MARGIN is boundary-adjacent",
+           HYPERBOLIC, "if not all(abs(z) < 1.0 - INTERIOR_MARGIN for z in zs):",
+           "if not all(abs(z) <= 1.0 - INTERIOR_MARGIN for z in zs):",
+           _t("test_polydisk_point_messages", path=BLOCK_FACES)),
     Mutant("cell-defect-shared-by-group", "each grid cell takes its own 1 - |z|^2",
            INVARIANTS, "dist = _kernel(cr[g, None], ci[g, None], cp[g, None], ar, ai, pa, np.sqrt)",
            "dist = _kernel(cr[g, None], ci[g, None], cp[g[:1], None], ar, ai, pa, np.sqrt)",

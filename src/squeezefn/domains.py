@@ -438,7 +438,11 @@ class _Sequence(Record):
 
     def puncture(self, k: int):
         """k-th puncture (1-based); deterministic and bitwise reproducible."""
-        if k < 1:
+        try:
+            low = k < 1
+        except TypeError:  # not a number
+            low = True
+        if low:
             raise DomainError(f"puncture index must be >= 1, got {_shown(k)}")
         if self.family is not None:
             return self._embed_point(_at_index("puncture index", self.family.point, k))
@@ -576,10 +580,15 @@ class Block(Record):
 
     def __init__(self, center, radius):
         center = _listed(center, "block: center")
-        _require_finite("block", radius=radius, **{f"center[{j}]": c for j, c in enumerate(center)})
+        try:  # the parameters are named only for a message
+            finite = all(map(cmath.isfinite, (radius, *center)))
+        except (OverflowError, TypeError):
+            finite = False
+        if not finite:
+            _require_finite("block", radius=radius, **{f"center[{j}]": c for j, c in enumerate(center)})
         if radius <= 0.0:
             raise DomainError(f"block radius must be positive, got {radius!r}")
-        object.__setattr__(self, "center", tuple(complex(c) for c in center))
+        object.__setattr__(self, "center", tuple(map(complex, center)))
         object.__setattr__(self, "radius", radius)
 
 
@@ -636,10 +645,16 @@ class _Blocks(Record):
             raise DomainError(f"{kind}: blocks {pair[0]} and {pair[1]} have intersecting closures")
 
     def block(self, k: int) -> Block:
+        try:
+            low = k < 1
+        except TypeError:  # not a number
+            low = True
+        if low:
+            raise DomainError(f"block index must be >= 1, got {_shown(k)}")
         if self.family is not None:  # the family's point in coordinate 0
             center = (_at_index("block index", self.family.point, k),) + (0j,) * (self.n - 1)
             return Block(center, _at_index("block index", self.family.radius, k))
-        if 1 <= k <= len(self.blocks):
+        if k <= len(self.blocks):
             return self.blocks[k - 1]
         raise DomainError(f"no block family attached: block {_shown(k)} is beyond the list")
 

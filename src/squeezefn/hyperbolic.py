@@ -84,16 +84,21 @@ def require_interior_point(z: complex, what: str = "point") -> complex:
 def require_interior_polydisk_point(zs, n: int, what: str = "point") -> tuple[complex, ...]:
     """Convert every coordinate once, check the coordinate count, then every
     coordinate against the disk, then every coordinate against the interior
-    margin."""
+    margin.  Names are formatted only for a message."""
     try:
-        zs = tuple(_as_complex(z, f"{what} coordinate {j}") for j, z in enumerate(zs))
+        items = tuple(zs)
     except TypeError:  # not iterable
         raise PointError(f"{what} must be a sequence of {n} numbers, got {type(zs).__name__}") from None
+    try:
+        zs = tuple(map(_as_complex, items))
+    except PointError:  # again, naming the coordinate that fails
+        zs = tuple(_as_complex(z, f"{what} coordinate {j}") for j, z in enumerate(items))
     if len(zs) != n:
         raise PointError(f"{what} has {len(zs)} coordinates, expected {n}")
-    for check in (_check_disk, _check_interior):
-        for j, z in enumerate(zs):
-            check(z, f"{what} coordinate {j}")
+    if not all(abs(z) < 1.0 - INTERIOR_MARGIN for z in zs):  # both checks pass exactly then; NaN fails
+        for check in (_check_disk, _check_interior):
+            for j, z in enumerate(zs):
+                check(z, f"{what} coordinate {j}")
     return zs
 
 

@@ -754,26 +754,35 @@ def _polydisk_block_min(z, block: Block) -> tuple[float, float]:
 
     The boundary is the union of faces {|w_i - c_i| = r, |w_j - c_j| <= r};
     on each face the minimum of a coordinate-wise max over a product set is
-    the max of per-coordinate minima, each a circle problem (a coordinate
-    disk's minimum sits on its rim when z_j lies outside, and is 0 otherwise).
-    Returns (value, error) with the true minimum in [value - error, value].
+    the max of per-coordinate minima: C_i on the circle, a closed form, and
+    D_j on the disk, C_j where z_j lies outside it and 0 otherwise.  With D_k
+    the first largest D and R the runner-up, face k is max(C_k, R) and the
+    least other face max(min_{i != k} C_i, D_k), for which max(min C, D_k)
+    may stand: where C_k alone is least it is no less than face k.  So one
+    pass takes the least face, of the values v and of the lower ends v - e
+    alike, and as max and min only select floats it is bitwise the O(n^2)
+    minimum over the faces.  The true minimum is in [value - error, value].
     """
-    n = len(z)
     r = block.radius
-    circle = [_min_on_circle(z[j], block.center[j], r) for j in range(n)]
-    disk = [
-        (0.0, 0.0) if abs(z[j] - block.center[j]) <= r else circle[j]
-        for j in range(n)
-    ]
-    best_v = math.inf
-    best_low = math.inf
-    for i in range(n):
-        per = [circle[j] if j == i else disk[j] for j in range(n)]
-        face_v = max(v for v, _ in per)
-        face_low = max(v - e for v, e in per)
-        best_v = min(best_v, face_v)
-        best_low = min(best_low, face_low)
-    return best_v, max(best_v - best_low, _MESH_FLOOR)
+    values, lows = [], []
+    for zj, cj in zip(z, block.center):
+        v, e = _min_on_circle(zj, cj, r)
+        outside = abs(zj - cj) > r
+        values.append((v, v if outside else 0.0))
+        lows.append((v - e, v - e if outside else 0.0))
+    best_v = _least_face(values)
+    return best_v, max(best_v - _least_face(lows), _MESH_FLOOR)
+
+
+def _least_face(ends) -> float:
+    """min over i of max(C_i, max_{j != i} D_j), for the (C_i, D_i) of ``ends``."""
+    top = runner_up = -math.inf
+    for c, d in ends:
+        if d > top:
+            top, runner_up, at_top = d, top, c
+        elif d > runner_up:
+            runner_up = d
+    return min(max(at_top, runner_up), max(min(ends)[0], top))
 
 
 def _sphere_profiles(t: tuple[float, ...], r: float) -> list[float]:

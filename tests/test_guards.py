@@ -79,6 +79,28 @@ def test_block_beyond_the_list(cls):
 
 
 @pytest.mark.parametrize("cls", BLOCK_CLASSES)
+@pytest.mark.parametrize("listed", [True, False], ids=["listed", "family"])
+@pytest.mark.parametrize("k, shown", [(0, "0"), (-3, "-3"), ("1", "'1'"), (None, "None")])
+def test_block_index_below_one_or_not_a_number(cls, listed, k, shown):
+    # a family's law would give block(0) centre 0 and radius r0, and block(-3)
+    # a centre of modulus 6.93 outside the polydisk; "1" and None used to
+    # raise a bare TypeError
+    d = cls(n=2, blocks=(ORIGIN_BLOCK,)) if listed else cls(n=2, family=BLOCK_FAMILY)
+    with raises_exactly(DomainError, f"block index must be >= 1, got {shown}"):
+        d.block(k)
+
+
+@pytest.mark.parametrize("domain", [FinitePunctures((0.5 + 0j,)),
+                                    SequencePunctures(family=RADIAL),
+                                    PolySequencePunctures(n=2, family=RADIAL)],
+                         ids=["finite", "family", "poly-family"])
+@pytest.mark.parametrize("k, shown", [("1", "'1'"), (None, "None"), (0, "0")])
+def test_puncture_index_not_a_number(domain, k, shown):
+    with raises_exactly(DomainError, f"puncture index must be >= 1, got {shown}"):
+        domain.puncture(k)
+
+
+@pytest.mark.parametrize("cls", BLOCK_CLASSES)
 def test_block_family_cap(cls, monkeypatch):
     # (0.9, 0) certifies only after 7 blocks of this family
     d = cls(n=2, family=BLOCK_FAMILY)

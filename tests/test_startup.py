@@ -18,6 +18,7 @@ import pytest
 
 from squeezefn import lower_bound_certificate, parse_domain_spec
 from squeezefn.cli import main
+from squeezefn.domains import MAX_DIMENSION
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -35,6 +36,10 @@ DOCS = {
                         "q": 0.5, "theta": 1.0, "r0": 0.25},
     "balls": {"kind": "removed_balls", "n": 2,
               "blocks": [{"center": [[0.0, 0.0], [0.0, 0.0]], "radius": 0.25}]},
+    "polydisks_n64": {"kind": "removed_polydisks", "n": MAX_DIMENSION,
+                      "blocks": [{"center": [[0.0, 0.0]] * MAX_DIMENSION, "radius": 0.25}]},
+    "polydisk_family_n64": {"kind": "removed_polydisks", "n": MAX_DIMENSION, "family": "radial",
+                            "q": 0.5, "theta": 1.0, "r0": 0.25},
     "annulus": {"kind": "annulus", "r": 0.25},
     "product_of_balls": {"kind": "product_of_balls", "n": 2},
 }
@@ -56,6 +61,10 @@ NUMPY_FREE_EVALS = [
     ("product_of_balls", "0.1,0;0,0.2;0.3,0;0,0", "t-lower-bound", []),
     ("polydisks", "0.5,0;0.1,0.1", "polydisk-squeezing", []),
     ("balls", "0.5,0;0.1,0.1", "polydisk-squeezing", ["--mesh-tol", "1e-4"]),
+    # n = MAX_DIMENSION: a listed block, and a family that stops after its first block
+    ("polydisks_n64", ";".join(["0.5,0"] + ["0,0.1"] * (MAX_DIMENSION - 1)), "polydisk-squeezing", []),
+    ("polydisk_family_n64", ";".join(["0.1,0", "0.1,0"] + ["0,0"] * (MAX_DIMENSION - 2)),
+     "polydisk-squeezing", []),
 ]
 
 

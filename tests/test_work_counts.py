@@ -1,0 +1,63 @@
+"""Exact work counts of the blocks workload's reference configurations: the
+closed-form circle minima (invariants._min_on_circle) that one evaluation
+computes, counted by wrapping the function.  A polydisk block takes exactly
+n of them, one per coordinate; a ball block takes n per radius profile its
+branch-and-bound evaluates.  A change that alters a count re-pins it here
+and says why."""
+
+import pytest
+
+from squeezefn import invariants
+from squeezefn.domains import parse_domain_spec
+from squeezefn.invariants import polydisk_squeezing_removed_blocks
+
+
+def origin_block(geometry, n):
+    return {"kind": f"removed_{geometry}s", "n": n, "blocks": [{"center": [[0.0, 0.0]] * n, "radius": 0.25}]}
+
+
+def offcentre_block(geometry, n):
+    return {"kind": f"removed_{geometry}s", "n": n,
+            "blocks": [{"center": [[0.3, 0.0]] + [[0.0, 0.0]] * (n - 1), "radius": 0.2}]}
+
+
+def block_family(geometry, n):
+    return {"kind": f"removed_{geometry}s", "n": n, "family": "radial", "q": 0.5, "theta": 1.0, "r0": 0.25}
+
+
+# (configuration, geometry, n) -> circle minima; the points and tolerances
+# are the blocks workload's: mesh_tol 1e-2 for balls at n = 3, else the default
+CIRCLE_MINIMA = {
+    ("origin", "polydisk", 2): 2, ("offcentre", "polydisk", 2): 2, ("family", "polydisk", 2): 2,
+    ("origin", "polydisk", 3): 3, ("offcentre", "polydisk", 3): 3, ("family", "polydisk", 3): 3,
+    ("origin", "ball", 2): 3254, ("offcentre", "ball", 2): 4594, ("family", "ball", 2): 2450,
+    ("origin", "ball", 3): 2073, ("offcentre", "ball", 3): 2859, ("family", "ball", 3): 951,
+}
+DOCS = {"origin": origin_block, "offcentre": offcentre_block, "family": block_family}
+
+
+def point(config, n):
+    pad = (0j,) * (n - 1)
+    return {"origin": (0.5 + 0j,) + pad, "offcentre": (-0.5 + 0j,) + pad,
+            "family": (0.1 + 0j, 0.1 + 0j) + pad[1:]}[config]
+
+
+@pytest.mark.parametrize("config, geometry, n", CIRCLE_MINIMA)
+def test_circle_minima_per_evaluation(config, geometry, n, monkeypatch):
+    domain = parse_domain_spec(DOCS[config](geometry, n))
+    z = point(config, n)
+    kwargs = {"mesh_tol": 1e-2} if (geometry, n) == ("ball", 3) else {}
+    expected = repr(polydisk_squeezing_removed_blocks(domain, z, **kwargs))
+    calls = []
+    circle = invariants._min_on_circle
+
+    def counted(*args):
+        calls.append(None)
+        return circle(*args)
+
+    monkeypatch.setattr(invariants, "_min_on_circle", counted)
+    res = polydisk_squeezing_removed_blocks(domain, z, **kwargs)
+    assert repr(res) == expected  # counting changes no value
+    assert len(calls) == CIRCLE_MINIMA[config, geometry, n]
+    if geometry == "polydisk":  # one block read, listed or the family's first
+        assert len(calls) == n * max(res.truncation_index, 1)
