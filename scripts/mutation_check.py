@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Mutation check of the family law, of the distance kernel, of the certified
 single-point scan, of the block minima and their scan, of the verification
-oracles, of the record base and of the point check: each mutant in MUTANTS
-breaks one property that a value's accuracy, a certificate, an oracle, a
-record's semantics or the byte-identity of outputs rests on, and the tests
-it names must fail on it.
+oracles, of the record base, of the point check and of the grid loop: each
+mutant in MUTANTS breaks one property that a value's accuracy, a
+certificate, an oracle, a record's semantics or the byte-identity of outputs
+rests on, and the tests it names must fail on it.
 
 The script copies src/, tests/ and pyproject.toml to a temporary directory,
 runs the named tests of every mutant there unmutated (they must pass), then
@@ -44,6 +44,7 @@ KERNEL = "tests/test_kernel.py"
 RECORDS = "tests/test_records.py"
 BLOCK_LOOP = "tests/test_block_loop.py"
 BLOCK_FACES = "tests/test_block_faces.py"
+GRID_LOOP = "tests/test_grid_loop.py"
 
 
 class Mutant(NamedTuple):
@@ -233,9 +234,18 @@ MUTANTS = (
            "if not all(abs(z) <= 1.0 - INTERIOR_MARGIN for z in zs):",
            _t("test_polydisk_point_messages", path=BLOCK_FACES)),
     Mutant("cell-defect-shared-by-group", "each grid cell takes its own 1 - |z|^2",
-           INVARIANTS, "dist = _kernel(cr[g, None], ci[g, None], cp[g, None], ar, ai, pa, np.sqrt)",
-           "dist = _kernel(cr[g, None], ci[g, None], cp[g[:1], None], ar, ai, pa, np.sqrt)",
+           INVARIANTS, "run = _kernel(cr[g], ci[g], cp[g], ar[:, None], ai[:, None], pa[:, None], np.sqrt)",
+           "run = _kernel(cr[g], ci[g], cp[g[:1]], ar[:, None], ai[:, None], pa[:, None], np.sqrt)",
            _t("test_every_grid_row_is_the_per_point_evaluation", path=KERNEL)),
+    Mutant("grid-collision-dropped", "a grid cell on a puncture it reaches has no value",
+           INVARIANTS, "collided = b < COLLISION_EPS", "collided = b < 0.0",
+           _t("test_cells_on_punctures_collide", path=GRID_LOOP)),
+    Mutant("grid-best-not-folded", "a grid cell's running minimum spans its earlier chunks",
+           INVARIANTS, "np.minimum(run[0], best[g], out=run[0])", "pass",
+           _t("test_random_rectangles_match_the_reference_loop", path=GRID_LOOP)),
+    Mutant("grid-stop-row-one-late", "a grid cell's value is its running minimum at its stop",
+           INVARIANTS, "best[g] = b = run[last, cols]", "best[g] = b = run[np.minimum(last + 1, size - 1), cols]",
+           _t("test_a_puncture_after_the_stop_is_no_collision", path=GRID_LOOP)),
     Mutant("polydisk-constant-modulus", "a polydisk family's other coordinates are at rho(z_j, 0j), in numpy",
            INVARIANTS, "return np.maximum(dist, max(rho(c, 0j) for c in rest)) if rest else dist",
            "return np.maximum(dist, max(map(abs, rest))) if rest else dist",

@@ -439,7 +439,7 @@ class _Sequence(Record):
     def puncture(self, k: int):
         """k-th puncture (1-based); deterministic and bitwise reproducible."""
         try:
-            low = k < 1
+            low = not k >= 1  # also NaN
         except TypeError:  # not a number
             low = True
         if low:
@@ -447,7 +447,10 @@ class _Sequence(Record):
         if self.family is not None:
             return self._embed_point(_at_index("puncture index", self.family.point, k))
         if k <= len(self.prefix):
-            return self.prefix[k - 1]
+            try:
+                return self.prefix[k - 1]
+            except TypeError:  # not a whole number
+                raise DomainError(f"puncture index must be a whole number, got {_shown(k)}") from None
         raise DomainError(f"no generator attached: puncture {_shown(k)} is beyond the "
                           f"{len(self.prefix)}-point prefix")
 
@@ -461,7 +464,11 @@ class _Sequence(Record):
         Returns None ("exhausted") when nothing remains beyond the examined
         prefix of an explicitly listed sequence.
         """
-        if examined < 0:
+        try:
+            low = not examined >= 0  # also NaN
+        except TypeError:  # not a number
+            low = True
+        if low:
             raise DomainError(f"tail bound index must be >= 0, got {_shown(examined)}")
         if self.family is not None:
             return _at_index("tail bound index", self.family.tail_modulus, examined)
@@ -646,7 +653,7 @@ class _Blocks(Record):
 
     def block(self, k: int) -> Block:
         try:
-            low = k < 1
+            low = not k >= 1  # also NaN
         except TypeError:  # not a number
             low = True
         if low:
@@ -655,7 +662,10 @@ class _Blocks(Record):
             center = (_at_index("block index", self.family.point, k),) + (0j,) * (self.n - 1)
             return Block(center, _at_index("block index", self.family.radius, k))
         if k <= len(self.blocks):
-            return self.blocks[k - 1]
+            try:
+                return self.blocks[k - 1]
+            except TypeError:  # not a whole number
+                raise DomainError(f"block index must be a whole number, got {_shown(k)}") from None
         raise DomainError(f"no block family attached: block {_shown(k)} is beyond the list")
 
     def known_count(self) -> int | None:

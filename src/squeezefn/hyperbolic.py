@@ -155,7 +155,7 @@ def _prepare(x, y):
 
 def _kernel(zr, zi, pz, ar, ai, pa, sqrt):
     """rho(z, a) from _prepare(z) and _prepare(a) for numpy arrays that
-    broadcast (a column of cells against a row of punctures), with
+    broadcast (cells against punctures, either way round), with
     sqrt=numpy.sqrt: the array form of rho_from, operation for operation,
     so bitwise the scalar rho of each pair.
 

@@ -80,7 +80,7 @@ COLLISION_EPS = 1e-14
 # tail bound approaches 1; the cap only guards float-degenerate inputs.
 _SEQUENCE_CAP = 200_000
 
-# Most elements in one array of the batched kernels (cells x punctures), and
+# Most elements in one array of the batched kernels (punctures x cells), and
 # the first chunk of punctures: a grid's, and the scalar head of a single-point
 # family scan.  Grid chunks double up to GRID_BLOCK; a single point's numpy
 # chunks are sized by the family's tail estimate.
@@ -576,9 +576,16 @@ def grid_cells(domain, reals, imags):
     exceeds its running minimum, and only open cells go on to the next
     chunk.  Chunks are the outer loop and groups of open cells the inner
     one, so a call generates each chunk once, however many cells it has.
-    Kernel temporaries hold at most about GRID_BLOCK elements; the per-cell
-    state (coordinates, running minima, results) scales with the number of
-    cells.
+    A group's block of at most about GRID_BLOCK elements is laid out
+    punctures x cells: its running minimum runs down the rows in place,
+    from the cells' earlier minima folded into row 0.  The stop omits the
+    test m > |z| of _tail_stops: where m <= |z|, fl(m - |z|) <= 0 and
+    1 - |z| m > 0 (|z| < 1 - 1e-12, m <= 1), so the bound is <= 0 and
+    exceeds no running minimum (a NaN tail fails both forms).  An open cell's
+    minimum is at least COLLISION_EPS, so its running minimum at its last
+    position is below COLLISION_EPS exactly when a puncture up to there is.
+    The per-cell state (coordinates, running minima, results) scales with
+    the number of cells.
     """
     import numpy as np
 
@@ -610,17 +617,18 @@ def grid_cells(domain, reals, imags):
         still_open = []
         for first in range(0, cells.size, group):
             g = cells[first:first + group]
-            dist = _kernel(cr[g, None], ci[g, None], cp[g, None], ar, ai, pa, np.sqrt)
-            run = np.minimum.accumulate(dist, axis=1)
-            np.minimum(run, best[g, None], out=run)
-            stops = _tail_stops(tails, anchor[g, None], run)
-            stopped = stops.any(axis=1)
-            last = np.where(stopped, stops.argmax(axis=1), size - 1)  # each cell's last position
-            best[g] = run[np.arange(g.size), last]
-            hits = dist < COLLISION_EPS
-            collided = hits.any(axis=1) & (hits.argmax(axis=1) <= last)
+            run = _kernel(cr[g], ci[g], cp[g], ar[:, None], ai[:, None], pa[:, None], np.sqrt)
+            np.minimum(run[0], best[g], out=run[0])
+            np.minimum.accumulate(run, axis=0, out=run)
+            stops = radial_separation_bound(tails[:, None], anchor[g]) > run
+            cols = np.arange(g.size)
+            last = stops.argmax(axis=0)
+            stopped = stops[last, cols]
+            last[~stopped] = size - 1  # each cell's last position
+            best[g] = b = run[last, cols]
+            collided = b < COLLISION_EPS
             done = stopped & ~collided
-            value[g[done]] = best[g[done]]
+            value[g[done]] = b[done]
             index[g[done]] = examined + 1 + last[done]
             still_open.append(g[~(stopped | collided)])
         cells = np.concatenate(still_open)

@@ -80,11 +80,13 @@ def test_block_beyond_the_list(cls):
 
 @pytest.mark.parametrize("cls", BLOCK_CLASSES)
 @pytest.mark.parametrize("listed", [True, False], ids=["listed", "family"])
-@pytest.mark.parametrize("k, shown", [(0, "0"), (-3, "-3"), ("1", "'1'"), (None, "None")])
+@pytest.mark.parametrize("k, shown", [(0, "0"), (-3, "-3"), ("1", "'1'"), (None, "None"),
+                                      (math.nan, "nan")])
 def test_block_index_below_one_or_not_a_number(cls, listed, k, shown):
     # a family's law would give block(0) centre 0 and radius r0, and block(-3)
     # a centre of modulus 6.93 outside the polydisk; "1" and None used to
-    # raise a bare TypeError
+    # raise a bare TypeError, and a family's block(nan) a message about the
+    # radius
     d = cls(n=2, blocks=(ORIGIN_BLOCK,)) if listed else cls(n=2, family=BLOCK_FAMILY)
     with raises_exactly(DomainError, f"block index must be >= 1, got {shown}"):
         d.block(k)
@@ -94,10 +96,29 @@ def test_block_index_below_one_or_not_a_number(cls, listed, k, shown):
                                     SequencePunctures(family=RADIAL),
                                     PolySequencePunctures(n=2, family=RADIAL)],
                          ids=["finite", "family", "poly-family"])
-@pytest.mark.parametrize("k, shown", [("1", "'1'"), (None, "None"), (0, "0")])
+@pytest.mark.parametrize("k, shown", [("1", "'1'"), (None, "None"), (0, "0"), (math.nan, "nan")])
 def test_puncture_index_not_a_number(domain, k, shown):
+    # a family's puncture(nan) used to be nan+nanj
     with raises_exactly(DomainError, f"puncture index must be >= 1, got {shown}"):
         domain.puncture(k)
+
+
+@pytest.mark.parametrize("domain", [FinitePunctures((0.5 + 0j, 0.5j)),
+                                    SequencePunctures(prefix=(0.5 + 0j, 0.5j), tail_constant=0.9)],
+                         ids=["finite", "tail-constant"])
+@pytest.mark.parametrize("k", [1.0, 1.5])
+def test_listed_puncture_index_not_a_whole_number(domain, k):
+    # a float index used to end in a bare TypeError from tuple indexing
+    with raises_exactly(DomainError, f"puncture index must be a whole number, got {k!r}"):
+        domain.puncture(k)
+
+
+@pytest.mark.parametrize("cls", BLOCK_CLASSES)
+@pytest.mark.parametrize("k", [1.0, 1.5])
+def test_listed_block_index_not_a_whole_number(cls, k):
+    d = cls(n=2, blocks=(ORIGIN_BLOCK, Block((0.5 + 0j, 0j), 0.2)))
+    with raises_exactly(DomainError, f"block index must be a whole number, got {k!r}"):
+        d.block(k)
 
 
 @pytest.mark.parametrize("cls", BLOCK_CLASSES)
@@ -146,9 +167,11 @@ def test_empty_point_lists():
 
 @pytest.mark.parametrize("domain", [SequencePunctures(family=RADIAL),
                                     FinitePunctures((0.5 + 0j,))])
-def test_negative_tail_index(domain):
-    with raises_exactly(DomainError, "tail bound index must be >= 0, got -1"):
-        domain.tail_lower_bound(-1)
+@pytest.mark.parametrize("k, shown", [(-1, "-1"), ("1", "'1'"), (None, "None"), (math.nan, "nan")])
+def test_negative_tail_index(domain, k, shown):
+    # "1" used to raise a bare TypeError, and a listing's nan gave its tail constant
+    with raises_exactly(DomainError, f"tail bound index must be >= 0, got {shown}"):
+        domain.tail_lower_bound(k)
 
 
 def test_serialize_rejects_other_objects():

@@ -1,13 +1,18 @@
-"""Exact work counts of the blocks workload's reference configurations: the
+"""Exact work counts of two workloads, counted by wrapping the functions
+that do the work.  The blocks workload's reference configurations: the
 closed-form circle minima (invariants._min_on_circle) that one evaluation
-computes, counted by wrapping the function.  A polydisk block takes exactly
-n of them, one per coordinate; a ball block takes n per radius profile its
-branch-and-bound evaluates.  A change that alters a count re-pins it here
-and says why."""
+computes.  A polydisk block takes exactly n of them, one per coordinate; a
+ball block takes n per radius profile its branch-and-bound evaluates.  The
+grid workload's five domains at 100x100: the (cell, puncture) pairs that the
+distance kernel (invariants._kernel) evaluates, its calls and the chunks of
+punctures (domain.chunk) that one sweep generates.  A change that alters a
+count re-pins it here and says why."""
 
+import numpy as np
 import pytest
 
 from squeezefn import invariants
+from squeezefn.cli import GridJob, run_grid
 from squeezefn.domains import parse_domain_spec
 from squeezefn.invariants import polydisk_squeezing_removed_blocks
 
@@ -61,3 +66,47 @@ def test_circle_minima_per_evaluation(config, geometry, n, monkeypatch):
     assert len(calls) == CIRCLE_MINIMA[config, geometry, n]
     if geometry == "polydisk":  # one block read, listed or the family's first
         assert len(calls) == n * max(res.truncation_index, 1)
+
+
+# the grid workload's domains, rectangle and resolution (those of
+# scripts/levelset_sweep.py at 100x100) -> (kernel pairs, kernel calls, chunks)
+GRID_DOCS = {
+    "finite_pair": {"kind": "finite_punctures", "points": [[0.5, 0.0], [0.0, 0.5]]},
+    "radial_q05": {"kind": "sequence", "family": "radial", "q": 0.5, "theta": 1.0},
+    "orbit_c05_p2": {"kind": "sequence", "family": "boundary_orbit", "c": 0.5, "p": 2.0, "theta": 2.3},
+    "orbit_c05_p1": {"kind": "sequence", "family": "boundary_orbit", "c": 0.5, "p": 1.0, "theta": 2.3},
+    "annulus_quarter": {"kind": "annulus", "r": 0.25},
+}
+GRID_WORK = {
+    "finite_pair": (16_000, 2, 1),
+    "radial_q05": (74_688, 10, 2),
+    "orbit_c05_p2": (118_656, 18, 7),
+    "orbit_c05_p1": (311_824, 43, 10),
+    "annulus_quarter": (0, 0, 0),
+}
+
+
+@pytest.mark.parametrize("name", GRID_WORK)
+def test_grid_kernel_pairs_calls_and_chunks_per_sweep(name, monkeypatch):
+    domain = parse_domain_spec(GRID_DOCS[name])
+    job = GridJob(domain=domain, rect=(-0.98, 0.98, -0.98, 0.98), resolution=(100, 100),
+                  invariant="squeezing")
+    expected = run_grid(job)
+    pairs, chunks = [], []  # one pair count per kernel call
+    kernel = invariants._kernel
+
+    def counted_kernel(*args):
+        pairs.append(np.broadcast(*args[:6]).size)
+        return kernel(*args)
+
+    monkeypatch.setattr(invariants, "_kernel", counted_kernel)
+    if hasattr(domain, "chunk"):
+        chunk = type(domain).chunk
+
+        def counted_chunk(self, start, stop):
+            chunks.append((start, stop))
+            return chunk(self, start, stop)
+
+        monkeypatch.setattr(type(domain), "chunk", counted_chunk)
+    assert run_grid(job) == expected  # counting changes no byte
+    assert (sum(pairs), len(pairs), len(chunks)) == GRID_WORK[name]
