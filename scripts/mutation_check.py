@@ -44,6 +44,7 @@ KERNEL = "tests/test_kernel.py"
 RECORDS = "tests/test_records.py"
 BLOCK_LOOP = "tests/test_block_loop.py"
 BLOCK_FACES = "tests/test_block_faces.py"
+CIRCLE_MIN = "tests/test_circle_min.py"
 GRID_LOOP = "tests/test_grid_loop.py"
 
 
@@ -64,6 +65,9 @@ MUTANTS = (
     Mutant("pad-minus-zero", "a polydisk family's other coordinates are exactly +0j",
            DOMAINS, "return (a,) + (0j,) * (self.n - 1)", "return (a,) + (-0j,) * (self.n - 1)",
            _t("test_family_chunk_is_bitwise_point_and_tail")),
+    Mutant("listing-tail-pad-minus-zero", "a listing chunk's tails before its last point are +0.0, as tail_lower_bound",
+           DOMAINS, "tails = np.zeros(stop - start)", "tails = np.full(stop - start, -0.0)",
+           _t("test_listing_chunk_is_bitwise_point_and_tail")),
     Mutant("angle-one-ulp-high", "a chunk's angles are theta * k, the angles of point(k)",
            DOMAINS, "return self.theta * np.arange(start + 1, stop + 1, dtype=float)",
            "return np.nextafter(self.theta * np.arange(start + 1, stop + 1, dtype=float), np.inf)",
@@ -221,14 +225,32 @@ MUTANTS = (
     Mutant("family-outside-check-dropped", "a family point inside a block it reaches is rejected",
            INVARIANTS, "        if domain.family is not None:\n            _require_outside_block(domain, z, block, k)\n", "",
            _t("test_family_point_inside_a_later_block_exits_there", path=BLOCK_LOOP)),
-    Mutant("faces-runner-up-never-updated", "a block's largest disk minimum takes the runner-up on its own face",
-           INVARIANTS, "            top, runner_up, at_top = d, top, c\n        elif d > runner_up:\n            runner_up = d\n",
-           "            top, at_top = d, c\n",
+    Mutant("faces-runner-up-never-updated", "a block's largest disk lower end takes the runner-up on its own face",
+           INVARIANTS, "            low_top, low_second, low_at_top = d, low_top, low\n"
+           "        elif d > low_second:\n            low_second = d\n",
+           "            low_top, low_at_top = d, low\n",
            _t("test_one_pass_faces_are_bitwise_the_face_loop", path=BLOCK_FACES)),
-    Mutant("faces-top-on-its-own-face", "face k of the largest disk minimum D_k omits D_k",
-           INVARIANTS, "return min(max(at_top, runner_up), max(min(ends)[0], top))",
-           "return min(max(at_top, top), max(min(ends)[0], top))",
+    Mutant("faces-top-on-its-own-face", "face k of the largest disk lower end D_k omits D_k",
+           INVARIANTS, "min(max(low_at_top, low_second), max(low_least, low_top))",
+           "min(max(low_at_top, low_top), max(low_least, low_top))",
            _t("test_one_pass_faces_are_bitwise_the_face_loop", path=BLOCK_FACES)),
+    Mutant("faces-lows-from-the-values-top", "the lower ends' least face takes their own largest disk lower end",
+           INVARIANTS, "max(low_least, low_top)), _MESH_FLOOR)", "max(low_least, top)), _MESH_FLOOR)",
+           _t("test_one_pass_faces_are_bitwise_the_face_loop", path=BLOCK_FACES)),
+    Mutant("faces-value-without-disk-minima", "a block's value is at least the circle minimum of a coordinate outside its disk",
+           INVARIANTS, "best_v = max(least, top)", "best_v = least",
+           _t("test_one_pass_faces_are_bitwise_the_face_loop", path=BLOCK_FACES)),
+    Mutant("profile-low-from-the-value", "a radius profile's lower end is the largest v - e, not the largest v",
+           INVARIANTS, "            v -= e\n            if v > low:\n", "            if v > low:\n",
+           _t("test_one_pass_profiles_are_bitwise_the_reference", path=BLOCK_FACES)),
+    Mutant("circle-value-clamp-dropped", "a circle minimum's value m + f is at most 1.0",
+           INVARIANTS, "return (1.0 if 1.0 < value else value), 2.0 * floor", "return value, 2.0 * floor",
+           _t("test_conditional_clamps_are_bitwise_the_builtins", path=CIRCLE_MIN)),
+    # 64 eps/kappa exceeds _MESH_FLOOR for every kappa in (0, 1]: only the
+    # reference comparison at kappa < 0 (a circle no block reaches) kills it
+    Mutant("circle-floor-clamp-dropped", "a circle minimum's floor is at least _MESH_FLOOR",
+           INVARIANTS, "    if _MESH_FLOOR > floor:\n        floor = _MESH_FLOOR\n", "",
+           _t("test_conditional_clamps_are_bitwise_the_builtins", path=CIRCLE_MIN)),
     Mutant("point-margin-not-strict", "a coordinate of modulus 1 - INTERIOR_MARGIN is boundary-adjacent",
            HYPERBOLIC, "if not all(abs(z) < 1.0 - INTERIOR_MARGIN for z in zs):",
            "if not all(abs(z) <= 1.0 - INTERIOR_MARGIN for z in zs):",

@@ -19,6 +19,7 @@ import cmath
 import itertools
 import json
 import math
+import operator
 
 from .hyperbolic import PointError, Record, require_interior_point
 
@@ -150,6 +151,17 @@ def _require_finite(what: str, **params) -> None:
             finite = False
         if not finite:
             raise DomainError(f"{what}: {name} must be finite, got {_shown(value)}")
+
+
+def _whole(what: str, k) -> int:
+    """An index k >= 0 as operator.index converts it (an int, a bool or a
+    numpy integer), and a DomainError for any other number, such as 1.5,
+    which a family's law would take and a listing's tuple would refuse.
+    Callers skip the call for an int, which needs no conversion."""
+    try:
+        return operator.index(k)
+    except TypeError:
+        raise DomainError(f"{what} must be a whole number, got {_shown(k)}") from None
 
 
 def _at_index(what: str, law, k):
@@ -444,13 +456,12 @@ class _Sequence(Record):
             low = True
         if low:
             raise DomainError(f"puncture index must be >= 1, got {_shown(k)}")
+        if type(k) is not int:
+            k = _whole("puncture index", k)
         if self.family is not None:
             return self._embed_point(_at_index("puncture index", self.family.point, k))
         if k <= len(self.prefix):
-            try:
-                return self.prefix[k - 1]
-            except TypeError:  # not a whole number
-                raise DomainError(f"puncture index must be a whole number, got {_shown(k)}") from None
+            return self.prefix[k - 1]
         raise DomainError(f"no generator attached: puncture {_shown(k)} is beyond the "
                           f"{len(self.prefix)}-point prefix")
 
@@ -470,6 +481,8 @@ class _Sequence(Record):
             low = True
         if low:
             raise DomainError(f"tail bound index must be >= 0, got {_shown(examined)}")
+        if type(examined) is not int:
+            examined = _whole("tail bound index", examined)
         if self.family is not None:
             return _at_index("tail bound index", self.family.tail_modulus, examined)
         if examined < len(self.prefix):
@@ -600,7 +613,9 @@ class Block(Record):
 
 
 def sup_distance(a, b) -> float:
-    return max(abs(x - y) for x, y in zip(a, b))
+    """max_j |a_j - b_j|: the differences and the order of generator form
+    max(abs(x - y) for x, y in zip(a, b)), so bitwise the same float."""
+    return max(map(abs, map(operator.sub, a, b)))
 
 
 def euclid_distance(a, b) -> float:
@@ -658,14 +673,13 @@ class _Blocks(Record):
             low = True
         if low:
             raise DomainError(f"block index must be >= 1, got {_shown(k)}")
+        if type(k) is not int:
+            k = _whole("block index", k)
         if self.family is not None:  # the family's point in coordinate 0
             center = (_at_index("block index", self.family.point, k),) + (0j,) * (self.n - 1)
             return Block(center, _at_index("block index", self.family.radius, k))
         if k <= len(self.blocks):
-            try:
-                return self.blocks[k - 1]
-            except TypeError:  # not a whole number
-                raise DomainError(f"block index must be a whole number, got {_shown(k)}") from None
+            return self.blocks[k - 1]
         raise DomainError(f"no block family attached: block {_shown(k)} is beyond the list")
 
     def known_count(self) -> int | None:

@@ -745,7 +745,15 @@ def _min_on_circle(zc: complex, c: complex, s: float) -> tuple[float, float]:
     so C is within 32u/kappa, T(c + s) within 12u/kappa, R within 48u/kappa
     and m within 86u/kappa = 43 eps/kappa to first order.  The floor f is
     _CIRCLE_FLOOR/kappa = 64 eps/kappa, at least _MESH_FLOOR, and the result
-    (m + f, 2 f): the exact minimum, below 1, lies in [value - error, value].
+    (min(m + f, 1), 2 f): the exact minimum, below 1, lies in
+    [value - error, value].
+
+    The clamps are conditionals that select as max(f, _MESH_FLOOR) and
+    min(m + f, 1.0) do: the builtins return their second argument only where
+    it is strictly greater (less), so ties and NaN keep the first and the
+    floats are bitwise theirs, without two calls.  For kappa in (0, 1] the
+    floor is at least 64 eps > _MESH_FLOOR; its clamp acts only where kappa
+    < 0, a circle beyond 1/|zc| that no block inside the polydisk reaches.
     """
     zb = zc.conjugate()
     q = c + s * s * zc / (1.0 - c.conjugate() * zc)
@@ -753,8 +761,11 @@ def _min_on_circle(zc: complex, c: complex, s: float) -> tuple[float, float]:
     rim = c + s
     radius = abs((rim - zc) / (1.0 - zb * rim) - centre)
     kappa = 1.0 - abs(zc) * (abs(c) + s)
-    floor = max(_CIRCLE_FLOOR / kappa, _MESH_FLOOR)
-    return min(abs(abs(centre) - radius) + floor, 1.0), 2.0 * floor
+    floor = _CIRCLE_FLOOR / kappa
+    if _MESH_FLOOR > floor:
+        floor = _MESH_FLOOR
+    value = abs(abs(centre) - radius) + floor
+    return (1.0 if 1.0 < value else value), 2.0 * floor
 
 
 def _polydisk_block_min(z, block: Block) -> tuple[float, float]:
@@ -766,31 +777,40 @@ def _polydisk_block_min(z, block: Block) -> tuple[float, float]:
     D_j on the disk, C_j where z_j lies outside it and 0 otherwise.  With D_k
     the first largest D and R the runner-up, face k is max(C_k, R) and the
     least other face max(min_{i != k} C_i, D_k), for which max(min C, D_k)
-    may stand: where C_k alone is least it is no less than face k.  So one
-    pass takes the least face, of the values v and of the lower ends v - e
-    alike, and as max and min only select floats it is bitwise the O(n^2)
-    minimum over the faces.  The true minimum is in [value - error, value].
+    may stand: where C_k alone is least it is no less than face k.  One pass
+    over the coordinates takes both least faces.  The values v are positive,
+    so C_i >= D_i and R <= D_k <= C_k: face k is C_k, and the least face is
+    max(min C, max D), in which the 0 of a coordinate inside its disk never
+    decides; the pass keeps the least v and the largest v outside.  The
+    lower ends v - e may be negative; for them it keeps the first largest D,
+    the C at it, the runner-up and the least C.  The tests `>` and `<` select
+    the floats that max and min select, starting from -inf and +inf, which
+    the finite C never are (kappa > 0 for a point and a block inside the
+    polydisk), so the result is bitwise the O(n^2) minimum over the faces.
+    The true minimum is in [value - error, value].
     """
     r = block.radius
-    values, lows = [], []
+    top = low_top = low_second = -math.inf
+    least = low_least = math.inf
     for zj, cj in zip(z, block.center):
         v, e = _min_on_circle(zj, cj, r)
-        outside = abs(zj - cj) > r
-        values.append((v, v if outside else 0.0))
-        lows.append((v - e, v - e if outside else 0.0))
-    best_v = _least_face(values)
-    return best_v, max(best_v - _least_face(lows), _MESH_FLOOR)
-
-
-def _least_face(ends) -> float:
-    """min over i of max(C_i, max_{j != i} D_j), for the (C_i, D_i) of ``ends``."""
-    top = runner_up = -math.inf
-    for c, d in ends:
-        if d > top:
-            top, runner_up, at_top = d, top, c
-        elif d > runner_up:
-            runner_up = d
-    return min(max(at_top, runner_up), max(min(ends)[0], top))
+        low = v - e
+        if v < least:
+            least = v
+        if low < low_least:
+            low_least = low
+        if abs(zj - cj) > r:
+            d = low
+            if v > top:
+                top = v
+        else:
+            d = 0.0
+        if d > low_top:
+            low_top, low_second, low_at_top = d, low_top, low
+        elif d > low_second:
+            low_second = d
+    best_v = max(least, top)
+    return best_v, max(best_v - min(max(low_at_top, low_second), max(low_least, low_top)), _MESH_FLOOR)
 
 
 def _sphere_profiles(t: tuple[float, ...], r: float) -> list[float]:
@@ -813,15 +833,29 @@ def _ball_block_min(z, block: Block, tol: float) -> tuple[float, float]:
     searched by best-first branch-and-bound over hyperspherical angles with
     the Lipschitz bound |dG| <= grad_bound * r * sum |dt_i|.  Cost grows
     roughly like tol^(-1/2) around a smooth interior minimum.
+
+    A profile's maxima of v and of v - e come from one pass over the
+    coordinates that starts from the first coordinate's pair and replaces
+    each only where the next is strictly greater, as max() selects, NaN
+    included: bitwise max() over each, without the tuples and generators.
     """
     n = len(z)
-    r = block.radius
+    r, centre = block.radius, block.center
     lip_t = max(_block_grad_bounds(z, block)) * r
 
     def profile_min(t) -> tuple[float, float]:
-        s = _sphere_profiles(t, r)
-        vals = [_min_on_circle(z[j], block.center[j], s[j]) for j in range(n)]
-        return max(v for v, _ in vals), max(v - e for v, e in vals)
+        coords = zip(z, centre, _sphere_profiles(t, r))
+        zj, cj, sj = next(coords)
+        top, e = _min_on_circle(zj, cj, sj)
+        low = top - e
+        for zj, cj, sj in coords:
+            v, e = _min_on_circle(zj, cj, sj)
+            if v > top:
+                top = v
+            v -= e
+            if v > low:
+                low = v
+        return top, low
 
     lo = (0.0,) * (n - 1)
     hi = (math.pi / 2.0,) * (n - 1)

@@ -1,21 +1,34 @@
 """invariants._polydisk_block_min against the face loop it replaced, kept
-below verbatim as the reference: the faces are now taken in one pass from
-the largest disk minimum and its runner-up, and must give bitwise the same
-(value, error), at n = 1 to 8 and at n = 64, with tied disk minima, equal
-centres, and coordinates inside, on and just outside their coordinate disk.
+below verbatim as the reference: the faces are now taken in one pass over
+the coordinates from the largest disk minimum and its runner-up, and must
+give bitwise the same (value, error), at n = 1 to 8 and at n = 64, with tied
+disk minima, equal centres, and coordinates inside, on and just outside
+their coordinate disk.  invariants._ball_block_min against its form before
+each radius profile became one pass, kept verbatim as the second reference:
+the same (value, error) bits, or the same CertificationError at the cap.
 
 The validation of polydisk points and of Block now names a coordinate only
 for its message; the messages are pinned here, in the order the checks run."""
 
+import heapq
 import math
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from squeezefn import invariants
 from squeezefn.domains import MAX_DIMENSION, Block, DomainError
 from squeezefn.hyperbolic import PointError, require_interior_polydisk_point
-from squeezefn.invariants import _MESH_FLOOR, _min_on_circle, _polydisk_block_min
+from squeezefn.invariants import (
+    CertificationError,
+    _MESH_FLOOR,
+    _ball_block_min,
+    _block_grad_bounds,
+    _min_on_circle,
+    _polydisk_block_min,
+    _sphere_profiles,
+)
 
 
 def reference(z, block: Block) -> tuple[float, float]:
@@ -95,6 +108,105 @@ def test_one_pass_faces_are_bitwise_the_face_loop(case):
     z, block = case
     got, want = _polydisk_block_min(z, block), reference(z, block)
     assert [x.hex() for x in got] == [x.hex() for x in want], (z, block)
+
+
+# --- ball blocks: one pass per radius profile ---------------------------------------
+
+def ball_reference(z, block: Block, tol: float) -> tuple[float, float]:
+    """_ball_block_min before each profile became one pass, verbatim but for
+    the first line, which reads the cap per call, as monkeypatched."""
+    _BALL_EVALS_CAP = invariants._BALL_EVALS_CAP
+    n = len(z)
+    r = block.radius
+    lip_t = max(_block_grad_bounds(z, block)) * r
+
+    def profile_min(t) -> tuple[float, float]:
+        s = _sphere_profiles(t, r)
+        vals = [_min_on_circle(z[j], block.center[j], s[j]) for j in range(n)]
+        return max(v for v, _ in vals), max(v - e for v, e in vals)
+
+    lo = (0.0,) * (n - 1)
+    hi = (math.pi / 2.0,) * (n - 1)
+    center = tuple((a + b) / 2.0 for a, b in zip(lo, hi))
+    half_sum = sum((b - a) / 2.0 for a, b in zip(lo, hi))
+    v, low = profile_min(center)
+    best = v
+    # corner profiles are frequent minimizers (extreme radius splits); probing
+    # them only sharpens the upper value
+    for corner in (lo, hi):
+        best = min(best, profile_min(corner)[0])
+    heap = [(low - lip_t * half_sum, 0, lo, hi)]
+    counter = 1
+    evals = 1
+    while True:  # each pass pops one box and pushes two
+        bound, _, lo, hi = heapq.heappop(heap)
+        gap = best - bound
+        if gap <= tol:
+            return best, max(gap, _MESH_FLOOR)
+        if evals >= _BALL_EVALS_CAP:
+            raise CertificationError(
+                f"boundary minimization failed to reach mesh tolerance {tol:g} "
+                f"within {_BALL_EVALS_CAP} profile evaluations"
+            )
+        axis = max(range(len(lo)), key=lambda i: hi[i] - lo[i])
+        mid = (lo[axis] + hi[axis]) / 2.0
+        for child_lo, child_hi in (
+            (lo, tuple(mid if i == axis else h for i, h in enumerate(hi))),
+            (tuple(mid if i == axis else a for i, a in enumerate(lo)), hi),
+        ):
+            c = tuple((a + b) / 2.0 for a, b in zip(child_lo, child_hi))
+            half = sum((b - a) / 2.0 for a, b in zip(child_lo, child_hi))
+            v, low = profile_min(c)
+            evals += 1
+            best = min(best, v)
+            heapq.heappush(heap, (low - lip_t * half, counter, child_lo, child_hi))
+            counter += 1
+
+
+def ball_outcome(evaluate, z, block, tol):
+    try:
+        return [x.hex() for x in evaluate(z, block, tol)]
+    except CertificationError as exc:
+        return str(exc)
+
+
+# a cap that keeps n = 4 at mesh_tol 1e-4 within tier-1's time; draws that
+# reach it compare the cap's message
+BALL_CAP = 1500
+
+
+@st.composite
+def ball_cases(draw):
+    """A ball block at n = 2, 3 or 4 with centres from a palette of up to
+    two (equal centres), coordinates as in blocks_and_points (copies make
+    equal points, so that circle minima tie), and a mesh tolerance."""
+    n = draw(st.sampled_from([2, 3, 4]))
+    r = draw(st.sampled_from([0.1, 0.25]) | st.floats(0.02, 0.45))
+    palette = draw(st.lists(centres, min_size=1, max_size=2))
+    center, z = [], []
+    for _ in range(n):
+        c = draw(st.sampled_from(palette))
+        center.append(c)
+        z.append(draw(coordinate(c, r, z)))
+    return tuple(z), Block(tuple(center), r), draw(st.floats(1e-4, 1e-2))
+
+
+@settings(max_examples=120, deadline=None)
+@given(ball_cases())
+# all centres and points equal: every coordinate's circle minimum ties at the
+# equal-split profile
+@example(((0.5 + 0j,) * 3, Block((0j,) * 3, 0.25), 1e-2))
+@example(((0.3 + 0.1j,) * 4, Block((0.1 + 0j,) * 4, 0.1), 1e-4))
+# the blocks workload's origin and off-centre balls at n = 2
+@example(((0.5 + 0j, 0j), Block((0j, 0j), 0.25), 1e-4))
+@example(((-0.5 + 0j, 0j), Block((0.3 + 0j, 0j), 0.2), 1e-4))
+def test_one_pass_profiles_are_bitwise_the_reference(case):
+    z, block, tol = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(invariants, "_BALL_EVALS_CAP", BALL_CAP)
+        got = ball_outcome(_ball_block_min, z, block, tol)
+        want = ball_outcome(ball_reference, z, block, tol)
+    assert got == want, (z, block, tol)
 
 
 # --- validation messages ------------------------------------------------------------

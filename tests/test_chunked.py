@@ -212,6 +212,31 @@ def test_family_chunk_is_bitwise_point_at_every_index(family):
         assert bad.size == 0, f"{name} differs at {bad.size} indices, first k = {bad[0] + 1}"
 
 
+LISTINGS = [
+    FinitePunctures((0.5 + 0j, -0.0 - 0.5j, complex(0.3, -0.0))),
+    SequencePunctures(prefix=(0.5 + 0j, 0.5j, -0.25 + 0.25j), tail_constant=0.9),
+    PolySequencePunctures(n=2, prefix=((0.5 + 0j, -0j), (0j, complex(-0.0, 0.5)), (0.3j, 0.3 + 0j))),
+]
+
+
+@pytest.mark.parametrize("domain", LISTINGS, ids=["finite", "tail-constant", "poly"])
+def test_listing_chunk_is_bitwise_point_and_tail(domain):
+    # every window of a listing: its points, and its tails, which are +0.0 up
+    # to the last point and then the tail constant (NaN for None)
+    count = domain.known_count()
+    for start in range(count):
+        for stop in range(start + 1, count + 1):
+            re, im, tails = domain.chunk(start, stop)
+            for i, k in enumerate(range(start + 1, stop + 1)):
+                point = domain.puncture(k)
+                got = [complex(x, y) for x, y in zip(np.atleast_2d(re)[:, i], np.atleast_2d(im)[:, i])]
+                want = list(point) if isinstance(point, tuple) else [point]
+                assert [bits(c.real) + bits(c.imag) for c in got] == [
+                    bits(c.real) + bits(c.imag) for c in want], (start, stop, k)
+                tail = domain.tail_lower_bound(k)
+                assert bits(float(tails[i])) == bits(math.nan if tail is None else tail), (start, stop, k)
+
+
 # --- the chunked evaluators against the per-puncture loop ---------------------
 
 

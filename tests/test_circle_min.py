@@ -1,14 +1,28 @@
-"""The closed-form circle minimum against sampling and the refinement it replaced."""
+"""The closed-form circle minimum against sampling, the refinement it
+replaced, and, bitwise, its form before its clamps became conditionals."""
 
 import cmath
 import math
 from fractions import Fraction
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from squeezefn.hyperbolic import rho
-from squeezefn.invariants import _MESH_FLOOR, _min_on_circle
+from squeezefn.invariants import _CIRCLE_FLOOR, _MESH_FLOOR, _min_on_circle
+
+
+def builtin_min_on_circle(zc: complex, c: complex, s: float) -> tuple[float, float]:
+    """_min_on_circle before its clamps became conditionals, kept verbatim
+    (docstring aside) as the reference: the builtins max and min."""
+    zb = zc.conjugate()
+    q = c + s * s * zc / (1.0 - c.conjugate() * zc)
+    centre = (q - zc) / (1.0 - zb * q)
+    rim = c + s
+    radius = abs((rim - zc) / (1.0 - zb * rim) - centre)
+    kappa = 1.0 - abs(zc) * (abs(c) + s)
+    floor = max(_CIRCLE_FLOOR / kappa, _MESH_FLOOR)
+    return min(abs(abs(centre) - radius) + floor, 1.0), 2.0 * floor
 
 
 def refined_min_on_circle(zc, c, s, tol, grad, rounds_cap=80):
@@ -133,3 +147,41 @@ def test_bracket_meets_refined_bracket(circle):
     ref_value, ref_error = refined_min_on_circle(zc, c, s, 1e-9, grad)
     assert max(value - error, ref_value - ref_error) <= min(value, ref_value)
 
+
+def bits_or_error(f, *args):
+    try:
+        return [x.hex() for x in f(*args)]
+    except ArithmeticError as exc:  # kappa = 0 divides by zero in both
+        return type(exc).__name__
+
+
+box = st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+radii = st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(0.0, 1e-12))
+NEAR = complex(1.0 - 1e-12)  # the least boundary-adjacent modulus, as a point
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(circles(), st.tuples(box, box, radii)))
+@example((0j, 0.3 + 0.1j, 0.2))                # zc = 0: q = c
+@example((0.5 - 0.2j, 0j, 0.3))                # c = 0
+@example((0.5 - 0.2j, 0.1 + 0.1j, 0.0))        # s = 0: the circle is a point
+@example((0.4 + 0j, 0.2 + 0j, 0.2))            # zc on the circle: m = 0
+@example((0j, 0j, 0.0))                        # floor 64 eps, above _MESH_FLOOR
+# kappa < 0, a circle beyond 1/|zc| (no block reaches it): the floor is
+# negative and clamps to _MESH_FLOOR
+@example((0.9 + 0j, 0.9 + 0j, 0.5))
+# m + floor > 1: the value clamps to 1.0
+@example((NEAR, -0.9 + 0j, 0.099))
+@example((NEAR, -0.5 + 0j, 0.4999))
+@example((0.5 + 0j, 1.0 + 0j, 1.0))            # kappa = 0: ZeroDivisionError in both
+def test_conditional_clamps_are_bitwise_the_builtins(circle):
+    # max(a, b) returns b only where b > a, min(a, b) only where b < a, so
+    # ties and NaN select alike; the values and errors must match in every bit
+    assert bits_or_error(_min_on_circle, *circle) == bits_or_error(builtin_min_on_circle, *circle), circle
+
+
+def test_reference_examples_reach_both_clamps():
+    # the examples above exercise what the conditionals replace
+    assert _min_on_circle(0.9 + 0j, 0.9 + 0j, 0.5)[1] == 2.0 * _MESH_FLOOR
+    assert _min_on_circle(0j, 0j, 0.0)[1] == 2.0 * _CIRCLE_FLOOR > 2.0 * _MESH_FLOOR
+    assert _min_on_circle(NEAR, -0.9 + 0j, 0.099)[0] == 1.0

@@ -4,6 +4,7 @@ exact message: the domain, point and certification errors a caller sees."""
 import math
 import re
 
+import numpy as np
 import pytest
 
 from squeezefn import invariants
@@ -119,6 +120,49 @@ def test_listed_block_index_not_a_whole_number(cls, k):
     d = cls(n=2, blocks=(ORIGIN_BLOCK, Block((0.5 + 0j, 0j), 0.2)))
     with raises_exactly(DomainError, f"block index must be a whole number, got {k!r}"):
         d.block(k)
+
+
+@pytest.mark.parametrize("domain", [SequencePunctures(family=RADIAL),
+                                    PolySequencePunctures(n=2, family=RADIAL)],
+                         ids=["family", "poly-family"])
+@pytest.mark.parametrize("k", [1.5, 1.0, 3.0])
+def test_family_puncture_index_not_a_whole_number(domain, k):
+    # the law at k = 1.5 used to come back as a puncture the domain does not have
+    with raises_exactly(DomainError, f"puncture index must be a whole number, got {k!r}"):
+        domain.puncture(k)
+
+
+@pytest.mark.parametrize("cls", BLOCK_CLASSES)
+@pytest.mark.parametrize("k", [1.5, 1.0])
+def test_family_block_index_not_a_whole_number(cls, k):
+    d = cls(n=2, family=BLOCK_FAMILY)
+    with raises_exactly(DomainError, f"block index must be a whole number, got {k!r}"):
+        d.block(k)
+
+
+@pytest.mark.parametrize("domain", [SequencePunctures(family=RADIAL),
+                                    FinitePunctures((0.5 + 0j, 0.5j)),
+                                    SequencePunctures(prefix=(0.5 + 0j, 0.5j), tail_constant=0.9)],
+                         ids=["family", "finite", "tail-constant"])
+@pytest.mark.parametrize("k", [0.5, 1.0, 2.0])
+def test_tail_index_not_a_whole_number(domain, k):
+    # a family's tail_lower_bound(0.5) was the law's bound there, a listing's 0.0
+    with raises_exactly(DomainError, f"tail bound index must be a whole number, got {k!r}"):
+        domain.tail_lower_bound(k)
+
+
+@pytest.mark.parametrize("index", [np.int64, np.int32, np.uint8, bool], ids=lambda t: t.__name__)
+def test_indices_that_operator_index_takes(index):
+    # numpy integers and bools index as the ints they stand for, bitwise
+    k = index(1) if index is bool else index(3)
+    family, poly = SequencePunctures(family=RADIAL), PolySequencePunctures(n=2, family=RADIAL)
+    listing = SequencePunctures(prefix=(0.5 + 0j, 0.5j, -0.5j), tail_constant=0.9)
+    for domain in (family, poly, listing, FinitePunctures((0.5 + 0j, 0.5j, -0.5j))):
+        assert repr(domain.puncture(k)) == repr(domain.puncture(int(k)))
+        assert repr(domain.tail_lower_bound(k)) == repr(domain.tail_lower_bound(int(k)))
+    for cls in BLOCK_CLASSES:
+        d = cls(n=2, family=BLOCK_FAMILY)
+        assert repr(d.block(k)) == repr(d.block(int(k)))
 
 
 @pytest.mark.parametrize("cls", BLOCK_CLASSES)

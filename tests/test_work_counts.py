@@ -1,8 +1,9 @@
 """Exact work counts of two workloads, counted by wrapping the functions
 that do the work.  The blocks workload's reference configurations: the
 closed-form circle minima (invariants._min_on_circle) that one evaluation
-computes.  A polydisk block takes exactly n of them, one per coordinate; a
-ball block takes n per radius profile its branch-and-bound evaluates.  The
+computes, and for ball blocks the radius profiles that the branch-and-bound
+evaluates (invariants._sphere_profiles).  A polydisk block takes exactly n
+circle minima, one per coordinate; a ball block takes n per profile.  The
 grid workload's five domains at 100x100: the (cell, puncture) pairs that the
 distance kernel (invariants._kernel) evaluates, its calls and the chunks of
 punctures (domain.chunk) that one sweep generates.  A change that alters a
@@ -66,6 +67,33 @@ def test_circle_minima_per_evaluation(config, geometry, n, monkeypatch):
     assert len(calls) == CIRCLE_MINIMA[config, geometry, n]
     if geometry == "polydisk":  # one block read, listed or the family's first
         assert len(calls) == n * max(res.truncation_index, 1)
+
+
+# (configuration, n) -> radius profiles a ball evaluation evaluates, corner
+# probes included: CIRCLE_MINIMA's ball counts divided by n
+PROFILE_EVALS = {
+    ("origin", 2): 1627, ("offcentre", 2): 2297, ("family", 2): 1225,
+    ("origin", 3): 691, ("offcentre", 3): 953, ("family", 3): 317,
+}
+
+
+@pytest.mark.parametrize("config, n", PROFILE_EVALS)
+def test_ball_profiles_per_evaluation(config, n, monkeypatch):
+    domain = parse_domain_spec(DOCS[config]("ball", n))
+    z = point(config, n)
+    kwargs = {"mesh_tol": 1e-2} if n == 3 else {}
+    expected = repr(polydisk_squeezing_removed_blocks(domain, z, **kwargs))
+    calls = []
+    profiles = invariants._sphere_profiles
+
+    def counted(*args):
+        calls.append(None)
+        return profiles(*args)
+
+    monkeypatch.setattr(invariants, "_sphere_profiles", counted)
+    assert repr(polydisk_squeezing_removed_blocks(domain, z, **kwargs)) == expected
+    assert len(calls) == PROFILE_EVALS[config, n]
+    assert n * len(calls) == CIRCLE_MINIMA[config, "ball", n]
 
 
 # the grid workload's domains, rectangle and resolution (those of
