@@ -35,6 +35,8 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 INVARIANTS = "src/squeezefn/invariants.py"
+CHUNK_SCAN = "src/squeezefn/chunked.py"
+BLOCK_MINIMA = "src/squeezefn/blocks.py"
 DOMAINS = "src/squeezefn/domains.py"
 CHUNKED = "tests/test_chunked.py"
 BATCHES = "tests/test_scalar_batches.py"
@@ -92,35 +94,35 @@ MUTANTS = (
            "return -math.log(1.0 - level)",
            _t("test_tail_index_is_a_certified_lower_bound_near_the_stop")),
     Mutant("stop-level-one-float-high", "_stop_level is the least float the stop rule accepts",
-           INVARIANTS, "            m = below\n        return m\n",
+           CHUNK_SCAN, "            m = below\n        return m\n",
            "            m = below\n        return math.nextafter(m, 2.0)\n",
            _t("test_tail_index_is_a_certified_lower_bound_near_the_stop")),
     Mutant("stop-cut-one-candidate-short", "the floor test and argmin run up to the stop, inclusive",
-           INVARIANTS, "seen, tail = dist[:before], (n, m)", "seen, tail = dist[:before - 1], (n, m)",
+           CHUNK_SCAN, "seen, tail = dist[:before], (n, m)", "seen, tail = dist[:before - 1], (n, m)",
            _t("test_deep_reference_points_are_pinned")),
     Mutant("first-plus-3", "tails are tried from _tail_start on, not later",
-           INVARIANTS, "first = max(reach, examined + 1)", "first = max(reach, examined + 1) + 3",
+           CHUNK_SCAN, "first = max(reach, examined + 1)", "first = max(reach, examined + 1) + 3",
            _t("test_deep_reference_points_are_pinned")),
     Mutant("second-tail-pass-dropped", "the stop may fall past the lowest minimum's candidate",
-           INVARIANTS, "or _first_stop(domain, anchor, index, run, split + 1, stop))", "or None)",
+           CHUNK_SCAN, "or _first_stop(domain, anchor, index, run, split + 1, stop))", "or None)",
            _t("test_a_loose_tail_index_changes_no_outcome")),
     Mutant("head-resumed-one-late", "the numpy chunks resume right after the scalar head",
-           INVARIANTS, "    examined, _, best, best_index, _ = scan\n",
+           CHUNK_SCAN, "    examined, _, best, best_index, _ = scan\n",
            "    examined, _, best, best_index, _ = scan\n    examined += 1\n",
            _t("test_stops_around_the_head_match_the_per_puncture_loop")),
     Mutant("seed-tail-check-dropped",
            "a seed is a window level only where no stop can fall before its puncture",
-           INVARIANTS, "if floor <= seed < bound and _tail_start(domain, anchor, seed) >= j:",
+           CHUNK_SCAN, "if floor <= seed < bound and _tail_start(domain, anchor, seed) >= j:",
            "if floor <= seed < bound:",
            _t("test_seed_changes_no_outcome_under_an_overclaiming_tail")),
     Mutant("run-started-at-the-seed",
            "the running minimum starts from the minimum before the chunk, not from d*",
-           INVARIANTS, "run = np.minimum.accumulate(np.concatenate(((best,), dist)))",
+           CHUNK_SCAN, "run = np.minimum.accumulate(np.concatenate(((best,), dist)))",
            "run = np.minimum.accumulate(np.concatenate(((dist.min(initial=best),), dist)))",
            _t("test_seed_changes_no_outcome_under_an_overclaiming_tail")),
     Mutant("seed-window-without-margins",
            "the window at d* keeps the seed's puncture whatever the rounding",
-           INVARIANTS, "kept = kept[x[kept] <= _spread(z, seed, y)]",
+           CHUNK_SCAN, "kept = kept[x[kept] <= _spread(z, seed, y)]",
            "kept = kept[x[kept] <= math.asin(min(1.0, (t := math.nextafter(seed, 0.0)) * (1.0 - r * r)"
            " / (r * (1.0 - t * t))))] if (r := abs(z[0] if isinstance(z, tuple) else z)) else kept",
            _t("test_seed_keeps_its_puncture_at_the_edge_of_its_window")),
@@ -129,15 +131,15 @@ MUTANTS = (
     # puncture's angle is within a few u of y, inside the reduction's 48 eps
     Mutant("window-reduction-margin-dropped",
            "a chunk's angles too large to reduce within the window's width leave no window",
-           INVARIANTS, "spread = math.asin(sine / below) + 4.0 * _EPS * (max(abs(y[0]), abs(y[-1])) + 12.0)",
+           CHUNK_SCAN, "spread = math.asin(sine / below) + 4.0 * _EPS * (max(abs(y[0]), abs(y[-1])) + 12.0)",
            "spread = math.asin(sine / below)",
            _t("test_window_at_the_deep_points")),
     Mutant("tail-probe-bisect-left", "a scalar tail probe at n counts the candidate at n",
-           INVARIANTS, "before = bisect.bisect_right(index, n)", "before = bisect.bisect_left(index, n)",
+           CHUNK_SCAN, "before = bisect.bisect_right(index, n)", "before = bisect.bisect_left(index, n)",
            _t("test_scalar_tail_probe_is_the_numpy_pass", "test_a_stop_at_a_candidate_counts_that_candidate",
               path=BATCHES)),
     Mutant("tail-probe-one-late", "a scalar tail pass probes from its first index on",
-           INVARIANTS, "for n in range(lo, hi + 1):", "for n in range(lo + 1, hi + 1):",
+           CHUNK_SCAN, "for n in range(lo, hi + 1):", "for n in range(lo + 1, hi + 1):",
            _t("test_scalar_tail_probe_is_the_numpy_pass", "test_a_stop_at_a_candidate_counts_that_candidate",
               path=BATCHES)),
     Mutant("scalar-conversion-next-puncture", "the scalar kernel measures puncture(k), as numpy does",
@@ -209,67 +211,67 @@ MUTANTS = (
     # bytes of verify --suite all, which prints mesh errors, kill their mutants
     Mutant("circle-floor-halved", "a circle minimum's error covers its rounding (43 eps/kappa); "
            "killed by a byte pin",
-           INVARIANTS, "_CIRCLE_FLOOR = 64.0 * _EPS", "_CIRCLE_FLOOR = 32.0 * _EPS",
+           BLOCK_MINIMA, "_CIRCLE_FLOOR = 64.0 * _EPS", "_CIRCLE_FLOOR = 32.0 * _EPS",
            ("tests/test_verification.py::test_verify_all_output_is_pinned",)),
     Mutant("ball-gap-halved", "a ball block's error is its whole branch-and-bound gap; killed by a byte pin",
-           INVARIANTS, "return best, max(gap, _MESH_FLOOR)", "return best, max(gap / 2, _MESH_FLOOR)",
+           BLOCK_MINIMA, "return best, max(gap, _MESH_FLOOR)", "return best, max(gap / 2, _MESH_FLOOR)",
            ("tests/test_verification.py::test_verify_all_output_is_pinned",)),
     Mutant("block-tails-one-late", "block n's boundary minimum is tested against the tail beyond block n",
-           INVARIANTS, "map(family.tail_inner_modulus, itertools.count(1))",
+           BLOCK_MINIMA, "map(family.tail_inner_modulus, itertools.count(1))",
            "map(family.tail_inner_modulus, itertools.count(2))",
            _t("test_random_points_match_the_reference_loop", path=BLOCK_LOOP)),
     Mutant("block-bracket-one-short", "the lower bracket runs over every block the scan read",
-           INVARIANTS, "mesh_error = max(scan.best - min(lows), _MESH_FLOOR)",
+           BLOCK_MINIMA, "mesh_error = max(scan.best - min(lows), _MESH_FLOOR)",
            "mesh_error = max(scan.best - min(lows[:-1], default=scan.best), _MESH_FLOOR)",
            _t("test_random_points_match_the_reference_loop", path=BLOCK_LOOP)),
     Mutant("family-outside-check-dropped", "a family point inside a block it reaches is rejected",
-           INVARIANTS, "        if domain.family is not None:\n            _require_outside_block(domain, z, block, k)\n", "",
+           BLOCK_MINIMA, "        if domain.family is not None:\n            _require_outside_block(domain, z, block, k)\n", "",
            _t("test_family_point_inside_a_later_block_exits_there", path=BLOCK_LOOP)),
     Mutant("faces-runner-up-never-updated", "a block's largest disk lower end takes the runner-up on its own face",
-           INVARIANTS, "            low_top, low_second, low_at_top = d, low_top, low\n"
+           BLOCK_MINIMA, "            low_top, low_second, low_at_top = d, low_top, low\n"
            "        elif d > low_second:\n            low_second = d\n",
            "            low_top, low_at_top = d, low\n",
            _t("test_one_pass_faces_are_bitwise_the_face_loop", path=BLOCK_FACES)),
     Mutant("faces-top-on-its-own-face", "face k of the largest disk lower end D_k omits D_k",
-           INVARIANTS, "min(max(low_at_top, low_second), max(low_least, low_top))",
+           BLOCK_MINIMA, "min(max(low_at_top, low_second), max(low_least, low_top))",
            "min(max(low_at_top, low_top), max(low_least, low_top))",
            _t("test_one_pass_faces_are_bitwise_the_face_loop", path=BLOCK_FACES)),
     Mutant("faces-lows-from-the-values-top", "the lower ends' least face takes their own largest disk lower end",
-           INVARIANTS, "max(low_least, low_top)), _MESH_FLOOR)", "max(low_least, top)), _MESH_FLOOR)",
+           BLOCK_MINIMA, "max(low_least, low_top)), _MESH_FLOOR)", "max(low_least, top)), _MESH_FLOOR)",
            _t("test_one_pass_faces_are_bitwise_the_face_loop", path=BLOCK_FACES)),
     Mutant("faces-value-without-disk-minima", "a block's value is at least the circle minimum of a coordinate outside its disk",
-           INVARIANTS, "best_v = max(least, top)", "best_v = least",
+           BLOCK_MINIMA, "best_v = max(least, top)", "best_v = least",
            _t("test_one_pass_faces_are_bitwise_the_face_loop", path=BLOCK_FACES)),
     Mutant("profile-low-from-the-value", "a radius profile's lower end is the largest v - e, not the largest v",
-           INVARIANTS, "            v -= e\n            if v > low:\n", "            if v > low:\n",
+           BLOCK_MINIMA, "            v -= e\n            if v > low:\n", "            if v > low:\n",
            _t("test_one_pass_profiles_are_bitwise_the_reference", path=BLOCK_FACES)),
     Mutant("circle-value-clamp-dropped", "a circle minimum's value m + f is at most 1.0",
-           INVARIANTS, "return (1.0 if 1.0 < value else value), 2.0 * floor", "return value, 2.0 * floor",
+           BLOCK_MINIMA, "return (1.0 if 1.0 < value else value), 2.0 * floor", "return value, 2.0 * floor",
            _t("test_conditional_clamps_are_bitwise_the_builtins", path=CIRCLE_MIN)),
     # 64 eps/kappa exceeds _MESH_FLOOR for every kappa in (0, 1]: only the
     # reference comparison at kappa < 0 (a circle no block reaches) kills it
     Mutant("circle-floor-clamp-dropped", "a circle minimum's floor is at least _MESH_FLOOR",
-           INVARIANTS, "    if _MESH_FLOOR > floor:\n        floor = _MESH_FLOOR\n", "",
+           BLOCK_MINIMA, "    if _MESH_FLOOR > floor:\n        floor = _MESH_FLOOR\n", "",
            _t("test_conditional_clamps_are_bitwise_the_builtins", path=CIRCLE_MIN)),
     Mutant("point-margin-not-strict", "a coordinate of modulus 1 - INTERIOR_MARGIN is boundary-adjacent",
            HYPERBOLIC, "if not all(abs(z) < 1.0 - INTERIOR_MARGIN for z in zs):",
            "if not all(abs(z) <= 1.0 - INTERIOR_MARGIN for z in zs):",
            _t("test_polydisk_point_messages", path=BLOCK_FACES)),
     Mutant("cell-defect-shared-by-group", "each grid cell takes its own 1 - |z|^2",
-           INVARIANTS, "run = _kernel(cr[g], ci[g], cp[g], ar[:, None], ai[:, None], pa[:, None], np.sqrt)",
+           CHUNK_SCAN, "run = _kernel(cr[g], ci[g], cp[g], ar[:, None], ai[:, None], pa[:, None], np.sqrt)",
            "run = _kernel(cr[g], ci[g], cp[g[:1]], ar[:, None], ai[:, None], pa[:, None], np.sqrt)",
            _t("test_every_grid_row_is_the_per_point_evaluation", path=KERNEL)),
     Mutant("grid-collision-dropped", "a grid cell on a puncture it reaches has no value",
-           INVARIANTS, "collided = b < COLLISION_EPS", "collided = b < 0.0",
+           CHUNK_SCAN, "collided = b < COLLISION_EPS", "collided = b < 0.0",
            _t("test_cells_on_punctures_collide", path=GRID_LOOP)),
     Mutant("grid-best-not-folded", "a grid cell's running minimum spans its earlier chunks",
-           INVARIANTS, "np.minimum(run[0], best[g], out=run[0])", "pass",
+           CHUNK_SCAN, "np.minimum(run[0], best[g], out=run[0])", "pass",
            _t("test_random_rectangles_match_the_reference_loop", path=GRID_LOOP)),
     Mutant("grid-stop-row-one-late", "a grid cell's value is its running minimum at its stop",
-           INVARIANTS, "best[g] = b = run[last, cols]", "best[g] = b = run[np.minimum(last + 1, size - 1), cols]",
+           CHUNK_SCAN, "best[g] = b = run[last, cols]", "best[g] = b = run[np.minimum(last + 1, size - 1), cols]",
            _t("test_a_puncture_after_the_stop_is_no_collision", path=GRID_LOOP)),
     Mutant("polydisk-constant-modulus", "a polydisk family's other coordinates are at rho(z_j, 0j), in numpy",
-           INVARIANTS, "return np.maximum(dist, max(rho(c, 0j) for c in rest)) if rest else dist",
+           CHUNK_SCAN, "return np.maximum(dist, max(rho(c, 0j) for c in rest)) if rest else dist",
            "return np.maximum(dist, max(map(abs, rest))) if rest else dist",
            _t("test_polydisk_family_distances_are_rho_max", path=KERNEL)),
     Mutant("polydisk-constant-modulus-scalar",

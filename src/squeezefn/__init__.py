@@ -4,7 +4,8 @@ and products of balls, with certified truncation of infinite infima.
 
 Each submodule loads on first use of one of its names (PEP 562), so that
 ``import squeezefn`` and a domain parse load only ``domains`` and
-``hyperbolic``."""
+``hyperbolic``.  ``chunked``, the numpy chunk scan and the grid sweep, has no
+public name: the engine loads it where a scan or a grid needs it."""
 
 import sys
 
@@ -17,14 +18,14 @@ _EXPORTS = {
     "invariants": ("CertificationError", "InvariantValue", "VerificationOutcome",
                    "annulus_squeezing", "fridman_caratheodory_punctured_disk",
                    "lower_bound_certificate", "polydisk_squeezing_punctured",
-                   "polydisk_squeezing_removed_blocks", "product_of_balls_T_lower_bound",
-                   "product_of_balls_ratio_contradiction", "product_of_balls_squeezing",
-                   "removed_block_display_formula", "squeezing_punctured_disk"),
+                   "product_of_balls_T_lower_bound", "product_of_balls_ratio_contradiction",
+                   "product_of_balls_squeezing", "squeezing_punctured_disk"),
+    "blocks": ("polydisk_squeezing_removed_blocks", "removed_block_display_formula"),
     "verification": ("Lcg", "VerificationReport", "annulus_compact_removal_gap",
                      "boundary_min_oracle", "brute_force_infimum", "run_suite"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = ("cli", *_EXPORTS)
+_SUBMODULES = ("cli", "chunked", *_EXPORTS)
 
 __all__ = list(_SOURCE)
 __version__ = "0.1.0"

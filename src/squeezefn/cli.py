@@ -75,8 +75,10 @@ def _product(evaluate):
 
 
 def _removed_blocks(domain, text, mesh_tol):
-    return inv.polydisk_squeezing_removed_blocks(domain, _parse_poly_point(text, domain.n),
-                                                 mesh_tol=mesh_tol)
+    from . import blocks  # loaded here: no other evaluation runs it
+
+    return blocks.polydisk_squeezing_removed_blocks(domain, _parse_poly_point(text, domain.n),
+                                                    mesh_tol=mesh_tol)
 
 
 # (invariant, domain type) -> evaluator(domain, point text, mesh tolerance)
@@ -176,8 +178,8 @@ def run_grid(job: GridJob, jobs: int = 1) -> str:
     byte-identical across runs and across ``jobs`` settings.
 
     The whole rectangle goes through one call of the batched kernel
-    invariants.grid_cells, which generates each chunk of punctures once per
-    sweep.  Its kernel temporaries hold at most about invariants.GRID_BLOCK
+    chunked.grid_cells, which generates each chunk of punctures once per
+    sweep.  Its kernel temporaries hold at most about chunked.GRID_BLOCK
     elements; its per-cell state scales with the number of cells, as the CSV
     text does.  ``jobs`` (at least 1) is accepted and ignored: the kernel's
     numpy steps and the row formatting hold the GIL, so worker threads gave
@@ -198,7 +200,9 @@ def run_grid(job: GridJob, jobs: int = 1) -> str:
     reals = [re_min + (re_max - re_min) * ix / (nx - 1) for ix in range(nx)]
     imags = [im_min + (im_max - im_min) * iy / (ny - 1) for iy in range(ny)]
     re_texts = [repr(re) for re in reals]
-    values, indices, flags = inv.grid_cells(domain, reals, imags)
+    from .chunked import grid_cells  # loaded here, with numpy
+
+    values, indices, flags = grid_cells(domain, reals, imags)
     lines = ["re,im,value,truncation_index,certified"]
     for iy, im in enumerate(imags):
         im_text = repr(im)

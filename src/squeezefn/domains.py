@@ -194,7 +194,7 @@ def _at_index(what: str, law, k):
 # (PolySequencePunctures), and its chunks hold coordinate 0 alone.  The
 # domain's chunk() composes the pieces over a whole index range, with one
 # moduli call for the punctures and their tails.  The single-point scan
-# (invariants._scan) takes the angles of a whole range, converts (parts) only
+# (chunked.scan_chunks) takes the angles of a whole range, converts (parts) only
 # the punctures whose angle lies in its candidate window around arg z, and
 # computes tails only from the family's tail_index, below which no tail can
 # stop it.  A listing's chunks serve the grid alone.

@@ -163,6 +163,15 @@ def _pow2_axis(budget: int, axes: int) -> int:
 # does, linearly: in process, the boundary-oracle suite takes about 30 ms at
 # the default 250k samples and 0.4 s at this limit.
 MAX_ORACLE_SAMPLES = 4_000_000
+# Largest trial count of the invariance and truncation suites, and of verify's
+# --trials.  Measured in process at 10^4 and 10^5 trials: a trial of either
+# suite takes about 70 us, and keeps about 0.4 KB resident for its one
+# invariance report and 1-2 KB for its two truncation reports and its share
+# of the prefix; verify's JSON text peaks at about 2 KB more a report.  So
+# verify --suite all at this limit takes 3.4 s and peaks at 149 MB resident
+# with --format json (64 MB as text).  Unbounded, 10^23 trials ran until
+# stopped, past 1.4 GB.
+MAX_TRIALS = 20_000
 # A block's coordinate, angle and kernel temporaries trace about 190 B a
 # point (ball blocks at n = 3), so 2^13 points keep them within a core's
 # 2 MiB L2 cache.  Swept over 2^10 - 2^16 on a 2-core Xeon (in process, best
@@ -323,12 +332,18 @@ def annulus_compact_removal_gap(samples: int = 1_000_000) -> inv.VerificationOut
 # ---------------------------------------------------------------------------
 
 
+def _check_trials(what: str, trials) -> None:
+    if not _comparable(trials) or trials < 1:
+        raise DomainError(f"{what} needs trials >= 1, got {_shown(trials)}")
+    _require_finite(what, trials=trials)
+    if trials > MAX_TRIALS:
+        raise DomainError(f"{what} trials above the limit {MAX_TRIALS}")
+
+
 def invariance_suite(trials: int = 1000, seed: int = 42) -> list[VerificationReport]:
     """Squeezing values are unchanged under disk automorphisms applied to the
     domain and the point together; checked on seeded random configurations."""
-    if not _comparable(trials) or trials < 1:
-        raise DomainError(f"invariance suite needs trials >= 1, got {_shown(trials)}")
-    _require_finite("invariance suite", trials=trials)  # str() below refuses huge ints
+    _check_trials("invariance suite", trials)
     rng = Lcg(seed)
     tol = 1e-12
     width = len(str(trials - 1))
@@ -359,9 +374,7 @@ def truncation_suite(trials: int = 100, seed: int = 7) -> list[VerificationRepor
     The brute force is brute_force_infimum's, with no tail bound and no early
     stop, but each domain's punctures are generated once, into a prefix that
     grows to the largest range of its trials."""
-    if not _comparable(trials) or trials < 1:
-        raise DomainError(f"truncation suite needs trials >= 1, got {_shown(trials)}")
-    _require_finite("truncation suite", trials=trials)  # str() below refuses huge ints
+    _check_trials("truncation suite", trials)
     rng = Lcg(seed)
     domains = (
         ("radial", SequencePunctures(family=RadialFamily(q=0.5, theta=1.0))),
@@ -404,11 +417,13 @@ def boundary_oracle_suite(samples: int = 250_000) -> list[VerificationReport]:
     value lies inside [value - mesh_error, value] on reference configurations
     whose minimizers sit on the anchored grid, and sampling minima are
     nonincreasing along a doubling schedule."""
+    from . import blocks
+
     reports = []
     for name, geometry, block, z in _BOUNDARY_CONFIGS:
         domain_cls = RemovedPolydisks if geometry == "polydisk" else RemovedBalls
         domain = domain_cls(n=2, blocks=(block,))
-        res = inv.polydisk_squeezing_removed_blocks(domain, z)
+        res = blocks.polydisk_squeezing_removed_blocks(domain, z)
         oracle = boundary_min_oracle(block, z, samples, geometry)
         inside = res.value - res.mesh_error - 1e-12 <= oracle <= res.value + 1e-12
         reports.append(VerificationReport(
@@ -505,12 +520,14 @@ def claims_suite(seed: int = 42) -> list[VerificationReport]:
     add("claims/poly-radial-at-origin",
         inv.polydisk_squeezing_punctured(poly, (0j, 0j)).value, 0.5, 0.0)
 
+    from . import blocks
+
     block = RemovedPolydisks(n=2, blocks=(Block((0j, 0j), 0.25),))
-    res = inv.polydisk_squeezing_removed_blocks(block, (complex(0.5), 0j))
+    res = blocks.polydisk_squeezing_removed_blocks(block, (complex(0.5), 0j))
     add("claims/removed-polydisk-block", res.value, 2.0 / 7.0, res.mesh_error,
         f"boundary minimization, mesh_error {res.mesh_error!r}")
     ball = RemovedBalls(n=2, blocks=(Block((0j, 0j), 0.25),))
-    res = inv.polydisk_squeezing_removed_blocks(ball, (complex(0.5), 0j))
+    res = blocks.polydisk_squeezing_removed_blocks(ball, (complex(0.5), 0j))
     add("claims/removed-ball-block", res.value, 2.0 / 7.0, res.mesh_error,
         f"boundary minimization, mesh_error {res.mesh_error!r}")
 

@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from squeezefn.blocks import polydisk_squeezing_removed_blocks, removed_block_display_formula
 from squeezefn.cli import main
 from squeezefn.domains import (
     Block,
@@ -24,11 +25,9 @@ from squeezefn.domains import (
 from squeezefn.hyperbolic import radial_separation_bound, rho
 from squeezefn.invariants import (
     fridman_caratheodory_punctured_disk,
-    polydisk_squeezing_removed_blocks,
     product_of_balls_T_lower_bound,
     product_of_balls_ratio_contradiction,
     product_of_balls_squeezing,
-    removed_block_display_formula,
     squeezing_punctured_disk,
 )
 from squeezefn.verification import (

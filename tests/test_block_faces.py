@@ -1,9 +1,9 @@
-"""invariants._polydisk_block_min against the face loop it replaced, kept
+"""blocks._polydisk_block_min against the face loop it replaced, kept
 below verbatim as the reference: the faces are now taken in one pass over
 the coordinates from the largest disk minimum and its runner-up, and must
 give bitwise the same (value, error), at n = 1 to 8 and at n = 64, with tied
 disk minima, equal centres, and coordinates inside, on and just outside
-their coordinate disk.  invariants._ball_block_min against its form before
+their coordinate disk.  blocks._ball_block_min against its form before
 each radius profile became one pass, kept verbatim as the second reference:
 the same (value, error) bits, or the same CertificationError at the cap.
 
@@ -17,11 +17,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from squeezefn import invariants
-from squeezefn.domains import MAX_DIMENSION, Block, DomainError
-from squeezefn.hyperbolic import PointError, require_interior_polydisk_point
-from squeezefn.invariants import (
-    CertificationError,
+from squeezefn import blocks
+from squeezefn.blocks import (
     _MESH_FLOOR,
     _ball_block_min,
     _block_grad_bounds,
@@ -29,6 +26,9 @@ from squeezefn.invariants import (
     _polydisk_block_min,
     _sphere_profiles,
 )
+from squeezefn.domains import MAX_DIMENSION, Block, DomainError
+from squeezefn.hyperbolic import PointError, require_interior_polydisk_point
+from squeezefn.invariants import CertificationError
 
 
 def reference(z, block: Block) -> tuple[float, float]:
@@ -115,7 +115,7 @@ def test_one_pass_faces_are_bitwise_the_face_loop(case):
 def ball_reference(z, block: Block, tol: float) -> tuple[float, float]:
     """_ball_block_min before each profile became one pass, verbatim but for
     the first line, which reads the cap per call, as monkeypatched."""
-    _BALL_EVALS_CAP = invariants._BALL_EVALS_CAP
+    _BALL_EVALS_CAP = blocks._BALL_EVALS_CAP
     n = len(z)
     r = block.radius
     lip_t = max(_block_grad_bounds(z, block)) * r
@@ -203,7 +203,7 @@ def ball_cases(draw):
 def test_one_pass_profiles_are_bitwise_the_reference(case):
     z, block, tol = case
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(invariants, "_BALL_EVALS_CAP", BALL_CAP)
+        patch.setattr(blocks, "_BALL_EVALS_CAP", BALL_CAP)
         got = ball_outcome(_ball_block_min, z, block, tol)
         want = ball_outcome(ball_reference, z, block, tol)
     assert got == want, (z, block, tol)

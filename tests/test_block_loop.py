@@ -19,18 +19,15 @@ from squeezefn.domains import (
     _comparable,
     _shown,
 )
-from squeezefn.hyperbolic import PointError, require_interior_polydisk_point
-from squeezefn.invariants import (
-    DEFAULT_MESH_TOL,
-    CertificationError,
-    InvariantValue,
+from squeezefn.blocks import (
     _MESH_FLOOR,
     _ball_block_min,
     _polydisk_block_min,
     _require_outside_block,
-    _tail_stops,
     polydisk_squeezing_removed_blocks,
 )
+from squeezefn.hyperbolic import PointError, require_interior_polydisk_point
+from squeezefn.invariants import DEFAULT_MESH_TOL, CertificationError, InvariantValue, _tail_stops
 from squeezefn.verification import Lcg
 
 FAMILY = RadialBlockFamily(q=0.5, theta=1.0, r0=0.25)

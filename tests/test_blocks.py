@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from squeezefn.blocks import polydisk_squeezing_removed_blocks, removed_block_display_formula
 from squeezefn.domains import (
     Block,
     DomainError,
@@ -11,11 +12,7 @@ from squeezefn.domains import (
     RemovedPolydisks,
 )
 from squeezefn.hyperbolic import PointError, rho
-from squeezefn.invariants import (
-    CertificationError,
-    polydisk_squeezing_removed_blocks,
-    removed_block_display_formula,
-)
+from squeezefn.invariants import CertificationError
 from squeezefn.verification import Lcg, boundary_min_oracle
 
 ORIGIN_BLOCK = Block((0j, 0j), 0.25)
@@ -72,11 +69,11 @@ def test_mesh_tolerance_must_be_positive(tol):
 
 
 def test_ball_refinement_cap_raises(monkeypatch):
-    from squeezefn import invariants
+    from squeezefn import blocks
 
-    monkeypatch.setattr(invariants, "_BALL_EVALS_CAP", 200)
+    monkeypatch.setattr(blocks, "_BALL_EVALS_CAP", 200)
     with pytest.raises(CertificationError, match="mesh tolerance"):
-        invariants._ball_block_min(Z_HALF, ORIGIN_BLOCK, 1e-13)
+        blocks._ball_block_min(Z_HALF, ORIGIN_BLOCK, 1e-13)
 
 
 # --- display formula ------------------------------------------------------------

@@ -11,6 +11,15 @@ import pytest
 from hypothesis import HealthCheck, example, given, reject, settings
 from hypothesis import strategies as st
 
+from squeezefn.chunked import (
+    _candidates,
+    _distances,
+    _next_stop,
+    _offsets,
+    _spread,
+    _stop_level,
+    _tail_start,
+)
 from squeezefn.domains import (
     _TAIL_LIMIT_INDEX,
     BoundaryOrbitFamily,
@@ -35,14 +44,7 @@ from squeezefn.invariants import (
     COLLISION_EPS,
     CertificationError,
     InvariantValue,
-    _candidates,
-    _distances,
     _measure,
-    _next_stop,
-    _offsets,
-    _spread,
-    _stop_level,
-    _tail_start,
     _tail_stops,
     lower_bound_certificate,
     polydisk_squeezing_punctured,

@@ -8,8 +8,8 @@ from fractions import Fraction
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from squeezefn.blocks import _CIRCLE_FLOOR, _MESH_FLOOR, _min_on_circle
 from squeezefn.hyperbolic import rho
-from squeezefn.invariants import _CIRCLE_FLOOR, _MESH_FLOOR, _min_on_circle
 
 
 def builtin_min_on_circle(zc: complex, c: complex, s: float) -> tuple[float, float]:

@@ -5,7 +5,7 @@ import pytest
 from squeezefn.cli import MAX_GRID_CELLS, GridJob, main
 from squeezefn.domains import MAX_DIMENSION, DomainError, FinitePunctures, parse_domain_spec
 from squeezefn.hyperbolic import rho
-from squeezefn.verification import MAX_ORACLE_SAMPLES, MIN_ORACLE_SAMPLES
+from squeezefn.verification import MAX_ORACLE_SAMPLES, MAX_TRIALS, MIN_ORACLE_SAMPLES
 
 
 @pytest.fixture
@@ -566,6 +566,16 @@ def test_verify_rejects_zero_trials(capsys, suite):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "trials >= 1, got 0" in captured.err
+
+
+@pytest.mark.parametrize("suite", ["invariance", "truncation", "all"])
+@pytest.mark.parametrize("trials", [MAX_TRIALS + 1, 10**23], ids=["limit", "1e23"])
+def test_verify_rejects_trials_above_the_limit(capsys, suite, trials):
+    assert main(["verify", "--suite", suite, "--trials", str(trials)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    what = "truncation" if suite == "truncation" else "invariance"  # all runs invariance first
+    assert captured.err == f"error: {what} suite trials above the limit {MAX_TRIALS}\n"
 
 
 def test_verify_rejects_samples_above_the_limit(capsys):

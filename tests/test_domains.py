@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from squeezefn.blocks import polydisk_squeezing_removed_blocks
 from squeezefn.domains import (
     PAIR_SEPARATION,
     Annulus,
@@ -25,7 +26,6 @@ from squeezefn.domains import (
     parse_domain_spec,
     serialize_domain_spec,
 )
-from squeezefn.invariants import polydisk_squeezing_removed_blocks
 from squeezefn.verification import Lcg
 
 

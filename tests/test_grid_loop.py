@@ -1,4 +1,4 @@
-"""invariants.grid_cells against the block loop it replaced, kept below
+"""chunked.grid_cells against the block loop it replaced, kept below
 verbatim as the reference: a kernel block is now laid out punctures x cells,
 its running minimum is taken down the rows in place with the cells' earlier
 minimum folded into the first row, the stop is the separation bound alone,
@@ -19,16 +19,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from squeezefn import invariants
+from squeezefn.chunked import GRID_BLOCK, grid_cells
 from squeezefn.domains import Annulus, parse_domain_spec
 from squeezefn.hyperbolic import INTERIOR_MARGIN, _kernel, _prepare
-from squeezefn.invariants import (
-    _GRID_FIRST_CHUNK,
-    COLLISION_EPS,
-    GRID_BLOCK,
-    _tail_stops,
-    _unstopped,
-    grid_cells,
-)
+from squeezefn.invariants import _GRID_FIRST_CHUNK, COLLISION_EPS, _tail_stops, _unstopped
 
 
 def reference(domain, reals, imags):

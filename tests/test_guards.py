@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from squeezefn import invariants
+from squeezefn.blocks import polydisk_squeezing_removed_blocks, removed_block_display_formula
 from squeezefn.cli import MAX_GRID_CELLS, GridJob, run_grid
 from squeezefn.domains import (
     Annulus,
@@ -32,15 +33,14 @@ from squeezefn.invariants import (
     annulus_squeezing,
     lower_bound_certificate,
     polydisk_squeezing_punctured,
-    polydisk_squeezing_removed_blocks,
     product_of_balls_ratio_contradiction,
     product_of_balls_squeezing,
     product_of_balls_T_lower_bound,
-    removed_block_display_formula,
     squeezing_punctured_disk,
 )
 from squeezefn.verification import (
     MAX_ORACLE_SAMPLES,
+    MAX_TRIALS,
     annulus_compact_removal_gap,
     boundary_min_oracle,
     brute_force_infimum,
@@ -444,6 +444,15 @@ def ball_oracle(samples):
 def test_oracle_budgets_are_finite_integers_up_to_the_limit(build, message):
     with raises_exactly(DomainError, message):
         build()
+
+
+@pytest.mark.parametrize("suite", ["invariance", "truncation", "all"])
+@pytest.mark.parametrize("trials", [MAX_TRIALS + 1, 10**23], ids=["limit", "1e23"])
+def test_trial_counts_above_the_limit_are_rejected(suite, trials):
+    # before the limit, 10**23 trials ran until stopped, past 1.4 GB resident
+    what = "truncation" if suite == "truncation" else "invariance"  # all runs invariance first
+    with raises_exactly(DomainError, f"{what} suite trials above the limit 20000"):
+        run_suite(suite, trials=trials)
 
 
 def test_oracle_budgets_take_whole_floats_and_numpy_integers():

@@ -10,15 +10,10 @@ import numpy as np
 from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
+from squeezefn.chunked import _distances, grid_cells
 from squeezefn.domains import DomainError, PolySequencePunctures, RadialFamily, parse_domain_spec
 from squeezefn.hyperbolic import PointError, _defect, _kernel, _prepare, rho, rho_from, rho_max
-from squeezefn.invariants import (
-    CertificationError,
-    _distances,
-    _measure,
-    grid_cells,
-    squeezing_punctured_disk,
-)
+from squeezefn.invariants import CertificationError, _measure, squeezing_punctured_disk
 
 U = Fraction(1, 2**53)
 # the docstring's bounds on |rho' - rho| / rho: 7u where rho^2 is normal

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from squeezefn import invariants as inv
+from squeezefn import chunked
+from squeezefn.chunked import _SCALAR_BATCH, _SCALAR_TAIL, _first_stop
 from squeezefn.domains import (
     BoundaryOrbitFamily,
     PolySequencePunctures,
@@ -24,7 +25,7 @@ from squeezefn.domains import (
     parse_domain_spec,
 )
 from squeezefn.hyperbolic import PointError, radial_separation_bound, rho_max
-from squeezefn.invariants import _SCALAR_BATCH, _SCALAR_TAIL, CertificationError, _first_stop, _measure
+from squeezefn.invariants import CertificationError, _measure
 from test_chunked import (
     DEEP,
     HUGE_P1,
@@ -47,7 +48,7 @@ K, T = _SCALAR_BATCH, _SCALAR_TAIL
 def batch(k):
     """The scan with both its scalar batch bounds, of candidates and of tail
     indices, at k; 0 is the numpy path."""
-    return mock.patch.multiple(inv, _SCALAR_BATCH=k, _SCALAR_TAIL=k)
+    return mock.patch.multiple(chunked, _SCALAR_BATCH=k, _SCALAR_TAIL=k)
 
 
 def outcomes(domain, z):
@@ -70,7 +71,7 @@ def batch_sizes(domain, z):
     """The candidate set sizes and tail pass spans of one value and one
     certificate at z (at half the value)."""
     sizes, spans = set(), set()
-    candidates, first_stop = inv._candidates, inv._first_stop
+    candidates, first_stop = chunked._candidates, chunked._first_stop
 
     def counted_candidates(*args):
         index, dist = candidates(*args)
@@ -82,7 +83,7 @@ def batch_sizes(domain, z):
             spans.add(hi - lo + 1)
         return first_stop(domain, anchor, index, run, lo, hi)
 
-    with mock.patch.multiple(inv, _candidates=counted_candidates, _first_stop=counted_first_stop):
+    with mock.patch.multiple(chunked, _candidates=counted_candidates, _first_stop=counted_first_stop):
         outcomes(domain, z)
     return sizes, spans
 
@@ -166,9 +167,9 @@ def test_candidate_sets_around_the_bound_are_the_numpy_conversion(domain, z, siz
     # up to K and converted in numpy beyond
     y = domain.family.angles(1000, 1000 + size)
     args = (domain, z, abs(z[0] if isinstance(z, tuple) else z), 0.5, 0.25, 1000, y, _measure(domain, z))
-    (index, dist), counts = converted_by(domain, lambda: inv._candidates(*args))
+    (index, dist), counts = converted_by(domain, lambda: chunked._candidates(*args))
     with batch(0):
-        ref_index, ref_dist = inv._candidates(*args)
+        ref_index, ref_dist = chunked._candidates(*args)
     assert index.tolist() == ref_index.tolist() == list(range(1001, 1001 + size))
     assert [bits(d) for d in dist.tolist()] == [bits(d) for d in ref_dist.tolist()]
     assert counts == ((size, 0) if size <= K else (0, size))
@@ -221,7 +222,7 @@ TAIL_FAMILIES = [RadialFamily(q=0.99, theta=1.0), BoundaryOrbitFamily(c=0.5, p=1
 
 def probe(domain, anchor, index, run, lo, hi, k=None):
     """_first_stop with its tail bound at k, or at the default."""
-    with mock.patch.object(inv, "_SCALAR_TAIL", T if k is None else k):
+    with mock.patch.object(chunked, "_SCALAR_TAIL", T if k is None else k):
         got = _first_stop(domain, anchor, np.array(index, dtype=float), np.array(run), lo, hi)
     return None if got is None else (got[0], bits(got[1]), got[2])
 

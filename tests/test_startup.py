@@ -1,8 +1,9 @@
 """Start-up imports: numpy loads only where a batched kernel or an oracle runs.
 A family scan loads it only past its scalar head (the first 8 punctures).
 Each submodule of squeezefn loads on first use: a domain parse loads only
-domains and hyperbolic, and only verify loads verification.  No command that
-runs without numpy loads dataclasses or inspect.
+domains and hyperbolic, only verify loads verification, only a scan past its
+head or a grid loads chunked, and only a removed-block evaluation loads
+blocks.  No command that runs without numpy loads dataclasses or inspect.
 
 pytest itself imports numpy, so every check runs in a fresh interpreter.
 """
@@ -112,7 +113,7 @@ PUBLIC_NAMES = {
     "Lcg", "VerificationReport", "annulus_compact_removal_gap", "boundary_min_oracle",
     "brute_force_infimum", "run_suite",
 }
-SUBMODULES = ("cli", "domains", "hyperbolic", "invariants", "verification")
+SUBMODULES = ("blocks", "chunked", "cli", "domains", "hyperbolic", "invariants", "verification")
 
 
 def test_import_and_parse_load_only_domains_and_hyperbolic():
@@ -163,6 +164,60 @@ def test_only_verify_loads_verification(docs_dir, tmp_path):
         assert "squeezefn.verification" in sys.modules
     """)
     assert proc.returncode == 0, proc.stderr
+
+
+# the evals of NUMPY_FREE_EVALS that minimize over removed blocks, and a block family
+BLOCK_EVALS = [case for case in NUMPY_FREE_EVALS if case[0].startswith(("polydisk", "balls"))]
+BLOCK_EVALS += [("polydisk_family", "0.1,0;0.1,0", "polydisk-squeezing", [])]
+# the submodules that every command loads
+COMMAND_MODULES = ["squeezefn", "squeezefn.cli", "squeezefn.domains", "squeezefn.hyperbolic",
+                   "squeezefn.invariants"]
+
+
+def modules_after(argvs) -> list:
+    """The squeezefn modules loaded after each command, run in turn in one
+    fresh interpreter."""
+    proc = run_python(f"""
+        import json, sys
+        from squeezefn.cli import main
+        for argv in {argvs!r}:
+            assert main(argv) == 0, argv
+            print("loaded", json.dumps(sorted(m for m in sys.modules if m.startswith("squeezefn"))))
+    """)
+    assert proc.returncode == 0, proc.stderr
+    return [json.loads(line[len("loaded "):]) for line in proc.stdout.splitlines() if line.startswith("loaded ")]
+
+
+def test_import_and_parse_of_every_document_load_neither_chunked_nor_blocks():
+    proc = run_python(f"""
+        import sys
+        import squeezefn, squeezefn.cli
+        for doc in {list(DOCS.values())!r}:
+            squeezefn.parse_domain_spec(doc)
+        loaded = [m for m in ("squeezefn.chunked", "squeezefn.blocks") if m in sys.modules]
+        assert not loaded, loaded
+    """)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_puncture_evals_without_numpy_load_neither_chunked_nor_blocks(docs_dir):
+    argvs = [eval_argv(docs_dir, *case) for case in NUMPY_FREE_EVALS if case not in BLOCK_EVALS]
+    argvs += [["compare", "--domain", str(docs_dir / f"{name}.json"), "--point=0.1,0.2"]
+              for name in ("finite", "sequence_points", "sequence_radial")]
+    assert modules_after(argvs) == [COMMAND_MODULES] * len(argvs)
+
+
+@pytest.mark.parametrize("case", BLOCK_EVALS, ids=[case[0] for case in BLOCK_EVALS])
+def test_block_evals_load_blocks_and_not_chunked(docs_dir, case):
+    assert modules_after([eval_argv(docs_dir, *case)]) == [sorted(COMMAND_MODULES + ["squeezefn.blocks"])]
+
+
+def test_deep_scans_and_grids_load_chunked_and_not_blocks(docs_dir, tmp_path):
+    deep = eval_argv(docs_dir, "orbit_p1", "-0.99,0", "squeezing", [])
+    grid = ["grid", "--domain", str(docs_dir / "sequence_orbit.json"), "--rect=-0.9,0.9,-0.9,0.9",
+            "--res=5,5", "--output", str(tmp_path / "grid.csv")]
+    for argv in (deep, grid):
+        assert modules_after([argv]) == [sorted(COMMAND_MODULES + ["squeezefn.chunked"])], argv
 
 
 def test_public_names_resolve_to_their_submodules_objects():
@@ -270,6 +325,8 @@ def test_sequence_eval_loads_numpy(docs_dir):
         assert "numpy" in sys.modules
         sys.modules.pop("numpy")
         sys.modules["numpy"] = None
+        import squeezefn  # chunked imports numpy at its top: drop it, to load again
+        del sys.modules["squeezefn.chunked"], squeezefn.chunked
         try:
             main({argv!r})
         except ImportError:

@@ -1,21 +1,21 @@
 """Exact work counts of two workloads, counted by wrapping the functions
 that do the work.  The blocks workload's reference configurations: the
-closed-form circle minima (invariants._min_on_circle) that one evaluation
+closed-form circle minima (blocks._min_on_circle) that one evaluation
 computes, and for ball blocks the radius profiles that the branch-and-bound
-evaluates (invariants._sphere_profiles).  A polydisk block takes exactly n
+evaluates (blocks._sphere_profiles).  A polydisk block takes exactly n
 circle minima, one per coordinate; a ball block takes n per profile.  The
 grid workload's five domains at 100x100: the (cell, puncture) pairs that the
-distance kernel (invariants._kernel) evaluates, its calls and the chunks of
+distance kernel (chunked._kernel) evaluates, its calls and the chunks of
 punctures (domain.chunk) that one sweep generates.  A change that alters a
 count re-pins it here and says why."""
 
 import numpy as np
 import pytest
 
-from squeezefn import invariants
+from squeezefn import blocks, chunked
+from squeezefn.blocks import polydisk_squeezing_removed_blocks
 from squeezefn.cli import GridJob, run_grid
 from squeezefn.domains import parse_domain_spec
-from squeezefn.invariants import polydisk_squeezing_removed_blocks
 
 
 def origin_block(geometry, n):
@@ -55,13 +55,13 @@ def test_circle_minima_per_evaluation(config, geometry, n, monkeypatch):
     kwargs = {"mesh_tol": 1e-2} if (geometry, n) == ("ball", 3) else {}
     expected = repr(polydisk_squeezing_removed_blocks(domain, z, **kwargs))
     calls = []
-    circle = invariants._min_on_circle
+    circle = blocks._min_on_circle
 
     def counted(*args):
         calls.append(None)
         return circle(*args)
 
-    monkeypatch.setattr(invariants, "_min_on_circle", counted)
+    monkeypatch.setattr(blocks, "_min_on_circle", counted)
     res = polydisk_squeezing_removed_blocks(domain, z, **kwargs)
     assert repr(res) == expected  # counting changes no value
     assert len(calls) == CIRCLE_MINIMA[config, geometry, n]
@@ -84,13 +84,13 @@ def test_ball_profiles_per_evaluation(config, n, monkeypatch):
     kwargs = {"mesh_tol": 1e-2} if n == 3 else {}
     expected = repr(polydisk_squeezing_removed_blocks(domain, z, **kwargs))
     calls = []
-    profiles = invariants._sphere_profiles
+    profiles = blocks._sphere_profiles
 
     def counted(*args):
         calls.append(None)
         return profiles(*args)
 
-    monkeypatch.setattr(invariants, "_sphere_profiles", counted)
+    monkeypatch.setattr(blocks, "_sphere_profiles", counted)
     assert repr(polydisk_squeezing_removed_blocks(domain, z, **kwargs)) == expected
     assert len(calls) == PROFILE_EVALS[config, n]
     assert n * len(calls) == CIRCLE_MINIMA[config, "ball", n]
@@ -121,13 +121,13 @@ def test_grid_kernel_pairs_calls_and_chunks_per_sweep(name, monkeypatch):
                   invariant="squeezing")
     expected = run_grid(job)
     pairs, chunks = [], []  # one pair count per kernel call
-    kernel = invariants._kernel
+    kernel = chunked._kernel
 
     def counted_kernel(*args):
         pairs.append(np.broadcast(*args[:6]).size)
         return kernel(*args)
 
-    monkeypatch.setattr(invariants, "_kernel", counted_kernel)
+    monkeypatch.setattr(chunked, "_kernel", counted_kernel)
     if hasattr(domain, "chunk"):
         chunk = type(domain).chunk
 
