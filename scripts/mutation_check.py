@@ -233,17 +233,24 @@ MUTANTS = (
            "            low_top, low_at_top = d, low\n",
            _t("test_one_pass_faces_are_bitwise_the_face_loop", path=BLOCK_FACES)),
     Mutant("faces-top-on-its-own-face", "face k of the largest disk lower end D_k omits D_k",
-           BLOCK_MINIMA, "min(max(low_at_top, low_second), max(low_least, low_top))",
-           "min(max(low_at_top, low_top), max(low_least, low_top))",
+           BLOCK_MINIMA, "face_k = low_second if low_second > low_at_top else low_at_top",
+           "face_k = low_top if low_top > low_at_top else low_at_top",
            _t("test_one_pass_faces_are_bitwise_the_face_loop", path=BLOCK_FACES)),
     Mutant("faces-lows-from-the-values-top", "the lower ends' least face takes their own largest disk lower end",
-           BLOCK_MINIMA, "max(low_least, low_top)), _MESH_FLOOR)", "max(low_least, top)), _MESH_FLOOR)",
+           BLOCK_MINIMA, "face_least = low_top if low_top > low_least else low_least",
+           "face_least = top if top > low_least else low_least",
            _t("test_one_pass_faces_are_bitwise_the_face_loop", path=BLOCK_FACES)),
     Mutant("faces-value-without-disk-minima", "a block's value is at least the circle minimum of a coordinate outside its disk",
-           BLOCK_MINIMA, "best_v = max(least, top)", "best_v = least",
+           BLOCK_MINIMA, "best_v = top if top > least else least", "best_v = least",
            _t("test_one_pass_faces_are_bitwise_the_face_loop", path=BLOCK_FACES)),
     Mutant("profile-low-from-the-value", "a radius profile's lower end is the largest v - e, not the largest v",
            BLOCK_MINIMA, "            v -= e\n            if v > low:\n", "            if v > low:\n",
+           _t("test_one_pass_profiles_are_bitwise_the_reference", path=BLOCK_FACES)),
+    Mutant("child-centre-from-the-parent", "a child box's centre is its own, not its parent's",
+           BLOCK_MINIMA, "child_centre = c_before + (c,) + c_after", "child_centre = centre",
+           _t("test_one_pass_profiles_are_bitwise_the_reference", path=BLOCK_FACES)),
+    Mutant("split-on-the-narrowest-axis", "a ball box splits on its first widest axis",
+           BLOCK_MINIMA, "k = half.index(max(half))", "k = half.index(min(half))",
            _t("test_one_pass_profiles_are_bitwise_the_reference", path=BLOCK_FACES)),
     Mutant("circle-value-clamp-dropped", "a circle minimum's value m + f is at most 1.0",
            BLOCK_MINIMA, "return (1.0 if 1.0 < value else value), 2.0 * floor", "return value, 2.0 * floor",

@@ -26,7 +26,7 @@ from .invariants import _EPS, DEFAULT_MESH_TOL, CertificationError, InvariantVal
 # Most radius profiles one ball block's branch-and-bound evaluates.
 _BALL_EVALS_CAP = 150_000
 _MESH_FLOOR = 1e-14
-# rounding floor of a closed-form circle minimum, times kappa (see _min_on_circle)
+# rounding floor of a closed-form circle minimum, times kappa (see _circle_min)
 _CIRCLE_FLOOR = 64.0 * _EPS
 
 
@@ -46,8 +46,16 @@ def _block_grad_bounds(z, block: Block) -> list[float]:
     return out
 
 
-def _min_on_circle(zc: complex, c: complex, s: float) -> tuple[float, float]:
-    """Certified minimum of rho(zc, .) over the circle |w - c| = s, in closed form.
+def _circle_terms(z, centre) -> list[tuple]:
+    """Per coordinate, the terms of _circle_min that do not depend on the
+    circle's radius: (zc, c, conj(zc), 1 - conj(c) zc, |zc|, |c|).  A ball
+    block takes them once and reuses them for every radius profile."""
+    return [(zc, c, zc.conjugate(), 1.0 - c.conjugate() * zc, abs(zc), abs(c)) for zc, c in zip(z, centre)]
+
+
+def _circle_min(terms: tuple, s: float) -> tuple[float, float]:
+    """Certified minimum of rho(zc, .) over the circle |w - c| = s, in closed form,
+    from the _circle_terms of (zc, c).
 
     T(w) = (w - zc)/(1 - conj(zc) w) maps the circle to a circle.  Mobius maps
     keep symmetric points symmetric (Ahlfors, Complex Analysis, 3.3), so the
@@ -72,12 +80,12 @@ def _min_on_circle(zc: complex, c: complex, s: float) -> tuple[float, float]:
     floor is at least 64 eps > _MESH_FLOOR; its clamp acts only where kappa
     < 0, a circle beyond 1/|zc| that no block inside the polydisk reaches.
     """
-    zb = zc.conjugate()
-    q = c + s * s * zc / (1.0 - c.conjugate() * zc)
+    zc, c, zb, den, kz, kc = terms
+    q = c + s * s * zc / den
     centre = (q - zc) / (1.0 - zb * q)
     rim = c + s
     radius = abs((rim - zc) / (1.0 - zb * rim) - centre)
-    kappa = 1.0 - abs(zc) * (abs(c) + s)
+    kappa = 1.0 - kz * (kc + s)
     floor = _CIRCLE_FLOOR / kappa
     if _MESH_FLOOR > floor:
         floor = _MESH_FLOOR
@@ -103,20 +111,21 @@ def _polydisk_block_min(z, block: Block) -> tuple[float, float]:
     the C at it, the runner-up and the least C.  The tests `>` and `<` select
     the floats that max and min select, starting from -inf and +inf, which
     the finite C never are (kappa > 0 for a point and a block inside the
-    polydisk), so the result is bitwise the O(n^2) minimum over the faces.
+    polydisk), and so do the conditionals that combine the pass's results,
+    so the result is bitwise the O(n^2) minimum over the faces.
     The true minimum is in [value - error, value].
     """
     r = block.radius
     top = low_top = low_second = -math.inf
     least = low_least = math.inf
-    for zj, cj in zip(z, block.center):
-        v, e = _min_on_circle(zj, cj, r)
+    for terms in _circle_terms(z, block.center):
+        v, e = _circle_min(terms, r)
         low = v - e
         if v < least:
             least = v
         if low < low_least:
             low_least = low
-        if abs(zj - cj) > r:
+        if abs(terms[0] - terms[1]) > r:  # z_j outside its coordinate disk
             d = low
             if v > top:
                 top = v
@@ -126,8 +135,11 @@ def _polydisk_block_min(z, block: Block) -> tuple[float, float]:
             low_top, low_second, low_at_top = d, low_top, low
         elif d > low_second:
             low_second = d
-    best_v = max(least, top)
-    return best_v, max(best_v - min(max(low_at_top, low_second), max(low_least, low_top)), _MESH_FLOOR)
+    best_v = top if top > least else least
+    face_k = low_second if low_second > low_at_top else low_at_top
+    face_least = low_top if low_top > low_least else low_least
+    gap = best_v - (face_least if face_least < face_k else face_k)
+    return best_v, (_MESH_FLOOR if _MESH_FLOOR > gap else gap)
 
 
 def _sphere_profiles(t: tuple[float, ...], r: float) -> list[float]:
@@ -155,18 +167,34 @@ def _ball_block_min(z, block: Block, tol: float) -> tuple[float, float]:
     coordinates that starts from the first coordinate's pair and replaces
     each only where the next is strictly greater, as max() selects, NaN
     included: bitwise max() over each, without the tuples and generators.
+
+    Each box [lo, hi] carries its centre (lo_i + hi_i)/2 and half-widths
+    (hi_i - lo_i)/2.  A child has its parent's lo_i and hi_i on every axis
+    but the split one, so there its entries are the parent's floats, which
+    computing them again from the same operands would repeat bitwise; only
+    the split axis's entries are computed, and the split point
+    (lo_k + hi_k)/2 is the parent's centre entry k.  The split axis is the
+    first widest, as max(range, key=width) picks it: halving is exact above
+    the subnormals, so the half-widths order as the widths do, and
+    half.index(max(half)) is the first index of the largest.  The bound sums
+    the half-widths with sum() in axis order, and the heap's tie-break is the
+    count of profiles evaluated before the push, which numbers the pushes in
+    order; `v < best` keeps the least value as min(best, v) does.  So the
+    search pops and pushes the same boxes in the same order and evaluates
+    the same profiles, bitwise, as one that computes each box's centre and
+    half-widths from its corners.
     """
-    n = len(z)
-    r, centre = block.radius, block.center
+    r = block.radius
     lip_t = max(_block_grad_bounds(z, block)) * r
+    first, *rest = _circle_terms(z, block.center)
+    circle, profiles = _circle_min, _sphere_profiles
 
     def profile_min(t) -> tuple[float, float]:
-        coords = zip(z, centre, _sphere_profiles(t, r))
-        zj, cj, sj = next(coords)
-        top, e = _min_on_circle(zj, cj, sj)
+        radii = profiles(t, r)
+        top, e = circle(first, radii[0])
         low = top - e
-        for zj, cj, sj in coords:
-            v, e = _min_on_circle(zj, cj, sj)
+        for terms, s in zip(rest, radii[1:]):
+            v, e = circle(terms, s)
             if v > top:
                 top = v
             v -= e
@@ -174,21 +202,24 @@ def _ball_block_min(z, block: Block, tol: float) -> tuple[float, float]:
                 low = v
         return top, low
 
+    n = len(z)
     lo = (0.0,) * (n - 1)
     hi = (math.pi / 2.0,) * (n - 1)
-    center = tuple((a + b) / 2.0 for a, b in zip(lo, hi))
-    half_sum = sum((b - a) / 2.0 for a, b in zip(lo, hi))
-    v, low = profile_min(center)
+    centre = tuple((a + b) / 2.0 for a, b in zip(lo, hi))
+    half = tuple((b - a) / 2.0 for a, b in zip(lo, hi))
+    v, low = profile_min(centre)
     best = v
     # corner profiles are frequent minimizers (extreme radius splits); probing
     # them only sharpens the upper value
     for corner in (lo, hi):
-        best = min(best, profile_min(corner)[0])
-    heap = [(low - lip_t * half_sum, 0, lo, hi)]
-    counter = 1
+        v = profile_min(corner)[0]
+        if v < best:
+            best = v
+    heap = [(low - lip_t * sum(half), 0, lo, hi, centre, half)]
     evals = 1
+    pop, push = heapq.heappop, heapq.heappush
     while True:  # each pass pops one box and pushes two
-        bound, _, lo, hi = heapq.heappop(heap)
+        bound, _, lo, hi, centre, half = pop(heap)
         gap = best - bound
         if gap <= tol:
             return best, max(gap, _MESH_FLOOR)
@@ -197,19 +228,20 @@ def _ball_block_min(z, block: Block, tol: float) -> tuple[float, float]:
                 f"boundary minimization failed to reach mesh tolerance {tol:g} "
                 f"within {_BALL_EVALS_CAP} profile evaluations"
             )
-        axis = max(range(len(lo)), key=lambda i: hi[i] - lo[i])
-        mid = (lo[axis] + hi[axis]) / 2.0
-        for child_lo, child_hi in (
-            (lo, tuple(mid if i == axis else h for i, h in enumerate(hi))),
-            (tuple(mid if i == axis else a for i, a in enumerate(lo)), hi),
+        k = half.index(max(half))
+        a, mid, b = lo[k], centre[k], hi[k]
+        c_before, c_after, h_before, h_after = centre[:k], centre[k + 1:], half[:k], half[k + 1:]
+        for child_lo, child_hi, c, h in (
+            (lo, hi[:k] + (mid,) + hi[k + 1:], (a + mid) / 2.0, (mid - a) / 2.0),
+            (lo[:k] + (mid,) + lo[k + 1:], hi, (mid + b) / 2.0, (b - mid) / 2.0),
         ):
-            c = tuple((a + b) / 2.0 for a, b in zip(child_lo, child_hi))
-            half = sum((b - a) / 2.0 for a, b in zip(child_lo, child_hi))
-            v, low = profile_min(c)
+            child_centre = c_before + (c,) + c_after
+            child_half = h_before + (h,) + h_after
+            v, low = profile_min(child_centre)
+            if v < best:
+                best = v
+            push(heap, (low - lip_t * sum(child_half), evals, child_lo, child_hi, child_centre, child_half))
             evals += 1
-            best = min(best, v)
-            heapq.heappush(heap, (low - lip_t * half, counter, child_lo, child_hi))
-            counter += 1
 
 
 def _require_outside_block(domain, z, block: Block, index: int) -> None:

@@ -9,7 +9,6 @@ parse/validation failure, 3 point outside the domain, 4 output I/O failure,
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import operator
 import sys
@@ -246,7 +245,7 @@ def cmd_verify(args) -> int:
     reports = ver.run_suite(args.suite, seed=args.seed, trials=args.trials,
                             samples=args.samples)
     if args.format == "json":
-        print(json.dumps(ver.reports_to_json(reports), indent=2))
+        ver.write_reports_json(reports, sys.stdout.write)
     else:
         print(ver.format_reports(reports))
     return 0 if all(r.passed for r in reports) else 1

@@ -9,6 +9,7 @@ generator so that every report is reproducible from its seed.
 
 from __future__ import annotations
 
+import json
 import math
 import operator
 
@@ -63,8 +64,25 @@ def format_reports(reports) -> str:
     return "\n".join(report_line(r) for r in reports)
 
 
+def _report_dict(r) -> dict:
+    return {name: getattr(r, name) for name in r._fields}
+
+
 def reports_to_json(reports) -> list[dict]:
-    return [{name: getattr(r, name) for name in r._fields} for r in reports]
+    return [_report_dict(r) for r in reports]
+
+
+def write_reports_json(reports, write) -> None:
+    """Write json.dumps(reports_to_json(reports), indent=2), one report at a
+    time, so that neither every report's dict nor the whole text is held.
+    Inside the list each report is its own indented text with every line
+    indented two spaces more; JSON strings hold no raw newline, so only the
+    layout's newlines are indented."""
+    sep = "[\n  "
+    for r in reports:
+        write(sep + json.dumps(_report_dict(r), indent=2).replace("\n", "\n  "))
+        sep = ",\n  "
+    write("[]\n" if sep == "[\n  " else "\n]\n")
 
 
 class Lcg:
@@ -167,9 +185,9 @@ MAX_ORACLE_SAMPLES = 4_000_000
 # --trials.  Measured in process at 10^4 and 10^5 trials: a trial of either
 # suite takes about 70 us, and keeps about 0.4 KB resident for its one
 # invariance report and 1-2 KB for its two truncation reports and its share
-# of the prefix; verify's JSON text peaks at about 2 KB more a report.  So
-# verify --suite all at this limit takes 3.4 s and peaks at 149 MB resident
-# with --format json (64 MB as text).  Unbounded, 10^23 trials ran until
+# of the prefix.  So verify --suite all at this limit takes 3.4 s and peaks
+# at 65 MB resident as text and 54 MB with --format json, which writes one
+# report at a time (write_reports_json).  Unbounded, 10^23 trials ran until
 # stopped, past 1.4 GB.
 MAX_TRIALS = 20_000
 # A block's coordinate, angle and kernel temporaries trace about 190 B a
@@ -541,10 +559,17 @@ def run_suite(name: str, seed: int = 42, trials: int | None = None,
               samples: int = 250_000) -> list[VerificationReport]:
     """Run one suite, or all of them; ``trials`` None means each suite's
     default count."""
+    if name not in SUITES:
+        raise DomainError(f"unknown suite {name!r} (known: {SUITES})")
     _check_budget("boundary oracle", samples)
     if samples < MIN_ORACLE_SAMPLES:
         raise DomainError(f"boundary oracle needs samples >= {MIN_ORACLE_SAMPLES}, got {_shown(samples)}")
-    counts = {} if trials is None else {"trials": trials}
+    counts = {}
+    if trials is not None:
+        # checked for every suite, also for those that run no trials; all
+        # names the invariance suite, which checks it first
+        _check_trials(f"{'invariance' if name == 'all' else name} suite", trials)
+        counts["trials"] = trials
     if name == "paper-claims":
         return claims_suite(seed=seed)
     if name == "invariance":
@@ -553,10 +578,7 @@ def run_suite(name: str, seed: int = 42, trials: int | None = None,
         return truncation_suite(seed=seed, **counts)
     if name == "boundary-oracle":
         return boundary_oracle_suite(samples=samples)
-    if name == "all":
-        # the report is sorted, so the suites that check their trial count run first
-        out = invariance_suite(seed=seed, **counts) + truncation_suite(seed=seed, **counts)
-        out += claims_suite(seed=seed)
-        out += boundary_oracle_suite(samples=samples)
-        return sorted(out, key=lambda r: r.check_name)
-    raise DomainError(f"unknown suite {name!r} (known: {SUITES})")
+    out = invariance_suite(seed=seed, **counts) + truncation_suite(seed=seed, **counts)  # all
+    out += claims_suite(seed=seed)
+    out += boundary_oracle_suite(samples=samples)
+    return sorted(out, key=lambda r: r.check_name)

@@ -3,9 +3,12 @@ below verbatim as the reference: the faces are now taken in one pass over
 the coordinates from the largest disk minimum and its runner-up, and must
 give bitwise the same (value, error), at n = 1 to 8 and at n = 64, with tied
 disk minima, equal centres, and coordinates inside, on and just outside
-their coordinate disk.  blocks._ball_block_min against its form before
-each radius profile became one pass, kept verbatim as the second reference:
-the same (value, error) bits, or the same CertificationError at the cap.
+their coordinate disk.  blocks._ball_block_min against its form before each
+radius profile became one pass and each box carried its centre and
+half-widths, kept verbatim as the second reference: the same (value, error)
+bits, or the same CertificationError at the cap.  Both references take each
+circle minimum from blocks._circle_min, whose form before its terms in
+(zc, c) were split off tests/test_circle_min.py compares bitwise.
 
 The validation of polydisk points and of Block now names a coordinate only
 for its message; the messages are pinned here, in the order the checks run."""
@@ -22,7 +25,8 @@ from squeezefn.blocks import (
     _MESH_FLOOR,
     _ball_block_min,
     _block_grad_bounds,
-    _min_on_circle,
+    _circle_min,
+    _circle_terms,
     _polydisk_block_min,
     _sphere_profiles,
 )
@@ -31,11 +35,17 @@ from squeezefn.hyperbolic import PointError, require_interior_polydisk_point
 from squeezefn.invariants import CertificationError
 
 
+def min_on_circle(zc: complex, c: complex, s: float) -> tuple[float, float]:
+    """blocks._circle_min over the circle |w - c| = s, as seen from zc."""
+    [terms] = _circle_terms((zc,), (c,))
+    return _circle_min(terms, s)
+
+
 def reference(z, block: Block) -> tuple[float, float]:
     """The block minimum before its faces were taken in one pass."""
     n = len(z)
     r = block.radius
-    circle = [_min_on_circle(z[j], block.center[j], r) for j in range(n)]
+    circle = [min_on_circle(z[j], block.center[j], r) for j in range(n)]
     disk = [
         (0.0, 0.0) if abs(z[j] - block.center[j]) <= r else circle[j]
         for j in range(n)
@@ -113,8 +123,10 @@ def test_one_pass_faces_are_bitwise_the_face_loop(case):
 # --- ball blocks: one pass per radius profile ---------------------------------------
 
 def ball_reference(z, block: Block, tol: float) -> tuple[float, float]:
-    """_ball_block_min before each profile became one pass, verbatim but for
-    the first line, which reads the cap per call, as monkeypatched."""
+    """_ball_block_min before each profile became one pass and each box
+    carried its centre and half-widths, verbatim but for the first line,
+    which reads the cap per call, as monkeypatched, and the circle minimum,
+    taken through min_on_circle."""
     _BALL_EVALS_CAP = blocks._BALL_EVALS_CAP
     n = len(z)
     r = block.radius
@@ -122,7 +134,7 @@ def ball_reference(z, block: Block, tol: float) -> tuple[float, float]:
 
     def profile_min(t) -> tuple[float, float]:
         s = _sphere_profiles(t, r)
-        vals = [_min_on_circle(z[j], block.center[j], s[j]) for j in range(n)]
+        vals = [min_on_circle(z[j], block.center[j], s[j]) for j in range(n)]
         return max(v for v, _ in vals), max(v - e for v, e in vals)
 
     lo = (0.0,) * (n - 1)
@@ -196,7 +208,13 @@ def ball_cases(draw):
 # all centres and points equal: every coordinate's circle minimum ties at the
 # equal-split profile
 @example(((0.5 + 0j,) * 3, Block((0j,) * 3, 0.25), 1e-2))
+# reaches BALL_CAP: the cap's message, not a value
 @example(((0.3 + 0.1j,) * 4, Block((0.1 + 0j,) * 4, 0.1), 1e-4))
+# the blocks workload's origin ball at n = 3, at a tolerance that reaches BALL_CAP
+@example(((0.5 + 0j, 0j, 0j), Block((0j,) * 3, 0.25), 1e-3))
+# two boxes tie on their bound, and the push count decides which pops first:
+# with the tie-break reversed the value and the error change
+@example(((-0.5 + 0j, -0.5 + 0j, 0.5 + 0j), Block((0.1 + 0j,) * 3, 0.2), 1e-2))
 # the blocks workload's origin and off-centre balls at n = 2
 @example(((0.5 + 0j, 0j), Block((0j, 0j), 0.25), 1e-4))
 @example(((-0.5 + 0j, 0j), Block((0.3 + 0j, 0j), 0.2), 1e-4))

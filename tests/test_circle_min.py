@@ -1,5 +1,6 @@
 """The closed-form circle minimum against sampling, the refinement it
-replaced, and, bitwise, its form before its clamps became conditionals."""
+replaced, and, bitwise, its form before its clamps became conditionals and
+its terms in (zc, c) alone were taken apart from those in s."""
 
 import cmath
 import math
@@ -8,13 +9,20 @@ from fractions import Fraction
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from squeezefn.blocks import _CIRCLE_FLOOR, _MESH_FLOOR, _min_on_circle
+from squeezefn.blocks import _CIRCLE_FLOOR, _MESH_FLOOR, _circle_min, _circle_terms
 from squeezefn.hyperbolic import rho
 
 
+def min_on_circle(zc: complex, c: complex, s: float) -> tuple[float, float]:
+    """blocks._circle_min over the circle |w - c| = s, as seen from zc."""
+    [terms] = _circle_terms((zc,), (c,))
+    return _circle_min(terms, s)
+
+
 def builtin_min_on_circle(zc: complex, c: complex, s: float) -> tuple[float, float]:
-    """_min_on_circle before its clamps became conditionals, kept verbatim
-    (docstring aside) as the reference: the builtins max and min."""
+    """The circle minimum before its clamps became conditionals and its terms
+    were split, kept verbatim (docstring aside) as the reference: one
+    function of (zc, c, s), and the builtins max and min."""
     zb = zc.conjugate()
     q = c + s * s * zc / (1.0 - c.conjugate() * zc)
     centre = (q - zc) / (1.0 - zb * q)
@@ -119,7 +127,7 @@ def circles(draw):
 @given(circles())
 def test_lower_end_below_sampled_minimum(circle):
     zc, c, s = circle
-    value, error = _min_on_circle(zc, c, s)
+    value, error = min_on_circle(zc, c, s)
     assert error >= 2.0 * _MESH_FLOOR
     assert 0.0 < value <= 1.0
     assert value - error <= sampled_min(zc, c, s)
@@ -131,7 +139,7 @@ def test_bracket_holds_exact_minimum(circle):
     # the exact minimum m = |sqrt(|C|^2) - sqrt(R^2)| for the float inputs
     # lies in [value - error, value]
     zc, c, s = circle
-    value, error = _min_on_circle(zc, c, s)
+    value, error = min_on_circle(zc, c, s)
     a, b = exact_square_moduli(zc, c, s)
     high, low = Fraction(value), Fraction(value) - Fraction(error)
     assert gap_sign(a, b, high) <= 0 and gap_sign(b, a, high) <= 0
@@ -142,7 +150,7 @@ def test_bracket_holds_exact_minimum(circle):
 @given(circles())
 def test_bracket_meets_refined_bracket(circle):
     zc, c, s = circle
-    value, error = _min_on_circle(zc, c, s)
+    value, error = min_on_circle(zc, c, s)
     grad = (1.0 - abs(zc) ** 2) / (1.0 - abs(zc) * min(abs(c) + s, 1.0)) ** 2
     ref_value, ref_error = refined_min_on_circle(zc, c, s, 1e-9, grad)
     assert max(value - error, ref_value - ref_error) <= min(value, ref_value)
@@ -177,11 +185,11 @@ NEAR = complex(1.0 - 1e-12)  # the least boundary-adjacent modulus, as a point
 def test_conditional_clamps_are_bitwise_the_builtins(circle):
     # max(a, b) returns b only where b > a, min(a, b) only where b < a, so
     # ties and NaN select alike; the values and errors must match in every bit
-    assert bits_or_error(_min_on_circle, *circle) == bits_or_error(builtin_min_on_circle, *circle), circle
+    assert bits_or_error(min_on_circle, *circle) == bits_or_error(builtin_min_on_circle, *circle), circle
 
 
 def test_reference_examples_reach_both_clamps():
     # the examples above exercise what the conditionals replace
-    assert _min_on_circle(0.9 + 0j, 0.9 + 0j, 0.5)[1] == 2.0 * _MESH_FLOOR
-    assert _min_on_circle(0j, 0j, 0.0)[1] == 2.0 * _CIRCLE_FLOOR > 2.0 * _MESH_FLOOR
-    assert _min_on_circle(NEAR, -0.9 + 0j, 0.099)[0] == 1.0
+    assert min_on_circle(0.9 + 0j, 0.9 + 0j, 0.5)[1] == 2.0 * _MESH_FLOOR
+    assert min_on_circle(0j, 0j, 0.0)[1] == 2.0 * _CIRCLE_FLOOR > 2.0 * _MESH_FLOOR
+    assert min_on_circle(NEAR, -0.9 + 0j, 0.099)[0] == 1.0

@@ -560,21 +560,24 @@ def test_verify_json_format(capsys):
     assert all(r["passed"] for r in reports)
 
 
-@pytest.mark.parametrize("suite", ["invariance", "truncation", "all"])
+# every suite checks a given --trials, also paper-claims and boundary-oracle,
+# which run no trials (before, they ignored it and exited 0)
+@pytest.mark.parametrize("suite", ["paper-claims", "invariance", "truncation", "boundary-oracle", "all"])
 def test_verify_rejects_zero_trials(capsys, suite):
     assert main(["verify", "--suite", suite, "--trials", "0"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "trials >= 1, got 0" in captured.err
+    what = "invariance" if suite == "all" else suite  # all runs invariance first
+    assert captured.err == f"error: {what} suite needs trials >= 1, got 0\n"
 
 
-@pytest.mark.parametrize("suite", ["invariance", "truncation", "all"])
-@pytest.mark.parametrize("trials", [MAX_TRIALS + 1, 10**23], ids=["limit", "1e23"])
+@pytest.mark.parametrize("suite", ["paper-claims", "invariance", "truncation", "boundary-oracle", "all"])
+@pytest.mark.parametrize("trials", [MAX_TRIALS + 1, 10**23, 99999999999], ids=["limit", "1e23", "1e11"])
 def test_verify_rejects_trials_above_the_limit(capsys, suite, trials):
     assert main(["verify", "--suite", suite, "--trials", str(trials)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    what = "truncation" if suite == "truncation" else "invariance"  # all runs invariance first
+    what = "invariance" if suite == "all" else suite  # all runs invariance first
     assert captured.err == f"error: {what} suite trials above the limit {MAX_TRIALS}\n"
 
 

@@ -446,12 +446,26 @@ def test_oracle_budgets_are_finite_integers_up_to_the_limit(build, message):
         build()
 
 
-@pytest.mark.parametrize("suite", ["invariance", "truncation", "all"])
+@pytest.mark.parametrize("suite", ["paper-claims", "invariance", "truncation", "boundary-oracle", "all"])
 @pytest.mark.parametrize("trials", [MAX_TRIALS + 1, 10**23], ids=["limit", "1e23"])
 def test_trial_counts_above_the_limit_are_rejected(suite, trials):
     # before the limit, 10**23 trials ran until stopped, past 1.4 GB resident
-    what = "truncation" if suite == "truncation" else "invariance"  # all runs invariance first
+    what = "invariance" if suite == "all" else suite  # all runs invariance first
     with raises_exactly(DomainError, f"{what} suite trials above the limit 20000"):
+        run_suite(suite, trials=trials)
+
+
+@pytest.mark.parametrize("suite", ["paper-claims", "boundary-oracle"])
+@pytest.mark.parametrize("trials, message", [
+    (0, " needs trials >= 1, got 0"),
+    (-1, " needs trials >= 1, got -1"),
+    (math.nan, ": trials must be finite, got nan"),
+    ("3", " needs trials >= 1, got '3'"),
+    (99999999999, " trials above the limit 20000"),
+], ids=["zero", "negative", "nan", "string", "1e11"])
+def test_suites_without_trials_still_check_a_given_count(suite, trials, message):
+    # they run no trials, and before ignored a count the others refuse
+    with raises_exactly(DomainError, f"{suite} suite{message}"):
         run_suite(suite, trials=trials)
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -25,6 +26,7 @@ from squeezefn.verification import (
     truncation_suite,
     VerificationReport,
     _prefix_infimum,
+    write_reports_json,
 )
 
 RADIAL = SequencePunctures(family=RadialFamily(q=0.5, theta=1.0))
@@ -172,6 +174,18 @@ def test_report_serialization_formats():
     parsed = json.loads(json.dumps(reports_to_json(reports)))
     assert parsed[0]["check_name"] == reports[0].check_name
     assert isinstance(parsed[0]["passed"], bool)
+
+
+@pytest.mark.parametrize("reports", [
+    [],
+    [VerificationReport("c", True, 0.5, 0.5, 0.0, "line\nbreak, \"quote\" and \u00e9")],
+    [VerificationReport("e", False, math.inf, -0.0, math.nan, ""), VerificationReport("f", True, 1e-300, 2 / 7, 0.0)],
+], ids=["empty", "escapes", "non-finite"])
+def test_reports_written_one_at_a_time_are_the_json_text(reports):
+    written = []
+    write_reports_json(reports, written.append)
+    assert "".join(written) == json.dumps(reports_to_json(reports), indent=2) + "\n"
+    assert len(written) == len(reports) + 1  # a write per report, and the close
 
 
 def test_run_suite_dispatch_and_unknown_name():

@@ -1,13 +1,18 @@
 """Exact work counts of two workloads, counted by wrapping the functions
-that do the work.  The blocks workload's reference configurations: the
-closed-form circle minima (blocks._min_on_circle) that one evaluation
-computes, and for ball blocks the radius profiles that the branch-and-bound
-evaluates (blocks._sphere_profiles).  A polydisk block takes exactly n
-circle minima, one per coordinate; a ball block takes n per profile.  The
+that do the work.  The blocks workload's reference configurations and its
+seeded polydisk ops at seeds 1 and 14: the closed-form circle minima
+(blocks._circle_min) that one evaluation computes, and for ball blocks the
+radius profiles that the branch-and-bound evaluates
+(blocks._sphere_profiles).  A polydisk block takes exactly n circle minima,
+one per coordinate; a ball block takes n per profile.  The
 grid workload's five domains at 100x100: the (cell, puncture) pairs that the
 distance kernel (chunked._kernel) evaluates, its calls and the chunks of
 punctures (domain.chunk) that one sweep generates.  A change that alters a
 count re-pins it here and says why."""
+
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,20 +53,26 @@ def point(config, n):
             "family": (0.1 + 0j, 0.1 + 0j) + pad[1:]}[config]
 
 
+def count_circle_minima(monkeypatch) -> list:
+    """Wrap blocks._circle_min; the list gets one entry a call."""
+    calls = []
+    circle = blocks._circle_min
+
+    def counted(*args):
+        calls.append(None)
+        return circle(*args)
+
+    monkeypatch.setattr(blocks, "_circle_min", counted)
+    return calls
+
+
 @pytest.mark.parametrize("config, geometry, n", CIRCLE_MINIMA)
 def test_circle_minima_per_evaluation(config, geometry, n, monkeypatch):
     domain = parse_domain_spec(DOCS[config](geometry, n))
     z = point(config, n)
     kwargs = {"mesh_tol": 1e-2} if (geometry, n) == ("ball", 3) else {}
     expected = repr(polydisk_squeezing_removed_blocks(domain, z, **kwargs))
-    calls = []
-    circle = blocks._min_on_circle
-
-    def counted(*args):
-        calls.append(None)
-        return circle(*args)
-
-    monkeypatch.setattr(blocks, "_min_on_circle", counted)
+    calls = count_circle_minima(monkeypatch)
     res = polydisk_squeezing_removed_blocks(domain, z, **kwargs)
     assert repr(res) == expected  # counting changes no value
     assert len(calls) == CIRCLE_MINIMA[config, geometry, n]
@@ -94,6 +105,44 @@ def test_ball_profiles_per_evaluation(config, n, monkeypatch):
     assert repr(polydisk_squeezing_removed_blocks(domain, z, **kwargs)) == expected
     assert len(calls) == PROFILE_EVALS[config, n]
     assert n * len(calls) == CIRCLE_MINIMA[config, "ball", n]
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def blocks_workload(seed):
+    """perfbench's blocks workload at ``seed``, built as the harness builds it."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclass() looks its module up
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    return workloads.build("blocks", seed, parse_domain_spec)
+
+
+# the blocks workload's seeded polydisk ops, per document: (ops, circle
+# minima); each op reads one listed block, n circle minima.  The seeds move
+# the points, not the work
+SEEDED_POLYDISK_WORK = {
+    "origin_polydisk_n2": (4, 8), "offcentre_polydisk_n2": (8, 16),
+    "origin_polydisk_n3": (4, 12), "offcentre_polydisk_n3": (8, 24),
+}
+
+
+@pytest.mark.parametrize("seed", [1, 14])
+def test_circle_minima_of_the_seeded_polydisk_ops(seed, monkeypatch):
+    ops = [op for op in blocks_workload(seed).ops if op.label.startswith("polydisk") and "/seed-" in op.key]
+    expected = [repr(op.call()) for op in ops]
+    calls = count_circle_minima(monkeypatch)
+    work = {}
+    for op, want in zip(ops, expected):
+        before = len(calls)
+        assert repr(op.call()) == want  # counting changes no value
+        count, minima = work.get(op.domain, (0, 0))
+        work[op.domain] = (count + 1, minima + len(calls) - before)
+    assert work == SEEDED_POLYDISK_WORK
 
 
 # the grid workload's domains, rectangle and resolution (those of
