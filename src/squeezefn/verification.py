@@ -564,12 +564,9 @@ def run_suite(name: str, seed: int = 42, trials: int | None = None,
     _check_budget("boundary oracle", samples)
     if samples < MIN_ORACLE_SAMPLES:
         raise DomainError(f"boundary oracle needs samples >= {MIN_ORACLE_SAMPLES}, got {_shown(samples)}")
-    counts = {}
-    if trials is not None:
-        # checked for every suite, also for those that run no trials; all
-        # names the invariance suite, which checks it first
-        _check_trials(f"{'invariance' if name == 'all' else name} suite", trials)
-        counts["trials"] = trials
+    if trials is not None:  # every suite checks a given count, also those that run no trials
+        _check_trials(f"{'invariance' if name == 'all' else name} suite", trials)  # all runs invariance first
+    counts = {} if trials is None else {"trials": trials}
     if name == "paper-claims":
         return claims_suite(seed=seed)
     if name == "invariance":
