@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Mutation check of the family law, of the distance kernel, of the certified
 single-point scan, of the block minima and their scan, of the verification
-oracles, of the record base, of the point check and of the grid loop: each
-mutant in MUTANTS breaks one property that a value's accuracy, a
-certificate, an oracle, a record's semantics or the byte-identity of outputs
-rests on, and the tests it names must fail on it.
+oracles, of the record base, of the point check, of the grid loop and of the
+guards on indices, counts and (0, 1) parameters: each mutant in MUTANTS
+breaks one property that a value's accuracy, a certificate, an oracle, a
+record's semantics, a guard or the byte-identity of outputs rests on, and
+the tests it names must fail on it.
 
 The script copies src/, tests/ and pyproject.toml to a temporary directory,
 runs the named tests of every mutant there unmutated (they must pass), then
@@ -48,6 +49,8 @@ BLOCK_LOOP = "tests/test_block_loop.py"
 BLOCK_FACES = "tests/test_block_faces.py"
 CIRCLE_MIN = "tests/test_circle_min.py"
 GRID_LOOP = "tests/test_grid_loop.py"
+GUARDS = "tests/test_guards.py"
+ORACLES = "tests/test_oracles.py"
 
 
 class Mutant(NamedTuple):
@@ -287,6 +290,15 @@ MUTANTS = (
            "dist, rest = rho_from(z[0]), max(map(abs, z[1:]), default=0.0)",
            _t("test_polydisk_constant_coordinates_are_rho_max_on_the_embedded_point", path=BATCHES)
            + _t("test_polydisk_family_distances_are_rho_max", path=KERNEL)),
+    Mutant("puncture-index-from-0", "an int index below 1 meets the index guard, not a family's law",
+           DOMAINS, 'or k < 1:\n            k = _index("puncture index"', 'or k < 0:\n            k = _index("puncture index"',
+           _t("test_puncture_index_not_a_number", path=GUARDS)),
+    Mutant("unit-interval-takes-0", "a (0, 1) parameter excludes 0",
+           DOMAINS, "0.0 < x < 1.0", "0.0 <= x < 1.0",
+           _t("test_range_checks_print_other_values", path=GUARDS)),
+    Mutant("count-limit-exclusive", "a count may equal its limit",
+           DOMAINS, "value > limit", "value >= limit",
+           _t("test_one_coordinate_polydisk_oracle_is_its_circle", path=ORACLES)),
     Mutant("record-assignment-allowed", "a record's fields cannot be reassigned",
            HYPERBOLIC, 'raise AttributeError(f"cannot assign to field {name!r}")',
            "object.__setattr__(self, name, value)",

@@ -153,15 +153,53 @@ def _require_finite(what: str, **params) -> None:
             raise DomainError(f"{what}: {name} must be finite, got {_shown(value)}")
 
 
-def _whole(what: str, k) -> int:
-    """An index k >= 0 as operator.index converts it (an int, a bool or a
-    numpy integer), and a DomainError for any other number, such as 1.5,
-    which a family's law would take and a listing's tuple would refuse.
-    Callers skip the call for an int, which needs no conversion."""
+def _index(what: str, k, least: int) -> int:
+    """An index k >= least as operator.index converts it (an int, a bool or a
+    numpy integer), and a DomainError for anything else: NaN, a value that is
+    no number, or a number such as 1.5, which a family's law would take and a
+    listing's tuple would refuse.  Callers skip the call for an int in range,
+    which needs no check: type(k) is not int or k < least."""
+    try:
+        low = not k >= least  # also NaN
+    except TypeError:  # not a number
+        low = True
+    if low:
+        raise DomainError(f"{what} must be >= {least}, got {_shown(k)}")
     try:
         return operator.index(k)
     except TypeError:
         raise DomainError(f"{what} must be a whole number, got {_shown(k)}") from None
+
+
+def _require_in_unit_interval(what: str, x) -> None:
+    """0 < x < 1, refusing NaN and a value that is no number."""
+    if not (_comparable(x) and 0.0 < x < 1.0):
+        raise DomainError(f"{what} must be in (0, 1), got {_shown(x)}")
+
+
+def _count(what: str, name: str, value, least: int, limit: int | None = None) -> int:
+    """A count from ``least`` to ``limit`` (no limit where None) as an int: an
+    int, a numpy integer or a whole float.  A fraction, NaN, an infinity or a
+    value that is no number is a DomainError, as is a count out of range."""
+    try:
+        whole = value == math.floor(value)  # NaN, infinities and non-numbers raise
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not whole:
+        raise DomainError(f"{what} {name} must be a finite integer, got {_shown(value)}")
+    if value < least:
+        raise DomainError(f"{what} needs {name} >= {least}, got {_shown(value)}")
+    if limit is not None and value > limit:  # not printed: it may have more digits than str() allows
+        raise DomainError(f"{what} {name} above the limit {limit}")
+    return int(value)
+
+
+def _require_dimension(what: str, n, least: int) -> None:
+    """n an int (not a bool) from least to MAX_DIMENSION."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < least:
+        raise DomainError(f"{what} must be an integer >= {least}, got {_shown(n)}")
+    if n > MAX_DIMENSION:  # not printed: it may have more digits than str() allows
+        raise DomainError(f"{what} above the limit {MAX_DIMENSION}")
 
 
 def _at_index(what: str, law, k):
@@ -218,6 +256,8 @@ class _PolarFamily(Record):
         theta is kept as a float, so that theta * k is the same product in
         point(k) and in angles (an int theta would make it exact)."""
         _require_finite(what, theta=self.theta)
+        if not _comparable(self.theta):  # finite, but complex
+            raise DomainError(f"{what}: theta must be a real number, got {_shown(self.theta)}")
         if not math.isfinite(float(self.theta) * _TAIL_LIMIT_INDEX):
             raise DomainError(f"{what}: theta * k overflows for indices up to "
                               f"{_TAIL_LIMIT_INDEX}, got theta={self.theta!r}")
@@ -259,8 +299,7 @@ class RadialFamily(_PolarFamily):
     _what = "radial family"
 
     def __post_init__(self):
-        if not (_comparable(self.q) and 0.0 < self.q < 1.0):
-            raise DomainError(f"{self._what}: q must be in (0, 1), got {_shown(self.q)}")
+        _require_in_unit_interval(f"{self._what}: q", self.q)
         self._require_angle(self._what)
 
     def modulus(self, k: int) -> float:
@@ -317,8 +356,7 @@ class BoundaryOrbitFamily(_PolarFamily):
     theta: float
 
     def __post_init__(self):
-        if not (_comparable(self.c) and 0.0 < self.c < 1.0):
-            raise DomainError(f"boundary_orbit family: c must be in (0, 1), got {_shown(self.c)}")
+        _require_in_unit_interval("boundary_orbit family: c", self.c)
         if not _comparable(self.p) or self.p <= 0.0:
             raise DomainError(f"boundary_orbit family: p must be positive, got {_shown(self.p)}")
         _require_finite("boundary_orbit family", p=self.p)
@@ -373,8 +411,7 @@ class RadialBlockFamily(RadialFamily):
 
     def __post_init__(self):
         super().__post_init__()
-        if not (_comparable(self.r0) and 0.0 < self.r0 < 1.0):
-            raise DomainError(f"block family: r0 must be in (0, 1), got {_shown(self.r0)}")
+        _require_in_unit_interval("block family: r0", self.r0)
 
     def radius(self, k: int) -> float:
         return self.r0 * self.q**k
@@ -442,22 +479,13 @@ class _Sequence(Record):
             _require_separated(prefix, "family points", first=1)
             return
         object.__setattr__(self, "prefix", self._read_points())
-        tail = self.tail_constant
-        if tail is not None and not (_comparable(tail) and 0.0 < tail < 1.0):
-            raise DomainError(
-                f"{kind}: tail_modulus_constant must be in (0, 1), got {_shown(tail)}"
-            )
+        if self.tail_constant is not None:
+            _require_in_unit_interval(f"{kind}: tail_modulus_constant", self.tail_constant)
 
     def puncture(self, k: int):
         """k-th puncture (1-based); deterministic and bitwise reproducible."""
-        try:
-            low = not k >= 1  # also NaN
-        except TypeError:  # not a number
-            low = True
-        if low:
-            raise DomainError(f"puncture index must be >= 1, got {_shown(k)}")
-        if type(k) is not int:
-            k = _whole("puncture index", k)
+        if type(k) is not int or k < 1:
+            k = _index("puncture index", k, 1)
         if self.family is not None:
             return self._embed_point(_at_index("puncture index", self.family.point, k))
         if k <= len(self.prefix):
@@ -475,14 +503,8 @@ class _Sequence(Record):
         Returns None ("exhausted") when nothing remains beyond the examined
         prefix of an explicitly listed sequence.
         """
-        try:
-            low = not examined >= 0  # also NaN
-        except TypeError:  # not a number
-            low = True
-        if low:
-            raise DomainError(f"tail bound index must be >= 0, got {_shown(examined)}")
-        if type(examined) is not int:
-            examined = _whole("tail bound index", examined)
+        if type(examined) is not int or examined < 0:
+            examined = _index("tail bound index", examined, 0)
         if self.family is not None:
             return _at_index("tail bound index", self.family.tail_modulus, examined)
         if examined < len(self.prefix):
@@ -566,8 +588,7 @@ class PolySequencePunctures(_Sequence):
     kind = "poly_sequence"
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise DomainError(f"poly_sequence: dimension must be an integer >= 1, got {_shown(self.n)}")
+        _require_dimension("poly_sequence: dimension", self.n, 1)
         super().__post_init__()
 
     def _embed_point(self, a: complex) -> tuple[complex, ...]:
@@ -632,8 +653,7 @@ class _Blocks(Record):
 
     def __post_init__(self):
         kind = self.kind
-        if not isinstance(self.n, int) or self.n < 2:
-            raise DomainError(f"{kind}: dimension must be an integer >= 2, got {_shown(self.n)}")
+        _require_dimension(f"{kind}: dimension", self.n, 2)
         if self.family is not None and self.blocks:
             raise DomainError(f"{kind}: give either blocks or a family, not both")
         if self.family is None and not self.blocks:
@@ -667,14 +687,8 @@ class _Blocks(Record):
             raise DomainError(f"{kind}: blocks {pair[0]} and {pair[1]} have intersecting closures")
 
     def block(self, k: int) -> Block:
-        try:
-            low = not k >= 1  # also NaN
-        except TypeError:  # not a number
-            low = True
-        if low:
-            raise DomainError(f"block index must be >= 1, got {_shown(k)}")
-        if type(k) is not int:
-            k = _whole("block index", k)
+        if type(k) is not int or k < 1:
+            k = _index("block index", k, 1)
         if self.family is not None:  # the family's point in coordinate 0
             center = (_at_index("block index", self.family.point, k),) + (0j,) * (self.n - 1)
             return Block(center, _at_index("block index", self.family.radius, k))
@@ -724,10 +738,7 @@ class Annulus(Record):
     inner_radius: float
 
     def __post_init__(self):
-        if not (_comparable(self.inner_radius) and 0.0 < self.inner_radius < 1.0):
-            raise DomainError(
-                f"annulus: inner radius must be in (0, 1), got {_shown(self.inner_radius)}"
-            )
+        _require_in_unit_interval("annulus: inner radius", self.inner_radius)
 
 
 class ProductOfBalls(Record):
@@ -736,8 +747,7 @@ class ProductOfBalls(Record):
     n: int
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise DomainError(f"product_of_balls: n must be an integer >= 1, got {_shown(self.n)}")
+        _require_dimension("product_of_balls: n", self.n, 1)
 
 
 DomainSpec = (
@@ -766,10 +776,9 @@ def _as_number(x, what: str) -> float:
 
 
 def _as_dimension(x, what: str) -> int:
+    """An integer, as the domain's constructor checks it against MAX_DIMENSION."""
     if isinstance(x, bool) or not isinstance(x, int):
         raise DomainError(f"{what}: expected an integer, got {x!r}")
-    if x > MAX_DIMENSION:  # not printed: it may have more digits than str() allows
-        raise DomainError(f"{what}: dimension above the limit {MAX_DIMENSION}")
     return x
 
 

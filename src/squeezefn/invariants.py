@@ -33,6 +33,7 @@ from .domains import (
     SequencePunctures,
     _comparable,
     _require_finite,
+    _require_in_unit_interval,
     _shown,
 )
 from .hyperbolic import (
@@ -273,8 +274,7 @@ def lower_bound_certificate(domain, z: complex, claimed: float) -> VerificationO
         anchor = abs(z)
     else:
         raise DomainError(f"lower_bound_certificate does not apply to {type(domain).__name__}")
-    if not (_comparable(claimed) and 0.0 < claimed < 1.0):
-        raise DomainError(f"claimed bound must be in (0, 1), got {_shown(claimed)}")
+    _require_in_unit_interval("claimed bound", claimed)
 
     # the tail covers the claim when its separation bound is >= claimed, which
     # for floats is > the next float below it: the stop rule's strict test

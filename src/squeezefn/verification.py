@@ -25,8 +25,7 @@ from .domains import (
     RemovedBalls,
     RemovedPolydisks,
     SequencePunctures,
-    _comparable,
-    _require_finite,
+    _count,
     _shown,
 )
 from .hyperbolic import MobiusMap, Record, _kernel, _prepare, radial_separation_bound, rho, rho_from
@@ -147,8 +146,7 @@ def brute_force_infimum(domain, z, count: int) -> float:
     The oracle counterpart of the certified truncation: no tail bounds, no
     early stopping.
     """
-    if not _comparable(count) or count < 1:
-        raise DomainError(f"brute force needs count >= 1, got {_shown(count)}")
+    count = _count("brute force", "count", count, 1)
     dist = rho_from(tuple(z) if isinstance(domain, PolySequencePunctures) else z)
     return min(dist(domain.puncture(k)) for k in range(1, count + 1))
 
@@ -200,17 +198,6 @@ MAX_TRIALS = 20_000
 _ORACLE_BLOCK = 1 << 13
 
 
-def _check_budget(what: str, samples) -> None:
-    try:
-        whole = samples == math.floor(samples)  # NaN, infinities and non-numbers raise
-    except (TypeError, ValueError, OverflowError):
-        whole = False
-    if not whole:
-        raise DomainError(f"{what} samples must be a finite integer, got {_shown(samples)}")
-    if samples > MAX_ORACLE_SAMPLES:
-        raise DomainError(f"{what} samples above the limit {MAX_ORACLE_SAMPLES}")
-
-
 def _grid_min(shape, axis, value) -> float:
     """Minimum of ``value`` over the product grid of ``shape``, whose axis j
     has the coordinates axis(j, i) at an array of indices i.
@@ -255,9 +242,7 @@ def boundary_min_oracle(block: Block, z, samples: int, geometry: str = "polydisk
     """
     import numpy as np
 
-    _check_budget("boundary oracle", samples)
-    if samples < 1_000:
-        raise DomainError(f"boundary oracle needs samples >= 1000, got {_shown(samples)}")
+    samples = _count("boundary oracle", "samples", samples, 1_000, MAX_ORACLE_SAMPLES)
     n = len(block.center)
     r = block.radius
 
@@ -326,7 +311,7 @@ def annulus_compact_removal_gap(samples: int = 1_000_000) -> inv.VerificationOut
     domain.  The disk minimum is confirmed by a dense polar sample of about
     ``samples`` points, a whole number up to MAX_ORACLE_SAMPLES.
     """
-    _check_budget("disk oracle", samples)
+    samples = _count("disk oracle", "samples", samples, 1, MAX_ORACLE_SAMPLES)
     analytic = rho(complex(0.5), complex(0.25))
     sampled = _closed_disk_min_oracle(complex(0.5), 0.25, samples)
     annulus_val = inv.annulus_squeezing(Annulus(0.25), complex(0.5))
@@ -350,18 +335,10 @@ def annulus_compact_removal_gap(samples: int = 1_000_000) -> inv.VerificationOut
 # ---------------------------------------------------------------------------
 
 
-def _check_trials(what: str, trials) -> None:
-    if not _comparable(trials) or trials < 1:
-        raise DomainError(f"{what} needs trials >= 1, got {_shown(trials)}")
-    _require_finite(what, trials=trials)
-    if trials > MAX_TRIALS:
-        raise DomainError(f"{what} trials above the limit {MAX_TRIALS}")
-
-
 def invariance_suite(trials: int = 1000, seed: int = 42) -> list[VerificationReport]:
     """Squeezing values are unchanged under disk automorphisms applied to the
     domain and the point together; checked on seeded random configurations."""
-    _check_trials("invariance suite", trials)
+    trials = _count("invariance suite", "trials", trials, 1, MAX_TRIALS)
     rng = Lcg(seed)
     tol = 1e-12
     width = len(str(trials - 1))
@@ -392,7 +369,7 @@ def truncation_suite(trials: int = 100, seed: int = 7) -> list[VerificationRepor
     The brute force is brute_force_infimum's, with no tail bound and no early
     stop, but each domain's punctures are generated once, into a prefix that
     grows to the largest range of its trials."""
-    _check_trials("truncation suite", trials)
+    trials = _count("truncation suite", "trials", trials, 1, MAX_TRIALS)
     rng = Lcg(seed)
     domains = (
         ("radial", SequencePunctures(family=RadialFamily(q=0.5, theta=1.0))),
@@ -561,11 +538,10 @@ def run_suite(name: str, seed: int = 42, trials: int | None = None,
     default count."""
     if name not in SUITES:
         raise DomainError(f"unknown suite {name!r} (known: {SUITES})")
-    _check_budget("boundary oracle", samples)
-    if samples < MIN_ORACLE_SAMPLES:
-        raise DomainError(f"boundary oracle needs samples >= {MIN_ORACLE_SAMPLES}, got {_shown(samples)}")
+    samples = _count("boundary oracle", "samples", samples, MIN_ORACLE_SAMPLES, MAX_ORACLE_SAMPLES)
     if trials is not None:  # every suite checks a given count, also those that run no trials
-        _check_trials(f"{'invariance' if name == 'all' else name} suite", trials)  # all runs invariance first
+        what = f"{'invariance' if name == 'all' else name} suite"  # all runs invariance first
+        trials = _count(what, "trials", trials, 1, MAX_TRIALS)
     counts = {} if trials is None else {"trials": trials}
     if name == "paper-claims":
         return claims_suite(seed=seed)

@@ -340,7 +340,8 @@ def test_eval_dimension_above_limit_exits_2(domain_file, capsys, name, doc, n):
     path = domain_file(f"{name}.json", {**doc, "n": n})
     assert main(["eval", "--domain", path, "--point=0,0"]) == 2
     err = capsys.readouterr().err
-    assert err == f"error: {name}.n: dimension above the limit {MAX_DIMENSION}\n"
+    what = "n" if name == "product_of_balls" else "dimension"  # the constructor's own check
+    assert err == f"error: {name}: {what} above the limit {MAX_DIMENSION}\n"
 
 
 def test_parse_accepts_dimension_at_limit():

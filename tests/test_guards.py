@@ -6,11 +6,14 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from squeezefn import invariants
 from squeezefn.blocks import polydisk_squeezing_removed_blocks, removed_block_display_formula
 from squeezefn.cli import MAX_GRID_CELLS, GridJob, run_grid
 from squeezefn.domains import (
+    MAX_DIMENSION,
     Annulus,
     Block,
     BoundaryOrbitFamily,
@@ -390,9 +393,9 @@ ORIGIN_POLYDISKS = RemovedPolydisks(n=2, blocks=(ORIGIN_BLOCK,))
      "mesh tolerance must be positive"),
     (lambda: product_of_balls_ratio_contradiction(-HUGER), "ratio contradiction check needs n > 1"),
     (lambda: product_of_balls_ratio_contradiction(HUGER), "ratio contradiction check: n must be finite"),
-    (lambda: run_suite("invariance", trials=HUGER), "invariance suite: trials must be finite"),
+    (lambda: run_suite("all", trials=-HUGER), "invariance suite needs trials >= 1"),
     (lambda: run_suite("invariance", trials=-HUGER), "invariance suite needs trials >= 1"),
-    (lambda: run_suite("truncation", trials=HUGER), "truncation suite: trials must be finite"),
+    (lambda: run_suite("truncation", trials=-HUGER), "truncation suite needs trials >= 1"),
     (lambda: brute_force_infimum(SequencePunctures(family=RADIAL), 0j, -HUGER),
      "brute force needs count >= 1"),
     (lambda: run_suite("all", samples=-HUGER), "boundary oracle needs samples >= 4000"),
@@ -403,6 +406,21 @@ ORIGIN_POLYDISKS = RemovedPolydisks(n=2, blocks=(ORIGIN_BLOCK,))
 def test_entry_points_do_not_print_integers_beyond_the_str_limit(build, message):
     with raises_exactly(DomainError, f"{message}, got an integer too large for a float"):
         build()
+
+
+@pytest.mark.parametrize("n", [10**20, MAX_DIMENSION + 1, True], ids=["1e20", "limit", "bool"])
+@pytest.mark.parametrize("build, what, least", [
+    (ProductOfBalls, "product_of_balls: n", 1),
+    (lambda n: PolySequencePunctures(n=n, family=RADIAL), "poly_sequence: dimension", 1),
+    (lambda n: RemovedPolydisks(n=n, family=BLOCK_FAMILY), "removed_polydisks: dimension", 2),
+    (lambda n: RemovedBalls(n=n, family=BLOCK_FAMILY), "removed_balls: dimension", 2),
+], ids=["product", "poly", "polydisks", "balls"])
+def test_constructors_refuse_what_the_parser_refuses_as_a_dimension(build, what, least, n):
+    # the block domains ended in an OverflowError at 10**20; the others took
+    # 10**20 and True, which a document may not give
+    with raises_exactly(DomainError, f"{what} must be an integer >= {least}, got True" if n is True
+                        else f"{what} above the limit {MAX_DIMENSION}"):
+        build(n)
 
 
 def disk_oracle(samples):
@@ -437,17 +455,29 @@ def ball_oracle(samples):
      "boundary oracle samples must be a finite integer, got '1000'"),
     (disk_oracle(None), "disk oracle samples must be a finite integer, got None"),
     (ball_oracle([1000]), "boundary oracle samples must be a finite integer, got [1000]"),
+    # trials and brute-force counts meet the same guard; a fraction, NaN or
+    # an infinity ended in a bare TypeError from range()
+    (lambda: run_suite("invariance", trials=2.5), "invariance suite trials must be a finite integer, got 2.5"),
+    (lambda: run_suite("truncation", trials=2.5), "truncation suite trials must be a finite integer, got 2.5"),
+    (lambda: run_suite("all", trials=2.5), "invariance suite trials must be a finite integer, got 2.5"),
+    (lambda: brute_force_infimum(SequencePunctures(family=RADIAL), 0j, 2.5),
+     "brute force count must be a finite integer, got 2.5"),
+    (lambda: brute_force_infimum(SequencePunctures(family=RADIAL), 0j, math.nan),
+     "brute force count must be a finite integer, got nan"),
+    (lambda: brute_force_infimum(SequencePunctures(family=RADIAL), 0j, math.inf),
+     "brute force count must be a finite integer, got inf"),
 ], ids=["disk-1e12", "disk-huge", "disk-huger", "disk-limit", "disk-nan", "disk-inf",
         "disk-fraction", "ball-1e12", "ball-huge", "ball-nan", "ball-minus-inf",
         "ball-minus-huger", "suite-nan", "disk-string", "boundary-string", "disk-none",
-        "ball-list"])
+        "ball-list", "invariance-trials-fraction", "truncation-trials-fraction", "all-trials-fraction",
+        "brute-force-fraction", "brute-force-nan", "brute-force-inf"])
 def test_oracle_budgets_are_finite_integers_up_to_the_limit(build, message):
     with raises_exactly(DomainError, message):
         build()
 
 
 @pytest.mark.parametrize("suite", ["paper-claims", "invariance", "truncation", "boundary-oracle", "all"])
-@pytest.mark.parametrize("trials", [MAX_TRIALS + 1, 10**23], ids=["limit", "1e23"])
+@pytest.mark.parametrize("trials", [MAX_TRIALS + 1, 10**23, HUGER], ids=["limit", "1e23", "huger"])
 def test_trial_counts_above_the_limit_are_rejected(suite, trials):
     # before the limit, 10**23 trials ran until stopped, past 1.4 GB resident
     what = "invariance" if suite == "all" else suite  # all runs invariance first
@@ -459,10 +489,11 @@ def test_trial_counts_above_the_limit_are_rejected(suite, trials):
 @pytest.mark.parametrize("trials, message", [
     (0, " needs trials >= 1, got 0"),
     (-1, " needs trials >= 1, got -1"),
-    (math.nan, ": trials must be finite, got nan"),
-    ("3", " needs trials >= 1, got '3'"),
+    (math.nan, " trials must be a finite integer, got nan"),
+    ("3", " trials must be a finite integer, got '3'"),
     (99999999999, " trials above the limit 20000"),
-], ids=["zero", "negative", "nan", "string", "1e11"])
+    (2.5, " trials must be a finite integer, got 2.5"),
+], ids=["zero", "negative", "nan", "string", "1e11", "fraction"])
 def test_suites_without_trials_still_check_a_given_count(suite, trials, message):
     # they run no trials, and before ignored a count the others refuse
     with raises_exactly(DomainError, f"{suite} suite{message}"):
@@ -474,6 +505,11 @@ def test_oracle_budgets_take_whole_floats_and_numpy_integers():
     assert annulus_compact_removal_gap(samples=4000.0) == annulus_compact_removal_gap(samples=4000)
     assert (boundary_min_oracle(ORIGIN_BLOCK, (0.5 + 0j, 0j), np.int64(4000), "ball")
             == boundary_min_oracle(ORIGIN_BLOCK, (0.5 + 0j, 0j), 4000, "ball"))
+    # trials and brute-force counts follow the same rule
+    assert run_suite("invariance", trials=2.0) == run_suite("invariance", trials=2)
+    assert run_suite("truncation", trials=np.float64(2.0)) == run_suite("truncation", trials=2)
+    assert (brute_force_infimum(SequencePunctures(family=RADIAL), 0.1j, 2.0)
+            == brute_force_infimum(SequencePunctures(family=RADIAL), 0.1j, 2))
 
 
 FINITE_PAIR = FinitePunctures((0.5 + 0j, 0.5j))
@@ -576,9 +612,9 @@ def test_numpy_scalar_points_are_numbers():
      "mesh tolerance must be positive, got '1e-3'"),
     (lambda: product_of_balls_ratio_contradiction("3"), "ratio contradiction check needs n > 1, got '3'"),
     (lambda: brute_force_infimum(SequencePunctures(family=RADIAL), 0j, "3"),
-     "brute force needs count >= 1, got '3'"),
-    (lambda: run_suite("truncation", trials="3"), "truncation suite needs trials >= 1, got '3'"),
-    (lambda: run_suite("invariance", trials=[3]), "invariance suite needs trials >= 1, got [3]"),
+     "brute force count must be a finite integer, got '3'"),
+    (lambda: run_suite("truncation", trials="3"), "truncation suite trials must be a finite integer, got '3'"),
+    (lambda: run_suite("invariance", trials=[3]), "invariance suite trials must be a finite integer, got [3]"),
     (lambda: run_suite("invariance", seed="1"), "seed must be an integer, got '1'"),
     (lambda: run_suite("truncation", trials=1, seed=1.5), "seed must be an integer, got 1.5"),
 ], ids=["claimed-string", "claimed-none", "mesh-tol-string", "ratio-n-string", "brute-force-count-string",
@@ -598,6 +634,7 @@ def test_seeds_take_numpy_integers():
 @pytest.mark.parametrize("build, message", [
     (lambda: RadialFamily("0.5", 1.0), "radial family: q must be in (0, 1), got '0.5'"),
     (lambda: RadialFamily(0.5, "1.0"), "radial family: theta must be finite, got '1.0'"),
+    (lambda: RadialFamily(0.5, 1 + 0j), "radial family: theta must be a real number, got (1+0j)"),
     (lambda: BoundaryOrbitFamily("0.5", 2.0, 1.0), "boundary_orbit family: c must be in (0, 1), got '0.5'"),
     (lambda: BoundaryOrbitFamily(0.5, "2", 1.0), "boundary_orbit family: p must be positive, got '2'"),
     (lambda: RadialBlockFamily(0.5, 1.0, "0.2"), "block family: r0 must be in (0, 1), got '0.2'"),
@@ -609,12 +646,13 @@ def test_seeds_take_numpy_integers():
     (lambda: RemovedPolydisks(2, blocks=[(0, 0.25)]), "removed_polydisks: block 0 is not a Block, got (0, 0.25)"),
     (lambda: GridJob(Annulus(0.25), (-0.5, 0.5, -0.5, 0.5), (2.5, 2), "squeezing"),
      "grid resolution must be integers, got (2.5, 2)"),
-], ids=["radial-q", "radial-theta", "orbit-c", "orbit-p", "block-family-r0", "annulus", "block-radius",
-        "block-center", "tail-constant", "block-list-entry", "grid-resolution"])
+], ids=["radial-q", "radial-theta", "radial-theta-complex", "orbit-c", "orbit-p", "block-family-r0",
+        "annulus", "block-radius", "block-center", "tail-constant", "block-list-entry", "grid-resolution"])
 def test_record_fields_that_are_not_numbers_are_domain_errors(build, message):
     # each ended in a bare TypeError from its guard's comparison or from
-    # cmath.isfinite, an AttributeError on the block's center, or (the grid)
-    # a TypeError in range() once run_grid started
+    # cmath.isfinite, an AttributeError on the block's center, a TypeError
+    # from float() on a complex theta, or (the grid) a TypeError in range()
+    # once run_grid started
     with raises_exactly(DomainError, message):
         build()
 
@@ -684,3 +722,63 @@ def test_record_lists_may_be_any_iterable():
     blocks = RemovedPolydisks(2, blocks=(b for b in (ORIGIN_BLOCK,)))
     assert blocks == RemovedPolydisks(2, blocks=(ORIGIN_BLOCK,))
     assert Block(iter((0j, 0j)), 0.25) == ORIGIN_BLOCK
+
+
+# --- any value where a number belongs ------------------------------------------------
+
+# Valid counts are drawn small: a valid count runs as long as it asks.  The
+# brute force runs over a listing, whose puncture beyond the list is refused.
+OUTSIDE = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([10**20, -10**20, 10**400, -10**400]),
+    st.floats(-3.0, 3.0),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -1e300]),
+    st.integers(-3, 3).map(np.int64),
+    st.sampled_from([np.float64(math.nan), np.float64(2.0), np.float64(0.5), np.float64(-np.inf)]),
+    st.booleans(),
+    st.complex_numbers(max_magnitude=3.0),
+    st.text(max_size=3),
+    st.binary(max_size=3),
+    st.none(),
+    st.lists(st.integers(-3, 3), max_size=2),
+)
+LISTING = SequencePunctures(prefix=(0.5 + 0j, 0.5j), tail_constant=0.9)
+OUTSIDE_NUMBER_CALLS = (
+    SequencePunctures(family=RADIAL).puncture,
+    LISTING.puncture,
+    SequencePunctures(family=RADIAL).tail_lower_bound,
+    LISTING.tail_lower_bound,
+    RemovedPolydisks(n=2, family=BLOCK_FAMILY).block,
+    ORIGIN_POLYDISKS.block,
+    lambda v: run_suite("invariance", trials=v),
+    lambda v: run_suite("truncation", trials=v),
+    lambda v: run_suite("paper-claims", trials=v, samples=3),
+    lambda v: run_suite("invariance", trials=1, samples=v),
+    lambda v: brute_force_infimum(LISTING, 0j, v),
+    lambda v: boundary_min_oracle(ORIGIN_BLOCK, (0.5 + 0j, 0j), v, "ball"),
+    lambda v: annulus_compact_removal_gap(samples=v),
+    lambda v: RadialFamily(v, 1.0),
+    lambda v: BoundaryOrbitFamily(v, 2.0, 1.0),
+    lambda v: RadialBlockFamily(0.5, 1.0, v),
+    lambda v: SequencePunctures(prefix=(0.5 + 0j,), tail_constant=v),
+    Annulus,
+    lambda v: lower_bound_certificate(SequencePunctures(family=RADIAL), 0.1j, v),
+    ProductOfBalls,
+    lambda v: PolySequencePunctures(n=v, family=RADIAL),
+    lambda v: RemovedPolydisks(n=v, family=BLOCK_FAMILY),
+    lambda v: RemovedBalls(n=v, family=BLOCK_FAMILY),
+    lambda v: RadialFamily(0.5, v),
+    lambda v: BoundaryOrbitFamily(0.5, 2.0, v),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(value=OUTSIDE)
+def test_any_value_where_a_number_belongs_is_taken_or_refused(value):
+    # indices, counts, (0, 1) parameters, dimensions and angles: each call
+    # returns, or raises a DomainError or a PointError and nothing else
+    for call in OUTSIDE_NUMBER_CALLS:
+        try:
+            call(value)
+        except (DomainError, PointError):
+            pass
