@@ -6,8 +6,8 @@ import argparse
 import json
 from pathlib import Path
 
-from squeezefn.cli import GridJob, run_grid
 from squeezefn.domains import parse_domain_spec
+from squeezefn.grid import GridJob, run_grid
 
 DOMAINS = {
     "finite_pair": {"kind": "finite_punctures", "points": [[0.5, 0.0], [0.0, 0.5]]},

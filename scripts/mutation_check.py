@@ -2,7 +2,7 @@
 """Mutation check of the family law, of the distance kernel, of the certified
 single-point scan, of the block minima and their scan, of the verification
 oracles, of the record base, of the point check, of the grid loop and of the
-guards on indices, counts and (0, 1) parameters: each mutant in MUTANTS
+guards on indices, counts, real numbers and (0, 1) parameters: each mutant in MUTANTS
 breaks one property that a value's accuracy, a certificate, an oracle, a
 record's semantics, a guard or the byte-identity of outputs rests on, and
 the tests it names must fail on it.
@@ -39,6 +39,7 @@ INVARIANTS = "src/squeezefn/invariants.py"
 CHUNK_SCAN = "src/squeezefn/chunked.py"
 BLOCK_MINIMA = "src/squeezefn/blocks.py"
 DOMAINS = "src/squeezefn/domains.py"
+FAMILIES = "src/squeezefn/families.py"
 CHUNKED = "tests/test_chunked.py"
 BATCHES = "tests/test_scalar_batches.py"
 VERIFICATION = "src/squeezefn/verification.py"
@@ -74,26 +75,26 @@ MUTANTS = (
            DOMAINS, "tails = np.zeros(stop - start)", "tails = np.full(stop - start, -0.0)",
            _t("test_listing_chunk_is_bitwise_point_and_tail")),
     Mutant("angle-one-ulp-high", "a chunk's angles are theta * k, the angles of point(k)",
-           DOMAINS, "return self.theta * np.arange(start + 1, stop + 1, dtype=float)",
+           FAMILIES, "return self.theta * np.arange(start + 1, stop + 1, dtype=float)",
            "return np.nextafter(self.theta * np.arange(start + 1, stop + 1, dtype=float), np.inf)",
            _t("test_family_chunk_is_bitwise_point_and_tail")),
     Mutant("point-modulus-one-late", "point(k) takes the modulus of the same index as a chunk",
-           DOMAINS, "return cmath.rect(self.modulus(k), self.theta * k)",
+           FAMILIES, "return cmath.rect(self.modulus(k), self.theta * k)",
            "return cmath.rect(self.modulus(k + 1), self.theta * k)",
            _t("test_family_chunk_is_bitwise_point_and_tail")),
     Mutant("radial-tail-index-plus-1", "RadialFamily.tail_index is a lower bound on the first stop",
-           DOMAINS, "return min(int(max(k, 0.0)), _INDEX_CAP)",
+           FAMILIES, "return min(int(max(k, 0.0)), _INDEX_CAP)",
            "return min(int(max(k, 0.0)) + 1, _INDEX_CAP)",
            _t("test_tail_index_is_a_certified_lower_bound_near_the_stop")),
     Mutant("orbit-tail-index-plus-1", "BoundaryOrbitFamily.tail_index is a lower bound on the first stop",
-           DOMAINS, "return min(int(k), _INDEX_CAP)", "return min(int(k) + 1, _INDEX_CAP)",
+           FAMILIES, "return min(int(k), _INDEX_CAP)", "return min(int(k) + 1, _INDEX_CAP)",
            _t("test_tail_index_is_a_certified_lower_bound_near_the_stop")),
     Mutant("radial-margin-dropped", "RadialFamily.tail_index covers the rounding of log, pow and the quotient",
-           DOMAINS, "k = (a - 2.0**-49 * (1.0 + a)) / -math.log(self.q) * (1.0 - 2.0**-50)",
+           FAMILIES, "k = (a - 2.0**-49 * (1.0 + a)) / -math.log(self.q) * (1.0 - 2.0**-50)",
            "k = a / -math.log(self.q)",
            _t("test_tail_index_is_a_certified_lower_bound_near_the_stop")),
     Mutant("log-gap-without-midpoint", "_log_gap takes the level's gap to the float below it",
-           DOMAINS, "return -math.log(((1.0 - below) + (1.0 - level)) * 0.5)",
+           FAMILIES, "return -math.log(((1.0 - below) + (1.0 - level)) * 0.5)",
            "return -math.log(1.0 - level)",
            _t("test_tail_index_is_a_certified_lower_bound_near_the_stop")),
     Mutant("stop-level-one-float-high", "_stop_level is the least float the stop rule accepts",
@@ -296,6 +297,10 @@ MUTANTS = (
     Mutant("unit-interval-takes-0", "a (0, 1) parameter excludes 0",
            DOMAINS, "0.0 < x < 1.0", "0.0 <= x < 1.0",
            _t("test_range_checks_print_other_values", path=GUARDS)),
+    Mutant("complex-taken-as-real", "a numpy complex scalar, which numpy orders, meets the real-number guards",
+           DOMAINS, "return isinstance(value, numbers.Real) or not isinstance(value, numbers.Complex)",
+           "return True",
+           _t("test_record_fields_that_are_not_numbers_are_domain_errors", path=GUARDS)),
     Mutant("count-limit-exclusive", "a count may equal its limit",
            DOMAINS, "value > limit", "value >= limit",
            _t("test_one_coordinate_polydisk_oracle_is_its_circle", path=ORACLES)),

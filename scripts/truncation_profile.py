@@ -19,7 +19,8 @@ import math
 import time
 from unittest import mock
 
-from squeezefn.domains import BoundaryOrbitFamily, RadialFamily, SequencePunctures
+from squeezefn.domains import SequencePunctures
+from squeezefn.families import BoundaryOrbitFamily, RadialFamily
 from squeezefn.hyperbolic import radial_separation_bound
 from squeezefn.invariants import squeezing_punctured_disk
 

@@ -3,29 +3,36 @@ punctured disks, punctured polydisks, polydisks minus closed blocks, annuli
 and products of balls, with certified truncation of infinite infima.
 
 Each submodule loads on first use of one of its names (PEP 562), so that
-``import squeezefn`` and a domain parse load only ``domains`` and
-``hyperbolic``.  ``chunked``, the numpy chunk scan and the grid sweep, has no
-public name: the engine loads it where a scan or a grid needs it."""
+``import squeezefn`` loads none, and a domain parse loads ``domains`` and
+``hyperbolic`` and, where the document needs them, ``families`` (a
+"family" field) and ``block_domains`` (removed polydisks and balls).  An
+eval adds ``invariants``, and ``blocks`` for removed blocks; ``certificates``
+and ``serialize`` load only when their names are used.  ``chunked``, the
+numpy chunk scan and the grid kernel, and ``grid``, the grid command's
+sweep, have no public name: the engine loads chunked where a scan or a grid
+needs it, and the CLI loads grid for the grid command."""
 
 import sys
 
 _EXPORTS = {
-    "domains": ("Annulus", "Block", "BoundaryOrbitFamily", "DomainError", "FinitePunctures",
-                "PolySequencePunctures", "ProductOfBalls", "RadialBlockFamily", "RadialFamily",
-                "RemovedBalls", "RemovedPolydisks", "SequencePunctures", "parse_domain_spec",
-                "serialize_domain_spec"),
+    "domains": ("Annulus", "DomainError", "FinitePunctures", "PolySequencePunctures",
+                "ProductOfBalls", "SequencePunctures", "parse_domain_spec"),
+    "families": ("BoundaryOrbitFamily", "RadialBlockFamily", "RadialFamily"),
+    "block_domains": ("Block", "RemovedBalls", "RemovedPolydisks"),
+    "serialize": ("serialize_domain_spec",),
     "hyperbolic": ("MobiusMap", "PointError", "radial_separation_bound"),
-    "invariants": ("CertificationError", "InvariantValue", "VerificationOutcome",
-                   "annulus_squeezing", "fridman_caratheodory_punctured_disk",
-                   "lower_bound_certificate", "polydisk_squeezing_punctured",
-                   "product_of_balls_T_lower_bound", "product_of_balls_ratio_contradiction",
-                   "product_of_balls_squeezing", "squeezing_punctured_disk"),
+    "invariants": ("CertificationError", "InvariantValue", "annulus_squeezing",
+                   "fridman_caratheodory_punctured_disk", "polydisk_squeezing_punctured",
+                   "product_of_balls_T_lower_bound", "product_of_balls_squeezing",
+                   "squeezing_punctured_disk"),
+    "certificates": ("VerificationOutcome", "lower_bound_certificate",
+                     "product_of_balls_ratio_contradiction"),
     "blocks": ("polydisk_squeezing_removed_blocks", "removed_block_display_formula"),
     "verification": ("Lcg", "VerificationReport", "annulus_compact_removal_gap",
                      "boundary_min_oracle", "brute_force_infimum", "run_suite"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = ("cli", "chunked", *_EXPORTS)
+_SUBMODULES = ("cli", "chunked", "grid", *_EXPORTS)
 
 __all__ = list(_SOURCE)
 __version__ = "0.1.0"

@@ -19,7 +19,8 @@ import itertools
 import math
 
 from . import invariants as inv
-from .domains import Block, DomainError, RemovedBalls, RemovedPolydisks, _comparable, _shown
+from .block_domains import Block, RemovedBalls, RemovedPolydisks
+from .domains import DomainError, _comparable, _shown
 from .hyperbolic import PointError, require_interior_polydisk_point
 from .invariants import _EPS, DEFAULT_MESH_TOL, CertificationError, InvariantValue, _scalar_scan
 

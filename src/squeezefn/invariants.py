@@ -11,10 +11,12 @@ just below the claim for a certificate.  One scalar pass with no numpy
 punctures, within which a point away from the boundary mostly stops; a
 family scan that goes on continues in numpy chunks (chunked.scan_chunks).
 
-Two parts load on first use, so that a command compiles only the code it
+Three parts load on first use, so that a command compiles only the code it
 runs (without a bytecode cache every module is compiled from source at each
-start): chunked, the numpy chunk scan and the grid sweep (grid_cells), and
-blocks, the minimization over removed-block boundaries.
+start): chunked, the numpy chunk scan and the grid sweep (grid_cells);
+blocks, the minimization over removed-block boundaries; and certificates,
+lower_bound_certificate and the product-of-balls ratio check, which no
+eval or compare runs.
 """
 
 from __future__ import annotations
@@ -31,10 +33,6 @@ from .domains import (
     PolySequencePunctures,
     ProductOfBalls,
     SequencePunctures,
-    _comparable,
-    _require_finite,
-    _require_in_unit_interval,
-    _shown,
 )
 from .hyperbolic import (
     INTERIOR_MARGIN,
@@ -98,22 +96,6 @@ class InvariantValue(Record):
         store(self, "tail_bound_used", tail_bound_used)
         store(self, "mesh_error", mesh_error)
         store(self, "attained_index", attained_index)
-
-
-class VerificationOutcome(Record):
-    """Pass/fail result of a consistency check, with the computed values."""
-
-    passed: bool
-    observed: tuple[float, ...] = ()
-    violating_index: int | None = None
-    details: str = ""
-
-    def __init__(self, passed, observed=(), violating_index=None, details=""):
-        store = object.__setattr__
-        store(self, "passed", passed)
-        store(self, "observed", observed)
-        store(self, "violating_index", violating_index)
-        store(self, "details", details)
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +228,6 @@ def _unstopped(domain, anchor, bound):
     return count, m, (m > anchor) & (radial_separation_bound(m, anchor) >= bound)
 
 
-
-
 def fridman_caratheodory_punctured_disk(domain, z: complex) -> InvariantValue:
     """Caratheodory Fridman invariant of the punctured disk.
 
@@ -255,47 +235,6 @@ def fridman_caratheodory_punctured_disk(domain, z: complex) -> InvariantValue:
     entry point delegating to the same kernel.
     """
     return squeezing_punctured_disk(domain, z)
-
-
-def lower_bound_certificate(domain, z: complex, claimed: float) -> VerificationOutcome:
-    """Check the explicit-embedding certificate for a claimed lower bound.
-
-    The centering map f(w) = (w - z)/(1 - conj(z) w), coordinate by
-    coordinate for a poly_sequence, embeds the domain in the disk or
-    polydisk with f(z) = 0; the claim holds iff every puncture image has
-    modulus (coordinate maximum) >= claimed and the tail certificate covers
-    all unexamined punctures.  Failure is a result, not an error.
-    """
-    if isinstance(domain, PolySequencePunctures):
-        z = require_interior_polydisk_point(z, domain.n)
-        anchor = max(map(abs, z))
-    elif isinstance(domain, (FinitePunctures, SequencePunctures)):
-        z = require_interior_point(z)
-        anchor = abs(z)
-    else:
-        raise DomainError(f"lower_bound_certificate does not apply to {type(domain).__name__}")
-    _require_in_unit_interval("claimed bound", claimed)
-
-    # the tail covers the claim when its separation bound is >= claimed, which
-    # for floats is > the next float below it: the stop rule's strict test
-    scan = _scan(domain, z, anchor, claimed, math.nextafter(claimed, -math.inf))
-    if scan.bad is not None:
-        return VerificationOutcome(False, observed=(scan.bad,), violating_index=scan.examined,
-                                   details=f"puncture {scan.examined} image modulus "
-                                           f"{scan.bad!r} < {claimed!r}")
-    if scan.tail is not None:
-        return VerificationOutcome(True, observed=(scan.tail,),
-                                   details=f"examined {scan.examined} punctures; tail bound "
-                                           f"m = {scan.tail!r} covers the rest")
-    _, m, covered = _unstopped(domain, anchor, claimed)
-    if covered:  # an exact listing: the stop rule already tried a tail constant
-        return VerificationOutcome(True, observed=(claimed,), details=f"all "
-                                   f"{domain.known_count()} punctures covered, no tail")
-    if m is None:
-        return VerificationOutcome(False, observed=(claimed,), violating_index=None,
-                                   details=f"tail failed to cover within {_SEQUENCE_CAP} punctures")
-    return VerificationOutcome(False, observed=(m,), violating_index=None,
-                               details=f"tail constant {m!r} cannot cover the claim")
 
 
 # ---------------------------------------------------------------------------
@@ -359,27 +298,3 @@ def _require_product_point(domain: ProductOfBalls, z) -> None:
         norm = math.sqrt(sum(abs(c) ** 2 for c in f))
         if not norm < 1.0 - INTERIOR_MARGIN:  # also NaN
             raise PointError(f"factor {i} has norm {norm!r}, not strictly inside the ball")
-
-
-def product_of_balls_ratio_contradiction(n: int) -> VerificationOutcome:
-    """Show both fixed-ratio relations between the two squeezing functions of
-    the product of balls are impossible for n > 1.
-
-    If the ball-based value (1/sqrt(n)) were 1/n of the polydisk-based one,
-    the latter would be sqrt(n) > 1; if the polydisk-based value were 1/n of
-    the ball-based one it would be n^(-3/2), below its own lower bound
-    1/sqrt(n).
-    """
-    if not _comparable(n) or n <= 1:
-        raise DomainError(f"ratio contradiction check needs n > 1, got {_shown(n)}")
-    _require_finite("ratio contradiction check", n=n)
-    s = 1.0 / math.sqrt(n)
-    forced_high = n * s        # sqrt(n), would have to be <= 1
-    forced_low = s / n         # n^(-3/2), would have to be >= 1/sqrt(n)
-    passed = forced_high > 1.0 and forced_low < s
-    return VerificationOutcome(
-        passed,
-        observed=(forced_high, forced_low),
-        details=(f"hypothetical values {forced_high!r} (> 1 required impossible) and "
-                 f"{forced_low!r} (< lower bound {s!r})"),
-    )

@@ -13,21 +13,19 @@ import json
 import math
 import operator
 
+from .block_domains import Block, RemovedBalls, RemovedPolydisks
+from .certificates import VerificationOutcome, product_of_balls_ratio_contradiction
 from .domains import (
     Annulus,
-    Block,
-    BoundaryOrbitFamily,
     DomainError,
     FinitePunctures,
     PolySequencePunctures,
     ProductOfBalls,
-    RadialFamily,
-    RemovedBalls,
-    RemovedPolydisks,
     SequencePunctures,
     _count,
     _shown,
 )
+from .families import BoundaryOrbitFamily, RadialFamily
 from .hyperbolic import MobiusMap, Record, _kernel, _prepare, radial_separation_bound, rho, rho_from
 from . import SUITES
 from . import invariants as inv
@@ -301,7 +299,7 @@ def _closed_disk_min_oracle(z: complex, radius: float, samples: int) -> float:
     return _grid_min([m + 1, m], lambda j, k: axes[j][k], lambda rt, rim: _rho_np(z, rt * rim))
 
 
-def annulus_compact_removal_gap(samples: int = 1_000_000) -> inv.VerificationOutcome:
+def annulus_compact_removal_gap(samples: int = 1_000_000) -> VerificationOutcome:
     """Compare the compact-removal formula with the annulus squeezing function
     at the reference configuration (removed closed disk of radius 1/4, point 1/2).
 
@@ -322,7 +320,7 @@ def annulus_compact_removal_gap(samples: int = 1_000_000) -> inv.VerificationOut
         and annulus_val == 0.5
         and gap > 0.0
     )
-    return inv.VerificationOutcome(
+    return VerificationOutcome(
         passed,
         observed=(analytic, sampled, annulus_val, gap),
         details=(f"disk minimum {analytic!r} (sampled {sampled!r}) vs annulus value "
@@ -473,7 +471,7 @@ def claims_suite(seed: int = 42) -> list[VerificationReport]:
         add(f"claims/product-of-balls-squeezing-n{n}", s, 1.0 / math.sqrt(n), 1e-15)
         add(f"claims/product-of-balls-t-bound-n{n}",
             inv.product_of_balls_T_lower_bound(domain), 1.0 / math.sqrt(n), 1e-15)
-        contra = inv.product_of_balls_ratio_contradiction(n)
+        contra = product_of_balls_ratio_contradiction(n)
         add(f"claims/product-of-balls-ratio-a-n{n}", contra.observed[0], 1.0, 0.0,
             "forced value must exceed 1 (impossible for a squeezing function)",
             one_sided="greater")

@@ -11,23 +11,17 @@ import time
 
 import pytest
 
+from squeezefn.block_domains import Block, RemovedBalls, RemovedPolydisks
 from squeezefn.blocks import polydisk_squeezing_removed_blocks, removed_block_display_formula
+from squeezefn.certificates import product_of_balls_ratio_contradiction
 from squeezefn.cli import main
-from squeezefn.domains import (
-    Block,
-    FinitePunctures,
-    ProductOfBalls,
-    RadialFamily,
-    RemovedBalls,
-    RemovedPolydisks,
-    SequencePunctures,
-)
+from squeezefn.domains import FinitePunctures, ProductOfBalls, SequencePunctures
+from squeezefn.families import RadialFamily
 from squeezefn.hyperbolic import radial_separation_bound, rho
 from squeezefn.invariants import (
     fridman_caratheodory_punctured_disk,
-    product_of_balls_T_lower_bound,
-    product_of_balls_ratio_contradiction,
     product_of_balls_squeezing,
+    product_of_balls_T_lower_bound,
     squeezing_punctured_disk,
 )
 from squeezefn.verification import (

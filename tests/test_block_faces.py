@@ -21,6 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from squeezefn import blocks
+from squeezefn.block_domains import Block
 from squeezefn.blocks import (
     _MESH_FLOOR,
     _ball_block_min,
@@ -30,7 +31,7 @@ from squeezefn.blocks import (
     _polydisk_block_min,
     _sphere_profiles,
 )
-from squeezefn.domains import MAX_DIMENSION, Block, DomainError
+from squeezefn.domains import MAX_DIMENSION, DomainError
 from squeezefn.hyperbolic import PointError, require_interior_polydisk_point
 from squeezefn.invariants import CertificationError
 

@@ -10,15 +10,7 @@ import math
 import pytest
 
 from squeezefn import invariants
-from squeezefn.domains import (
-    Block,
-    DomainError,
-    RadialBlockFamily,
-    RemovedBalls,
-    RemovedPolydisks,
-    _comparable,
-    _shown,
-)
+from squeezefn.block_domains import Block, RemovedBalls, RemovedPolydisks
 from squeezefn.blocks import (
     _MESH_FLOOR,
     _ball_block_min,
@@ -26,6 +18,8 @@ from squeezefn.blocks import (
     _require_outside_block,
     polydisk_squeezing_removed_blocks,
 )
+from squeezefn.domains import DomainError, _comparable, _shown
+from squeezefn.families import RadialBlockFamily
 from squeezefn.hyperbolic import PointError, require_interior_polydisk_point
 from squeezefn.invariants import DEFAULT_MESH_TOL, CertificationError, InvariantValue, _tail_stops
 from squeezefn.verification import Lcg

@@ -3,14 +3,10 @@ import math
 
 import pytest
 
+from squeezefn.block_domains import Block, RemovedBalls, RemovedPolydisks
 from squeezefn.blocks import polydisk_squeezing_removed_blocks, removed_block_display_formula
-from squeezefn.domains import (
-    Block,
-    DomainError,
-    RadialBlockFamily,
-    RemovedBalls,
-    RemovedPolydisks,
-)
+from squeezefn.domains import DomainError
+from squeezefn.families import RadialBlockFamily
 from squeezefn.hyperbolic import PointError, rho
 from squeezefn.invariants import CertificationError
 from squeezefn.verification import Lcg, boundary_min_oracle

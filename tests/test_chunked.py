@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, reject, settings
 from hypothesis import strategies as st
 
+from squeezefn.certificates import lower_bound_certificate
 from squeezefn.chunked import (
     _candidates,
     _distances,
@@ -21,16 +22,14 @@ from squeezefn.chunked import (
     _tail_start,
 )
 from squeezefn.domains import (
-    _TAIL_LIMIT_INDEX,
-    BoundaryOrbitFamily,
     DomainError,
     FinitePunctures,
     PolySequencePunctures,
-    RadialFamily,
     SequencePunctures,
     _cartesian,
     parse_domain_spec,
 )
+from squeezefn.families import _TAIL_LIMIT_INDEX, BoundaryOrbitFamily, RadialFamily
 from squeezefn.hyperbolic import (
     PointError,
     radial_separation_bound,
@@ -46,7 +45,6 @@ from squeezefn.invariants import (
     InvariantValue,
     _measure,
     _tail_stops,
-    lower_bound_certificate,
     polydisk_squeezing_punctured,
     squeezing_punctured_disk,
 )

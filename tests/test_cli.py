@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from squeezefn.cli import MAX_GRID_CELLS, GridJob, main
+from squeezefn.cli import main
 from squeezefn.domains import MAX_DIMENSION, DomainError, FinitePunctures, parse_domain_spec
+from squeezefn.grid import MAX_GRID_CELLS, GridJob
 from squeezefn.hyperbolic import rho
 from squeezefn.verification import MAX_ORACLE_SAMPLES, MAX_TRIALS, MIN_ORACLE_SAMPLES
 

@@ -6,26 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from squeezefn.block_domains import Block, RemovedBalls, RemovedPolydisks, euclid_distance
 from squeezefn.blocks import polydisk_squeezing_removed_blocks
 from squeezefn.domains import (
     PAIR_SEPARATION,
     Annulus,
-    Block,
-    BoundaryOrbitFamily,
     DomainError,
     FinitePunctures,
     PolySequencePunctures,
     ProductOfBalls,
-    RadialBlockFamily,
-    RadialFamily,
-    RemovedBalls,
-    RemovedPolydisks,
     SequencePunctures,
     _require_separated,
-    euclid_distance,
     parse_domain_spec,
-    serialize_domain_spec,
 )
+from squeezefn.families import BoundaryOrbitFamily, RadialBlockFamily, RadialFamily
+from squeezefn.serialize import serialize_domain_spec
 from squeezefn.verification import Lcg
 
 

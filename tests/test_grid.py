@@ -12,8 +12,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from squeezefn.cli import GridJob, main, run_grid
-from squeezefn.domains import Annulus, RadialFamily, SequencePunctures, parse_domain_spec
+from squeezefn.cli import main
+from squeezefn.domains import Annulus, SequencePunctures, parse_domain_spec
+from squeezefn.families import RadialFamily
+from squeezefn.grid import GridJob, run_grid
 from squeezefn.hyperbolic import INTERIOR_MARGIN, PointError, _kernel, _prepare, rho
 from squeezefn.invariants import (
     _SEQUENCE_CAP,

@@ -10,37 +10,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from squeezefn import invariants
+from squeezefn.block_domains import Block, RemovedBalls, RemovedPolydisks
 from squeezefn.blocks import polydisk_squeezing_removed_blocks, removed_block_display_formula
-from squeezefn.cli import MAX_GRID_CELLS, GridJob, run_grid
+from squeezefn.certificates import lower_bound_certificate, product_of_balls_ratio_contradiction
 from squeezefn.domains import (
     MAX_DIMENSION,
     Annulus,
-    Block,
-    BoundaryOrbitFamily,
     DomainError,
     FinitePunctures,
     PolySequencePunctures,
     ProductOfBalls,
-    RadialBlockFamily,
-    RadialFamily,
-    RemovedBalls,
-    RemovedPolydisks,
     SequencePunctures,
-    _check_tail,
     parse_domain_spec,
-    serialize_domain_spec,
 )
+from squeezefn.families import BoundaryOrbitFamily, RadialBlockFamily, RadialFamily, _check_tail
+from squeezefn.grid import MAX_GRID_CELLS, GridJob, run_grid
 from squeezefn.hyperbolic import MobiusMap, PointError
 from squeezefn.invariants import (
     CertificationError,
     annulus_squeezing,
-    lower_bound_certificate,
     polydisk_squeezing_punctured,
-    product_of_balls_ratio_contradiction,
     product_of_balls_squeezing,
     product_of_balls_T_lower_bound,
     squeezing_punctured_disk,
 )
+from squeezefn.serialize import serialize_domain_spec
 from squeezefn.verification import (
     MAX_ORACLE_SAMPLES,
     MAX_TRIALS,
@@ -617,11 +611,25 @@ def test_numpy_scalar_points_are_numbers():
     (lambda: run_suite("invariance", trials=[3]), "invariance suite trials must be a finite integer, got [3]"),
     (lambda: run_suite("invariance", seed="1"), "seed must be an integer, got '1'"),
     (lambda: run_suite("truncation", trials=1, seed=1.5), "seed must be an integer, got 1.5"),
+    (lambda: lower_bound_certificate(SequencePunctures(family=RADIAL), 0.1j, np.complex128(0.5)),
+     "claimed bound must be in (0, 1), got np.complex128(0.5+0j)"),
+    (lambda: polydisk_squeezing_removed_blocks(ORIGIN_POLYDISKS, (0.5 + 0j, 0j), mesh_tol=1e-3 + 0j),
+     "mesh tolerance must be positive, got (0.001+0j)"),
+    (lambda: polydisk_squeezing_removed_blocks(ORIGIN_POLYDISKS, (0.5 + 0j, 0j), mesh_tol=np.complex64(1e-3)),
+     "mesh tolerance must be positive, got np.complex64(0.001+0j)"),
+    (lambda: product_of_balls_ratio_contradiction(3 + 0j),
+     "ratio contradiction check needs n > 1, got (3+0j)"),
+    (lambda: product_of_balls_ratio_contradiction(np.complex128(3)),
+     "ratio contradiction check needs n > 1, got np.complex128(3+0j)"),
 ], ids=["claimed-string", "claimed-none", "mesh-tol-string", "ratio-n-string", "brute-force-count-string",
-        "truncation-trials-string", "invariance-trials-list", "invariance-seed-string", "truncation-seed-float"])
+        "truncation-trials-string", "invariance-trials-list", "invariance-seed-string",
+        "truncation-seed-float", "claimed-numpy-complex", "mesh-tol-complex", "mesh-tol-numpy-complex64",
+        "ratio-n-complex",
+        "ratio-n-numpy-complex"])
 def test_numeric_arguments_that_are_not_numbers_are_domain_errors(build, message):
     # each ended in a bare TypeError from its guard's comparison, or from the
-    # generator's & on the seed
+    # generator's & on the seed; numpy's complex scalars, which numpy orders,
+    # passed the guards, and a complex bound or tolerance entered the arithmetic
     with raises_exactly(DomainError, message):
         build()
 
@@ -646,13 +654,38 @@ def test_seeds_take_numpy_integers():
     (lambda: RemovedPolydisks(2, blocks=[(0, 0.25)]), "removed_polydisks: block 0 is not a Block, got (0, 0.25)"),
     (lambda: GridJob(Annulus(0.25), (-0.5, 0.5, -0.5, 0.5), (2.5, 2), "squeezing"),
      "grid resolution must be integers, got (2.5, 2)"),
+    (lambda: RadialFamily(0.5 + 0j, 1.0), "radial family: q must be in (0, 1), got (0.5+0j)"),
+    (lambda: RadialFamily(np.complex128(0.5), 1.0),
+     "radial family: q must be in (0, 1), got np.complex128(0.5+0j)"),
+    (lambda: RadialFamily(0.5, np.complex64(1.0)),
+     "radial family: theta must be a real number, got np.complex64(1+0j)"),
+    (lambda: BoundaryOrbitFamily(np.complex64(0.5), 2.0, 1.0),
+     "boundary_orbit family: c must be in (0, 1), got np.complex64(0.5+0j)"),
+    (lambda: BoundaryOrbitFamily(0.5, 2 + 0j, 1.0), "boundary_orbit family: p must be positive, got (2+0j)"),
+    (lambda: BoundaryOrbitFamily(0.5, np.complex128(2.0), 1.0),
+     "boundary_orbit family: p must be positive, got np.complex128(2+0j)"),
+    (lambda: RadialBlockFamily(0.5, 1.0, np.complex64(0.25)),
+     "block family: r0 must be in (0, 1), got np.complex64(0.25+0j)"),
+    (lambda: Annulus(0.25 + 0.5j), "annulus: inner radius must be in (0, 1), got (0.25+0.5j)"),
+    (lambda: Annulus(np.complex128(0.25 + 0.5j)),
+     "annulus: inner radius must be in (0, 1), got np.complex128(0.25+0.5j)"),
+    (lambda: Annulus(np.clongdouble(0.25)),
+     "annulus: inner radius must be in (0, 1), got np.clongdouble('0.25+0j')"),
+    (lambda: SequencePunctures(prefix=(0.5,), tail_constant=np.complex128(0.9)),
+     "sequence: tail_modulus_constant must be in (0, 1), got np.complex128(0.9+0j)"),
 ], ids=["radial-q", "radial-theta", "radial-theta-complex", "orbit-c", "orbit-p", "block-family-r0",
-        "annulus", "block-radius", "block-center", "tail-constant", "block-list-entry", "grid-resolution"])
+        "annulus", "block-radius", "block-center", "tail-constant", "block-list-entry", "grid-resolution",
+        "radial-q-complex", "radial-q-numpy-complex", "radial-theta-numpy-complex64",
+        "orbit-c-numpy-complex64",
+        "orbit-p-complex", "orbit-p-numpy-complex", "block-family-r0-numpy-complex64", "annulus-complex",
+        "annulus-numpy-complex", "annulus-numpy-clongdouble", "tail-constant-numpy-complex"])
 def test_record_fields_that_are_not_numbers_are_domain_errors(build, message):
     # each ended in a bare TypeError from its guard's comparison or from
     # cmath.isfinite, an AttributeError on the block's center, a TypeError
     # from float() on a complex theta, or (the grid) a TypeError in range()
-    # once run_grid started
+    # once run_grid started; a numpy complex scalar, which numpy orders, was
+    # taken as a parameter (an annulus at np.complex128(0.25+0.5j) gave the
+    # value (0.5+1j) at 0.5)
     with raises_exactly(DomainError, message):
         build()
 

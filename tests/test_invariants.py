@@ -3,27 +3,25 @@ import math
 
 import pytest
 
-from squeezefn.cli import GridJob, run_grid
+from squeezefn.certificates import lower_bound_certificate, product_of_balls_ratio_contradiction
 from squeezefn.domains import (
     Annulus,
-    BoundaryOrbitFamily,
     DomainError,
     FinitePunctures,
     PolySequencePunctures,
     ProductOfBalls,
-    RadialFamily,
     SequencePunctures,
 )
+from squeezefn.families import BoundaryOrbitFamily, RadialFamily
+from squeezefn.grid import GridJob, run_grid
 from squeezefn.hyperbolic import MobiusMap, PointError, radial_separation_bound, rho
 from squeezefn.invariants import (
     CertificationError,
     annulus_squeezing,
     fridman_caratheodory_punctured_disk,
-    lower_bound_certificate,
     polydisk_squeezing_punctured,
-    product_of_balls_T_lower_bound,
-    product_of_balls_ratio_contradiction,
     product_of_balls_squeezing,
+    product_of_balls_T_lower_bound,
     squeezing_punctured_disk,
 )
 from squeezefn.verification import Lcg, brute_force_infimum, random_finite_domain, random_query_point

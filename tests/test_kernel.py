@@ -11,7 +11,8 @@ from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 from squeezefn.chunked import _distances, grid_cells
-from squeezefn.domains import DomainError, PolySequencePunctures, RadialFamily, parse_domain_spec
+from squeezefn.domains import DomainError, PolySequencePunctures, parse_domain_spec
+from squeezefn.families import RadialFamily
 from squeezefn.hyperbolic import PointError, _defect, _kernel, _prepare, rho, rho_from, rho_max
 from squeezefn.invariants import CertificationError, _measure, squeezing_punctured_disk
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from squeezefn import verification
-from squeezefn.domains import Block
+from squeezefn.block_domains import Block
 from squeezefn.verification import (
     _ORACLE_BLOCK,
     MAX_ORACLE_SAMPLES,

@@ -8,22 +8,19 @@ import re
 
 import pytest
 
-from squeezefn.cli import GridJob
+from squeezefn.block_domains import Block, RemovedBalls, RemovedPolydisks
+from squeezefn.certificates import VerificationOutcome
 from squeezefn.domains import (
     Annulus,
-    Block,
-    BoundaryOrbitFamily,
     FinitePunctures,
     PolySequencePunctures,
     ProductOfBalls,
-    RadialBlockFamily,
-    RadialFamily,
-    RemovedBalls,
-    RemovedPolydisks,
     SequencePunctures,
 )
+from squeezefn.families import BoundaryOrbitFamily, RadialBlockFamily, RadialFamily
+from squeezefn.grid import GridJob
 from squeezefn.hyperbolic import MobiusMap, Record
-from squeezefn.invariants import InvariantValue, VerificationOutcome
+from squeezefn.invariants import InvariantValue
 from squeezefn.verification import VerificationReport, reports_to_json
 
 BLOCK = Block((0.5 + 0j, 0j), 0.25)

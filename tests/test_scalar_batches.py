@@ -17,13 +17,8 @@ from hypothesis import strategies as st
 
 from squeezefn import chunked
 from squeezefn.chunked import _SCALAR_BATCH, _SCALAR_TAIL, _first_stop
-from squeezefn.domains import (
-    BoundaryOrbitFamily,
-    PolySequencePunctures,
-    RadialFamily,
-    SequencePunctures,
-    parse_domain_spec,
-)
+from squeezefn.domains import PolySequencePunctures, SequencePunctures, parse_domain_spec
+from squeezefn.families import BoundaryOrbitFamily, RadialFamily
 from squeezefn.hyperbolic import PointError, radial_separation_bound, rho_max
 from squeezefn.invariants import CertificationError, _measure
 from test_chunked import (

@@ -1,9 +1,11 @@
 """Start-up imports: numpy loads only where a batched kernel or an oracle runs.
 A family scan loads it only past its scalar head (the first 8 punctures).
-Each submodule of squeezefn loads on first use: a domain parse loads only
-domains and hyperbolic, only verify loads verification, only a scan past its
-head or a grid loads chunked, and only a removed-block evaluation loads
-blocks.  No command that runs without numpy loads dataclasses or inspect.
+Each submodule of squeezefn loads on first use: a domain parse loads domains
+and hyperbolic, families for a document with a "family" field and
+block_domains for removed blocks; only verify loads verification, only a
+scan past its head or a grid loads chunked, only the grid command loads
+grid, and only a removed-block evaluation loads blocks.  No command that
+runs without numpy loads dataclasses or inspect.
 
 pytest itself imports numpy, so every check runs in a fresh interpreter.
 """
@@ -113,19 +115,34 @@ PUBLIC_NAMES = {
     "Lcg", "VerificationReport", "annulus_compact_removal_gap", "boundary_min_oracle",
     "brute_force_infimum", "run_suite",
 }
-SUBMODULES = ("blocks", "chunked", "cli", "domains", "hyperbolic", "invariants", "verification")
+SUBMODULES = ("block_domains", "blocks", "certificates", "chunked", "cli", "domains", "families", "grid",
+              "hyperbolic", "invariants", "serialize", "verification")
 
 
-def test_import_and_parse_load_only_domains_and_hyperbolic():
-    proc = run_python(f"""
-        import sys
-        import squeezefn
-        for doc in {list(DOCS.values())!r}:
-            squeezefn.parse_domain_spec(doc)
-        loaded = sorted(m for m in sys.modules if m.startswith("squeezefn"))
-        assert loaded == ["squeezefn", "squeezefn.domains", "squeezefn.hyperbolic"], loaded
-    """)
-    assert proc.returncode == 0, proc.stderr
+def parse_modules(doc) -> list:
+    """The squeezefn modules that a parse of ``doc`` loads: domains and
+    hyperbolic, families for a family document and block_domains for
+    removed blocks."""
+    loaded = ["squeezefn", "squeezefn.domains", "squeezefn.hyperbolic"]
+    if "family" in doc:
+        loaded.append("squeezefn.families")
+    if doc["kind"].startswith("removed_"):
+        loaded.append("squeezefn.block_domains")
+    return sorted(loaded)
+
+
+def test_import_and_parse_load_only_domain_modules_and_hyperbolic():
+    # one fresh interpreter per document: a listed or closed-form document
+    # loads neither families nor block_domains, a listed block no families
+    for name, doc in DOCS.items():
+        proc = run_python(f"""
+            import sys
+            import squeezefn
+            squeezefn.parse_domain_spec({doc!r})
+            print(sorted(m for m in sys.modules if m.startswith("squeezefn")))
+        """)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"{parse_modules(doc)!r}\n", name
 
 
 def test_numpy_free_commands_load_neither_dataclasses_nor_inspect(docs_dir):
@@ -201,23 +218,80 @@ def test_import_and_parse_of_every_document_load_neither_chunked_nor_blocks():
 
 
 def test_puncture_evals_without_numpy_load_neither_chunked_nor_blocks(docs_dir):
-    argvs = [eval_argv(docs_dir, *case) for case in NUMPY_FREE_EVALS if case not in BLOCK_EVALS]
-    argvs += [["compare", "--domain", str(docs_dir / f"{name}.json"), "--point=0.1,0.2"]
+    # in one interpreter: each command adds at most its document's modules
+    cases = [(case[0], eval_argv(docs_dir, *case)) for case in NUMPY_FREE_EVALS if case not in BLOCK_EVALS]
+    cases += [(name, ["compare", "--domain", str(docs_dir / f"{name}.json"), "--point=0.1,0.2"])
               for name in ("finite", "sequence_points", "sequence_radial")]
-    assert modules_after(argvs) == [COMMAND_MODULES] * len(argvs)
+    expected, loaded = [], set(COMMAND_MODULES)
+    for name, _ in cases:
+        loaded.update(parse_modules(DOCS[name]))
+        expected.append(sorted(loaded))
+    assert modules_after([argv for _, argv in cases]) == expected
 
 
 @pytest.mark.parametrize("case", BLOCK_EVALS, ids=[case[0] for case in BLOCK_EVALS])
 def test_block_evals_load_blocks_and_not_chunked(docs_dir, case):
-    assert modules_after([eval_argv(docs_dir, *case)]) == [sorted(COMMAND_MODULES + ["squeezefn.blocks"])]
+    expected = set(COMMAND_MODULES + parse_modules(DOCS[case[0]]) + ["squeezefn.blocks"])
+    assert modules_after([eval_argv(docs_dir, *case)]) == [sorted(expected)]
 
 
 def test_deep_scans_and_grids_load_chunked_and_not_blocks(docs_dir, tmp_path):
     deep = eval_argv(docs_dir, "orbit_p1", "-0.99,0", "squeezing", [])
     grid = ["grid", "--domain", str(docs_dir / "sequence_orbit.json"), "--rect=-0.9,0.9,-0.9,0.9",
             "--res=5,5", "--output", str(tmp_path / "grid.csv")]
-    for argv in (deep, grid):
-        assert modules_after([argv]) == [sorted(COMMAND_MODULES + ["squeezefn.chunked"])], argv
+    family = COMMAND_MODULES + ["squeezefn.chunked", "squeezefn.families"]
+    assert modules_after([deep]) == [sorted(family)]
+    assert modules_after([grid]) == [sorted(family + ["squeezefn.grid"])]
+
+
+# The modules of each command kind of the benchmark's cli workload, on its
+# documents (finite, radial q = 0.5, poly_sequence n = 2, the origin
+# polydisk and ball, the annulus, the product of balls and the p=2 orbit) at
+# points where a family scan stops within its scalar head.  A command
+# compiles each module it loads, from source where no bytecode cache is kept.
+CLI_WORKLOAD_COMMANDS = {
+    "eval-finite": (("finite", "0.1,0.2", "squeezing", []), []),
+    "eval-radial": (("sequence_radial", "0.1,0.2", "squeezing", []), ["families"]),
+    "eval-poly-radial": (("poly_radial", "0.3,0.2;0,-0.1", "polydisk-squeezing", []), ["families"]),
+    "eval-polydisks": (("polydisks", "0.5,0;0,0", "polydisk-squeezing", []), ["block_domains", "blocks"]),
+    "eval-balls": (("balls", "0.5,0;0,0", "polydisk-squeezing", ["--mesh-tol", "1e-4"]),
+                   ["block_domains", "blocks"]),
+    "eval-annulus": (("annulus", "0.5,0.1", "squeezing", []), []),
+    "eval-product": (("product_of_balls", "0.1,0;0,0.2;0.3,0;0,0", "squeezing", []), []),
+    "compare-orbit-p2": (["compare", "--domain", "sequence_orbit.json", "--point=0.5,-0.3"], ["families"]),
+    "grid-radial": (["grid", "--domain", "sequence_radial.json", "--rect=-0.98,0.98,-0.98,0.98",
+                     "--res=24,24", "--output", "grid.csv"], ["chunked", "families", "grid"]),
+    "verify-all": (["verify", "--suite", "all"],
+                   ["block_domains", "blocks", "certificates", "chunked", "families", "verification"]),
+}
+
+
+@pytest.mark.parametrize("command", CLI_WORKLOAD_COMMANDS)
+def test_each_cli_workload_command_loads_exactly_its_modules(docs_dir, command):
+    argv, extra = CLI_WORKLOAD_COMMANDS[command]
+    if isinstance(argv, tuple):  # an eval case
+        argv = eval_argv(docs_dir, *argv)
+    else:  # file names are in docs_dir
+        argv = [str(docs_dir / arg) if arg.endswith((".json", ".csv")) else arg for arg in argv]
+    assert modules_after([argv]) == [sorted(COMMAND_MODULES + [f"squeezefn.{m}" for m in extra])]
+
+
+def test_cli_resolves_the_grid_job_from_its_module():
+    proc = run_python("""
+        import sys
+        import squeezefn.cli as cli
+        assert "squeezefn.grid" not in sys.modules
+        from squeezefn.cli import MAX_GRID_CELLS, GridJob, run_grid
+        import squeezefn.grid as grid
+        assert (GridJob, run_grid, MAX_GRID_CELLS) == (grid.GridJob, grid.run_grid, grid.MAX_GRID_CELLS)
+        try:
+            cli.nosuch
+        except AttributeError as e:
+            assert str(e) == "module 'squeezefn.cli' has no attribute 'nosuch'", e
+        else:
+            raise AssertionError("no AttributeError")
+    """)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_public_names_resolve_to_their_submodules_objects():

@@ -5,13 +5,8 @@ import math
 import pytest
 
 from squeezefn.cli import main
-from squeezefn.domains import (
-    BoundaryOrbitFamily,
-    DomainError,
-    FinitePunctures,
-    RadialFamily,
-    SequencePunctures,
-)
+from squeezefn.domains import DomainError, FinitePunctures, SequencePunctures
+from squeezefn.families import BoundaryOrbitFamily, RadialFamily
 from squeezefn.hyperbolic import _prepare, radial_separation_bound
 from squeezefn.invariants import squeezing_punctured_disk
 from squeezefn.verification import (

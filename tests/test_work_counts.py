@@ -19,8 +19,8 @@ import pytest
 
 from squeezefn import blocks, chunked
 from squeezefn.blocks import polydisk_squeezing_removed_blocks
-from squeezefn.cli import GridJob, run_grid
 from squeezefn.domains import parse_domain_spec
+from squeezefn.grid import GridJob, run_grid
 
 
 def origin_block(geometry, n):
