@@ -2,7 +2,8 @@
 """Mutation check of the family law, of the distance kernel, of the certified
 single-point scan, of the block minima and their scan, of the verification
 oracles, of the record base, of the point check, of the grid loop and of the
-guards on indices, counts, real numbers and (0, 1) parameters: each mutant in MUTANTS
+guards on indices, counts, real numbers, (0, 1) parameters and the points of
+the oracles and of the product of balls: each mutant in MUTANTS
 breaks one property that a value's accuracy, a certificate, an oracle, a
 record's semantics, a guard or the byte-identity of outputs rests on, and
 the tests it names must fail on it.
@@ -304,6 +305,28 @@ MUTANTS = (
     Mutant("count-limit-exclusive", "a count may equal its limit",
            DOMAINS, "value > limit", "value >= limit",
            _t("test_one_coordinate_polydisk_oracle_is_its_circle", path=ORACLES)),
+    Mutant("brute-force-any-domain", "the brute force refuses a domain without punctures",
+           VERIFICATION, "if not isinstance(domain, (FinitePunctures, SequencePunctures, PolySequencePunctures)):",
+           "if False:",
+           _t("test_evaluators_reject_other_domains", path=GUARDS)),
+    Mutant("brute-force-point-unchecked", "the brute force refuses a planar point that the evaluators refuse",
+           VERIFICATION, "z = require_interior_point(z)", "pass",
+           _t("test_oracles_refuse_points_the_evaluators_refuse", path=GUARDS)),
+    Mutant("brute-force-poly-point-unchecked", "the brute force refuses a polydisk point that the evaluators refuse",
+           VERIFICATION, "z = require_interior_polydisk_point(z, domain.n)", "z = tuple(z)",
+           _t("test_oracles_refuse_points_the_evaluators_refuse", path=GUARDS)),
+    Mutant("oracle-any-block", "the boundary oracle refuses what is not a block",
+           VERIFICATION, "if not isinstance(block, Block):", "if False:",
+           _t("test_evaluators_reject_other_domains", path=GUARDS)),
+    Mutant("oracle-point-unchecked", "the boundary oracle refuses a point that the evaluators refuse",
+           VERIFICATION, "    z = require_interior_polydisk_point(z, n)\n", "",
+           _t("test_oracles_refuse_points_the_evaluators_refuse", path=GUARDS)),
+    Mutant("product-point-not-a-sequence", "a product point that is not a sequence is a PointError",
+           INVARIANTS, '_sequence(z, "product point", f"{n} factors")', "z",
+           _t("test_product_point_and_factors_are_sequences", path=GUARDS)),
+    Mutant("product-factor-not-a-sequence", "a product factor that is not a sequence is a PointError",
+           INVARIANTS, '_sequence(f, what, f"{n} numbers")', "f",
+           _t("test_product_point_and_factors_are_sequences", path=GUARDS)),
     Mutant("record-assignment-allowed", "a record's fields cannot be reassigned",
            HYPERBOLIC, 'raise AttributeError(f"cannot assign to field {name!r}")',
            "object.__setattr__(self, name, value)",

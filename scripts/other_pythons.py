@@ -15,9 +15,14 @@ site-packages, numpy included.
 1. The steps of the ``numpy-free`` job in .github/workflows/tests.yml, read
    from that file so that they cannot drift, run in a copy of src/, tests/
    and pyproject.toml, with ``python`` on PATH the interpreter under test.
-   A step that installs packages is skipped (it needs the network), and so
-   are the pytest steps on an interpreter where pytest does not import
-   (3.10's needs exceptiongroup and tomli); each skip is named.
+   The job runs tests/test_startup.py and the kernel, circle-minimum and
+   block-minimum tests with pytest, where the tests marked needs_numpy
+   skip.  A step that installs packages is skipped (it needs the network),
+   and so are the pytest steps on an interpreter where pytest does not
+   import (3.10's needs exceptiongroup and tomli); each skip is named.  On
+   such an interpreter nothing of the job runs: its numpy-free commands are
+   checked by CI's tier-1 matrix, which runs tests/test_startup.py (numpy
+   blocked in each fresh interpreter) on 3.10-3.13, and by the table below.
 2. A table of numpy-free values (listings, family heads, certificates,
    blocks, annuli and the distance kernel), repr by repr, with any
    difference from 3.11 marked.

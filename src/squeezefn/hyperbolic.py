@@ -81,14 +81,20 @@ def require_interior_point(z: complex, what: str = "point") -> complex:
     return z
 
 
+def _sequence(items, what: str, expected: str) -> tuple:
+    """tuple(items), or a PointError naming what ``items`` should hold where
+    it is not iterable (a number, None)."""
+    try:
+        return tuple(items)
+    except TypeError:
+        raise PointError(f"{what} must be a sequence of {expected}, got {type(items).__name__}") from None
+
+
 def require_interior_polydisk_point(zs, n: int, what: str = "point") -> tuple[complex, ...]:
     """Convert every coordinate once, check the coordinate count, then every
     coordinate against the disk, then every coordinate against the interior
     margin.  Names are formatted only for a message."""
-    try:
-        items = tuple(zs)
-    except TypeError:  # not iterable
-        raise PointError(f"{what} must be a sequence of {n} numbers, got {type(zs).__name__}") from None
+    items = _sequence(zs, what, f"{n} numbers")
     try:
         zs = tuple(map(_as_complex, items))
     except PointError:  # again, naming the coordinate that fails

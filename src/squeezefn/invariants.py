@@ -39,6 +39,7 @@ from .hyperbolic import (
     PointError,
     Record,
     _as_complex,
+    _sequence,
     radial_separation_bound,
     require_interior_point,
     require_interior_polydisk_point,
@@ -291,7 +292,10 @@ def product_of_balls_T_lower_bound(domain: ProductOfBalls, z=None) -> float:
 
 def _require_product_point(domain: ProductOfBalls, z) -> None:
     n = domain.n
-    factors = [[_as_complex(c, f"product point factor {i}") for c in f] for i, f in enumerate(z)]
+    factors = []
+    for i, f in enumerate(_sequence(z, "product point", f"{n} factors")):
+        what = f"product point factor {i}"
+        factors.append([_as_complex(c, what) for c in _sequence(f, what, f"{n} numbers")])
     if len(factors) != n or any(len(f) != n for f in factors):
         raise PointError(f"product point must have {n} factors of {n} coordinates")
     for i, f in enumerate(factors):

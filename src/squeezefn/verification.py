@@ -26,7 +26,17 @@ from .domains import (
     _shown,
 )
 from .families import BoundaryOrbitFamily, RadialFamily
-from .hyperbolic import MobiusMap, Record, _kernel, _prepare, radial_separation_bound, rho, rho_from
+from .hyperbolic import (
+    MobiusMap,
+    Record,
+    _kernel,
+    _prepare,
+    radial_separation_bound,
+    require_interior_point,
+    require_interior_polydisk_point,
+    rho,
+    rho_from,
+)
 from . import SUITES
 from . import invariants as inv
 
@@ -142,10 +152,17 @@ def brute_force_infimum(domain, z, count: int) -> float:
     """Minimum over the first ``count`` punctures, evaluated naively.
 
     The oracle counterpart of the certified truncation: no tail bounds, no
-    early stopping.
+    early stopping.  The domain and the point are checked as the evaluators
+    check them.
     """
+    if not isinstance(domain, (FinitePunctures, SequencePunctures, PolySequencePunctures)):
+        raise DomainError(f"brute_force_infimum does not apply to {type(domain).__name__}")
+    if isinstance(domain, PolySequencePunctures):
+        z = require_interior_polydisk_point(z, domain.n)
+    else:
+        z = require_interior_point(z)
     count = _count("brute force", "count", count, 1)
-    dist = rho_from(tuple(z) if isinstance(domain, PolySequencePunctures) else z)
+    dist = rho_from(z)
     return min(dist(domain.puncture(k)) for k in range(1, count + 1))
 
 
@@ -236,12 +253,16 @@ def boundary_min_oracle(block: Block, z, samples: int, geometry: str = "polydisk
 
     Grids are anchored at angle 0 and nest under doubling sample budgets, so
     the value is nonincreasing along a doubling schedule.  ``samples`` must be
-    a whole number from 1000 to MAX_ORACLE_SAMPLES.
+    a whole number from 1000 to MAX_ORACLE_SAMPLES, and ``z`` a point of the
+    polydisk with one coordinate per coordinate of the block's centre.
     """
     import numpy as np
 
     samples = _count("boundary oracle", "samples", samples, 1_000, MAX_ORACLE_SAMPLES)
+    if not isinstance(block, Block):
+        raise DomainError(f"boundary_min_oracle does not apply to {type(block).__name__}")
     n = len(block.center)
+    z = require_interior_polydisk_point(z, n)
     r = block.radius
 
     def coordinate_max(*w):

@@ -186,6 +186,19 @@ def test_product_point_shape(evaluator, z):
         evaluator(ProductOfBalls(2), z)
 
 
+@pytest.mark.parametrize("evaluator", [product_of_balls_squeezing, product_of_balls_T_lower_bound])
+@pytest.mark.parametrize("z, message", [
+    # each ended in a bare TypeError: 'int' object is not iterable
+    (5, "product point must be a sequence of 2 factors, got int"),
+    ([5, 6], "product point factor 0 must be a sequence of 2 numbers, got int"),
+    ([[0.1, 0], 7], "product point factor 1 must be a sequence of 2 numbers, got int"),
+    ([None, [0, 0]], "product point factor 0 must be a sequence of 2 numbers, got NoneType"),
+], ids=["number", "numbers", "second-factor", "none-factor"])
+def test_product_point_and_factors_are_sequences(evaluator, z, message):
+    with raises_exactly(PointError, message):
+        evaluator(ProductOfBalls(2), z)
+
+
 # --- sequences ---------------------------------------------------------------------
 
 def test_points_and_family_are_exclusive():
@@ -242,6 +255,11 @@ ANNULUS = Annulus(0.5)
     (annulus_squeezing, lambda f, d: f(d, 0.75 + 0j), ProductOfBalls(2)),
     (product_of_balls_squeezing, lambda f, d: f(d), ANNULUS),
     (product_of_balls_T_lower_bound, lambda f, d: f(d), ANNULUS),
+    # the oracles: an AttributeError before, from puncture or center
+    (brute_force_infimum, lambda f, d: f(d, 0.5, 10), ANNULUS),
+    (brute_force_infimum, lambda f, d: f(d, (0.5 + 0j, 0j), 10), RemovedPolydisks(2, blocks=(ORIGIN_BLOCK,))),
+    (boundary_min_oracle, lambda f, d: f(d, (0.5 + 0j, 0j), 4000), ANNULUS),
+    (boundary_min_oracle, lambda f, d: f(d, (0.5 + 0j, 0j), 4000), RemovedBalls(2, blocks=(ORIGIN_BLOCK,))),
 ])
 def test_evaluators_reject_other_domains(evaluator, call, domain):
     message = f"{evaluator.__name__} does not apply to {type(domain).__name__}"
@@ -494,6 +512,60 @@ def test_suites_without_trials_still_check_a_given_count(suite, trials, message)
         run_suite(suite, trials=trials)
 
 
+FINITE_PAIR = FinitePunctures((0.5 + 0j, 0.5j))
+ORBIT = BoundaryOrbitFamily(0.5, 2.0, 2.3)
+POLY_RADIAL = PolySequencePunctures(n=2, family=RADIAL)
+
+
+def brute_force(domain, z):
+    return lambda: brute_force_infimum(domain, z, 100)
+
+
+def block_oracle(z, geometry="polydisk"):
+    return lambda: boundary_min_oracle(ORIGIN_BLOCK, z, 4000, geometry)
+
+
+NEAR_ONE = 1.0 - 1e-13  # inside the disk, within the interior margin
+
+
+@pytest.mark.parametrize("build, message", [
+    # outside the disk a "distance" came out above 1: 1.00035 and 1.5
+    (brute_force(SequencePunctures(family=RADIAL), 2 + 0j), "point (2+0j) is not strictly inside the unit disk"),
+    (brute_force(FINITE_PAIR, -1.0), "point (-1+0j) is not strictly inside the unit disk"),
+    (block_oracle((2 + 0j, 0j)), "point coordinate 0 (2+0j) is not strictly inside the unit disk"),
+    (block_oracle((0j, 2 + 0j), "ball"), "point coordinate 1 (2+0j) is not strictly inside the unit disk"),
+    (brute_force(POLY_RADIAL, (0j, 2 + 0j)), "point coordinate 1 (2+0j) is not strictly inside the unit disk"),
+    # a NaN gave nan
+    (brute_force(SequencePunctures(family=RADIAL), complex(math.nan, 0.0)),
+     "point (nan+0j) is not a finite complex number"),
+    (block_oracle((complex(math.nan, 0.0), 0j)), "point coordinate 0 (nan+0j) is not a finite complex number"),
+    # boundary-adjacent, which the evaluators refuse as anchors
+    (brute_force(SequencePunctures(family=RADIAL), NEAR_ONE),
+     f"point {complex(NEAR_ONE)!r} is numerically boundary-adjacent (modulus >= 1 - 1e-12)"),
+    (block_oracle((0j, NEAR_ONE)),
+     f"point coordinate 1 {complex(NEAR_ONE)!r} is numerically boundary-adjacent (modulus >= 1 - 1e-12)"),
+    # a third coordinate was dropped (2/7 returned); one short was an
+    # IndexError in the oracle and cut the brute force's zip short (0.5386)
+    (block_oracle((0.5 + 0j, 0j, 0j)), "point has 3 coordinates, expected 2"),
+    (block_oracle((0.5 + 0j,)), "point has 1 coordinates, expected 2"),
+    (brute_force(POLY_RADIAL, (0.5 + 0j,)), "point has 1 coordinates, expected 2"),
+    (brute_force(POLY_RADIAL, (0.5 + 0j, 0j, 0j)), "point has 3 coordinates, expected 2"),
+    # not numbers: AttributeError, TypeError or numpy's UFuncTypeError
+    (brute_force(SequencePunctures(family=RADIAL), "0.5"), "point must be a number, got str"),
+    (brute_force(FINITE_PAIR, (0.5 + 0j, 0j)), "point must be a number, got tuple"),
+    (brute_force(POLY_RADIAL, 0.5), "point must be a sequence of 2 numbers, got float"),
+    (block_oracle("ab"), "point coordinate 0 must be a number, got str"),
+    (block_oracle(0.5), "point must be a sequence of 2 numbers, got float"),
+], ids=["brute-force-outside", "finite-on-the-circle", "oracle-outside", "ball-oracle-outside",
+        "poly-brute-force-outside", "brute-force-nan", "oracle-nan", "brute-force-boundary-adjacent",
+        "oracle-boundary-adjacent", "oracle-three-coordinates", "oracle-one-coordinate",
+        "poly-brute-force-one-coordinate", "poly-brute-force-three-coordinates", "brute-force-string",
+        "brute-force-tuple", "poly-brute-force-number", "oracle-string", "oracle-number"])
+def test_oracles_refuse_points_the_evaluators_refuse(build, message):
+    with raises_exactly(PointError, message):
+        build()
+
+
 def test_oracle_budgets_take_whole_floats_and_numpy_integers():
     import numpy as np
     assert annulus_compact_removal_gap(samples=4000.0) == annulus_compact_removal_gap(samples=4000)
@@ -504,10 +576,6 @@ def test_oracle_budgets_take_whole_floats_and_numpy_integers():
     assert run_suite("truncation", trials=np.float64(2.0)) == run_suite("truncation", trials=2)
     assert (brute_force_infimum(SequencePunctures(family=RADIAL), 0.1j, 2.0)
             == brute_force_infimum(SequencePunctures(family=RADIAL), 0.1j, 2))
-
-
-FINITE_PAIR = FinitePunctures((0.5 + 0j, 0.5j))
-ORBIT = BoundaryOrbitFamily(0.5, 2.0, 2.3)
 
 
 @pytest.mark.parametrize("build, message", [
@@ -523,8 +591,11 @@ ORBIT = BoundaryOrbitFamily(0.5, 2.0, 2.3)
     (lambda: removed_block_display_formula(ORIGIN_POLYDISKS, (HUGE, 0j)), "point coordinate 0"),
     (lambda: product_of_balls_squeezing(ProductOfBalls(2), ((0, 0), (0, HUGE))),
      "product point factor 1"),
+    (lambda: brute_force_infimum(SequencePunctures(family=RADIAL), HUGE, 10), "point"),
+    (lambda: boundary_min_oracle(ORIGIN_BLOCK, (0.5, HUGE), 4000), "point coordinate 1"),
 ], ids=["finite", "sequence", "certificate", "poly-certificate", "annulus", "mobius-call",
-        "poly-sequence", "removed-blocks", "display-formula", "product-of-balls"])
+        "poly-sequence", "removed-blocks", "display-formula", "product-of-balls", "brute-force",
+        "boundary-oracle"])
 def test_points_beyond_the_float_range_are_point_errors(build, message):
     with raises_exactly(PointError, f"{message}: int too large to convert to float"):
         build()
@@ -553,9 +624,6 @@ def test_points_beyond_the_float_range_are_point_errors(build, message):
 def test_indices_beyond_the_float_range_are_domain_errors(build, message):
     with raises_exactly(DomainError, message):
         build()
-
-
-POLY_RADIAL = PolySequencePunctures(n=2, family=RADIAL)
 
 
 @pytest.mark.parametrize("point, kind", [("0.1+0.2j", "str"), ("a", "str"), (b"0.1", "bytes"),
@@ -802,14 +870,21 @@ OUTSIDE_NUMBER_CALLS = (
     lambda v: RemovedBalls(n=v, family=BLOCK_FAMILY),
     lambda v: RadialFamily(0.5, v),
     lambda v: BoundaryOrbitFamily(0.5, 2.0, v),
+    # points, and coordinates of points, of the oracles and the product of balls
+    lambda v: brute_force_infimum(LISTING, v, 2),
+    lambda v: brute_force_infimum(POLY_RADIAL, (0j, v), 2),
+    lambda v: boundary_min_oracle(ORIGIN_BLOCK, v, 1000),
+    lambda v: boundary_min_oracle(ORIGIN_BLOCK, (v, 0j), 1000, "ball"),
+    lambda v: product_of_balls_squeezing(ProductOfBalls(2), v),
+    lambda v: product_of_balls_squeezing(ProductOfBalls(2), [v, (0j, 0j)]),
 )
 
 
 @settings(max_examples=150, deadline=None)
 @given(value=OUTSIDE)
 def test_any_value_where_a_number_belongs_is_taken_or_refused(value):
-    # indices, counts, (0, 1) parameters, dimensions and angles: each call
-    # returns, or raises a DomainError or a PointError and nothing else
+    # indices, counts, (0, 1) parameters, dimensions, angles and points: each
+    # call returns, or raises a DomainError or a PointError and nothing else
     for call in OUTSIDE_NUMBER_CALLS:
         try:
             call(value)

@@ -7,9 +7,13 @@ scan past its head or a grid loads chunked, only the grid command loads
 grid, and only a removed-block evaluation loads blocks.  No command that
 runs without numpy loads dataclasses or inspect.
 
-pytest itself imports numpy, so every check runs in a fresh interpreter.
+Where numpy is installed, the other test modules import it into this
+process, so every check runs in a fresh interpreter.  The checks also run
+where numpy is not installed (CI's numpy-free job); the few that need it are
+marked ``needs_numpy`` and skip there.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -24,6 +28,8 @@ from squeezefn.cli import main
 from squeezefn.domains import MAX_DIMENSION
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+# a test that loads numpy, or runs a command that does (grid, verify --suite all)
+needs_numpy = pytest.mark.skipif(importlib.util.find_spec("numpy") is None, reason="needs numpy")
 
 DOCS = {
     "finite": {"kind": "finite_punctures", "points": [[0.5, 0.0], [0.0, 0.5]]},
@@ -39,6 +45,8 @@ DOCS = {
                         "q": 0.5, "theta": 1.0, "r0": 0.25},
     "balls": {"kind": "removed_balls", "n": 2,
               "blocks": [{"center": [[0.0, 0.0], [0.0, 0.0]], "radius": 0.25}]},
+    "balls_family": {"kind": "removed_balls", "n": 2, "family": "radial",
+                     "q": 0.5, "theta": 1.0, "r0": 0.25},
     "polydisks_n64": {"kind": "removed_polydisks", "n": MAX_DIMENSION,
                       "blocks": [{"center": [[0.0, 0.0]] * MAX_DIMENSION, "radius": 0.25}]},
     "polydisk_family_n64": {"kind": "removed_polydisks", "n": MAX_DIMENSION, "family": "radial",
@@ -64,6 +72,9 @@ NUMPY_FREE_EVALS = [
     ("product_of_balls", "0.1,0;0,0.2;0.3,0;0,0", "t-lower-bound", []),
     ("polydisks", "0.5,0;0.1,0.1", "polydisk-squeezing", []),
     ("balls", "0.5,0;0.1,0.1", "polydisk-squeezing", ["--mesh-tol", "1e-4"]),
+    # block families: the family parse, its tail check and the tail stop
+    ("polydisk_family", "0.1,0;0.1,0", "polydisk-squeezing", []),
+    ("balls_family", "0.1,0;0.1,0", "polydisk-squeezing", []),
     # n = MAX_DIMENSION: a listed block, and a family that stops after its first block
     ("polydisks_n64", ";".join(["0.5,0"] + ["0,0.1"] * (MAX_DIMENSION - 1)), "polydisk-squeezing", []),
     ("polydisk_family_n64", ";".join(["0.1,0", "0.1,0"] + ["0,0"] * (MAX_DIMENSION - 2)),
@@ -71,10 +82,14 @@ NUMPY_FREE_EVALS = [
 ]
 
 
-def run_python(code: str) -> subprocess.CompletedProcess:
+def run_python(code: str, block_numpy: bool = False) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter; with ``block_numpy``, any import
+    of numpy there raises ImportError."""
+    code = textwrap.dedent(code)
+    if block_numpy:
+        code = 'import sys\nsys.modules["numpy"] = None\n' + code
     env = dict(os.environ, PYTHONPATH=SRC)
-    return subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
-                          capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
 
 
 def eval_argv(docs_dir: Path, name, point, invariant, extra):
@@ -164,6 +179,7 @@ def test_numpy_free_commands_load_neither_dataclasses_nor_inspect(docs_dir):
     assert proc.returncode == 0, proc.stderr
 
 
+@needs_numpy
 def test_only_verify_loads_verification(docs_dir, tmp_path):
     argvs = [eval_argv(docs_dir, *case) for case in NUMPY_FREE_EVALS]
     argvs += [eval_argv(docs_dir, "orbit_p1", "-0.99,0", "squeezing", []),
@@ -183,9 +199,8 @@ def test_only_verify_loads_verification(docs_dir, tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-# the evals of NUMPY_FREE_EVALS that minimize over removed blocks, and a block family
+# the evals of NUMPY_FREE_EVALS that minimize over removed blocks
 BLOCK_EVALS = [case for case in NUMPY_FREE_EVALS if case[0].startswith(("polydisk", "balls"))]
-BLOCK_EVALS += [("polydisk_family", "0.1,0;0.1,0", "polydisk-squeezing", [])]
 # the submodules that every command loads
 COMMAND_MODULES = ["squeezefn", "squeezefn.cli", "squeezefn.domains", "squeezefn.hyperbolic",
                    "squeezefn.invariants"]
@@ -235,6 +250,7 @@ def test_block_evals_load_blocks_and_not_chunked(docs_dir, case):
     assert modules_after([eval_argv(docs_dir, *case)]) == [sorted(expected)]
 
 
+@needs_numpy
 def test_deep_scans_and_grids_load_chunked_and_not_blocks(docs_dir, tmp_path):
     deep = eval_argv(docs_dir, "orbit_p1", "-0.99,0", "squeezing", [])
     grid = ["grid", "--domain", str(docs_dir / "sequence_orbit.json"), "--rect=-0.9,0.9,-0.9,0.9",
@@ -266,7 +282,8 @@ CLI_WORKLOAD_COMMANDS = {
 }
 
 
-@pytest.mark.parametrize("command", CLI_WORKLOAD_COMMANDS)
+@pytest.mark.parametrize("command", [pytest.param(c, marks=needs_numpy) if c in ("grid-radial", "verify-all") else c
+                                     for c in CLI_WORKLOAD_COMMANDS])
 def test_each_cli_workload_command_loads_exactly_its_modules(docs_dir, command):
     argv, extra = CLI_WORKLOAD_COMMANDS[command]
     if isinstance(argv, tuple):  # an eval case
@@ -294,6 +311,7 @@ def test_cli_resolves_the_grid_job_from_its_module():
     assert proc.returncode == 0, proc.stderr
 
 
+@needs_numpy
 def test_public_names_resolve_to_their_submodules_objects():
     proc = run_python(f"""
         import importlib, sys
@@ -339,15 +357,57 @@ def test_evals_without_numpy_print_the_same(docs_dir, capsys):
         assert main(argv) == 0
         expected.append(capsys.readouterr().out)
     proc = run_python(f"""
-        import sys
-        sys.modules["numpy"] = None  # any import of numpy raises ImportError
         from squeezefn.cli import main
         for argv in {argvs!r}:
             assert main(argv) == 0, argv
             print("--")
-    """)
+    """, block_numpy=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "".join(out + "--\n" for out in expected)
+
+
+def test_parse_refuses_an_orbit_whose_powers_overflow_without_numpy(docs_dir):
+    # a boundary_orbit p whose powers overflow is refused at parse, exit 2
+    path = docs_dir / "orbit_p60.json"
+    path.write_text(json.dumps(dict(DOCS["sequence_orbit"], p=60)), encoding="utf-8")
+    proc = run_python(f"""
+        from squeezefn.cli import main
+        raise SystemExit(main({["eval", "--domain", str(path), "--point=0.1,0.2"]!r}))
+    """, block_numpy=True)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: boundary_orbit family: k**p overflows at k = 1000001, got p=60.0\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_invariance_without_numpy_prints_the_same(capsys, fmt):
+    # finite-puncture domains under disk automorphisms: the scalar pass and
+    # the Mobius maps, no oracle; 1000 reports
+    argv = ["verify", "--suite", "invariance", "--format", fmt]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    assert len(json.loads(expected) if fmt == "json" else expected.splitlines()) == 1000
+    proc = run_python(f"""
+        from squeezefn.cli import main
+        raise SystemExit(main({argv!r}))
+    """, block_numpy=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == expected
+
+
+def test_family_documents_round_trip_without_numpy():
+    # one document per family: parse, then serialize, gives it back
+    proc = run_python("""
+        from squeezefn.domains import parse_domain_spec
+        from squeezefn.families import _FAMILIES
+        from squeezefn.serialize import serialize_domain_spec
+        values = {"q": 0.5, "theta": 1.0, "c": 0.5, "p": 2.0, "r0": 0.25}
+        for (kind, name), (_, params) in _FAMILIES.items():
+            dims = {} if kind == "sequence" else {"n": 2}
+            doc = {"kind": kind, **dims, "family": name, **{p: values[p] for p in params}}
+            assert serialize_domain_spec(parse_domain_spec(doc)) == doc, doc
+        print(len(_FAMILIES))
+    """, block_numpy=True)
+    assert (proc.returncode, proc.stdout) == (0, "5\n"), proc.stderr
 
 
 def certificates_without_numpy(cases):
@@ -357,13 +417,11 @@ def certificates_without_numpy(cases):
         f"{lower_bound_certificate(parse_domain_spec(DOCS[name]), z, claimed)!r}\n"
         for name, z, claimed in cases)
     proc = run_python(f"""
-        import sys
-        sys.modules["numpy"] = None  # any import of numpy raises ImportError
         from squeezefn import lower_bound_certificate, parse_domain_spec
         for name, z, claimed in {cases!r}:
             domain = parse_domain_spec({DOCS!r}[name])
             print(repr(lower_bound_certificate(domain, z, claimed)))
-    """)
+    """, block_numpy=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == expected
 
@@ -387,6 +445,7 @@ def test_poly_sequence_certificates_load_no_numpy():
                                 for claimed in (0.1, 0.25, 0.5)])
 
 
+@needs_numpy
 def test_sequence_eval_loads_numpy(docs_dir):
     # the blocker above is not vacuous: a family scan past its scalar head
     # needs numpy (p=1 at -0.99 stops at N = 87)
